@@ -62,7 +62,7 @@ func BenchmarkScanOnly(b *testing.B) {
 		if !ok {
 			break
 		}
-		cp := blk
+		cp := *blk
 		cp.insts = append([]cpu.Retired(nil), blk.insts...)
 		blocks = append(blocks, cp)
 	}

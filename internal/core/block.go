@@ -50,6 +50,7 @@ func (b *block) condOutcomes() (n int, bits uint32) {
 type blockReader struct {
 	src     source
 	geom    icache.Geometry
+	blk     block // the block next returns; reused for every block
 	scratch []cpu.Retired
 	pending cpu.Retired
 	have    bool
@@ -71,10 +72,11 @@ func newBlockReader(src source, geom icache.Geometry) *blockReader {
 }
 
 // next returns the next block, or ok=false at end of stream. The
-// returned block's insts slice is only valid until the following call.
-func (r *blockReader) next() (block, bool) {
+// returned block is owned by the reader and only valid until the
+// following call, so the block loop allocates nothing per block.
+func (r *blockReader) next() (*block, bool) {
 	if r.done {
-		return block{}, false
+		return nil, false
 	}
 	first := r.pending
 	if !r.have {
@@ -82,12 +84,13 @@ func (r *blockReader) next() (block, bool) {
 		first, ok = r.src.Next()
 		if !ok {
 			r.done = true
-			return block{}, false
+			return nil, false
 		}
 	}
 	r.have = false
 
-	b := block{start: first.PC, insts: r.scratch[:0]}
+	b := &r.blk
+	*b = block{start: first.PC, insts: r.scratch[:0]}
 	limit := r.geom.BlockLimit(first.PC)
 	cur := first
 	for {

@@ -36,7 +36,7 @@ func readBlocks(t *testing.T, src trace.Source, geom icache.Geometry) []block {
 			return out
 		}
 		// Deep-copy: the reader reuses its scratch.
-		cp := b
+		cp := *b
 		cp.insts = append([]cpu.Retired(nil), b.insts...)
 		out = append(out, cp)
 	}

@@ -120,29 +120,11 @@ func (e *Engine) Reset() {
 
 // Run consumes the trace (resetting it first) and returns the
 // accumulated result. The result's Program field is taken from the
-// source when it is a named buffer.
+// source when it is a named buffer. Run is a one-lane LaneSet walk:
+// the lane batch is the only block loop.
 func (e *Engine) Run(src trace.Source) metrics.Result {
-	e.runObs = e.obs
-	if g, ok := e.obs.(ObserverGate); ok && !g.ObserverEnabled() {
-		e.runObs = nil
-	}
-	src.Reset()
-	if b, ok := src.(trace.Named); ok {
-		e.res.Program = b.TraceName()
-	}
-	rd := newBlockReader(src, e.geom)
-	sh := newSharedBlock(e.geom)
-	for {
-		blk, ok := rd.next()
-		if !ok {
-			break
-		}
-		sh.set(&blk)
-		e.consume(&blk, sh)
-	}
-	out := e.res
-	e.res = metrics.Result{Program: e.res.Program}
-	return out
+	ls := LaneSet{lanes: []*Engine{e}, geom: e.geom}
+	return ls.Run(src)[0]
 }
 
 // consume processes one actual block: accounts the fetch request,

@@ -23,8 +23,7 @@ import (
 // sharedBlock carries the per-block values that are a pure function of
 // (block, geometry) — identical for every lane of a set — so they are
 // computed once per block instead of once per (block, lane). A single
-// engine Run uses one too; the single-lane cost is the same work the
-// engine previously did per block, just hoisted.
+// engine Run is a one-lane set, so it uses one too.
 type sharedBlock struct {
 	geom icache.Geometry
 	blk  *block
@@ -147,9 +146,9 @@ func (ls *LaneSet) Run(src trace.Source) []metrics.Result {
 		if !ok {
 			break
 		}
-		sh.set(&blk)
+		sh.set(blk)
 		for _, e := range ls.lanes {
-			e.consume(&blk, sh)
+			e.consume(blk, sh)
 		}
 	}
 	out := make([]metrics.Result, len(ls.lanes))

@@ -14,12 +14,10 @@ import (
 // sharing a cache geometry are grouped, and each (group × program) pair
 // becomes ONE pool job that walks the program's trace once while
 // driving every lane in lockstep — instead of one walk per
-// configuration. Results fold through the same SuitePromise machinery,
-// and the lane engine's equivalence guarantee makes every rendered
-// table, CSV and response body byte-identical to the per-config path
-// (pinned by the differential, property and fuzz suites).
-//
-// Usage mirrors the RunConfigAsync flow with one extra step:
+// configuration. Results fold through the SuitePromise machinery. A
+// batch is the only way the harness simulates a configuration:
+// RunConfigAsync is a one-configuration batch, and a lone engine's Run
+// is a one-lane LaneSet walk.
 //
 //	b := NewBatch(s, ts)
 //	p1 := b.RunConfig(cfgA) // promises fill after Flush
@@ -32,17 +30,17 @@ import (
 // leaves: grouping happens at submission time in the driver goroutine,
 // and a lane job never submits or waits.
 //
-// A TraceSet viewed through PerConfig disables grouping — RunConfig
-// then degrades to RunConfigAsync (or the ctx variant), which is how
-// the differential tests and the bench pipeline run identical drivers
-// down both paths.
+// A TraceSet viewed through PerConfig gives every configuration its
+// own group, so each (configuration, program) pair walks the trace
+// alone — the execution shape the differential tests and the bench
+// pipeline compare lane grouping against.
 type Batch struct {
 	s   *Scheduler
 	ts  *TraceSet
-	ctx context.Context // nil = no cancellation
+	ctx context.Context
 
-	order  []icache.Geometry
-	groups map[icache.Geometry]*laneGroup
+	groups []*laneGroup // registration order
+	byGeom map[icache.Geometry]*laneGroup
 }
 
 // laneGroup is the pending work for one cache geometry: the lane
@@ -55,39 +53,30 @@ type laneGroup struct {
 
 // NewBatch returns an empty batch submitting to s over ts's traces.
 func NewBatch(s *Scheduler, ts *TraceSet) *Batch {
-	return &Batch{s: s, ts: ts, groups: make(map[icache.Geometry]*laneGroup)}
+	return NewBatchCtx(context.Background(), s, ts)
 }
 
 // NewBatchCtx is NewBatch with cancellation: lane jobs not started when
 // ctx is cancelled never run, and running jobs stop at the next
-// trace-source cancellation check — the same contract as
-// RunConfigCtxAsync, which the degraded (PerConfig) path uses directly.
+// trace-source cancellation check.
 func NewBatchCtx(ctx context.Context, s *Scheduler, ts *TraceSet) *Batch {
-	b := NewBatch(s, ts)
-	b.ctx = ctx
-	return b
+	return &Batch{s: s, ts: ts, ctx: ctx, byGeom: make(map[icache.Geometry]*laneGroup)}
 }
 
 // RunConfig registers one configuration and returns its pending suite
 // result. The promise's futures fill once Flush has submitted the lane
 // jobs and they have run; an invalid configuration resolves immediately
-// to its validation error, exactly like RunConfigAsync.
+// to its validation error.
 func (b *Batch) RunConfig(cfg core.Config) *SuitePromise {
 	cfg = b.ts.applyStorage(cfg)
 	if err := cfg.Validate(); err != nil {
 		return &SuitePromise{err: err}
 	}
-	if b.ts.lanesOff {
-		if b.ctx != nil {
-			return RunConfigCtxAsync(b.ctx, b.s, b.ts, cfg)
-		}
-		return RunConfigAsync(b.s, b.ts, cfg)
-	}
-	g := b.groups[cfg.Geometry]
-	if g == nil {
+	g := b.byGeom[cfg.Geometry]
+	if g == nil || b.ts.lanesOff {
 		g = &laneGroup{}
-		b.groups[cfg.Geometry] = g
-		b.order = append(b.order, cfg.Geometry)
+		b.groups = append(b.groups, g)
+		b.byGeom[cfg.Geometry] = g
 	}
 	g.cfgs = append(g.cfgs, cfg)
 	row := make([]*Future[metrics.Result], len(b.ts.order))
@@ -102,15 +91,13 @@ func (b *Batch) RunConfig(cfg core.Config) *SuitePromise {
 // the batch for reuse. On a serial scheduler the jobs run inline here,
 // in group-registration then suite order.
 func (b *Batch) Flush() {
-	for _, geom := range b.order {
-		g := b.groups[geom]
+	for _, g := range b.groups {
 		for pi, name := range b.ts.order {
-			pi, name := pi, name
 			b.s.submit(func() { b.runGroup(g, pi, name) })
 		}
 	}
-	b.order = nil
-	b.groups = make(map[icache.Geometry]*laneGroup)
+	b.groups = nil
+	b.byGeom = make(map[icache.Geometry]*laneGroup)
 }
 
 // runGroup is one lane job: a fresh LaneSet over one program's trace,
@@ -127,21 +114,16 @@ func (b *Batch) runGroup(g *laneGroup, pi int, name string) {
 			close(f.done)
 		}
 	}
-	if b.ctx != nil {
-		if err := b.ctx.Err(); err != nil {
-			fill(nil, err)
-			return
-		}
+	if err := b.ctx.Err(); err != nil {
+		fill(nil, err)
+		return
 	}
 	ls, err := core.NewLanes(g.cfgs)
 	if err != nil {
 		fill(nil, err)
 		return
 	}
-	var tr trace.Source = b.ts.traces[name].Clone()
-	if b.ctx != nil {
-		tr = trace.WithContext(b.ctx, tr)
-	}
+	tr := trace.WithContext(b.ctx, b.ts.traces[name].Clone())
 	if b.ts.warmup {
 		ls.Run(tr) // untimed training pass, all lanes at once
 	}
@@ -149,20 +131,19 @@ func (b *Batch) runGroup(g *laneGroup, pi int, name string) {
 		b.ts.attachObserver(e, name, g.cfgs[li])
 	}
 	rs := ls.Run(tr)
-	if b.ctx != nil {
-		if err := b.ctx.Err(); err != nil {
-			fill(nil, err)
-			return
-		}
+	if err := b.ctx.Err(); err != nil {
+		fill(nil, err)
+		return
 	}
 	fill(rs, nil)
 }
 
-// PerConfig returns a view of the trace set on which Batch.RunConfig
-// degrades to one independent engine run per (configuration, program) —
-// the pre-lane execution shape. The differential tests and the bench
-// pipeline use this view to pin lane-mode output byte-identical to the
-// per-config path; results never differ, only the work grouping does.
+// PerConfig returns a view of the trace set on which every batched
+// configuration is its own one-lane group, so each (configuration,
+// program) pair walks the trace alone — the pre-lane execution shape.
+// The differential tests and the bench pipeline use this view to pin
+// lane-grouped output byte-identical to ungrouped runs; results never
+// differ, only the work grouping does.
 func (ts *TraceSet) PerConfig() *TraceSet {
 	out := *ts
 	out.lanesOff = true

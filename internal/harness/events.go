@@ -19,11 +19,11 @@ import (
 // table is the first thing to read when a configuration regresses.
 
 // EventsRow is one program's replay under an enabled tap: its ordinary
-// result plus the per-(kind, block) attribution.
+// result plus the per-block attribution, read through its per-kind view.
 type EventsRow struct {
 	Program string
 	Res     metrics.Result
-	Att     *obs.Attribution
+	Att     *obs.H2P
 }
 
 // DefaultEventsTopN is the per-kind site count the renderers show.
@@ -35,9 +35,9 @@ const DefaultEventsTopN = 5
 // experiment. Rows fold in suite order — deterministic like every
 // other experiment (taps observe, they never steer).
 func EventsAsync(s *Scheduler, ts *TraceSet, cfg core.Config) func() ([]EventsRow, error) {
-	atts := make(map[string]*obs.Attribution, len(ts.order))
+	atts := make(map[string]*obs.H2P, len(ts.order))
 	for _, name := range ts.order {
-		atts[name] = obs.NewAttribution()
+		atts[name] = obs.NewH2P()
 	}
 	tsv := ts.WithObserver(func(program string) core.Observer {
 		return obs.NewTap(atts[program])
@@ -81,7 +81,7 @@ func RenderEvents(w io.Writer, rows []EventsRow, topN int) {
 			if total == 0 {
 				continue
 			}
-			for i, s := range r.Att.Top(k, topN) {
+			for i, s := range r.Att.KindTop(k, topN) {
 				label := ""
 				if i == 0 {
 					label = k.String()
@@ -107,7 +107,7 @@ func CSVEvents(w io.Writer, rows []EventsRow, topN int) error {
 			if total == 0 {
 				continue
 			}
-			for i, s := range r.Att.Top(k, topN) {
+			for i, s := range r.Att.KindTop(k, topN) {
 				out = append(out, []string{
 					r.Program, k.String(), d(i + 1), fmt.Sprintf("%d", s.Addr),
 					fmt.Sprintf("%d", s.Events), fmt.Sprintf("%d", s.Cycles),

@@ -362,61 +362,24 @@ func suitePromise(s *Scheduler, ts *TraceSet, run func(name string) (metrics.Res
 	return p
 }
 
-// RunConfigAsync submits one engine run per program of the set — the
-// (config × program) flattening every sweep driver builds on — and
-// returns the pending suite result. Each job gets a fresh engine (the
-// paper simulates each benchmark independently) and its own read cursor
-// over the shared trace records.
+// RunConfigAsync submits one configuration over every program of the
+// set — a one-configuration Batch, flushed — and returns the pending
+// suite result. Each program's job gets a fresh engine (the paper
+// simulates each benchmark independently) and its own read cursor over
+// the shared trace records.
 func RunConfigAsync(s *Scheduler, ts *TraceSet, cfg core.Config) *SuitePromise {
-	cfg = ts.applyStorage(cfg)
-	if err := cfg.Validate(); err != nil {
-		return &SuitePromise{err: err}
-	}
-	return suitePromise(s, ts, func(name string) (metrics.Result, error) {
-		e, err := core.New(cfg)
-		if err != nil {
-			return metrics.Result{}, err
-		}
-		tr := ts.traces[name].Clone()
-		if ts.warmup {
-			e.Run(tr) // untimed training pass
-		}
-		ts.attachObserver(e, name, cfg)
-		return e.Run(tr), nil
-	})
+	return RunConfigCtxAsync(context.Background(), s, ts, cfg)
 }
 
 // RunConfigCtxAsync is RunConfigAsync with cancellation: jobs that have
 // not started when ctx is cancelled never run, and running jobs stop at
 // the next trace-source cancellation check. An uncancelled run is
 // byte-identical to RunConfigAsync — the context guard only forwards
-// records. The service layer submits every request through this path.
+// records.
 func RunConfigCtxAsync(ctx context.Context, s *Scheduler, ts *TraceSet, cfg core.Config) *SuitePromise {
-	cfg = ts.applyStorage(cfg)
-	if err := cfg.Validate(); err != nil {
-		return &SuitePromise{err: err}
-	}
-	p := &SuitePromise{ts: ts}
-	for _, name := range ts.order {
-		name := name
-		p.futs = append(p.futs, SubmitCtx(ctx, s, func(ctx context.Context) (metrics.Result, error) {
-			e, err := core.New(cfg)
-			if err != nil {
-				return metrics.Result{}, err
-			}
-			tr := trace.WithContext(ctx, ts.traces[name].Clone())
-			if ts.warmup {
-				e.Run(tr) // untimed training pass
-				tr.Reset()
-			}
-			ts.attachObserver(e, name, cfg)
-			r := e.Run(tr)
-			if err := ctx.Err(); err != nil {
-				return metrics.Result{}, err
-			}
-			return r, nil
-		}))
-	}
+	b := NewBatchCtx(ctx, s, ts)
+	p := b.RunConfig(cfg)
+	b.Flush()
 	return p
 }
 

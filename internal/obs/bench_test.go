@@ -67,5 +67,5 @@ func BenchmarkEngineTapNDJSON(b *testing.B) {
 }
 
 func BenchmarkEngineTapAttribution(b *testing.B) {
-	benchEngine(b, benchTrace(b), NewAttribution())
+	benchEngine(b, benchTrace(b), NewH2P())
 }

@@ -10,7 +10,7 @@ import (
 // Counters is a concurrency-safe aggregate sink: every field is an
 // atomic, so one Counters can be shared by all the engines of a
 // simulation service and scraped while they run. It trades the
-// per-site detail of Attribution for lock-free accumulation.
+// per-site detail of H2P for lock-free accumulation.
 type Counters struct {
 	blocks    atomic.Uint64
 	redirects atomic.Uint64

@@ -9,34 +9,40 @@ import (
 
 // H2P aggregates the event stream into the hard-to-predict view argued
 // for by "Branch Prediction Is Not a Solved Problem": per static block
-// address, the total penalty cycles and misprediction events charged to
-// it across every Table 3 kind, plus the per-kind split so each block
-// can report the kind that dominates it. Where Attribution answers
-// "which blocks hurt for kind K", H2P answers "which blocks hurt,
-// period" — the ranking a coverage curve is drawn over, and the one a
-// targeted fix (more history, a different family) would be judged by.
+// address, the penalty cycles and misprediction events charged to it,
+// in total and split by Table 3 kind. The total ranking (Top) answers
+// "which blocks hurt, period" — the ranking a coverage curve is drawn
+// over, and the one a targeted fix (more history, a different family)
+// would be judged by. The per-kind ranking (KindTop) answers the §4
+// attribution question "which blocks hurt through structure K" — a
+// handful of static blocks usually carries most of a kind's penalty.
 //
 // H2P is not synchronized; give each engine its own and merge with Add.
 type H2P struct {
-	blocks uint64 // events observed (one per fetched block)
-	total  uint64 // penalty cycles across all sites
-	kinds  [metrics.NumKinds]uint64
-	sites  map[uint32]*h2pSite
+	blocks     uint64 // events observed (one per fetched block)
+	total      uint64 // penalty cycles across all sites
+	kinds      [metrics.NumKinds]uint64
+	kindEvents [metrics.NumKinds]uint64
+	sites      map[uint32]*h2pSite
 }
 
 type h2pSite struct {
-	events uint64
-	cycles uint64
-	byKind [metrics.NumKinds]uint64
+	events     uint64
+	cycles     uint64
+	byKind     [metrics.NumKinds]uint64 // cycles per kind
+	kindEvents [metrics.NumKinds]uint64
 }
 
-// H2PSite is one row of the ranked view: a block start address with its
-// accumulated penalty over all kinds and the kind that dominates it.
+// H2PSite is one row of a ranked view: a block start address with its
+// accumulated penalty events and cycles — over all kinds from Top, for
+// one kind from KindTop.
 type H2PSite struct {
 	Addr   uint32
 	Events uint64
 	Cycles uint64
-	Kind   metrics.Kind // dominant kind by cycles (ties to the lower kind)
+	// Kind is the dominant kind by cycles (ties to the lower kind) in
+	// Top, the ranked kind in KindTop.
+	Kind metrics.Kind
 }
 
 // NewH2P returns an empty accumulator.
@@ -54,6 +60,7 @@ func (h *H2P) Observe(ev core.Event) {
 	p := uint64(ev.Penalty)
 	h.total += p
 	h.kinds[ev.Kind] += p
+	h.kindEvents[ev.Kind]++
 	s := h.sites[ev.Start]
 	if s == nil {
 		s = &h2pSite{}
@@ -62,6 +69,7 @@ func (h *H2P) Observe(ev core.Event) {
 	s.events++
 	s.cycles += p
 	s.byKind[ev.Kind] += p
+	s.kindEvents[ev.Kind]++
 }
 
 // Add merges other into h (for combining per-engine accumulators).
@@ -70,6 +78,7 @@ func (h *H2P) Add(other *H2P) {
 	h.total += other.total
 	for k := range h.kinds {
 		h.kinds[k] += other.kinds[k]
+		h.kindEvents[k] += other.kindEvents[k]
 	}
 	for addr, s := range other.sites {
 		mine := h.sites[addr]
@@ -81,6 +90,7 @@ func (h *H2P) Add(other *H2P) {
 		mine.cycles += s.cycles
 		for k := range mine.byKind {
 			mine.byKind[k] += s.byKind[k]
+			mine.kindEvents[k] += s.kindEvents[k]
 		}
 	}
 }
@@ -93,6 +103,9 @@ func (h *H2P) TotalCycles() uint64 { return h.total }
 
 // KindCycles returns the penalty cycles attributed to kind.
 func (h *H2P) KindCycles(k metrics.Kind) uint64 { return h.kinds[k] }
+
+// KindEvents returns the penalty events attributed to kind.
+func (h *H2P) KindEvents(k metrics.Kind) uint64 { return h.kindEvents[k] }
 
 // Sites returns the number of distinct penalized block addresses.
 func (h *H2P) Sites() int { return len(h.sites) }
@@ -121,6 +134,25 @@ func (h *H2P) Top(n int) []H2PSite {
 		}
 		out = append(out, site)
 	}
+	return rank(out, n)
+}
+
+// KindTop returns the n worst block addresses for kind, with the events
+// and cycles charged to them through that kind, in Top's order. n <= 0
+// means every site the kind charged.
+func (h *H2P) KindTop(k metrics.Kind, n int) []H2PSite {
+	var out []H2PSite
+	for addr, s := range h.sites {
+		if s.kindEvents[k] > 0 {
+			out = append(out, H2PSite{Addr: addr, Events: s.kindEvents[k], Cycles: s.byKind[k], Kind: k})
+		}
+	}
+	return rank(out, n)
+}
+
+// rank sorts sites by penalty cycles, then events, then address, and
+// keeps the first n (n <= 0 keeps all).
+func rank(out []H2PSite, n int) []H2PSite {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Cycles != out[j].Cycles {
 			return out[i].Cycles > out[j].Cycles

@@ -85,6 +85,25 @@ func TestH2PTieBreaks(t *testing.T) {
 	if top[1].Kind != metrics.GHRMispredict {
 		t.Errorf("kind tie went to %v, want the lower kind %v", top[1].Kind, metrics.GHRMispredict)
 	}
+
+	// The per-kind view ranks the same way: cycles, events, address.
+	h.Observe(h2pEv(40, 1, metrics.Misselect))
+	h.Observe(h2pEv(40, 1, metrics.Misselect))
+	h.Observe(h2pEv(5, 4, metrics.Misselect))
+	kt := h.KindTop(metrics.Misselect, 0)
+	want := []H2PSite{
+		{Addr: 10, Events: 2, Cycles: 4, Kind: metrics.Misselect},
+		{Addr: 5, Events: 1, Cycles: 4, Kind: metrics.Misselect},
+		{Addr: 40, Events: 2, Cycles: 2, Kind: metrics.Misselect},
+	}
+	if len(kt) != len(want) {
+		t.Fatalf("kind top = %+v, want %+v", kt, want)
+	}
+	for i := range want {
+		if kt[i] != want[i] {
+			t.Errorf("kind top[%d] = %+v, want %+v", i, kt[i], want[i])
+		}
+	}
 }
 
 func TestH2PAdd(t *testing.T) {

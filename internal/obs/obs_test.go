@@ -173,9 +173,9 @@ type failWriter struct{}
 func (failWriter) Write([]byte) (int, error) { return 0, bytes.ErrTooLarge }
 
 func TestAttributionTopDeterministicAndConsistent(t *testing.T) {
-	run := func() *Attribution {
+	run := func() *H2P {
 		e := newEngine(t)
-		att := NewAttribution()
+		att := NewH2P()
 		e.SetObserver(att)
 		runWorkload(t, e, "gcc", 50_000)
 		return att
@@ -186,7 +186,7 @@ func TestAttributionTopDeterministicAndConsistent(t *testing.T) {
 		t.Fatal("attribution saw nothing")
 	}
 	for k := metrics.Kind(0); k < metrics.NumKinds; k++ {
-		ta, tb := a.Top(k, 10), b.Top(k, 10)
+		ta, tb := a.KindTop(k, 10), b.KindTop(k, 10)
 		if len(ta) != len(tb) {
 			t.Fatalf("%v: run-to-run top size differs (%d vs %d)", k, len(ta), len(tb))
 		}
@@ -203,19 +203,23 @@ func TestAttributionTopDeterministicAndConsistent(t *testing.T) {
 		if sum > a.KindCycles(k) {
 			t.Errorf("%v: top sites carry %d cycles, kind total is %d", k, sum, a.KindCycles(k))
 		}
-		full := a.Top(k, 0)
-		var all uint64
+		full := a.KindTop(k, 0)
+		var all, events uint64
 		for _, s := range full {
 			all += s.Cycles
+			events += s.Events
 		}
 		if all != a.KindCycles(k) {
 			t.Errorf("%v: site cycles sum %d != kind total %d", k, all, a.KindCycles(k))
+		}
+		if events != a.KindEvents(k) {
+			t.Errorf("%v: site events sum %d != kind total %d", k, events, a.KindEvents(k))
 		}
 	}
 }
 
 func TestAttributionAddMerges(t *testing.T) {
-	a, b := NewAttribution(), NewAttribution()
+	a, b := NewH2P(), NewH2P()
 	ev := core.Event{Start: 64, Penalty: 4, Kind: metrics.CondMispredict}
 	a.Observe(ev)
 	b.Observe(ev)
@@ -227,8 +231,11 @@ func TestAttributionAddMerges(t *testing.T) {
 	if got := a.KindCycles(metrics.ReturnMispredict); got != 2 {
 		t.Errorf("merged return cycles = %d, want 2", got)
 	}
-	top := a.Top(metrics.CondMispredict, 1)
-	if len(top) != 1 || top[0].Addr != 64 || top[0].Events != 2 {
+	if got := a.KindEvents(metrics.CondMispredict); got != 2 {
+		t.Errorf("merged cond events = %d, want 2", got)
+	}
+	top := a.KindTop(metrics.CondMispredict, 1)
+	if len(top) != 1 || top[0].Addr != 64 || top[0].Events != 2 || top[0].Cycles != 8 {
 		t.Errorf("merged top = %+v", top)
 	}
 	if a.Blocks() != 3 {

@@ -105,13 +105,18 @@ func (t teeObserver) Observe(ev core.Event) {
 	t[1].Observe(ev)
 }
 
-// tappedH2P is tapped() plus this request's attribution: the
-// config-aware hook preempts the plain observer hook in the harness,
-// so when h2p is on the tap must ride along in a tee rather than on
-// its own hook.
+// tappedH2P attaches the service-wide event tap (when enabled) and this
+// request's attribution (when st is non-nil) to a trace set. The tap's
+// counters are atomic and shared by every engine of every request;
+// observers never perturb results. The config-aware hook preempts the
+// plain observer hook in the harness, so when h2p is on the tap must
+// ride along in a tee rather than on its own hook.
 func (s *Server) tappedH2P(ts *harness.TraceSet, st *h2pState) *harness.TraceSet {
 	if st == nil {
-		return s.tapped(ts)
+		if s.tap == nil {
+			return ts
+		}
+		return ts.WithObserver(func(string) core.Observer { return s.tap })
 	}
 	return ts.WithConfigObserver(func(program string, cfg core.Config) core.Observer {
 		var agg *obs.H2P

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mbbp/internal/core"
 )
 
 // TestSweepH2P pins the h2p response contract: the section appears only
@@ -119,21 +121,43 @@ func TestSweepH2PValidation(t *testing.T) {
 // reports for that configuration — lane batching and the shared
 // per-request accumulator map change cost, not content.
 func TestSweepH2PMultiMatchesSingle(t *testing.T) {
-	s := newTestServer(t, Config{})
-	cfgs := pinnedConfigs()[:2]
-	multiReq := SweepRequest{
-		Configs:      []json.RawMessage{configJSON(t, cfgs[0]), configJSON(t, cfgs[1])},
-		Programs:     []string{"li"},
-		Instructions: 5_000,
-		H2P:          true,
+	pinned := pinnedConfigs()
+	for _, tc := range []struct {
+		name string
+		cfgs []core.Config
+	}{
+		{"distinct", pinned[:2]},
+		// The same configuration twice runs once: each section must
+		// still equal the single-config reference, so no accumulator
+		// is counted twice.
+		{"duplicate", []core.Config{pinned[0], pinned[0]}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, Config{})
+			multiReq := SweepRequest{Programs: []string{"li"}, Instructions: 5_000, H2P: true}
+			for _, cfg := range tc.cfgs {
+				multiReq.Configs = append(multiReq.Configs, configJSON(t, cfg))
+			}
+			w := postSweep(t, s.Handler(), multiReq, "")
+			if w.Code != 200 {
+				t.Fatalf("multi h2p sweep = %d: %s", w.Code, w.Body.String())
+			}
+			checkH2PSectionsMatchSingle(t, w.Body.Bytes(), tc.cfgs)
+		})
 	}
-	w := postSweep(t, s.Handler(), multiReq, "")
-	if w.Code != 200 {
-		t.Fatalf("multi h2p sweep = %d: %s", w.Code, w.Body.String())
-	}
+}
+
+// checkH2PSectionsMatchSingle asserts that every sweep of a multi-config
+// h2p body carries the attribution section a fresh server answers the
+// single-config request for that configuration with.
+func checkH2PSectionsMatchSingle(t *testing.T, body []byte, cfgs []core.Config) {
+	t.Helper()
 	var multi MultiSweepResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &multi); err != nil {
+	if err := json.Unmarshal(body, &multi); err != nil {
 		t.Fatal(err)
+	}
+	if len(multi.Sweeps) != len(cfgs) {
+		t.Fatalf("%d sweeps for %d configs", len(multi.Sweeps), len(cfgs))
 	}
 	for i, cfg := range cfgs {
 		single := postSweep(t, newTestServer(t, Config{}).Handler(), SweepRequest{

@@ -140,8 +140,21 @@ func (c *resultCache) resolve(e *resultEntry, body []byte, resp *SweepResponse, 
 	close(e.done)
 }
 
+// served records e's final outcome for one response: a hit counts and
+// marks the entry touched (spared once by the evictor), a coalesced
+// wait counts, and a miss was already counted when it was claimed.
+func (c *resultCache) served(e *resultEntry, o cacheStatus) {
+	switch o {
+	case cacheHit:
+		c.hits.Add(1)
+		e.touched.Store(true)
+	case cacheCoalesced:
+		c.coalesced.Add(1)
+	}
+}
+
 // await blocks until e resolves or ctx dies. It does not record hit or
-// coalesced counts — the caller knows which path it took.
+// coalesced counts — the caller knows which path it took (served).
 func (c *resultCache) await(ctx context.Context, e *resultEntry) error {
 	select {
 	case <-e.done:

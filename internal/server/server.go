@@ -123,7 +123,7 @@ type Server struct {
 	sched   *harness.Scheduler
 	cache   *trace.Cache
 	results *resultCache
-	pool    *shardPool // nil unless Config.ShardOf
+	pool    *shardPool    // nil unless Config.ShardOf
 	queue   chan struct{} // admission semaphore; len() is the live depth
 	metrics *metricsSet
 	tap     *obs.Counters // nil unless Config.Tap
@@ -517,11 +517,9 @@ func (s *Server) finishEntries(ctx context.Context, w http.ResponseWriter, log *
 	return false, true
 }
 
-// computeEntries runs the claimed configurations — one direct run for a
-// single entry, one lane batch otherwise (the exact pre-cache execution
-// paths, so bodies stay byte-identical to the reference) — and resolves
-// each claimed entry with its rendered body. On error every claimed
-// entry is dropped.
+// computeEntries runs the claimed configurations through computeSweeps
+// and resolves each claimed entry with its rendered body. On error
+// every claimed entry is dropped.
 func (s *Server) computeEntries(ctx context.Context, sp *obs.Spans, cfgs []core.Config,
 	opts harness.Options, entries []*resultEntry, toCompute []int, h2pN int) error {
 	fail := func(err error) error {
@@ -534,52 +532,64 @@ func (s *Server) computeEntries(ctx context.Context, sp *obs.Spans, cfgs []core.
 	for j, i := range toCompute {
 		computed[j] = cfgs[i]
 	}
-	h2p, err := s.newH2PState(h2pN, computed, opts.Programs)
+	resps, err := s.computeSweeps(ctx, sp, computed, opts, h2pN)
 	if err != nil {
 		return fail(err)
+	}
+	for j, i := range toCompute {
+		body, err := MarshalResponse(resps[j])
+		if err != nil {
+			return fail(err)
+		}
+		s.results.resolve(entries[i], body, &resps[j], nil)
+	}
+	return nil
+}
+
+// computeSweeps is the one place mbbpd simulates: it runs a request's
+// configurations as one lane batch over the (cached) trace set — a
+// single-config request is a batch of one — and builds one response
+// per configuration, in order. Configurations sharing a cache geometry
+// run as lockstep lanes of one trace walk per program. Duplicate
+// configurations run once: with h2p on they share one accumulator,
+// which must see exactly one lane's events.
+func (s *Server) computeSweeps(ctx context.Context, sp *obs.Spans, cfgs []core.Config,
+	opts harness.Options, h2pN int) ([]SweepResponse, error) {
+	h2p, err := s.newH2PState(h2pN, cfgs, opts.Programs)
+	if err != nil {
+		return nil, err
 	}
 	ts, err := harness.LoadTracesCached(ctx, s.sched, opts, s.cache)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	sp.Mark("capture")
-
-	tsv := s.tappedH2P(ts, h2p)
-	results := make([]*harness.SuiteResult, len(toCompute))
-	if len(toCompute) == 1 {
-		res, err := harness.RunConfigCtxAsync(ctx, s.sched, tsv, cfgs[toCompute[0]]).WaitCtx(ctx)
+	b := harness.NewBatchCtx(ctx, s.sched, s.tappedH2P(ts, h2p))
+	seen := make(map[string]*harness.SuitePromise, len(cfgs))
+	promises := make([]*harness.SuitePromise, len(cfgs))
+	for i, cfg := range cfgs {
+		ck, err := cfg.CanonicalHash()
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
-		results[0] = res
-	} else {
-		b := harness.NewBatchCtx(ctx, s.sched, tsv)
-		promises := make([]*harness.SuitePromise, len(toCompute))
-		for j, i := range toCompute {
-			promises[j] = b.RunConfig(cfgs[i])
+		if seen[ck] == nil {
+			seen[ck] = b.RunConfig(cfg)
 		}
-		b.Flush()
-		for j, p := range promises {
-			res, err := p.WaitCtx(ctx)
-			if err != nil {
-				return fail(err)
-			}
-			results[j] = res
+		promises[i] = seen[ck]
+	}
+	b.Flush()
+	resps := make([]SweepResponse, len(cfgs))
+	for i, p := range promises {
+		res, err := p.WaitCtx(ctx)
+		if err != nil {
+			return nil, err
 		}
+		resps[i] = BuildSweepResponse(cfgs[i], opts, res)
+		resps[i].H2P = h2p.report(cfgs[i], opts.Programs)
 	}
 	sp.Mark("simulate")
-
-	for j, i := range toCompute {
-		resp := BuildSweepResponse(cfgs[i], opts, results[j])
-		resp.H2P = h2p.report(cfgs[i], opts.Programs)
-		body, err := MarshalResponse(resp)
-		if err != nil {
-			return fail(err)
-		}
-		s.results.resolve(entries[i], body, &resp, nil)
-	}
 	s.h2p.record(h2p)
-	return nil
+	return resps, nil
 }
 
 // serveAssembled writes the response for fully resolved entries: the
@@ -587,7 +597,8 @@ func (s *Server) computeEntries(ctx context.Context, sp *obs.Spans, cfgs []core.
 // document assembled from the per-entry parsed responses for a
 // multi-config request (byte-identical to rendering the batch cold —
 // MarshalMultiResponse over the same structs). Hit/coalesced counters
-// are recorded here, once per entry, when the outcome is final.
+// are recorded here, once per entry, when the outcome is final; the
+// request's overall outcome is its worst entry's.
 func (s *Server) serveAssembled(w http.ResponseWriter, log *slog.Logger, start time.Time,
 	sp *obs.Spans, entries []*resultEntry, outcomes []cacheStatus, multi bool,
 	etag string, opts harness.Options, ncfgs int) {
@@ -615,16 +626,18 @@ func (s *Server) serveAssembled(w http.ResponseWriter, log *slog.Logger, start t
 
 	overall := cacheHit
 	for i, o := range outcomes {
-		switch o {
-		case cacheHit:
-			s.results.hits.Add(1)
-			entries[i].touched.Store(true)
-		case cacheCoalesced:
-			s.results.coalesced.Add(1)
-		}
+		s.results.served(entries[i], o)
 		overall = overall.worse(o)
 	}
+	s.writeSweepBody(w, log, start, sp, body, overall, etag, "", "", opts, ncfgs)
+}
 
+// writeSweepBody writes a completed sweep body with its cache headers
+// (and, on a shard front-end, the replica headers), accounts the
+// request, and sets the stage trailer and the completion log line.
+func (s *Server) writeSweepBody(w http.ResponseWriter, log *slog.Logger, start time.Time,
+	sp *obs.Spans, body []byte, outcome cacheStatus, etag, replica, backendStatus string,
+	opts harness.Options, ncfgs int) {
 	s.metrics.observeLatency(time.Since(start))
 	s.metrics.requestsOK.Add(1)
 	// The stage timeline travels as an HTTP trailer (declared before
@@ -632,15 +645,24 @@ func (s *Server) serveAssembled(w http.ResponseWriter, log *slog.Logger, start t
 	w.Header().Set("Trailer", stagesTrailer)
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.Header().Set("ETag", etag)
-	w.Header().Set(cacheStatusHeader, string(overall))
+	w.Header().Set(cacheStatusHeader, string(outcome))
+	if replica != "" {
+		w.Header().Set(shardReplicaHeader, replica)
+	}
+	if backendStatus != "" {
+		w.Header().Set(backendCacheStatusHeader, backendStatus)
+	}
 	w.Write(body)
 	sp.Mark("render")
 	w.Header().Set(stagesTrailer, sp.Header())
+	if replica != "" {
+		log = log.With("replica", replica)
+	}
 	log.Info("sweep done",
 		"configs", ncfgs,
 		"programs", len(opts.Programs),
 		"instructions", opts.Instructions,
-		"cache", string(overall),
+		"cache", string(outcome),
 		"dur_ms", time.Since(start).Milliseconds(),
 		"stages", sp,
 		"queue", len(s.queue))
@@ -650,97 +672,6 @@ func (s *Server) serveAssembled(w http.ResponseWriter, log *slog.Logger, start t
 // ("admit;dur=0.1, queue;dur=0.0, ..." — milliseconds) to clients that
 // read trailers; the same timeline logs structurally via slog.
 const stagesTrailer = "X-Request-Stages"
-
-// runSweep executes one admitted request on the shared pool. It is the
-// shard front-end's local-fallback path (and the historical direct
-// path the differential tests reference).
-func (s *Server) runSweep(ctx context.Context, sp *obs.Spans, cfg core.Config, opts harness.Options, h2pN int) (SweepResponse, error) {
-	h2p, err := s.newH2PState(h2pN, []core.Config{cfg}, opts.Programs)
-	if err != nil {
-		return SweepResponse{}, err
-	}
-	ts, err := harness.LoadTracesCached(ctx, s.sched, opts, s.cache)
-	if err != nil {
-		return SweepResponse{}, err
-	}
-	sp.Mark("capture")
-	res, err := harness.RunConfigCtxAsync(ctx, s.sched, s.tappedH2P(ts, h2p), cfg).WaitCtx(ctx)
-	if err != nil {
-		return SweepResponse{}, err
-	}
-	sp.Mark("simulate")
-	resp := BuildSweepResponse(cfg, opts, res)
-	resp.H2P = h2p.report(cfg, opts.Programs)
-	s.h2p.record(h2p)
-	return resp, nil
-}
-
-// runSweepMulti executes a multi-config request as one lane batch:
-// every configuration registers with a harness.Batch over the same
-// (cached) trace set, so configurations sharing a cache geometry run
-// as lockstep lanes of one trace walk per program. The responses are
-// exactly what runSweep would have produced for each configuration.
-func (s *Server) runSweepMulti(ctx context.Context, sp *obs.Spans, cfgs []core.Config, opts harness.Options, h2pN int) (MultiSweepResponse, error) {
-	h2p, err := s.newH2PState(h2pN, cfgs, opts.Programs)
-	if err != nil {
-		return MultiSweepResponse{}, err
-	}
-	ts, err := harness.LoadTracesCached(ctx, s.sched, opts, s.cache)
-	if err != nil {
-		return MultiSweepResponse{}, err
-	}
-	sp.Mark("capture")
-	// Duplicate configurations run once — the cached path dedupes the
-	// same way via entry claims, and with h2p on they share one
-	// accumulator, which must see exactly one lane's events.
-	seen := make(map[string]int, len(cfgs))
-	var uniq []core.Config
-	backref := make([]int, len(cfgs))
-	for i, cfg := range cfgs {
-		ck, err := cfg.CanonicalHash()
-		if err != nil {
-			return MultiSweepResponse{}, err
-		}
-		j, ok := seen[ck]
-		if !ok {
-			j = len(uniq)
-			seen[ck] = j
-			uniq = append(uniq, cfg)
-		}
-		backref[i] = j
-	}
-	b := harness.NewBatchCtx(ctx, s.sched, s.tappedH2P(ts, h2p))
-	promises := make([]*harness.SuitePromise, len(uniq))
-	for i, cfg := range uniq {
-		promises[i] = b.RunConfig(cfg)
-	}
-	b.Flush()
-	results := make([]*harness.SuiteResult, len(uniq))
-	for i, p := range promises {
-		if results[i], err = p.WaitCtx(ctx); err != nil {
-			return MultiSweepResponse{}, err
-		}
-	}
-	resp := MultiSweepResponse{Sweeps: make([]SweepResponse, 0, len(cfgs))}
-	for i, cfg := range cfgs {
-		sw := BuildSweepResponse(cfg, opts, results[backref[i]])
-		sw.H2P = h2p.report(cfg, opts.Programs)
-		resp.Sweeps = append(resp.Sweeps, sw)
-	}
-	sp.Mark("simulate")
-	s.h2p.record(h2p)
-	return resp, nil
-}
-
-// tapped attaches the service-wide event tap to a trace set, when
-// enabled. The counters are shared by every engine of every request —
-// they are atomic — and observers never perturb results.
-func (s *Server) tapped(ts *harness.TraceSet) *harness.TraceSet {
-	if s.tap == nil {
-		return ts
-	}
-	return ts.WithObserver(func(string) core.Observer { return s.tap })
-}
 
 // streamSweep is the NDJSON variant of the sweep endpoint: one line
 // per program result as soon as it folds (suite order, so the stream
@@ -761,7 +692,7 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, log *sl
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	res, err := harness.RunConfigCtxAsync(ctx, s.sched, s.tapped(ts), cfg).WaitEach(ctx,
+	res, err := harness.RunConfigCtxAsync(ctx, s.sched, s.tappedH2P(ts, nil), cfg).WaitEach(ctx,
 		func(name string, r metrics.Result) error {
 			line := struct {
 				Program string        `json:"program"`

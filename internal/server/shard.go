@@ -245,10 +245,8 @@ func (s *Server) serveSharded(ctx context.Context, w http.ResponseWriter, log *s
 			} else if retry {
 				continue
 			}
-			s.writeShardBody(w, log, start, sp, e.body, outcome, etag, "", "", opts, len(cfgs))
-			if outcome == cacheHit {
-				e.touched.Store(true)
-			}
+			s.results.served(e, outcome)
+			s.writeSweepBody(w, log, start, sp, e.body, outcome, etag, "", "", opts, len(cfgs))
 			return
 		}
 
@@ -277,10 +275,8 @@ func (s *Server) serveSharded(ctx context.Context, w http.ResponseWriter, log *s
 			} else if retry {
 				continue
 			}
-			s.writeShardBody(w, log, start, sp, e.body, outcome, etag, "", "", opts, len(cfgs))
-			if outcome == cacheHit {
-				e.touched.Store(true)
-			}
+			s.results.served(e, outcome)
+			s.writeSweepBody(w, log, start, sp, e.body, outcome, etag, "", "", opts, len(cfgs))
 			return
 		}
 
@@ -293,7 +289,7 @@ func (s *Server) serveSharded(ctx context.Context, w http.ResponseWriter, log *s
 			s.results.resolve(e, body, nil, nil)
 			done()
 			sp.Mark("proxy")
-			s.writeShardBody(w, log, start, sp, body, cacheMiss, etag, replica,
+			s.writeSweepBody(w, log, start, sp, body, cacheMiss, etag, replica,
 				hdr.Get(cacheStatusHeader), opts, len(cfgs))
 			return
 		case err == nil:
@@ -336,7 +332,7 @@ func (s *Server) serveSharded(ctx context.Context, w http.ResponseWriter, log *s
 		}
 		s.results.resolve(e, body, nil, nil)
 		done()
-		s.writeShardBody(w, log, start, sp, body, cacheMiss, etag, "local", "", opts, len(cfgs))
+		s.writeSweepBody(w, log, start, sp, body, cacheMiss, etag, "local", "", opts, len(cfgs))
 		return
 	}
 }
@@ -359,57 +355,17 @@ func (s *Server) awaitShardEntry(ctx context.Context, w http.ResponseWriter, log
 }
 
 // computeBodyLocal is the shard front-end's degraded mode: run the
-// sweep on the local engine through the exact standalone code paths, so
-// the body is byte-identical to what a healthy replica would have sent.
+// sweep on the local engine through computeSweeps, the path a replica
+// runs, so the body is byte-identical to what a healthy replica would
+// have sent.
 func (s *Server) computeBodyLocal(ctx context.Context, sp *obs.Spans, cfgs []core.Config,
 	opts harness.Options, multi bool, h2pN int) ([]byte, error) {
-	if multi {
-		resp, err := s.runSweepMulti(ctx, sp, cfgs, opts, h2pN)
-		if err != nil {
-			return nil, err
-		}
-		return MarshalMultiResponse(resp)
-	}
-	resp, err := s.runSweep(ctx, sp, cfgs[0], opts, h2pN)
+	resps, err := s.computeSweeps(ctx, sp, cfgs, opts, h2pN)
 	if err != nil {
 		return nil, err
 	}
-	return MarshalResponse(resp)
-}
-
-// writeShardBody writes a proxied (or locally computed fallback) body
-// with the cache/shard response headers, counting the cache outcome.
-func (s *Server) writeShardBody(w http.ResponseWriter, log *slog.Logger, start time.Time,
-	sp *obs.Spans, body []byte, outcome cacheStatus, etag, replica, backendStatus string,
-	opts harness.Options, ncfgs int) {
-	switch outcome {
-	case cacheHit:
-		s.results.hits.Add(1)
-	case cacheCoalesced:
-		s.results.coalesced.Add(1)
+	if multi {
+		return MarshalMultiResponse(MultiSweepResponse{Sweeps: resps})
 	}
-	s.metrics.observeLatency(time.Since(start))
-	s.metrics.requestsOK.Add(1)
-	w.Header().Set("Trailer", stagesTrailer)
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Header().Set("ETag", etag)
-	w.Header().Set(cacheStatusHeader, string(outcome))
-	if replica != "" {
-		w.Header().Set(shardReplicaHeader, replica)
-	}
-	if backendStatus != "" {
-		w.Header().Set(backendCacheStatusHeader, backendStatus)
-	}
-	w.Write(body)
-	sp.Mark("render")
-	w.Header().Set(stagesTrailer, sp.Header())
-	log.Info("sweep done",
-		"configs", ncfgs,
-		"programs", len(opts.Programs),
-		"instructions", opts.Instructions,
-		"cache", string(outcome),
-		"replica", replica,
-		"dur_ms", time.Since(start).Milliseconds(),
-		"stages", sp,
-		"queue", len(s.queue))
+	return MarshalResponse(resps[0])
 }

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"mbbp/internal/core"
 )
 
 // startReplicaPool brings up n in-process replicas (full servers over
@@ -230,6 +232,30 @@ func TestShardAllDownLocalFallback(t *testing.T) {
 	if got := gotMulti.Header().Get(shardReplicaHeader); got != "local" {
 		t.Errorf("multi X-Shard-Replica = %q, want local", got)
 	}
+
+	// A duplicated configuration with h2p on runs once on both paths:
+	// local and fallback bodies agree byte for byte, and each h2p
+	// section equals the single-config reference.
+	dup := SweepRequest{
+		Configs:      []json.RawMessage{json.RawMessage(`{"NumSTs":2}`), json.RawMessage(`{"NumSTs":2}`)},
+		Programs:     []string{"li"},
+		Instructions: 5_000,
+		H2P:          true,
+	}
+	wantDup := postSweep(t, newTestServer(t, Config{}).Handler(), dup, "")
+	gotDup := postSweep(t, front.Handler(), dup, "")
+	if wantDup.Code != 200 || gotDup.Code != 200 {
+		t.Fatalf("duplicate h2p sweep = %d local, %d fallback", wantDup.Code, gotDup.Code)
+	}
+	if !bytes.Equal(gotDup.Body.Bytes(), wantDup.Body.Bytes()) {
+		t.Error("duplicate-config fallback body differs from the local body")
+	}
+	if got := gotDup.Header().Get(shardReplicaHeader); got != "local" {
+		t.Errorf("duplicate X-Shard-Replica = %q, want local", got)
+	}
+	cfg := core.DefaultConfig()
+	cfg.NumSTs = 2
+	checkH2PSectionsMatchSingle(t, gotDup.Body.Bytes(), []core.Config{cfg, cfg})
 }
 
 // TestShardCoalescing: identical concurrent requests through the

@@ -10,9 +10,11 @@ import (
 
 // Run is the canonical simulation entry point: it validates cfg, builds
 // a fresh engine, and drives it over src until the trace ends or ctx is
-// cancelled. The CLI (cmd/mbpsim), the mbbpd service, and the examples
-// all funnel through this one path, so a given (config, trace) pair
-// produces the same Result everywhere.
+// cancelled. Every simulation in the module walks its trace through one
+// block loop, core.LaneSet.Run: Engine.Run is a one-lane set, RunMany
+// and the harness batches (hence mbpexp and the mbbpd service) run one
+// set per geometry. So a given (config, trace) pair produces the same
+// Result everywhere.
 //
 // Cancellation is checked between fetch blocks (every few thousand
 // records), so a cancelled Run returns promptly with ctx's error and no
