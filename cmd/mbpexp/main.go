@@ -22,22 +22,18 @@
 // Every experiment flattens its (configuration × program) grid onto
 // one work-stealing pool and folds results in declaration order, so
 // the output is byte-identical to a serial run; `all` shares the pool
-// across experiments. `bench` times the pinned sweep set serially and
-// across a worker matrix (-workers, default 1,2,4,NumCPU; GOMAXPROCS
-// pinned per row) and writes BENCH_sweep.json; `benchcheck` validates
-// it and, with -minspeedup, gates the recorded scaling.
+// across experiments. Host-cost measurement lives in the benchmark
+// module under bench/, not here.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"mbbp/internal/core"
 	"mbbp/internal/harness"
-	"mbbp/internal/packed"
 )
 
 // env carries the parsed flag state and shared resources to every
@@ -52,8 +48,6 @@ type env struct {
 	chart     bool
 	topN      int
 	histories string
-	workers   string
-	benchOut  string
 	predictor core.PredictorKind
 }
 
@@ -62,7 +56,7 @@ type env struct {
 type experiment struct {
 	name string
 	// inAll: part of the `all` sequence (report re-renders everything,
-	// bench re-times a pinned subset, benchcheck validates a file).
+	// so it runs standalone only).
 	inAll bool
 	// needsTraces: loads the workload set before running.
 	needsTraces bool
@@ -327,9 +321,6 @@ var experiments = []experiment{
 	{"report", false, true, func(e *env) func() error {
 		return func() error { return harness.WriteReport(os.Stdout, e.ts, e.n) }
 	}},
-	{"bench", false, true, func(e *env) func() error {
-		return func() error { return runBench(e.ts, e.n, e.workers, e.benchOut) }
-	}},
 }
 
 // findExperiment resolves a registry entry by name.
@@ -360,21 +351,14 @@ func main() {
 	warmup := flag.Bool("warmup", false, "run an untimed training pass before measuring")
 	chart := flag.Bool("chart", false, "draw terminal charts alongside the tables")
 	asCSV := flag.Bool("csv", false, "emit CSV instead of tables (fig6-9, table5-6, predictors)")
-	benchOut := flag.String("benchout", "BENCH_sweep.json", "bench/benchcheck: benchmark report file (- = stdout)")
-	workers := flag.String("workers", "", "bench: comma-separated worker-matrix counts (default 1,2,4,NumCPU)")
-	minSpeedup := flag.Float64("minspeedup", 0, "benchcheck: fail unless -scalesweep's speedup at -scaleworkers reaches this floor (0 = schema check only)")
-	scaleSweep := flag.String("scalesweep", "fig6", "benchcheck: sweep the -minspeedup floor applies to")
-	scaleWorkers := flag.Int("scaleworkers", 4, "benchcheck: worker count the -minspeedup floor applies to")
-	storage := flag.String("storage", "packed", "predictor state backing: packed or reference (the slice-backed equivalence oracle)")
 	topN := flag.Int("topn", 0, "events/h2p: block addresses shown (0 = experiment default: events 5, h2p 10)")
 	histories := flag.String("histories", "", "h2p: comma-separated history-length sensitivity grid (default 6,8,10,12,14)")
 	predictor := flag.String("predictor", "", "compare/predictors: second strategy family (tage) for the accuracy-per-bit table")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mbpexp [flags] %s|benchcheck|all\n",
+		fmt.Fprintf(os.Stderr, "usage: mbpexp [flags] %s|all\n",
 			strings.Join(experimentNames(false), "|"))
 		fmt.Fprintf(os.Stderr, "  all runs: %s\n", strings.Join(experimentNames(true), " "))
-		fmt.Fprintf(os.Stderr, "  (report re-renders every experiment, bench re-times a pinned subset,\n")
-		fmt.Fprintf(os.Stderr, "  benchcheck validates a bench report; all three run standalone only.)\n")
+		fmt.Fprintf(os.Stderr, "  (report re-renders every experiment, so it runs standalone only.)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -395,8 +379,6 @@ func main() {
 		chart:     *chart,
 		topN:      *topN,
 		histories: *histories,
-		workers:   *workers,
-		benchOut:  *benchOut,
 	}
 	if *predictor != "" {
 		kind, err := core.ParsePredictorKind(*predictor)
@@ -410,22 +392,7 @@ func main() {
 	if *programs != "" {
 		opts.Programs = strings.Split(*programs, ",")
 	}
-	switch *storage {
-	case "packed":
-		opts.Storage = packed.BackingPacked
-	case "reference":
-		opts.Storage = packed.BackingReference
-	default:
-		fail(fmt.Errorf("unknown -storage %q (want packed or reference)", *storage))
-	}
 	e.opts = opts
-
-	if what == "benchcheck" {
-		if err := checkBench(*benchOut, *scaleSweep, *scaleWorkers, *minSpeedup); err != nil {
-			fail(err)
-		}
-		return
-	}
 
 	// Resolve the target before tracing so an unknown name fails fast.
 	var targets []experiment
@@ -469,78 +436,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-}
-
-// parseWorkers turns the -workers flag into the matrix's worker
-// counts; empty means the default matrix (1, 2, 4, NumCPU).
-func parseWorkers(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var counts []int
-	for _, part := range strings.Split(s, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad -workers entry %q (want positive integers, comma-separated)", part)
-		}
-		counts = append(counts, w)
-	}
-	return counts, nil
-}
-
-// runBench executes the benchmark pipeline and writes the JSON report.
-func runBench(ts *harness.TraceSet, n uint64, workers string, out string) error {
-	counts, err := parseWorkers(workers)
-	if err != nil {
-		return err
-	}
-	rep, err := harness.RunBench(ts, n, counts)
-	if err != nil {
-		return err
-	}
-	if out == "-" {
-		return rep.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	harness.RenderBench(os.Stdout, rep)
-	fmt.Printf("wrote %s\n", out)
-	return nil
-}
-
-// checkBench validates an existing benchmark report against the schema
-// and, when a floor is given, gates the worker-matrix speedup — the CI
-// scaling-smoke job's teeth.
-func checkBench(path, sweep string, workers int, minSpeedup float64) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	rep, err := harness.ReadBenchReport(f)
-	if err != nil {
-		return err
-	}
-	if err := rep.Check(); err != nil {
-		return err
-	}
-	if minSpeedup > 0 {
-		if err := rep.GateScaling(sweep, workers, minSpeedup); err != nil {
-			return err
-		}
-		row, _ := rep.MatrixRow(sweep, workers)
-		fmt.Printf("%s: scaling gate ok (%s at %d workers: %.2fx >= %.2fx, efficiency %.2f)\n",
-			path, sweep, workers, row.SpeedupVs1, minSpeedup, row.Efficiency)
-	}
-	fmt.Printf("%s: ok (%s, %d sweeps, lane-speedup %.2fx)\n", path, rep.Schema, len(rep.Sweeps), rep.LaneSpeedup)
-	return nil
 }

@@ -1,9 +1,22 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
+
+// TestMain lets a test re-run the binary as the real command: with
+// MBPEXP_RUN_MAIN=1 the test binary is mbpexp itself.
+func TestMain(m *testing.M) {
+	if os.Getenv("MBPEXP_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // The registry is the single source for usage, the `all` sequence and
 // dispatch; these pin its invariants.
@@ -21,7 +34,7 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Fatalf("experiment %q has no prepare", ex.name)
 		}
 	}
-	for _, name := range []string{"fig6", "compare", "predictors", "report", "bench"} {
+	for _, name := range []string{"fig6", "compare", "predictors", "report"} {
 		if _, ok := findExperiment(name); !ok {
 			t.Errorf("findExperiment(%q) missing", name)
 		}
@@ -36,7 +49,7 @@ func TestExperimentRegistry(t *testing.T) {
 func TestAllSequence(t *testing.T) {
 	all := experimentNames(true)
 	joined := " " + strings.Join(all, " ") + " "
-	for _, excluded := range []string{"report", "bench"} {
+	for _, excluded := range []string{"report"} {
 		if strings.Contains(joined, " "+excluded+" ") {
 			t.Errorf("`all` includes standalone-only experiment %q", excluded)
 		}
@@ -47,5 +60,36 @@ func TestAllSequence(t *testing.T) {
 	full := experimentNames(false)
 	if len(full) <= len(all) {
 		t.Errorf("full list (%d) should exceed `all` list (%d)", len(full), len(all))
+	}
+}
+
+// The retired benchmark verbs and the storage lever are gone: the
+// command must reject them, not quietly fall back to a default. bench/
+// is the benchmark; the reference backing is a test oracle.
+func TestRetiredVerbsAndFlagsRejected(t *testing.T) {
+	for _, name := range []string{"bench", "benchcheck"} {
+		if _, ok := findExperiment(name); ok {
+			t.Errorf("findExperiment(%q) still resolves", name)
+		}
+	}
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"bench"}, `unknown experiment "bench"`},
+		{[]string{"benchcheck"}, `unknown experiment "benchcheck"`},
+		{[]string{"-storage", "reference", "fig6"}, "flag provided but not defined: -storage"},
+	}
+	for _, c := range cases {
+		cmd := exec.Command(os.Args[0], c.args...)
+		cmd.Env = append(os.Environ(), "MBPEXP_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("mbpexp %s: err %v, want exit status 2", strings.Join(c.args, " "), err)
+		}
+		if !strings.Contains(string(out), c.want) {
+			t.Errorf("mbpexp %s: output lacks %q:\n%s", strings.Join(c.args, " "), c.want, out)
+		}
 	}
 }

@@ -32,8 +32,8 @@ import (
 //
 // A TraceSet viewed through PerConfig gives every configuration its
 // own group, so each (configuration, program) pair walks the trace
-// alone — the execution shape the differential tests and the bench
-// pipeline compare lane grouping against.
+// alone — the execution shape the differential tests compare lane
+// grouping against.
 type Batch struct {
 	s   *Scheduler
 	ts  *TraceSet
@@ -141,9 +141,9 @@ func (b *Batch) runGroup(g *laneGroup, pi int, name string) {
 // PerConfig returns a view of the trace set on which every batched
 // configuration is its own one-lane group, so each (configuration,
 // program) pair walks the trace alone — the pre-lane execution shape.
-// The differential tests and the bench pipeline use this view to pin
-// lane-grouped output byte-identical to ungrouped runs; results never
-// differ, only the work grouping does.
+// The differential tests use this view to pin lane-grouped output
+// byte-identical to ungrouped runs; results never differ, only the
+// work grouping does.
 func (ts *TraceSet) PerConfig() *TraceSet {
 	out := *ts
 	out.lanesOff = true

@@ -256,25 +256,32 @@ func TestDifferentialICache(t *testing.T) {
 
 // TestDifferentialSeeds covers the one driver that captures its own
 // traces (seed sweep) — the trickiest interleaving, since trace capture
-// jobs and simulation jobs coexist on the pool, and the storage lever
-// must travel through Options instead of the shared trace set. A
+// jobs and simulation jobs coexist on the pool. The sweep ignores the
+// shared trace set, so only the serial-vs-pool contract applies; a
 // reduced grid keeps it fast.
 func TestDifferentialSeeds(t *testing.T) {
+	pool := NewScheduler(4)
+	defer pool.Close()
+	opts := Options{Instructions: 30_000, Programs: []string{"compress", "swim"}}
 	seeds := []int64{1, 99}
-	differ(t, "seeds", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		opts := Options{Instructions: 30_000, Programs: []string{"compress", "swim"}}
-		if ts.storageSet {
-			opts.Storage = ts.storage
-		}
-		opts.PerConfig = ts.lanesOff
+	render := func(s *Scheduler) string {
+		t.Helper()
 		rows, err := SeedsAsync(s, opts, seeds)()
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderSeeds(w, rows); return nil },
-		}, nil
-	})
+		var buf bytes.Buffer
+		RenderSeeds(&buf, rows)
+		return buf.String()
+	}
+	serial, parallel := render(Serial()), render(pool)
+	if serial == "" {
+		t.Fatal("empty serial rendering")
+	}
+	if serial != parallel {
+		t.Errorf("seeds rendering differs between serial and parallel:\n--- serial ---\n%s\n--- parallel ---\n%s",
+			serial, parallel)
+	}
 }
 
 // TestDifferentialEvents covers the tapped replay: attribution rides on
@@ -297,8 +304,8 @@ func TestDifferentialEvents(t *testing.T) {
 // TestDifferentialWorkerCountInvariance is the scaling pipeline's
 // correctness half: the worker matrix may only change wall-clock, so
 // fig6 and fig8 must render byte-identically at every worker count.
-// The pinned set {1, 2, 4, 8} (the matrix the bench runs, plus an
-// oversubscribed pool) is checked deterministically, then a
+// The pinned set {1, 2, 4, 8} (the scaling floor's 1 and 4 workers,
+// plus 2 and an oversubscribed pool) is checked deterministically, then a
 // testing/quick property re-samples random pool sizes in 1..8 — the
 // scheduler's placement and stealing decisions are worker-count- and
 // timing-dependent, so random sizes probe interleavings the fixed set

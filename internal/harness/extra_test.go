@@ -174,6 +174,30 @@ func TestSeedsRobustness(t *testing.T) {
 	t.Logf("\n%s", buf.String())
 }
 
+// TestSeedsHonorsWarmup checks that the seed sweep, which captures its
+// own traces, runs them under the caller's options like every other
+// driver: a warmed seed row must differ from the cold one and must not
+// mispredict more.
+func TestSeedsHonorsWarmup(t *testing.T) {
+	opts := Options{Instructions: 20_000, Programs: []string{"compress", "gcc"}}
+	seeds := []int64{1}
+	cold, err := Seeds(opts, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Warmup = true
+	warm, err := Seeds(opts, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm[0] == cold[0] {
+		t.Fatalf("seeds ignored Warmup: warmed row %+v equals cold row", warm[0])
+	}
+	if warm[0].MispIntPct > cold[0].MispIntPct {
+		t.Errorf("warmed Int mispredict %.2f%% exceeds cold %.2f%%", warm[0].MispIntPct, cold[0].MispIntPct)
+	}
+}
+
 // TestWriteReport renders the full markdown report and checks every
 // section materializes.
 func TestWriteReport(t *testing.T) {

@@ -31,15 +31,6 @@ type Options struct {
 	// effects. The paper does not warm up (its 10^9-instruction runs
 	// drown cold-start noise); this is an analysis aid.
 	Warmup bool
-	// Storage selects the predictor state backing for every engine run
-	// from the resulting trace set (zero value = the packed fast path;
-	// the differential tests re-run on the reference backing).
-	Storage packed.Backing
-	// PerConfig disables config-parallel lane grouping for batches run
-	// from the resulting trace set (see TraceSet.PerConfig) — the lever
-	// drivers that build their own trace sets (the seed sweep) use to
-	// run the pre-lane execution shape.
-	PerConfig bool
 }
 
 // DefaultOptions returns the defaults used by the CLI.
@@ -87,10 +78,9 @@ type TraceSet struct {
 
 // WithStorage returns a view of the trace set that forces the given
 // predictor-state backing onto every configuration run through it —
-// the lever the differential tests and the benchmark pipeline use to
-// re-run identical experiment drivers on the reference backing without
-// touching per-experiment config construction. The traces themselves
-// are shared, not copied.
+// the lever the differential tests use to re-run identical experiment
+// drivers on the reference backing without touching per-experiment
+// config construction. The traces themselves are shared, not copied.
 func (ts *TraceSet) WithStorage(b packed.Backing) *TraceSet {
 	out := *ts
 	out.storage = b
@@ -153,6 +143,17 @@ func (ts *TraceSet) applyStorage(cfg core.Config) core.Config {
 	return cfg
 }
 
+// newTraceSet returns an empty trace set carrying o's run options —
+// the one place every trace set is built, so each option reaches every
+// driver, including the ones that capture their own traces.
+func newTraceSet(o Options) *TraceSet {
+	return &TraceSet{
+		traces: make(map[string]*trace.Buffer),
+		suites: make(map[string]workload.Suite),
+		warmup: o.Warmup,
+	}
+}
+
 // LoadTraces captures traces for the options' programs on the default
 // scheduler.
 func LoadTraces(o Options) (*TraceSet, error) {
@@ -163,14 +164,7 @@ func LoadTraces(o Options) (*TraceSet, error) {
 // programs are independent and deterministic, so capture order does not
 // matter — and assembles them in suite (declaration) order.
 func LoadTracesOn(s *Scheduler, o Options) (*TraceSet, error) {
-	ts := &TraceSet{
-		traces:     make(map[string]*trace.Buffer),
-		suites:     make(map[string]workload.Suite),
-		warmup:     o.Warmup,
-		storage:    o.Storage,
-		storageSet: o.Storage != packed.BackingPacked,
-		lanesOff:   o.PerConfig,
-	}
+	ts := newTraceSet(o)
 	type captured struct {
 		tr    *trace.Buffer
 		suite workload.Suite
@@ -213,14 +207,7 @@ func LoadTracesOn(s *Scheduler, o Options) (*TraceSet, error) {
 // blocks on another). Cancelling ctx abandons the waits — an in-flight
 // capture finishes for whoever else wants it and stays cached.
 func LoadTracesCached(ctx context.Context, s *Scheduler, o Options, c *trace.Cache) (*TraceSet, error) {
-	ts := &TraceSet{
-		traces:     make(map[string]*trace.Buffer),
-		suites:     make(map[string]workload.Suite),
-		warmup:     o.Warmup,
-		storage:    o.Storage,
-		storageSet: o.Storage != packed.BackingPacked,
-		lanesOff:   o.PerConfig,
-	}
+	ts := newTraceSet(o)
 	n := o.instructions()
 	for _, name := range o.programs() {
 		if err := ctx.Err(); err != nil {

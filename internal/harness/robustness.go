@@ -8,7 +8,6 @@ import (
 
 	"mbbp/internal/core"
 	"mbbp/internal/icache"
-	"mbbp/internal/packed"
 	"mbbp/internal/trace"
 	"mbbp/internal/workload"
 )
@@ -53,13 +52,7 @@ func SeedsAsync(s *Scheduler, o Options, seeds []int64) func() ([]SeedsRow, erro
 	return func() ([]SeedsRow, error) {
 		var rows []SeedsRow
 		for i, seed := range seeds {
-			ts := &TraceSet{
-				traces:     make(map[string]*trace.Buffer),
-				suites:     make(map[string]workload.Suite),
-				storage:    o.Storage,
-				storageSet: o.Storage != packed.BackingPacked,
-				lanesOff:   o.PerConfig,
-			}
+			ts := newTraceSet(o)
 			for j, name := range o.programs() {
 				c, err := futs[i][j].Wait()
 				if err != nil {

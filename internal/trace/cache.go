@@ -23,8 +23,8 @@ import (
 // lock, spares referenced entries once and clears their mark instead
 // of the hit path doing an LRU list splice under a mutex. Before this,
 // every warm hit serialized the whole service on one sync.Mutex — the
-// dominant contention point the bench worker matrix exposed, since a
-// hot sweep workload is nearly 100% warm hits.
+// dominant contention point multi-worker scaling runs exposed, since
+// a hot sweep workload is nearly 100% warm hits.
 //
 // Cached buffers are shared; callers must Clone before reading so each
 // consumer gets its own cursor (records are immutable after capture).

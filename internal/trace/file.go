@@ -12,6 +12,10 @@ import (
 const (
 	fileMagic   = 0x4d425054 // "MBPT"
 	fileVersion = 1
+
+	// maxPreallocRecords caps the buffer Load reserves from a header
+	// record count (8 MiB of records).
+	maxPreallocRecords = 1 << 20
 )
 
 // Save writes the buffer in the binary trace format.
@@ -60,7 +64,10 @@ func Load(r io.Reader) (*Buffer, error) {
 	if _, err := io.ReadFull(br, name); err != nil {
 		return nil, fmt.Errorf("trace: reading name: %w", err)
 	}
-	b := NewBuffer(string(name), int(count))
+	// The header's count is untrusted: preallocate at most
+	// maxPreallocRecords and let append grow past it, so a hostile
+	// count costs at most 8 MiB beyond the records actually present.
+	b := NewBuffer(string(name), int(min(count, maxPreallocRecords)))
 	var rec [8]byte
 	for i := uint32(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
