@@ -8,6 +8,10 @@
 // conditional branches with near-block targets (previous line, same
 // line, next line, next line + 1), whose targets are computed with a
 // small adder instead of being stored in the target array.
+//
+// Codes are stored bit-packed (internal/packed) at the paper's 2 or 3
+// bits per instruction. The one-byte-per-code table it is checked
+// against is a test oracle (oracle_test.go).
 package bitable
 
 import (
@@ -132,39 +136,28 @@ const invalidOwner = ^uint32(0)
 //
 // Codes are stored bit-packed at the paper's density (2 bits per
 // instruction, or 3 with near-block encoding — Table 1), so one line's
-// worth of codes is one word load for every paper line size. The
-// original one-byte-per-code slice remains available as
-// packed.BackingReference, the equivalence oracle for the differential
-// tests. Owner tags are bookkeeping in both backings, not modeled
-// hardware state.
+// worth of codes is one word load for every paper line size. Owner tags
+// are bookkeeping, not modeled hardware state.
 type Table struct {
 	lineSize int
 	bits     int
 	owners   []uint32
 
-	ref []Code            // BackingReference; entries * lineSize, flat
-	pk  *packed.CodeArray // BackingPacked
+	pk *packed.CodeArray // entries * lineSize codes, flat
 
-	// Rotating decode buffers for packed lookups: the engine's stale-BIT
+	// Rotating decode buffers for lookups: the engine's stale-BIT
 	// check holds two lines' codes at once, so a decoded slice stays
 	// valid until the second-following Lookup.
 	scratch [2][]Code
 	cur     int
 }
 
-// New creates a table with the given number of line entries, bit-packed
-// with 3-bit codes (wide enough for every Code value). entries may be 0
-// for the perfect (in-cache) variant; otherwise it must be a power of
-// two.
-func New(entries, lineSize int) *Table {
-	return NewBacked(entries, lineSize, true, packed.BackingPacked)
-}
-
-// NewBacked creates a table with an explicit code width (2-bit codes
-// when nearBlock is false, 3-bit when true — Table 1) and storage
-// backing. Filling a near code into a 2-bit table panics; callers
-// encode with the same nearBlock flag.
-func NewBacked(entries, lineSize int, nearBlock bool, backing packed.Backing) *Table {
+// New creates a table with the given number of line entries and code
+// width (2-bit codes when nearBlock is false, 3-bit when true — Table
+// 1). entries may be 0 for the perfect (in-cache) variant; otherwise it
+// must be a power of two. Filling a near code into a 2-bit table
+// panics; callers encode with the same nearBlock flag.
+func New(entries, lineSize int, nearBlock bool) *Table {
 	if lineSize < 1 {
 		panic("bitable: line size must be positive")
 	}
@@ -179,22 +172,10 @@ func NewBacked(entries, lineSize int, nearBlock bool, backing packed.Backing) *T
 	for i := range t.owners {
 		t.owners[i] = invalidOwner
 	}
-	if backing == packed.BackingReference {
-		t.ref = make([]Code, entries*lineSize)
-	} else {
-		t.pk = packed.NewCodeArray(entries*lineSize, t.bits)
-		t.scratch[0] = make([]Code, lineSize)
-		t.scratch[1] = make([]Code, lineSize)
-	}
+	t.pk = packed.NewCodeArray(entries*lineSize, t.bits)
+	t.scratch[0] = make([]Code, lineSize)
+	t.scratch[1] = make([]Code, lineSize)
 	return t
-}
-
-// Backing reports which storage backs the codes.
-func (t *Table) Backing() packed.Backing {
-	if t.ref != nil {
-		return packed.BackingReference
-	}
-	return packed.BackingPacked
 }
 
 // Perfect reports whether the table models in-cache BIT storage.
@@ -208,9 +189,8 @@ func (t *Table) LineSize() int { return t.lineSize }
 
 // Lookup returns the stored codes for the line and whether they belong
 // to it. Perfect tables return (nil, true): the caller uses the true
-// codes. A never-filled entry returns (nil, false). With the packed
-// backing the returned slice is a decoded copy valid until the
-// second-following Lookup; with the reference backing it is live.
+// codes. A never-filled entry returns (nil, false). The returned slice
+// is a decoded copy valid until the second-following Lookup.
 func (t *Table) Lookup(lineAddr uint32) (codes []Code, fresh bool) {
 	if t.Perfect() {
 		return nil, true
@@ -221,9 +201,6 @@ func (t *Table) Lookup(lineAddr uint32) (codes []Code, fresh bool) {
 	}
 	fresh = t.owners[i] == lineAddr
 	off := i * t.lineSize
-	if t.ref != nil {
-		return t.ref[off : off+t.lineSize], fresh
-	}
 	out := t.scratch[t.cur]
 	t.cur ^= 1
 	for j := 0; j < t.lineSize; j++ {
@@ -249,23 +226,15 @@ func (t *Table) Fill(lineAddr uint32, codes []Code, known []bool) {
 	if t.owners[i] != lineAddr {
 		// Evict: forget the old line entirely.
 		for j := 0; j < t.lineSize; j++ {
-			t.set(off+j, CodePlain)
+			t.pk.Set(off+j, uint8(CodePlain))
 		}
 		t.owners[i] = lineAddr
 	}
 	for j := 0; j < t.lineSize; j++ {
 		if known[j] {
-			t.set(off+j, codes[j])
+			t.pk.Set(off+j, uint8(codes[j]))
 		}
 	}
-}
-
-func (t *Table) set(i int, c Code) {
-	if t.ref != nil {
-		t.ref[i] = c
-		return
-	}
-	t.pk.Set(i, uint8(c))
 }
 
 // StateBits returns the storage cost in bits at the table's constructed

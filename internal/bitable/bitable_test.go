@@ -82,7 +82,7 @@ func TestNearEncodingRoundTrip(t *testing.T) {
 }
 
 func TestPerfectTable(t *testing.T) {
-	p := New(0, 8)
+	p := New(0, 8, true)
 	if !p.Perfect() {
 		t.Fatal("entries=0 should be perfect")
 	}
@@ -96,7 +96,7 @@ func TestPerfectTable(t *testing.T) {
 }
 
 func TestFiniteTableAliasing(t *testing.T) {
-	tb := New(4, 8) // 4 line entries
+	tb := New(4, 8, true) // 4 line entries
 	mk := func(c Code) ([]Code, []bool) {
 		codes := make([]Code, 8)
 		known := make([]bool, 8)
@@ -139,7 +139,7 @@ func TestFiniteTableAliasing(t *testing.T) {
 }
 
 func TestFillMergesKnownPositions(t *testing.T) {
-	tb := New(2, 8)
+	tb := New(2, 8, true)
 	codes := make([]Code, 8)
 	known := make([]bool, 8)
 	codes[1], known[1] = CodeCondLong, true
@@ -159,7 +159,7 @@ func TestFillMergesKnownPositions(t *testing.T) {
 }
 
 func TestCostBits(t *testing.T) {
-	tb := New(1024, 8)
+	tb := New(1024, 8, true)
 	if got := tb.CostBits(false); got != 16*1024 {
 		t.Errorf("2-bit BIT cost = %d, want 16384 (Table 7)", got)
 	}

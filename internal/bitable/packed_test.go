@@ -3,19 +3,18 @@ package bitable
 import (
 	"testing"
 	"testing/quick"
-
-	"mbbp/internal/packed"
 )
 
-// Property: packed and reference tables are observationally identical
-// under any Fill/Lookup stream, for both code widths.
+// Property: the packed table and the wide-slice oracle (refTable) are
+// observationally identical under any Fill/Lookup stream, for both code
+// widths.
 func TestPackedMatchesReference(t *testing.T) {
 	for _, near := range []bool{false, true} {
 		near := near
 		f := func(ops []uint32) bool {
 			const entries, line = 8, 8
-			pk := NewBacked(entries, line, near, packed.BackingPacked)
-			ref := NewBacked(entries, line, near, packed.BackingReference)
+			pk := New(entries, line, near)
+			ref := newRefTable(entries, line)
 			maxCode := Code(3)
 			if near {
 				maxCode = 7
@@ -56,7 +55,7 @@ func TestPackedMatchesReference(t *testing.T) {
 // packed table's rotating scratch must keep the first alive across the
 // second Lookup.
 func TestPackedLookupDoubleBuffer(t *testing.T) {
-	tb := NewBacked(32, 4, true, packed.BackingPacked)
+	tb := New(32, 4, true)
 	fill := func(addr uint32, c Code) {
 		codes := []Code{c, c, c, c}
 		known := []bool{true, true, true, true}
@@ -76,7 +75,7 @@ func TestStateBitsMatchesWidth(t *testing.T) {
 		near bool
 		want int
 	}{{false, 1024 * 8 * 2}, {true, 1024 * 8 * 3}} {
-		tb := NewBacked(1024, 8, c.near, packed.BackingPacked)
+		tb := New(1024, 8, c.near)
 		if got := tb.StateBits(); got != c.want {
 			t.Errorf("StateBits(near=%v) = %d, want %d", c.near, got, c.want)
 		}
@@ -84,7 +83,7 @@ func TestStateBitsMatchesWidth(t *testing.T) {
 			t.Errorf("near=%v: StateBits != CostBits", c.near)
 		}
 	}
-	if NewBacked(0, 8, true, packed.BackingPacked).StateBits() != 0 {
+	if New(0, 8, true).StateBits() != 0 {
 		t.Error("perfect table should cost 0 bits")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -43,7 +44,6 @@ func TestCanonicalHashEquivalence(t *testing.T) {
 		// Config in the response body, so it must hash apart.
 		{"derived vs explicit block count", `{}`, `{"NumBlocks":2}`, false},
 		{"target array differs", `{}`, `{"TargetArray":1,"TargetEntries":64}`, false},
-		{"storage backing differs", `{}`, `{"Storage":1}`, false},
 		{"paper vs tage", `{}`, `{"Predictor":1}`, false},
 		{"tage zero params vs omitted", `{"Predictor":1}`, `{"Predictor":1,"TAGE":{}}`, true},
 		{"tage field order", `{"Predictor":1,"TAGE":{"Tables":6,"TagBits":9}}`,
@@ -68,6 +68,15 @@ func TestCanonicalHashEquivalence(t *testing.T) {
 			}
 		})
 	}
+
+	// Predictor state is always bit-packed, so a config naming another
+	// storage backing has no hash: it fails to load.
+	t.Run("storage backing differs", func(t *testing.T) {
+		var fe *FieldError
+		if _, err := LoadConfigJSON(strings.NewReader(`{"Storage":1}`)); !errors.As(err, &fe) || fe.Field != "Storage" {
+			t.Fatalf("LoadConfigJSON({\"Storage\":1}) = %v, want a *FieldError on Storage", err)
+		}
+	})
 }
 
 // TestCanonicalHashStability pins the determinism contract: hashing the

@@ -12,7 +12,6 @@ import (
 
 	"mbbp/internal/icache"
 	"mbbp/internal/metrics"
-	"mbbp/internal/packed"
 	"mbbp/internal/pht"
 )
 
@@ -50,6 +49,25 @@ func (k TargetArrayKind) String() string {
 	}
 	return "NLS"
 }
+
+// Size caps Validate enforces. They bound what one validated Config can
+// make New allocate (a few tens of MB per structure at most), and they
+// sit far above every size the paper and the experiments use.
+// maxBlockWidth and maxLineSize are the limits the PHT and select-table
+// constructors panic beyond.
+const (
+	maxBlockWidth = 64
+	maxLineSize   = 256
+	// maxHistoryBits caps the GHR length. maxTableEntries caps the
+	// entries across all blocked PHTs (NumPHTs << HistoryBits) and
+	// across all select tables (NumSTs << HistoryBits).
+	maxHistoryBits   = 20
+	maxTableEntries  = 1 << maxHistoryBits
+	maxTargetEntries = 1 << 14
+	maxBITEntries    = 1 << 16
+	maxRASSize       = 1 << 16
+	maxICacheLines   = 1 << 20
+)
 
 // Config describes one fetch-architecture configuration. The zero value
 // is not valid; start from DefaultConfig.
@@ -115,13 +133,12 @@ type Config struct {
 	ICacheAssoc       int
 	ICacheMissPenalty int
 
-	// Storage selects the predictor-state storage backing: bit-packed
-	// words (the default fast path) or the original wide-value slices
-	// (packed.BackingReference, the equivalence oracle the differential
-	// tests pin the packed path against). Results are byte-identical on
-	// either. The TAGE strategy is always packed; it accepts but
-	// ignores the reference backing.
-	Storage packed.Backing
+	// Storage selects nothing: predictor state is always bit-packed,
+	// and Validate accepts only 0. The field exists only so that
+	// CanonicalBytes, and so CanonicalHash and the committed digests
+	// keyed by it, stay the same. It can go once those digests are
+	// re-pinned.
+	Storage int
 
 	// Predictor selects the block-level direction-prediction strategy:
 	// PredictorPaper (the blocked PHT, the default and the paper's
@@ -235,14 +252,26 @@ func (c Config) Validate() error {
 	if err := c.Geometry.Validate(); err != nil {
 		return &FieldError{Field: "Geometry", Reason: err.Error()}
 	}
-	if c.HistoryBits < 1 || c.HistoryBits > 26 {
-		return badField("HistoryBits", "%d out of range [1,26]", c.HistoryBits)
+	if c.Geometry.BlockWidth > maxBlockWidth {
+		return badField("Geometry.BlockWidth", "%d exceeds %d", c.Geometry.BlockWidth, maxBlockWidth)
+	}
+	if c.Geometry.LineSize > maxLineSize {
+		return badField("Geometry.LineSize", "%d exceeds %d", c.Geometry.LineSize, maxLineSize)
+	}
+	if c.HistoryBits < 1 || c.HistoryBits > maxHistoryBits {
+		return badField("HistoryBits", "%d out of range [1,%d]", c.HistoryBits, maxHistoryBits)
 	}
 	if c.NumPHTs < 0 || (c.NumPHTs > 0 && c.NumPHTs&(c.NumPHTs-1) != 0) {
 		return badField("NumPHTs", "%d must be a power of two", c.NumPHTs)
 	}
+	if c.numPHTs() > maxTableEntries>>c.HistoryBits {
+		return badField("NumPHTs", "%d tables of 2^%d entries exceed %d entries", c.numPHTs(), c.HistoryBits, maxTableEntries)
+	}
 	if c.NumSTs < 1 || c.NumSTs&(c.NumSTs-1) != 0 {
 		return badField("NumSTs", "%d must be a power of two", c.NumSTs)
+	}
+	if c.NumSTs > maxTableEntries>>c.HistoryBits {
+		return badField("NumSTs", "%d tables of 2^%d entries exceed %d entries", c.NumSTs, c.HistoryBits, maxTableEntries)
 	}
 	switch c.NumBlocks {
 	case 0:
@@ -264,14 +293,20 @@ func (c Config) Validate() error {
 	default:
 		return badField("NumBlocks", "%d out of range [0,4]", c.NumBlocks)
 	}
-	if c.RASSize < 1 {
-		return badField("RASSize", "%d must be positive", c.RASSize)
+	if c.RASSize < 1 || c.RASSize > maxRASSize {
+		return badField("RASSize", "%d out of range [1,%d]", c.RASSize, maxRASSize)
 	}
 	if c.BITEntries < 0 || (c.BITEntries > 0 && c.BITEntries&(c.BITEntries-1) != 0) {
 		return badField("BITEntries", "%d must be zero or a power of two", c.BITEntries)
 	}
+	if c.BITEntries > maxBITEntries {
+		return badField("BITEntries", "%d exceeds %d", c.BITEntries, maxBITEntries)
+	}
 	if c.TargetEntries < 1 || c.TargetEntries&(c.TargetEntries-1) != 0 {
 		return badField("TargetEntries", "%d must be a power of two", c.TargetEntries)
+	}
+	if c.TargetEntries > maxTargetEntries {
+		return badField("TargetEntries", "%d exceeds %d", c.TargetEntries, maxTargetEntries)
 	}
 	if c.TargetArray == BTB {
 		if c.BTBAssoc < 1 || c.TargetEntries%c.BTBAssoc != 0 {
@@ -284,6 +319,9 @@ func (c Config) Validate() error {
 	if c.ICacheLines > 0 {
 		if c.ICacheLines&(c.ICacheLines-1) != 0 {
 			return badField("ICacheLines", "%d must be a power of two", c.ICacheLines)
+		}
+		if c.ICacheLines > maxICacheLines {
+			return badField("ICacheLines", "%d exceeds %d", c.ICacheLines, maxICacheLines)
 		}
 		assoc := c.ICacheAssoc
 		if assoc == 0 {
@@ -299,8 +337,8 @@ func (c Config) Validate() error {
 	if c.Selection == metrics.DoubleSelection && c.BITEntries != 0 {
 		return badField("BITEntries", "double selection removes the BIT table; must be 0")
 	}
-	if !c.Storage.Valid() {
-		return badField("Storage", "%d is not a known backing", c.Storage)
+	if c.Storage != 0 {
+		return badField("Storage", "%d is not 0 (predictor state is always bit-packed)", c.Storage)
 	}
 	switch c.Predictor {
 	case PredictorPaper:

@@ -77,7 +77,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.pred = pred
 	if cfg.Selection == metrics.SingleSelection {
-		e.bit = bitable.NewBacked(cfg.BITEntries, cfg.Geometry.LineSize, cfg.NearBlock, cfg.Storage)
+		e.bit = bitable.New(cfg.BITEntries, cfg.Geometry.LineSize, cfg.NearBlock)
 	}
 	switch cfg.TargetArray {
 	case BTB:
@@ -87,8 +87,8 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.ras = ras.New(cfg.RASSize)
 	if e.blocks > 1 {
-		e.st = seltab.NewBacked(cfg.HistoryBits, cfg.NumSTs,
-			cfg.Geometry.BlockWidth, cfg.Geometry.LineSize, cfg.NearBlock, cfg.Storage)
+		e.st = seltab.New(cfg.HistoryBits, cfg.NumSTs,
+			cfg.Geometry.BlockWidth, cfg.Geometry.LineSize, cfg.NearBlock)
 	}
 	if cfg.ICacheLines > 0 {
 		assoc := cfg.ICacheAssoc

@@ -8,7 +8,6 @@ import (
 
 	"mbbp/internal/icache"
 	"mbbp/internal/metrics"
-	"mbbp/internal/packed"
 	"mbbp/internal/trace"
 )
 
@@ -57,32 +56,26 @@ func runIndependent(t *testing.T, cfgs []Config, tr *trace.Buffer) ([]metrics.Re
 
 // TestLaneEquivalence pins the core guarantee: a LaneSet run over a
 // random trace produces, for every lane, the identical Result and the
-// identical structure Stats snapshot as an independent engine run —
-// under both storage backings.
+// identical structure Stats snapshot as an independent engine run.
 func TestLaneEquivalence(t *testing.T) {
 	f := func(seed int64, a, b uint8, knobs []uint8) bool {
 		tr := randomTrace(seed%1000, 2500)
-		for _, backing := range []packed.Backing{packed.BackingPacked, packed.BackingReference} {
-			cfgs := laneConfigs(a, b, knobs)
-			for i := range cfgs {
-				cfgs[i].Storage = backing
-			}
-			wantRes, wantStats := runIndependent(t, cfgs, tr)
+		cfgs := laneConfigs(a, b, knobs)
+		wantRes, wantStats := runIndependent(t, cfgs, tr)
 
-			ls, err := NewLanes(cfgs)
-			if err != nil {
-				t.Fatalf("NewLanes: %v", err)
+		ls, err := NewLanes(cfgs)
+		if err != nil {
+			t.Fatalf("NewLanes: %v", err)
+		}
+		got := ls.Run(tr)
+		for i := range cfgs {
+			if got[i] != wantRes[i] {
+				t.Logf("lane %d result:\n lane %+v\n solo %+v", i, got[i], wantRes[i])
+				return false
 			}
-			got := ls.Run(tr)
-			for i := range cfgs {
-				if got[i] != wantRes[i] {
-					t.Logf("%v lane %d result:\n lane %+v\n solo %+v", backing, i, got[i], wantRes[i])
-					return false
-				}
-				if ls.Lanes()[i].Stats() != wantStats[i] {
-					t.Logf("%v lane %d stats diverge", backing, i)
-					return false
-				}
+			if ls.Lanes()[i].Stats() != wantStats[i] {
+				t.Logf("lane %d stats diverge", i)
+				return false
 			}
 		}
 		return true

@@ -196,8 +196,8 @@ type paperPredictor struct {
 
 func newPaperPredictor(cfg Config) *paperPredictor {
 	p := &paperPredictor{cfg: cfg}
-	p.tab = pht.NewBlockedBacked(cfg.HistoryBits, cfg.Geometry.BlockWidth,
-		cfg.numPHTs(), cfg.IndexMode, cfg.Storage)
+	p.tab = pht.NewBlockedMulti(cfg.HistoryBits, cfg.Geometry.BlockWidth,
+		cfg.numPHTs(), cfg.IndexMode)
 	p.entry = p.tab.At(0)
 	return p
 }

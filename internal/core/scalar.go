@@ -2,7 +2,6 @@ package core
 
 import (
 	"mbbp/internal/isa"
-	"mbbp/internal/packed"
 	"mbbp/internal/pht"
 	"mbbp/internal/trace"
 )
@@ -36,18 +35,12 @@ func (r *ScalarResult) Add(other ScalarResult) {
 // conditional branch at a time with a per-branch-updated global history
 // register.
 func RunScalar(src trace.Source, historyBits, numTables int) ScalarResult {
-	return RunScalarBacked(src, historyBits, numTables, packed.BackingPacked)
-}
-
-// RunScalarBacked is RunScalar with an explicit counter storage backing
-// (the differential tests pin packed against reference here too).
-func RunScalarBacked(src trace.Source, historyBits, numTables int, backing packed.Backing) ScalarResult {
 	src.Reset()
 	var res ScalarResult
 	if b, ok := src.(trace.Named); ok {
 		res.Program = b.TraceName()
 	}
-	p := pht.NewScalarBacked(historyBits, numTables, backing)
+	p := pht.NewScalar(historyBits, numTables)
 	g := pht.NewGHR(historyBits)
 	for {
 		r, ok := src.Next()

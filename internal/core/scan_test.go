@@ -58,6 +58,21 @@ func table2Line() []cpu.Retired {
 	}
 }
 
+// entryOf returns entry 0 of a fresh blocked PHT, trained so that its
+// counters equal counters (one per position).
+func entryOf(counters []pht.Counter) pht.Entry {
+	e := pht.NewBlocked(1, len(counters)).At(0)
+	for pos, c := range counters {
+		for e.Counter(pos) < c {
+			e.Update(pos, true)
+		}
+		for e.Counter(pos) > c {
+			e.Update(pos, false)
+		}
+	}
+	return e
+}
+
 // blockFrom builds a block starting at the given position of the
 // Table 2 line, ending at idx exit (inclusive) with the actual next
 // address.
@@ -93,7 +108,7 @@ func TestTable2Example(t *testing.T) {
 	// Starting position 0: exit position 1 — the branch at 9 is
 	// predicted taken (PHT 10) with a prev-line near target.
 	b0 := blockFrom(line, 0, 1, true, 2)
-	sc := e.scan(b0, e.trueCodes(b0), pht.EntryFor(entry))
+	sc := e.scan(b0, e.trueCodes(b0), entryOf(entry))
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcNearPrev {
 		t.Errorf("start 0: exit %d source %v, want 1, near-prev", sc.exit, sc.sel.Source)
 	}
@@ -119,7 +134,7 @@ func TestTable2Example(t *testing.T) {
 	// Starting position 2: exit position 3, always the target array
 	// ("NLS(3)"), no misprediction possible.
 	b2 := blockFrom(line, 2, 3, true, 100)
-	sc = e.scan(b2, e.trueCodes(b2), pht.EntryFor(entry))
+	sc = e.scan(b2, e.trueCodes(b2), entryOf(entry))
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcTarget || sc.sel.Pos != 3 {
 		t.Errorf("start 2: exit %d sel %+v, want exit 1 (pos 3), target", sc.exit, sc.sel)
 	}
@@ -131,7 +146,7 @@ func TestTable2Example(t *testing.T) {
 	// NLS(5). On misprediction the alternate is the return at 7 (RAS),
 	// and the second-chance bit means the prediction does not change.
 	b4 := blockFrom(line, 4, 5, true, 200)
-	sc = e.scan(b4, e.trueCodes(b4), pht.EntryFor(entry))
+	sc = e.scan(b4, e.trueCodes(b4), entryOf(entry))
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcTarget || sc.sel.Pos != 5 {
 		t.Errorf("start 4: sel %+v, want target@5", sc.sel)
 	}
@@ -145,7 +160,7 @@ func TestTable2Example(t *testing.T) {
 
 	// Starting position 6: exit position 7, return — RAS.
 	b6 := blockFrom(line, 6, 7, true, 77)
-	sc = e.scan(b6, e.trueCodes(b6), pht.EntryFor(entry))
+	sc = e.scan(b6, e.trueCodes(b6), entryOf(entry))
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcRAS || sc.sel.Pos != 7 {
 		t.Errorf("start 6: sel %+v, want ras@7", sc.sel)
 	}
@@ -187,7 +202,7 @@ func TestTable1PredictionSources(t *testing.T) {
 			insts: []cpu.Retired{{PC: 8, Class: c.class, Taken: true, Target: c.target}},
 			next:  c.target,
 		}
-		sc := e.scan(blk, e.trueCodes(blk), pht.EntryFor(taken))
+		sc := e.scan(blk, e.trueCodes(blk), entryOf(taken))
 		if sc.exit != 0 || sc.sel.Source != c.want {
 			t.Errorf("%v target %d: source %v, want %v", c.class, c.target, sc.sel.Source, c.want)
 		}
@@ -199,7 +214,7 @@ func TestTable1PredictionSources(t *testing.T) {
 		insts: []cpu.Retired{{PC: 8, Class: isa.ClassPlain}, {PC: 9, Class: isa.ClassPlain}},
 		next:  10,
 	}
-	sc := e.scan(blk, e.trueCodes(blk), pht.EntryFor(taken))
+	sc := e.scan(blk, e.trueCodes(blk), entryOf(taken))
 	if sc.exit != -1 || sc.sel.Source != seltab.SrcFallThrough {
 		t.Errorf("plain block: %+v, want fall-through", sc.sel)
 	}
@@ -217,7 +232,7 @@ func TestTable1PredictionSources(t *testing.T) {
 		},
 		next: 55,
 	}
-	sc = e.scan(blk, e.trueCodes(blk), pht.EntryFor(weak))
+	sc = e.scan(blk, e.trueCodes(blk), entryOf(weak))
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcRAS || sc.sel.NTCount != 1 {
 		t.Errorf("skip-NT scan = exit %d %+v", sc.exit, sc.sel)
 	}
@@ -241,7 +256,7 @@ func TestGeometryPositionWrap(t *testing.T) {
 		insts: []cpu.Retired{{PC: 12, Class: isa.ClassCond, Taken: true, Target: 300}},
 		next:  300,
 	}
-	sc := e.scan(blk, e.trueCodes(blk), pht.EntryFor(entry))
+	sc := e.scan(blk, e.trueCodes(blk), entryOf(entry))
 	if sc.exit != 0 || !sc.sel.TakenBit {
 		t.Errorf("wrapped counter not used: %+v", sc.sel)
 	}

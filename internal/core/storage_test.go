@@ -2,55 +2,12 @@ package core
 
 import (
 	"testing"
-	"testing/quick"
 
 	"mbbp/internal/cost"
+	"mbbp/internal/isa"
 	"mbbp/internal/metrics"
-	"mbbp/internal/packed"
+	"mbbp/internal/pht"
 )
-
-// TestStorageEquivalence fuzzes configurations and traces and requires
-// the packed and reference backings to produce identical results and
-// identical structure snapshots — the engine-level statement of the
-// packed arrays' losslessness.
-func TestStorageEquivalence(t *testing.T) {
-	f := func(seed int64, a, b, c, d, e, g uint8) bool {
-		cfg := randomConfig(a, b, c, d, e, g)
-		cfg.Storage = packed.BackingPacked
-		pk, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Storage = packed.BackingReference
-		ref, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := randomTrace(seed, 3000)
-		rp, rr := pk.Run(tr), ref.Run(tr)
-		if rp != rr {
-			t.Logf("results diverge:\npacked:    %+v\nreference: %+v", rp, rr)
-			return false
-		}
-		sp, sr := pk.Stats(), ref.Stats()
-		if sp != sr {
-			t.Logf("stats diverge:\npacked:    %+v\nreference: %+v", sp, sr)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestConfigRejectsUnknownStorage(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Storage = packed.Backing(7)
-	if err := cfg.Validate(); err == nil {
-		t.Error("unknown storage backing should not validate")
-	}
-}
 
 // TestStateBitsMatchesCostModel pins the measured breakdown of live
 // engines against the cost package's Table 7 closed forms for the
@@ -114,13 +71,45 @@ func TestStateBitsMatchesCostModel(t *testing.T) {
 	}
 }
 
-// TestScalarBackedEquivalence pins the Figure 6 baseline across
-// backings.
+// TestScalarBackedEquivalence pins RunScalar, whose counters are
+// bit-packed, against a one-byte-per-counter model of the Figure 6
+// baseline written here from its definition: numTables tables picked by
+// the branch address's low bits, gshare-indexed by the per-branch GHR.
 func TestScalarBackedEquivalence(t *testing.T) {
+	const historyBits, numTables, selShift = 10, 8, 3
 	tr := randomTrace(11, 5000)
-	rp := RunScalarBacked(tr, 10, 8, packed.BackingPacked)
-	rr := RunScalarBacked(tr, 10, 8, packed.BackingReference)
-	if rp != rr {
-		t.Errorf("scalar baseline diverges:\npacked:    %+v\nreference: %+v", rp, rr)
+	got := RunScalar(tr, historyBits, numTables)
+
+	counters := make([]pht.Counter, numTables<<historyBits)
+	for i := range counters {
+		counters[i] = pht.WeaklyNotTaken
+	}
+	var want ScalarResult
+	var ghr uint32
+	tr.Reset()
+	for {
+		r, ok := tr.Next()
+		if !ok {
+			break
+		}
+		if r.Class != isa.ClassCond {
+			continue
+		}
+		want.CondBranches++
+		i := (r.PC&(numTables-1))<<historyBits | (ghr^r.PC>>selShift)&(1<<historyBits-1)
+		if counters[i].Taken() != r.Taken {
+			want.CondMispredicts++
+		}
+		counters[i] = counters[i].Update(r.Taken)
+		ghr <<= 1
+		if r.Taken {
+			ghr |= 1
+		}
+	}
+	if got.CondBranches != want.CondBranches || got.CondMispredicts != want.CondMispredicts {
+		t.Errorf("scalar baseline diverges:\npacked: %+v\nmodel:  %+v", got, want)
+	}
+	if want.CondBranches == 0 || want.CondMispredicts == 0 {
+		t.Fatalf("trace exercises nothing: %+v", want)
 	}
 }

@@ -29,11 +29,6 @@ import (
 // call it right before returning their wait function. Jobs remain
 // leaves: grouping happens at submission time in the driver goroutine,
 // and a lane job never submits or waits.
-//
-// A TraceSet viewed through PerConfig gives every configuration its
-// own group, so each (configuration, program) pair walks the trace
-// alone — the execution shape the differential tests compare lane
-// grouping against.
 type Batch struct {
 	s   *Scheduler
 	ts  *TraceSet
@@ -68,12 +63,11 @@ func NewBatchCtx(ctx context.Context, s *Scheduler, ts *TraceSet) *Batch {
 // jobs and they have run; an invalid configuration resolves immediately
 // to its validation error.
 func (b *Batch) RunConfig(cfg core.Config) *SuitePromise {
-	cfg = b.ts.applyStorage(cfg)
 	if err := cfg.Validate(); err != nil {
 		return &SuitePromise{err: err}
 	}
 	g := b.byGeom[cfg.Geometry]
-	if g == nil || b.ts.lanesOff {
+	if g == nil {
 		g = &laneGroup{}
 		b.groups = append(b.groups, g)
 		b.byGeom[cfg.Geometry] = g
@@ -136,16 +130,4 @@ func (b *Batch) runGroup(g *laneGroup, pi int, name string) {
 		return
 	}
 	fill(rs, nil)
-}
-
-// PerConfig returns a view of the trace set on which every batched
-// configuration is its own one-lane group, so each (configuration,
-// program) pair walks the trace alone — the pre-lane execution shape.
-// The differential tests use this view to pin lane-grouped output
-// byte-identical to ungrouped runs; results never differ, only the
-// work grouping does.
-func (ts *TraceSet) PerConfig() *TraceSet {
-	out := *ts
-	out.lanesOff = true
-	return &out
 }

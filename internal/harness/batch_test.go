@@ -17,29 +17,35 @@ import (
 // equivalence suite (internal/core/lanes_test.go) one layer up, where
 // grouping, futures and the scheduler join the picture.
 
-// batchConfigs derives a small mixed-geometry config set from fuzzable
-// knobs: most share the default geometry (and so share lanes), one is
-// self-aligned (its own group).
+// batchVariants are the configuration dimensions the experiment drivers
+// reach, one per config index. Most keep the default geometry and so
+// share lanes; the self-aligned and extended caches form their own
+// groups.
+var batchVariants = []func(*core.Config){
+	func(*core.Config) {},
+	func(c *core.Config) { c.Mode = core.SingleBlock },
+	func(c *core.Config) { c.Geometry = icache.ForKind(icache.SelfAligned, 8) },
+	func(c *core.Config) { c.NearBlock = true },
+	func(c *core.Config) { c.Predictor, c.NumPHTs = core.PredictorTAGE, 1 },
+	func(c *core.Config) { c.TargetArray, c.TargetEntries = core.BTB, 64 },
+	func(c *core.Config) { c.Mode, c.BITEntries = core.SingleBlock, 64 },
+	func(c *core.Config) { c.Selection = metrics.DoubleSelection },
+	func(c *core.Config) { c.NumBlocks = 3 },
+	func(c *core.Config) { c.ICacheLines, c.ICacheAssoc, c.ICacheMissPenalty = 64, 2, 10 },
+	func(c *core.Config) { c.Geometry = icache.ForKind(icache.Extended, 8) },
+}
+
+// batchConfigs derives a mixed config set of n (at most
+// len(batchVariants)) from fuzzable knobs: config i takes variant i on
+// top of the knob-derived history length and PHT count.
 func batchConfigs(n int, hist, tables uint8) []core.Config {
-	if n < 1 {
-		n = 1
-	}
-	if n > 5 {
-		n = 5
-	}
+	n = max(1, min(n, len(batchVariants)))
 	cfgs := make([]core.Config, n)
 	for i := range cfgs {
 		cfg := core.DefaultConfig()
 		cfg.HistoryBits = 4 + int(hist%8) + i%3
 		cfg.NumPHTs = []int{1, 2, 4, 8}[tables%4]
-		switch i % 4 {
-		case 1:
-			cfg.Mode = core.SingleBlock
-		case 2:
-			cfg.Geometry = icache.ForKind(icache.SelfAligned, 8)
-		case 3:
-			cfg.NearBlock = true
-		}
+		batchVariants[i](&cfg)
 		cfgs[i] = cfg
 	}
 	return cfgs
@@ -72,11 +78,12 @@ func sameSuite(a, b *SuiteResult) bool {
 	return true
 }
 
-// TestBatchMatchesPerConfig: the ground truth — every batched result
-// equals its independent per-config run, on the serial scheduler and on
-// the pool.
+// TestBatchMatchesPerConfig: the ground truth — for every variant in
+// batchVariants, the lane-grouped batch result equals the config's own
+// one-config RunConfigAsync batch, on the serial scheduler and on the
+// pool.
 func TestBatchMatchesPerConfig(t *testing.T) {
-	cfgs := batchConfigs(5, 3, 2)
+	cfgs := batchConfigs(len(batchVariants), 3, 2)
 	pool := NewScheduler(4)
 	defer pool.Close()
 

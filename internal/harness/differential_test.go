@@ -7,33 +7,22 @@ import (
 	"testing/quick"
 
 	"mbbp/internal/core"
-	"mbbp/internal/packed"
 )
 
-// Three determinism contracts, checked together for every experiment:
+// The scheduling determinism contract, checked for every experiment:
+// running it on the work-stealing pool must produce output
+// byte-identical to the serial path (Serial() runs jobs inline at
+// submission, i.e. the pre-scheduler execution order). Each case renders
+// the human table and, where one exists, the CSV form, and compares the
+// bytes of the two runs.
 //
-//  1. Scheduling: running any experiment on the work-stealing pool must
-//     produce output byte-identical to the serial reference path
-//     (Serial() runs jobs inline at submission, i.e. the pre-scheduler
-//     execution order).
-//  2. Storage: running any experiment with the bit-packed predictor
-//     state (the default) must produce output byte-identical to the
-//     slice-backed reference storage — the pinned statement that the
-//     packed fast path is lossless across every configuration the
-//     experiments reach.
-//  3. Lanes: running any experiment with config-parallel lane grouping
-//     (the default; same-geometry configurations share one trace walk)
-//     must produce output byte-identical to the per-config view
-//     (PerConfig(): one independent engine run per configuration, the
-//     pre-lane execution shape) — serially and on the pool.
-//
-// Each case renders the human table and, where one exists, the CSV
-// form, and compares the bytes across all five variants.
+// Bit-packed predictor state is checked against the wide-slice oracles
+// in the pht, bitable and seltab tests, and lane-grouped batches
+// against one-config batches across every experiment dimension by
+// TestBatchMatchesPerConfig (batch_test.go).
 
-// differ runs one experiment five ways — serial/packed (lanes),
-// pooled/packed (lanes), serial/reference-storage, per-config serial,
-// per-config pooled — and byte-compares every rendering the experiment
-// has.
+// differ runs one experiment serially and on the pool and byte-compares
+// every rendering the experiment has.
 func differ(t *testing.T, name string, run func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error)) {
 	t.Helper()
 	pool := NewScheduler(4)
@@ -57,32 +46,17 @@ func differ(t *testing.T, name string, run func(s *Scheduler, ts *TraceSet) ([]f
 	}
 
 	serial := render("serial", Serial(), testTraces)
-	variants := []struct {
-		label string
-		got   []string
-	}{
-		{"parallel", render("parallel", pool, testTraces)},
-		{"reference storage", render("reference storage", Serial(),
-			testTraces.WithStorage(packed.BackingReference))},
-		{"per-config serial", render("per-config serial", Serial(),
-			testTraces.PerConfig())},
-		{"per-config parallel", render("per-config parallel", pool,
-			testTraces.PerConfig())},
+	parallel := render("parallel", pool, testTraces)
+	if len(serial) != len(parallel) {
+		t.Fatalf("%s: rendering count differs between serial and parallel", name)
 	}
 	for i := range serial {
 		if len(serial[i]) == 0 {
 			t.Errorf("%s: rendering %d is empty", name, i)
 		}
-	}
-	for _, v := range variants {
-		if len(serial) != len(v.got) {
-			t.Fatalf("%s: rendering count differs between serial and %s", name, v.label)
-		}
-		for i := range serial {
-			if serial[i] != v.got[i] {
-				t.Errorf("%s: rendering %d differs between serial and %s:\n--- serial ---\n%s\n--- %s ---\n%s",
-					name, i, v.label, serial[i], v.label, v.got[i])
-			}
+		if serial[i] != parallel[i] {
+			t.Errorf("%s: rendering %d differs between serial and parallel:\n--- serial ---\n%s\n--- parallel ---\n%s",
+				name, i, serial[i], parallel[i])
 		}
 	}
 }
@@ -286,8 +260,8 @@ func TestDifferentialSeeds(t *testing.T) {
 
 // TestDifferentialEvents covers the tapped replay: attribution rides on
 // observers, which must not perturb results, so the events rendering
-// and CSV obey the same serial/parallel/storage byte-identity as every
-// untapped experiment.
+// and CSV obey the same serial/parallel byte-identity as every untapped
+// experiment.
 func TestDifferentialEvents(t *testing.T) {
 	differ(t, "events", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
 		rows, err := EventsAsync(s, ts, core.DefaultConfig())()

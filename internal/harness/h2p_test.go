@@ -11,10 +11,9 @@ import (
 // TestDifferentialH2P covers the sensitivity sweep: every history lane
 // taps into its own accumulator through the config-aware observer hook,
 // and observers must not perturb results — so the h2p rendering and CSV
-// obey the same serial/parallel/storage/lane byte-identity as every
-// untapped experiment. In particular the per-config path (one engine
-// run per history length) must attribute exactly like the lane path
-// (all history lengths on one trace walk).
+// obey the same serial/parallel byte-identity as every untapped
+// experiment. That a lane's observer sees exactly what a lone engine's
+// would is pinned one layer down, by TestLaneObservers in core.
 func TestDifferentialH2P(t *testing.T) {
 	differ(t, "h2p", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
 		rows, err := H2PAsync(s, ts, core.DefaultConfig(), nil)()

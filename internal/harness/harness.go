@@ -13,7 +13,6 @@ import (
 
 	"mbbp/internal/core"
 	"mbbp/internal/metrics"
-	"mbbp/internal/packed"
 	_ "mbbp/internal/tage" // register the TAGE predictor for every consumer
 	"mbbp/internal/trace"
 	"mbbp/internal/workload"
@@ -60,32 +59,11 @@ type TraceSet struct {
 	suites map[string]workload.Suite
 	warmup bool
 
-	// storage, when set, overrides Config.Storage for every run
-	// launched from this set (see WithStorage).
-	storage    packed.Backing
-	storageSet bool
-
 	// observer, when set, supplies an engine observer per run (see
 	// WithObserver). observerCfg is the config-aware variant
 	// (WithConfigObserver) and wins when both are set.
 	observer    func(program string) core.Observer
 	observerCfg func(program string, cfg core.Config) core.Observer
-
-	// lanesOff disables config-parallel lane grouping for batches run
-	// through this view (see PerConfig).
-	lanesOff bool
-}
-
-// WithStorage returns a view of the trace set that forces the given
-// predictor-state backing onto every configuration run through it —
-// the lever the differential tests use to re-run identical experiment
-// drivers on the reference backing without touching per-experiment
-// config construction. The traces themselves are shared, not copied.
-func (ts *TraceSet) WithStorage(b packed.Backing) *TraceSet {
-	out := *ts
-	out.storage = b
-	out.storageSet = true
-	return &out
 }
 
 // WithObserver returns a view of the trace set that installs f's
@@ -133,14 +111,6 @@ func (ts *TraceSet) attachObserver(e *core.Engine, name string, cfg core.Config)
 	if o := ts.observer(name); o != nil {
 		e.SetObserver(o)
 	}
-}
-
-// applyStorage returns cfg with the set's storage override, if any.
-func (ts *TraceSet) applyStorage(cfg core.Config) core.Config {
-	if ts.storageSet {
-		cfg.Storage = ts.storage
-	}
-	return cfg
 }
 
 // newTraceSet returns an empty trace set carrying o's run options —
@@ -383,12 +353,8 @@ func RunConfigOn(s *Scheduler, ts *TraceSet, cfg core.Config) (*SuiteResult, err
 
 // RunScalarAsync submits the Figure 6 scalar baseline per program.
 func RunScalarAsync(s *Scheduler, ts *TraceSet, historyBits, numTables int) *SuitePromise {
-	backing := packed.BackingPacked
-	if ts.storageSet {
-		backing = ts.storage
-	}
 	return suitePromise(s, ts, func(name string) (metrics.Result, error) {
-		sr := core.RunScalarBacked(ts.traces[name].Clone(), historyBits, numTables, backing)
+		sr := core.RunScalar(ts.traces[name].Clone(), historyBits, numTables)
 		return metrics.Result{
 			Program:         name,
 			CondBranches:    sr.CondBranches,

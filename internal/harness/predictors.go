@@ -85,7 +85,7 @@ func ComparePredictorsAsync(s *Scheduler, ts *TraceSet, kind core.PredictorKind)
 			}
 			// Direction-storage cost, measured from a live engine of
 			// this exact configuration.
-			eng, err := core.New(ts.applyStorage(cfgs[i]))
+			eng, err := core.New(cfgs[i])
 			if err != nil {
 				return nil, err
 			}

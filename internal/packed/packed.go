@@ -20,6 +20,11 @@
 // StateBits (the paper's cost-model bits, excluding word-padding), so
 // the hardware-cost tables can be printed from the live structures.
 //
+// These arrays are the only storage of predictor state. The wide-slice
+// models the packed structures are checked against (one value per
+// counter, code or selector) live in the _test.go files of pht,
+// bitable and seltab, not in production code.
+//
 // Backing words are allocated cache-line padded: the []uint64 capacity
 // is rounded up to a multiple of 8 words (64 bytes), which lands the
 // allocation in a size class that is itself a multiple of 64 bytes, so
@@ -49,32 +54,6 @@ func alignedWords(n int) []uint64 {
 	padded := (n + cacheLineWords - 1) &^ (cacheLineWords - 1)
 	return make([]uint64, n, padded)
 }
-
-// Backing selects between the bit-packed arrays of this package and the
-// original wide-value slice implementations, which are kept alive as a
-// reference: the engine must produce byte-identical results on either,
-// and the differential tests pin that equivalence.
-type Backing uint8
-
-const (
-	// BackingPacked stores predictor state in packed []uint64 words
-	// (the default fast path).
-	BackingPacked Backing = iota
-	// BackingReference stores predictor state in plain Go slices (one
-	// wide value per logical field) — the original implementation,
-	// retained as the equivalence oracle.
-	BackingReference
-)
-
-func (b Backing) String() string {
-	if b == BackingReference {
-		return "reference"
-	}
-	return "packed"
-}
-
-// Valid reports whether b is a known backing.
-func (b Backing) Valid() bool { return b == BackingPacked || b == BackingReference }
 
 // Counter2Array is a dense array of 2-bit saturating counters
 // (0 strongly not-taken .. 3 strongly taken), 32 per 64-bit word.

@@ -5,15 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestBackingString(t *testing.T) {
-	if BackingPacked.String() != "packed" || BackingReference.String() != "reference" {
-		t.Error("backing names wrong")
-	}
-	if !BackingPacked.Valid() || !BackingReference.Valid() || Backing(9).Valid() {
-		t.Error("backing validity wrong")
-	}
-}
-
 func TestCounter2ArrayBasics(t *testing.T) {
 	a := NewCounter2Array(100, 1)
 	if a.Len() != 100 || a.StateBits() != 200 || a.Words() != 4 {

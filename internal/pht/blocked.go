@@ -37,9 +37,7 @@ func (m IndexMode) String() string {
 //
 // Counters are stored bit-packed (two bits each, the paper's Table 7
 // density: a W-wide entry is 2W consecutive bits, so one block lookup
-// touches a single word for every paper width) or, with
-// BackingReference, as the original one-byte-per-counter slice kept as
-// the equivalence oracle.
+// touches a single word for every paper width).
 type Blocked struct {
 	width    int
 	tables   int
@@ -49,8 +47,7 @@ type Blocked struct {
 	idxMask  uint32
 	mode     IndexMode
 
-	pk  *packed.Counter2Array // BackingPacked
-	ref []Counter             // BackingReference; tables * entries * width, flat
+	pk *packed.Counter2Array // tables * entries * width counters, flat
 }
 
 // NewBlocked creates a single gshare-indexed blocked PHT with
@@ -62,14 +59,8 @@ func NewBlocked(historyBits, blockWidth int) *Blocked {
 }
 
 // NewBlockedMulti creates numTables blocked PHTs (a power of two) with
-// the given index mode, bit-packed.
+// the given index mode.
 func NewBlockedMulti(historyBits, blockWidth, numTables int, mode IndexMode) *Blocked {
-	return NewBlockedBacked(historyBits, blockWidth, numTables, mode, packed.BackingPacked)
-}
-
-// NewBlockedBacked creates numTables blocked PHTs with an explicit
-// counter storage backing.
-func NewBlockedBacked(historyBits, blockWidth, numTables int, mode IndexMode, backing packed.Backing) *Blocked {
 	if historyBits < 1 || historyBits > 26 {
 		panic("pht: history bits out of range")
 	}
@@ -84,7 +75,7 @@ func NewBlockedBacked(historyBits, blockWidth, numTables int, mode IndexMode, ba
 		shift++
 	}
 	n := 1 << historyBits
-	b := &Blocked{
+	return &Blocked{
 		width:    blockWidth,
 		tables:   numTables,
 		tblMask:  uint32(numTables - 1),
@@ -92,25 +83,8 @@ func NewBlockedBacked(historyBits, blockWidth, numTables int, mode IndexMode, ba
 		hBits:    historyBits,
 		idxMask:  uint32(n - 1),
 		mode:     mode,
+		pk:       packed.NewCounter2Array(numTables*n*blockWidth, uint8(WeaklyNotTaken)),
 	}
-	total := numTables * n * blockWidth
-	if backing == packed.BackingReference {
-		b.ref = make([]Counter, total)
-		for i := range b.ref {
-			b.ref[i] = WeaklyNotTaken
-		}
-	} else {
-		b.pk = packed.NewCounter2Array(total, uint8(WeaklyNotTaken))
-	}
-	return b
-}
-
-// Backing reports which storage backs the counters.
-func (b *Blocked) Backing() packed.Backing {
-	if b.ref != nil {
-		return packed.BackingReference
-	}
-	return packed.BackingPacked
 }
 
 // Width returns the number of counters per entry.
@@ -138,35 +112,21 @@ func (b *Blocked) Index(history, blockAddr uint32) uint32 {
 
 // Entry is a handle on one blocked-PHT entry: the W counters predicting
 // a fetch block. Reads and writes go straight to the table's storage —
-// for the packed backing all W counters share one 64-bit word (two for
-// W = 64), so a whole-block scan stays within a word instead of
-// touching W slice elements.
+// all W counters share one 64-bit word (two for W = 64), so a
+// whole-block scan stays within a word instead of touching W slice
+// elements.
 type Entry struct {
 	pk   *packed.Counter2Array
-	ref  []Counter // the entry's counters, when reference-backed
-	base int       // first counter offset, when packed
+	base int // first counter offset
 }
-
-// EntryFor wraps a plain counter slice as a reference-backed Entry (a
-// test and analysis helper; the slice stays live behind the handle).
-func EntryFor(counters []Counter) Entry { return Entry{ref: counters} }
 
 // At returns the live entry handle for an entry index.
 func (b *Blocked) At(index uint32) Entry {
-	if b.ref != nil {
-		off := int(index) * b.width
-		return Entry{ref: b.ref[off : off+b.width]}
-	}
 	return Entry{pk: b.pk, base: int(index) * b.width}
 }
 
 // Counter returns the counter at a position within the entry.
-func (e Entry) Counter(pos int) Counter {
-	if e.ref != nil {
-		return e.ref[pos]
-	}
-	return Counter(e.pk.Get(e.base + pos))
-}
+func (e Entry) Counter(pos int) Counter { return Counter(e.pk.Get(e.base + pos)) }
 
 // Taken returns the predicted direction of the counter at pos.
 func (e Entry) Taken(pos int) bool { return e.Counter(pos).Taken() }
@@ -175,14 +135,8 @@ func (e Entry) Taken(pos int) bool { return e.Counter(pos).Taken() }
 func (e Entry) SecondChance(pos int) bool { return e.Counter(pos).SecondChance() }
 
 // Update trains the counter at pos toward the outcome (a single-load
-// read-modify-write on the packed backing).
-func (e Entry) Update(pos int, taken bool) {
-	if e.ref != nil {
-		e.ref[pos] = e.ref[pos].Update(taken)
-		return
-	}
-	e.pk.Update(e.base+pos, taken)
-}
+// read-modify-write).
+func (e Entry) Update(pos int, taken bool) { e.pk.Update(e.base+pos, taken) }
 
 // CounterPos maps an instruction address to its counter position within
 // an entry.
@@ -204,9 +158,8 @@ func (b *Blocked) Update(history, blockAddr, instAddr uint32, taken bool) {
 }
 
 // StateBits returns the storage cost in bits — the paper's Table 7
-// closed form p * 2^k * 2W, which both backings account identically
-// (the packed backing also stores exactly this many bits, modulo word
-// padding).
+// closed form p * 2^k * 2W (the packed counters store exactly this
+// many bits, modulo word padding).
 func (b *Blocked) StateBits() int { return b.Entries() * b.width * 2 }
 
 // CostBits returns the storage cost in bits (Table 7 naming; identical

@@ -4,6 +4,10 @@
 // branch position in a fetch block with one lookup (the paper's primary
 // multiple-branch-prediction contribution), and the scalar per-address
 // PHT used as the equal-cost baseline in Figure 6.
+//
+// Both tables store their counters bit-packed (internal/packed), two
+// bits each. The one-byte-per-counter models they are checked against
+// are test oracles (oracle_test.go).
 package pht
 
 // Counter is a 2-bit up/down saturating counter (Smith counter):

@@ -3,8 +3,6 @@ package pht
 import (
 	"testing"
 	"testing/quick"
-
-	"mbbp/internal/packed"
 )
 
 // Property: within one blocked-PHT entry, the order in which distinct
@@ -58,12 +56,12 @@ func TestPackedUpdateOrderPositionIndependent(t *testing.T) {
 	}
 }
 
-// Property: packed and reference backings are observationally identical
-// under any Predict/Update stream.
+// Property: the packed table and the wide-slice oracle (refBlocked) are
+// observationally identical under any Predict/Update stream.
 func TestBlockedPackedMatchesReference(t *testing.T) {
 	f := func(ops []uint32) bool {
-		pk := NewBlockedBacked(7, 8, 2, IndexGShare, packed.BackingPacked)
-		ref := NewBlockedBacked(7, 8, 2, IndexGShare, packed.BackingReference)
+		pk := NewBlockedMulti(7, 8, 2, IndexGShare)
+		ref := newRefBlocked(7, 8, 2, IndexGShare)
 		for _, op := range ops {
 			h, addr, taken := op>>16, op&0xFFFF, op&1 == 1
 			if pk.Predict(h, addr, addr+3) != ref.Predict(h, addr, addr+3) {
@@ -74,7 +72,7 @@ func TestBlockedPackedMatchesReference(t *testing.T) {
 		}
 		for i := 0; i < pk.Entries(); i++ {
 			for p := 0; p < pk.Width(); p++ {
-				if pk.CounterAt(uint32(i), p) != ref.CounterAt(uint32(i), p) {
+				if pk.CounterAt(uint32(i), p) != ref.counterAt(uint32(i), p) {
 					return false
 				}
 			}
@@ -88,8 +86,8 @@ func TestBlockedPackedMatchesReference(t *testing.T) {
 
 func TestScalarPackedMatchesReference(t *testing.T) {
 	f := func(ops []uint32) bool {
-		pk := NewScalarBacked(7, 8, packed.BackingPacked)
-		ref := NewScalarBacked(7, 8, packed.BackingReference)
+		pk := NewScalar(7, 8)
+		ref := newRefScalar(7, 8)
 		for _, op := range ops {
 			h, addr, taken := op>>16, op&0xFFFF, op&1 == 1
 			if pk.Predict(h, addr) != ref.Predict(h, addr) {
@@ -106,27 +104,25 @@ func TestScalarPackedMatchesReference(t *testing.T) {
 }
 
 // Property: StateBits matches the paper's Table 7 closed form
-// p * 2^k * 2W for every supported geometry, on both backings.
+// p * 2^k * 2W for every supported geometry.
 func TestBlockedStateBitsClosedForm(t *testing.T) {
 	for _, k := range []int{4, 8, 10, 12} {
 		for _, w := range []int{4, 8, 16, 32} {
 			for _, p := range []int{1, 2, 4} {
-				for _, bk := range []packed.Backing{packed.BackingPacked, packed.BackingReference} {
-					b := NewBlockedBacked(k, w, p, IndexGShare, bk)
-					want := p * (1 << uint(k)) * 2 * w
-					if got := b.StateBits(); got != want {
-						t.Errorf("StateBits(k=%d,W=%d,p=%d,%v) = %d, want %d", k, w, p, bk, got, want)
-					}
-					if b.CostBits() != want {
-						t.Errorf("CostBits(k=%d,W=%d,p=%d,%v) != StateBits", k, w, p, bk)
-					}
+				b := NewBlockedMulti(k, w, p, IndexGShare)
+				want := p * (1 << uint(k)) * 2 * w
+				if got := b.StateBits(); got != want {
+					t.Errorf("StateBits(k=%d,W=%d,p=%d) = %d, want %d", k, w, p, got, want)
+				}
+				if b.CostBits() != want {
+					t.Errorf("CostBits(k=%d,W=%d,p=%d) != StateBits", k, w, p)
 				}
 			}
 		}
 	}
 	for _, k := range []int{4, 8, 12} {
 		for _, p := range []int{1, 8} {
-			s := NewScalarBacked(k, p, packed.BackingPacked)
+			s := NewScalar(k, p)
 			if want := p * (1 << uint(k)) * 2; s.StateBits() != want {
 				t.Errorf("scalar StateBits(k=%d,p=%d) = %d, want %d", k, p, s.StateBits(), want)
 			}

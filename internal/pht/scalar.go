@@ -10,8 +10,7 @@ import "mbbp/internal/packed"
 // blocked PHT with W = 8. It predicts one branch per lookup and its
 // history register is updated per branch, not per block.
 //
-// Counters are bit-packed by default, with the original slice storage
-// available as BackingReference (the equivalence oracle).
+// Counters are bit-packed, two bits each.
 type Scalar struct {
 	tables    int
 	tableBits int
@@ -19,19 +18,12 @@ type Scalar struct {
 	selMask   uint32
 	selShift  uint
 
-	pk  *packed.Counter2Array // BackingPacked
-	ref []Counter             // BackingReference; tables * 2^historyBits, flat
+	pk *packed.Counter2Array // tables * 2^historyBits counters, flat
 }
 
-// NewScalar creates the baseline predictor, bit-packed. numTables must
-// be a power of two.
+// NewScalar creates the baseline predictor. numTables must be a power
+// of two.
 func NewScalar(historyBits, numTables int) *Scalar {
-	return NewScalarBacked(historyBits, numTables, packed.BackingPacked)
-}
-
-// NewScalarBacked creates the baseline predictor with an explicit
-// counter storage backing.
-func NewScalarBacked(historyBits, numTables int, backing packed.Backing) *Scalar {
 	if historyBits < 1 || historyBits > 26 {
 		panic("pht: history bits out of range")
 	}
@@ -43,30 +35,14 @@ func NewScalarBacked(historyBits, numTables int, backing packed.Backing) *Scalar
 		shift++
 	}
 	n := 1 << historyBits
-	s := &Scalar{
+	return &Scalar{
 		tables:    numTables,
 		tableBits: historyBits,
 		idxMask:   uint32(n - 1),
 		selMask:   uint32(numTables - 1),
 		selShift:  shift,
+		pk:        packed.NewCounter2Array(numTables*n, uint8(WeaklyNotTaken)),
 	}
-	if backing == packed.BackingReference {
-		s.ref = make([]Counter, numTables*n)
-		for i := range s.ref {
-			s.ref[i] = WeaklyNotTaken
-		}
-	} else {
-		s.pk = packed.NewCounter2Array(numTables*n, uint8(WeaklyNotTaken))
-	}
-	return s
-}
-
-// Backing reports which storage backs the counters.
-func (s *Scalar) Backing() packed.Backing {
-	if s.ref != nil {
-		return packed.BackingReference
-	}
-	return packed.BackingPacked
 }
 
 func (s *Scalar) slot(history, branchAddr uint32) int {
@@ -75,26 +51,14 @@ func (s *Scalar) slot(history, branchAddr uint32) int {
 	return int(table)<<s.tableBits | int(idx)
 }
 
-func (s *Scalar) counter(i int) Counter {
-	if s.ref != nil {
-		return s.ref[i]
-	}
-	return Counter(s.pk.Get(i))
-}
-
 // Predict returns the predicted direction for the branch at branchAddr.
 func (s *Scalar) Predict(history, branchAddr uint32) bool {
-	return s.counter(s.slot(history, branchAddr)).Taken()
+	return Counter(s.pk.Get(s.slot(history, branchAddr))).Taken()
 }
 
 // Update trains the counter for the branch.
 func (s *Scalar) Update(history, branchAddr uint32, taken bool) {
-	i := s.slot(history, branchAddr)
-	if s.ref != nil {
-		s.ref[i] = s.ref[i].Update(taken)
-		return
-	}
-	s.pk.Update(i, taken)
+	s.pk.Update(s.slot(history, branchAddr), taken)
 }
 
 // StateBits returns the storage cost in bits (2 per counter).

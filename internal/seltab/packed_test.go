@@ -3,8 +3,6 @@ package seltab
 import (
 	"testing"
 	"testing/quick"
-
-	"mbbp/internal/packed"
 )
 
 // randomized selector within a geometry's reachable ranges.
@@ -21,8 +19,9 @@ func selFor(op uint64, blockWidth, lineSize int, nearBlock bool) Selector {
 	return s
 }
 
-// Property: packed and reference tables are observationally identical
-// under any Get/Set stream, across geometries.
+// Property: the packed table and the wide-struct oracle (refTable) are
+// observationally identical under any Get/Set stream, across
+// geometries.
 func TestPackedMatchesReference(t *testing.T) {
 	geoms := []struct {
 		w, line int
@@ -31,22 +30,23 @@ func TestPackedMatchesReference(t *testing.T) {
 	for _, g := range geoms {
 		g := g
 		f := func(ops []uint64) bool {
-			pk := NewBacked(6, 2, g.w, g.line, g.near, packed.BackingPacked)
-			ref := NewBacked(6, 2, g.w, g.line, g.near, packed.BackingReference)
+			pk := New(6, 2, g.w, g.line, g.near)
+			ref := newRefTable(6, 2)
 			for _, op := range ops {
 				h, addr := uint32(op>>40), uint32(op>>52)
 				role := int(op >> 4 % MaxBlocks)
-				rp, rr := pk.At(h, addr), ref.At(h, addr)
-				if rp.Valid() != rr.Valid() {
+				rp, rr := pk.At(h, addr), ref.Lookup(h, addr)
+				if rp.Valid() != rr.Valid {
 					return false
 				}
-				if rr.Valid() && rp.Get(role) != rr.Get(role) {
+				if rr.Valid && rp.Get(role) != *rr.Slot(role) {
 					return false
 				}
 				if op&2 == 0 {
 					s := selFor(op, g.w, g.line, g.near)
 					rp.Set(role, s)
-					rr.Set(role, s)
+					*rr.Slot(role) = s
+					rr.Valid = true
 					if rp.Get(role) != s || !rp.Valid() {
 						return false
 					}
@@ -66,7 +66,7 @@ func TestPackedMatchesReference(t *testing.T) {
 // Every reachable selector round-trips losslessly through the packed
 // field encoding (§3.1's bit budget is sufficient).
 func TestPackedSelectorRoundTrip(t *testing.T) {
-	tb := NewBacked(4, 1, 8, 8, true, packed.BackingPacked)
+	tb := New(4, 1, 8, 8, true)
 	for src := Source(0); src < numSources; src++ {
 		for pos := 0; pos < 8; pos++ {
 			for nt := 0; nt <= 8; nt++ {
@@ -85,7 +85,7 @@ func TestPackedSelectorRoundTrip(t *testing.T) {
 }
 
 func TestPackedEncodePanicsOutOfRange(t *testing.T) {
-	tb := NewBacked(4, 1, 8, 8, false, packed.BackingPacked)
+	tb := New(4, 1, 8, 8, false)
 	for name, s := range map[string]Selector{
 		"pos too wide":        {Pos: 8},
 		"nt too wide":         {NTCount: 16},
@@ -102,33 +102,21 @@ func TestPackedEncodePanicsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestLookupPanicsOnPackedBacking(t *testing.T) {
-	tb := NewBacked(4, 1, 8, 8, false, packed.BackingPacked)
-	defer func() {
-		if recover() == nil {
-			t.Error("Lookup on packed backing should panic")
-		}
-	}()
-	tb.Lookup(0, 0)
-}
-
 func TestStateBitsClosedForm(t *testing.T) {
 	// Table 7: the 1024-entry, 8-bit-selector ST is 8 Kbit single, 16 dual.
-	tb := NewBacked(10, 1, 8, 8, false, packed.BackingPacked)
+	tb := New(10, 1, 8, 8, false)
 	if got := tb.StateBits(false); got != 8*1024 {
 		t.Errorf("StateBits(single) = %d, want 8192", got)
 	}
 	if got := tb.StateBits(true); got != 16*1024 {
 		t.Errorf("StateBits(double) = %d, want 16384", got)
 	}
-	// Closed form matches CostBits for every geometry, on both backings.
-	for _, bk := range []packed.Backing{packed.BackingPacked, packed.BackingReference} {
-		for _, w := range []int{4, 8, 16} {
-			for _, near := range []bool{false, true} {
-				s := NewBacked(8, 2, w, 8, near, bk)
-				if s.StateBits(false) != s.CostBits(w, 8, near, false) {
-					t.Errorf("W=%d near=%v %v: StateBits != CostBits", w, near, bk)
-				}
+	// Closed form matches CostBits for every geometry.
+	for _, w := range []int{4, 8, 16} {
+		for _, near := range []bool{false, true} {
+			s := New(8, 2, w, 8, near)
+			if s.StateBits(false) != s.CostBits(w, 8, near, false) {
+				t.Errorf("W=%d near=%v: StateBits != CostBits", w, near)
 			}
 		}
 	}

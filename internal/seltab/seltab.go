@@ -6,6 +6,10 @@
 // GHR-update information (number of not-taken conditional branches plus
 // a taken/fall-through bit) and, when near-block targets are in use, the
 // predicted starting offset within the target line.
+//
+// Entries are stored bit-packed (internal/packed), each selector field
+// sized by the fetch geometry. The wide-struct []Entry table it is
+// checked against is a test oracle (oracle_test.go).
 package seltab
 
 import (
@@ -93,57 +97,29 @@ func (s Selector) SameGHR(o Selector) bool {
 // extension.
 const MaxBlocks = 4
 
-// Entry is one select-table entry. Single selection uses only Second;
-// double selection uses First too (a "dual select table"); the N-block
-// extension uses Third and Fourth for the third and fourth blocks of a
-// fetch group.
-type Entry struct {
-	Valid  bool
-	First  Selector
-	Second Selector
-	Third  Selector
-	Fourth Selector
-}
-
-// Slot returns the selector predicting the block fetched in role
-// (1 = second block of the group, 2 = third, 3 = fourth); role 0 with
-// double selection uses First directly.
-func (e *Entry) Slot(role int) *Selector {
-	switch role {
-	case 0:
-		return &e.First
-	case 1:
-		return &e.Second
-	case 2:
-		return &e.Third
-	default:
-		return &e.Fourth
-	}
-}
-
 // Table is a set of select tables. Each table has 2^historyBits
 // entries, indexed by GHR XOR block address (the PHT index); with
 // multiple tables, the low bits of the block's starting address choose
 // the table, helping distinguish entering positions (§4.3).
 //
-// With the packed backing, each entry's MaxBlocks selectors are stored
-// as bit fields sized exactly by the construction geometry — source (3
-// bits), taken bit (1), position (log2 W), not-taken count (log2 W + 1,
-// since up to W conditionals can fall through), and, with near-block
-// prediction, a log2(line) starting offset — plus a 1-bit valid array.
+// Each entry's MaxBlocks selectors are stored as bit fields sized
+// exactly by the construction geometry — source (3 bits), taken bit
+// (1), position (log2 W), not-taken count (log2 W + 1, since up to W
+// conditionals can fall through), and, with near-block prediction, a
+// log2(line) starting offset — plus a 1-bit valid array. Single
+// selection uses role 1 of an entry, double selection role 0 too, and
+// the N-block extension roles 2 and 3 for the third and fourth blocks
+// of a fetch group.
 // Those ranges are invariants of the engine's scan (a block never holds
 // more than W instructions), so the packing is lossless; Put panics if
-// a selector ever falls outside them. The original []Entry slice
-// remains available as packed.BackingReference, the equivalence oracle.
+// a selector ever falls outside them.
 type Table struct {
 	tables  int
 	hBits   int
 	idxMask uint32
 	tblMask uint32
 
-	entries []Entry // BackingReference
-
-	// BackingPacked: n * MaxBlocks selector fields and n valid bits.
+	// n * MaxBlocks selector fields and n valid bits.
 	slots *packed.FieldArray
 	valid *packed.FieldArray
 	// Packed subfield geometry (see encode).
@@ -153,21 +129,12 @@ type Table struct {
 	nearBlock            bool
 }
 
-// New creates numTables select tables of 2^historyBits entries each,
-// reference-backed (the original wide-struct storage; Lookup returns
-// live entries). numTables must be a power of two (the paper sweeps 1,
-// 2, 4, 8). The engine uses NewBacked, which also supports the packed
-// backing.
-func New(historyBits, numTables int) *Table {
-	return NewBacked(historyBits, numTables, 8, 8, true, packed.BackingReference)
-}
-
-// NewBacked creates numTables select tables of 2^historyBits entries
-// each with an explicit storage backing. blockWidth, lineSize and
-// nearBlock size the packed selector fields (and the paper cost
-// formulas); they must match the fetch geometry the selectors will
-// describe.
-func NewBacked(historyBits, numTables, blockWidth, lineSize int, nearBlock bool, backing packed.Backing) *Table {
+// New creates numTables select tables of 2^historyBits entries each.
+// numTables must be a power of two (the paper sweeps 1, 2, 4, 8).
+// blockWidth, lineSize and nearBlock size the packed selector fields
+// (and the paper cost formulas); they must match the fetch geometry the
+// selectors will describe.
+func New(historyBits, numTables, blockWidth, lineSize int, nearBlock bool) *Table {
 	if historyBits < 1 || historyBits > 26 {
 		panic("seltab: history bits out of range")
 	}
@@ -190,10 +157,6 @@ func NewBacked(historyBits, numTables, blockWidth, lineSize int, nearBlock bool,
 		lineSize:   lineSize,
 		nearBlock:  nearBlock,
 	}
-	if backing == packed.BackingReference {
-		t.entries = make([]Entry, n)
-		return t
-	}
 	t.posBits = uint(log2(blockWidth))
 	t.ntBits = uint(log2(blockWidth)) + 1
 	if nearBlock {
@@ -203,14 +166,6 @@ func NewBacked(historyBits, numTables, blockWidth, lineSize int, nearBlock bool,
 	t.slots = packed.NewFieldArray(n*MaxBlocks, width)
 	t.valid = packed.NewFieldArray(n, 1)
 	return t
-}
-
-// Backing reports which storage backs the entries.
-func (t *Table) Backing() packed.Backing {
-	if t.entries != nil {
-		return packed.BackingReference
-	}
-	return packed.BackingPacked
 }
 
 // Tables returns the number of select tables.
@@ -225,42 +180,25 @@ func (t *Table) index(history, blockAddr uint32) int {
 	return int(table)<<t.hBits | int(idx)
 }
 
-// Lookup returns the live entry for (history, block address); mutations
-// write through. It requires the reference backing (the packed backing
-// has no addressable Entry; use At).
-func (t *Table) Lookup(history, blockAddr uint32) *Entry {
-	if t.entries == nil {
-		panic("seltab: Lookup on packed backing; use At")
-	}
-	return &t.entries[t.index(history, blockAddr)]
-}
-
-// Ref is a backing-agnostic handle on one select-table entry.
+// Ref is a handle on one select-table entry.
 type Ref struct {
 	t *Table
 	i int
 }
 
-// At returns the entry handle for (history, block address) on either
-// backing.
+// At returns the entry handle for (history, block address).
 func (t *Table) At(history, blockAddr uint32) Ref {
 	return Ref{t: t, i: t.index(history, blockAddr)}
 }
 
 // Valid reports whether the entry has ever been written.
 func (r Ref) Valid() bool {
-	if r.t.entries != nil {
-		return r.t.entries[r.i].Valid
-	}
 	return r.t.valid.Get(r.i) != 0
 }
 
 // Get returns the selector for the given role (0 = first block of a
 // group, 1 = second, ...). Meaningful only when Valid.
 func (r Ref) Get(role int) Selector {
-	if r.t.entries != nil {
-		return *r.t.entries[r.i].Slot(role)
-	}
 	return r.t.decode(r.t.slots.Get(r.slot(role)))
 }
 
@@ -268,12 +206,6 @@ func (r Ref) Get(role int) Selector {
 // table's valid bit covers the whole entry, as in verifyST's original
 // write-through semantics).
 func (r Ref) Set(role int, s Selector) {
-	if r.t.entries != nil {
-		e := &r.t.entries[r.i]
-		*e.Slot(role) = s
-		e.Valid = true
-		return
-	}
 	r.t.slots.Set(r.slot(role), r.t.encode(s))
 	r.t.valid.Set(r.i, 1)
 }
@@ -325,14 +257,6 @@ func (t *Table) decode(v uint64) Selector {
 // ValidCount returns the number of entries ever written.
 func (t *Table) ValidCount() int {
 	n := 0
-	if t.entries != nil {
-		for i := range t.entries {
-			if t.entries[i].Valid {
-				n++
-			}
-		}
-		return n
-	}
 	for i := 0; i < t.valid.Len(); i++ {
 		if t.valid.Get(i) != 0 {
 			n++

@@ -34,40 +34,38 @@ func TestSelectorComparisons(t *testing.T) {
 }
 
 func TestTableIndexing(t *testing.T) {
-	tb := New(10, 1)
-	e1 := tb.Lookup(0x3FF, 0x3FF) // XOR = 0
-	e2 := tb.Lookup(0, 0)
+	tb := New(10, 1, 8, 8, true)
+	e1 := tb.At(0x3FF, 0x3FF) // XOR = 0
+	e2 := tb.At(0, 0)
 	if e1 != e2 {
 		t.Error("gshare-equal indexes should share an entry")
 	}
-	e3 := tb.Lookup(0, 1)
+	e3 := tb.At(0, 1)
 	if e1 == e3 {
 		t.Error("different indexes should not share an entry")
 	}
 }
 
 func TestMultipleTablesSplitByOffset(t *testing.T) {
-	tb := New(10, 8)
+	tb := New(10, 8, 8, 8, true)
 	if tb.Tables() != 8 || tb.EntriesPerTable() != 1024 {
 		t.Fatalf("geometry: %d tables x %d", tb.Tables(), tb.EntriesPerTable())
 	}
 	// Two block addresses that XOR-alias in one table but differ in
 	// their low bits land in different tables (§4.3's point: the
 	// entering position disambiguates).
-	a := tb.Lookup(0x10, 0x20)
-	b := tb.Lookup(0x11, 0x21) // same XOR, different low bits
+	a := tb.At(0x10, 0x20)
+	b := tb.At(0x11, 0x21) // same XOR, different low bits
 	if a == b {
 		t.Error("different starting offsets should use different tables")
 	}
 }
 
 func TestEntryWriteThrough(t *testing.T) {
-	tb := New(8, 1)
-	e := tb.Lookup(5, 9)
-	e.Valid = true
-	e.Second = Selector{Source: SrcRAS, Pos: 7}
-	again := tb.Lookup(5, 9)
-	if !again.Valid || again.Second.Source != SrcRAS || again.Second.Pos != 7 {
+	tb := New(8, 1, 8, 8, true)
+	tb.At(5, 9).Set(1, Selector{Source: SrcRAS, Pos: 7})
+	again := tb.At(5, 9)
+	if !again.Valid() || again.Get(1).Source != SrcRAS || again.Get(1).Pos != 7 {
 		t.Error("entry mutations must persist")
 	}
 }
@@ -81,7 +79,7 @@ func TestSelectorBits(t *testing.T) {
 	if got := SelectorBits(8, 8, false); got != 4+3+1 {
 		t.Errorf("W=8 selector bits = %d, want 8", got)
 	}
-	tb := New(10, 1)
+	tb := New(10, 1, 8, 8, true)
 	if got := tb.CostBits(8, 8, false, false); got != 8*1024 {
 		t.Errorf("ST cost = %d bits, want 8192 (Table 7)", got)
 	}
@@ -90,13 +88,13 @@ func TestSelectorBits(t *testing.T) {
 	}
 }
 
-// Property: Lookup is deterministic and total — same key, same entry;
+// Property: At is deterministic and total — same key, same entry;
 // and entries from different (history, addr) pairs with different
 // indexes never alias.
 func TestLookupDeterminism(t *testing.T) {
 	f := func(h, a uint32) bool {
-		tb := New(8, 4)
-		return tb.Lookup(h, a) == tb.Lookup(h, a)
+		tb := New(8, 4, 8, 8, true)
+		return tb.At(h, a) == tb.At(h, a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

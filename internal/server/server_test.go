@@ -519,6 +519,47 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedConfigRejected: configs that pass JSON decoding but ask
+// New for more memory than a host has, or for a geometry a constructor
+// panics on, are 400s naming the field, and the server keeps answering
+// afterwards. Built, the RASSize probe is a fatal out-of-memory error
+// no recover can catch.
+func TestOversizedConfigRejected(t *testing.T) {
+	s := newTestServer(t, Config{MaxInstructions: 100_000})
+	h := s.Handler()
+	for _, tc := range []struct{ config, field string }{
+		{`{"RASSize":1099511627776}`, "RASSize"},
+		{`{"TargetEntries":1099511627776}`, "TargetEntries"},
+		{`{"BITEntries":1099511627776}`, "BITEntries"},
+		{`{"ICacheLines":1099511627776,"ICacheMissPenalty":1}`, "ICacheLines"},
+		{`{"HistoryBits":26,"NumPHTs":64}`, "HistoryBits"},
+		{`{"NumPHTs":1099511627776}`, "NumPHTs"},
+		{`{"NumSTs":1099511627776}`, "NumSTs"},
+		{`{"Geometry":{"BlockWidth":128,"LineSize":128}}`, "Geometry.BlockWidth"},
+		{`{"Geometry":{"LineSize":1099511627776}}`, "Geometry.LineSize"},
+	} {
+		body := `{"programs":["li"],"instructions":20000,"config":` + tc.config + `}`
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/sweep", strings.NewReader(body)))
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400; body %s", tc.config, w.Code, w.Body.String())
+			continue
+		}
+		var doc struct{ Error, Field string }
+		if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Field != tc.field {
+			t.Errorf("%s: error field = %q, want %s (error: %s)", tc.config, doc.Field, tc.field, doc.Error)
+		}
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", "/healthz", nil))
+	if w.Code != http.StatusOK {
+		t.Errorf("healthz after the rejections = %d, want 200", w.Code)
+	}
+}
+
 // TestPredictorsEndpoint checks strategy discovery: both registered
 // families, kind order, defaults present.
 func TestPredictorsEndpoint(t *testing.T) {
