@@ -341,10 +341,6 @@ func (c Config) Validate() error {
 		return badField("Storage", "%d is not 0 (predictor state is always bit-packed)", c.Storage)
 	}
 	switch c.Predictor {
-	case PredictorPaper:
-		if c.TAGE != (TAGEParams{}) {
-			return badField("TAGE", "parameters set but Predictor is %s (select PredictorTAGE)", c.Predictor)
-		}
 	case PredictorTAGE:
 		// The paper-PHT-only knobs must stay at their defaults: they
 		// have no meaning for the tagged-geometric tables, and silently
@@ -383,7 +379,12 @@ func (c Config) Validate() error {
 			return badField("TAGE.ResetPeriod", "%d must be positive", t.ResetPeriod)
 		}
 	default:
-		return badField("Predictor", "%d is not a known predictor kind", int(c.Predictor))
+		if !c.Predictor.Valid() {
+			return badField("Predictor", "%d is not a known predictor kind", int(c.Predictor))
+		}
+		if c.TAGE != (TAGEParams{}) {
+			return badField("TAGE", "parameters set but Predictor is %s (select PredictorTAGE)", c.Predictor)
+		}
 	}
 	return nil
 }

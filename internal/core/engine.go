@@ -56,6 +56,12 @@ type Engine struct {
 	knownBuf    []bool
 	lineCodeBuf []bitable.Code
 
+	// blkPenalty and blkKind are the current block's largest Table 3
+	// charge and its kind (ties to the lower kind): Event.Penalty and
+	// Event.Kind, kept by charge as the block is consumed.
+	blkPenalty int
+	blkKind    metrics.Kind
+
 	obs Observer
 	// runObs is the observer active for the current Run: e.obs unless a
 	// gated observer reported itself disabled at Run entry, in which
@@ -140,10 +146,7 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 	if !dual {
 		role = 0
 	}
-	var penaltiesBefore [metrics.NumKinds]uint64
-	if e.runObs != nil {
-		penaltiesBefore = e.res.PenaltyCycles
-	}
+	e.blkPenalty, e.blkKind = 0, 0
 
 	e.res.Blocks++
 	e.res.Instructions += uint64(blk.n())
@@ -165,7 +168,7 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 		// lines fetched so far this cycle (§3.3, §4.5).
 		e.accessICache(sh.lines)
 		if e.geom.Conflict(e.linesA, sh.lines) {
-			e.res.AddPenalty(metrics.BankConflict,
+			e.charge(metrics.BankConflict,
 				metrics.Penalty(metrics.BankConflict, role, e.cfg.Selection))
 		}
 		e.linesA = append(e.linesA, sh.lines...)
@@ -184,7 +187,7 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 			ssc := e.scan(blk, staleCodes, e.pred)
 			tsc := e.scan(blk, trueCodes, e.pred)
 			if ssc.exit != tsc.exit || ssc.sel.Source != tsc.sel.Source {
-				e.res.AddPenalty(metrics.BITMispredict,
+				e.charge(metrics.BITMispredict,
 					metrics.Penalty(metrics.BITMispredict, role, e.cfg.Selection))
 			}
 		}
@@ -204,7 +207,7 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 	kind, redirect, extra := e.classify(blk, sc, predNext, predOK, role)
 
 	if redirect {
-		e.res.AddPenalty(kind, metrics.Penalty(kind, role, e.cfg.Selection)+extra)
+		e.charge(kind, metrics.Penalty(kind, role, e.cfg.Selection)+extra)
 	}
 
 	// Select-table verification for the successor fetch (§3.1-3.2).
@@ -287,18 +290,25 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 			Selector:      sc.sel,
 			PredictedNext: predNext,
 			ActualNext:    blk.next,
+			Penalty:       e.blkPenalty,
+			Kind:          e.blkKind,
 			Redirect:      redirect,
 		}
 		if x := blk.exitIdx(); x >= 0 {
 			ev.ExitClass = blk.insts[x].Class
 		}
-		// Report the largest charge attributed to this block.
-		for k := metrics.Kind(0); k < metrics.NumKinds; k++ {
-			if d := int(e.res.PenaltyCycles[k] - penaltiesBefore[k]); d > ev.Penalty {
-				ev.Penalty, ev.Kind = d, k
-			}
-		}
 		e.runObs.Observe(ev)
+	}
+}
+
+// charge records a Table 3 penalty against the current block and keeps
+// the block's largest charge for its Event, ties going to the lower
+// kind. consume charges each kind at most once per block, so this is
+// the largest per-kind increase of PenaltyCycles over the block.
+func (e *Engine) charge(k metrics.Kind, cycles int) {
+	e.res.AddPenalty(k, cycles)
+	if cycles > e.blkPenalty || (cycles > 0 && cycles == e.blkPenalty && k < e.blkKind) {
+		e.blkPenalty, e.blkKind = cycles, k
 	}
 }
 
@@ -405,10 +415,10 @@ func (e *Engine) verifyST(blk *block, sc scanResult, ghrPre uint32, succRole int
 	mismatchGHR := !valid || !slot.SameGHR(sc.sel)
 	if !squashed {
 		if mismatchMux {
-			e.res.AddPenalty(metrics.Misselect,
+			e.charge(metrics.Misselect,
 				metrics.Penalty(metrics.Misselect, succRole, e.cfg.Selection))
 		} else if mismatchGHR {
-			e.res.AddPenalty(metrics.GHRMispredict,
+			e.charge(metrics.GHRMispredict,
 				metrics.Penalty(metrics.GHRMispredict, succRole, e.cfg.Selection))
 		}
 	}

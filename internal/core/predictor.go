@@ -137,10 +137,18 @@ var predictorReg = map[PredictorKind]predictorEntry{}
 
 // RegisterPredictor installs a strategy factory. Called from package
 // init functions only (the paper predictor here; internal/tage
-// registers itself on import) — the registry is not synchronized.
+// registers itself on import) — the registry is not synchronized. A
+// kind other than the built-in ones becomes known, and valid in a
+// Config, under info.Name.
 func RegisterPredictor(info PredictorInfo, build func(Config) (Predictor, error)) {
 	if _, dup := predictorReg[info.Kind]; dup {
 		panic(fmt.Sprintf("core: RegisterPredictor: kind %s registered twice", info.Kind))
+	}
+	if !info.Kind.Valid() {
+		if _, err := ParsePredictorKind(info.Name); info.Name == "" || err == nil {
+			panic(fmt.Sprintf("core: RegisterPredictor: kind %d needs a new name, got %q", int(info.Kind), info.Name))
+		}
+		predictorKindNames[info.Kind] = info.Name
 	}
 	info.Name = info.Kind.String()
 	predictorReg[info.Kind] = predictorEntry{info: info, build: build}

@@ -95,27 +95,30 @@ func (b *Batch) Flush() {
 }
 
 // runGroup is one lane job: a fresh LaneSet over one program's trace,
-// filling the group's future for every lane at that program.
+// filling the group's future for every lane at that program. An error,
+// or a panic recovered as a *PanicError, fails every lane's future.
 func (b *Batch) runGroup(g *laneGroup, pi int, name string) {
-	fill := func(vals []metrics.Result, err error) {
-		for l := range g.rows {
-			f := g.rows[l][pi]
-			if err != nil {
-				f.err = err
-			} else {
-				f.val = vals[l]
-			}
-			close(f.done)
+	rs, err := b.runLanes(g, name)
+	for l, row := range g.rows {
+		f := row[pi]
+		if err != nil {
+			f.err = err
+		} else {
+			f.val = rs[l]
 		}
+		close(f.done)
 	}
+}
+
+// runLanes runs the group's lanes over one program's trace.
+func (b *Batch) runLanes(g *laneGroup, name string) (rs []metrics.Result, err error) {
+	defer recoverJob(&err)
 	if err := b.ctx.Err(); err != nil {
-		fill(nil, err)
-		return
+		return nil, err
 	}
 	ls, err := core.NewLanes(g.cfgs)
 	if err != nil {
-		fill(nil, err)
-		return
+		return nil, err
 	}
 	tr := trace.WithContext(b.ctx, b.ts.traces[name].Clone())
 	if b.ts.warmup {
@@ -124,10 +127,9 @@ func (b *Batch) runGroup(g *laneGroup, pi int, name string) {
 	for li, e := range ls.Lanes() {
 		b.ts.attachObserver(e, name, g.cfgs[li])
 	}
-	rs := ls.Run(tr)
+	rs = ls.Run(tr)
 	if err := b.ctx.Err(); err != nil {
-		fill(nil, err)
-		return
+		return nil, err
 	}
-	fill(rs, nil)
+	return rs, nil
 }

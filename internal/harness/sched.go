@@ -2,7 +2,9 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -266,13 +268,33 @@ type Future[T any] struct {
 	err  error
 }
 
+// PanicError is the error a job resolves to when it panics: the pool
+// recovers per job, so one faulty job fails only its own futures while
+// the worker, the pool and every other job carry on.
+type PanicError struct {
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("harness: job panicked: %v", e.Value) }
+
+// recoverJob, deferred by a job body, turns a panic into a *PanicError
+// in *err.
+func recoverJob(err *error) {
+	if v := recover(); v != nil {
+		*err = &PanicError{Value: v, Stack: debug.Stack()}
+	}
+}
+
 // Submit schedules fn on s and returns its future. On a serial
-// scheduler fn runs before Submit returns.
+// scheduler fn runs before Submit returns. A panic in fn resolves the
+// future to a *PanicError.
 func Submit[T any](s *Scheduler, fn func() (T, error)) *Future[T] {
 	f := &Future[T]{done: make(chan struct{})}
 	s.submit(func() {
+		defer close(f.done)
+		defer recoverJob(&f.err)
 		f.val, f.err = fn()
-		close(f.done)
 	})
 	return f
 }

@@ -108,6 +108,7 @@ type metricsSet struct {
 	requestsCancelled   *expvar.Int // client gone / deadline exceeded
 	requestsErrored     *expvar.Int // everything else (500s, 503s)
 	requestsNotModified *expvar.Int // 304 ETag revalidations
+	jobPanics           *expvar.Int // requests failed by a panicking pool job
 	inflight            *expvar.Int // admitted and currently running
 
 	queueCapacity int64
@@ -136,6 +137,7 @@ func newMetricsSet(queueCapacity int, cacheStats func() (hits, misses uint64),
 		requestsCancelled:   new(expvar.Int),
 		requestsErrored:     new(expvar.Int),
 		requestsNotModified: new(expvar.Int),
+		jobPanics:           new(expvar.Int),
 		inflight:            new(expvar.Int),
 		queueCapacity:       int64(queueCapacity),
 		hist:                newHistogram(),
@@ -167,6 +169,7 @@ func (m *metricsSet) observeLatency(d time.Duration) { m.hist.observe(d) }
 type metricsSnapshot struct {
 	Total, OK, Rejected, Bad, Cancelled, Errored int64
 	NotModified                                  int64
+	JobPanics                                    int64
 	Inflight                                     int64
 	CacheHits, CacheMisses                       uint64
 	Results                                      resultCacheStats
@@ -187,6 +190,7 @@ func (m *metricsSet) snapshot() metricsSnapshot {
 		Cancelled:   m.requestsCancelled.Value(),
 		Errored:     m.requestsErrored.Value(),
 		NotModified: m.requestsNotModified.Value(),
+		JobPanics:   m.jobPanics.Value(),
 		Inflight:    m.inflight.Value(),
 		CacheHits:   hits,
 		CacheMisses: misses,
@@ -250,6 +254,7 @@ func (m *metricsSet) writeJSON(w io.Writer, s metricsSnapshot) {
 		"requests_cancelled":     s.Cancelled,
 		"requests_errored":       s.Errored,
 		"requests_not_modified":  s.NotModified,
+		"job_panics":             s.JobPanics,
 		"inflight":               s.Inflight,
 		"queue_depth":            s.Inflight,
 		"queue_capacity":         m.queueCapacity,
@@ -259,9 +264,9 @@ func (m *metricsSet) writeJSON(w io.Writer, s metricsSnapshot) {
 		"result_cache_misses":    s.Results.Misses,
 		"result_cache_coalesced": s.Results.Coalesced,
 		"result_cache_evictions": s.Results.Evictions,
-		"job_latency_ms":     latency,
-		"job_latency_count":  s.Hist.Count,
-		"job_latency_sum_ms": s.Hist.Sum.Milliseconds(),
+		"job_latency_ms":         latency,
+		"job_latency_count":      s.Hist.Count,
+		"job_latency_sum_ms":     s.Hist.Sum.Milliseconds(),
 		"state_bits": map[string]int{
 			"pht":          m.stateBits.PHT,
 			"bit":          m.stateBits.BIT,
@@ -357,6 +362,10 @@ func (m *metricsSet) writeProm(w io.Writer, s metricsSnapshot) {
 	} {
 		p("mbbpd_request_outcomes_total{outcome=%q} %d\n", o.label, o.v)
 	}
+
+	p("# HELP mbbpd_job_panics_total Sweep requests failed by a panicking pool job (answered 500).\n")
+	p("# TYPE mbbpd_job_panics_total counter\n")
+	p("mbbpd_job_panics_total %d\n", s.JobPanics)
 
 	p("# HELP mbbpd_inflight_requests Admitted sweep requests currently running.\n")
 	p("# TYPE mbbpd_inflight_requests gauge\n")

@@ -745,6 +745,7 @@ func (s *Server) failStreamed(log *slog.Logger, err error, elapsed time.Duration
 		log.Info("stream cancelled", "dur_ms", elapsed.Milliseconds())
 	default:
 		s.metrics.requestsErrored.Add(1)
+		s.countPanic(log, err)
 		log.Error("stream failed", "err", err, "dur_ms", elapsed.Milliseconds())
 	}
 }
@@ -766,8 +767,20 @@ func (s *Server) failSweep(w http.ResponseWriter, log *slog.Logger, err error, e
 		s.writeError(w, http.StatusBadRequest, err)
 	default:
 		s.metrics.requestsErrored.Add(1)
+		s.countPanic(log, err)
 		log.Error("sweep failed", "err", err)
 		s.writeError(w, http.StatusInternalServerError, err)
+	}
+}
+
+// countPanic counts and logs, with its stack, a failure caused by a
+// panicking pool job. The pool recovered the panic into this request's
+// futures alone, so the server and every other request carry on.
+func (s *Server) countPanic(log *slog.Logger, err error) {
+	var pe *harness.PanicError
+	if errors.As(err, &pe) {
+		s.metrics.jobPanics.Add(1)
+		log.Error("sweep job panicked", "panic", fmt.Sprint(pe.Value), "stack", string(pe.Stack))
 	}
 }
 

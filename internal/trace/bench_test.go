@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"mbbp/internal/cpu"
@@ -32,4 +34,35 @@ func BenchmarkBufferIteration(b *testing.B) {
 		}
 	}
 	b.SetBytes(4096 * 8)
+}
+
+// benchFileRecords sizes the file benchmarks: one million records, the
+// scale of a saved workload trace.
+const benchFileRecords = 1 << 20
+
+func BenchmarkSave(b *testing.B) {
+	buf := randomBuffer("bench", benchFileRecords, 1)
+	b.SetBytes(8 * benchFileRecords)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := buf.Save(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLoad(b *testing.B) {
+	var file bytes.Buffer
+	if err := randomBuffer("bench", benchFileRecords, 1).Save(&file); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(8 * benchFileRecords)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Load(bytes.NewReader(file.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

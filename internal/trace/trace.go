@@ -2,6 +2,13 @@
 // that connects the functional CPU to the fetch simulator: packed
 // retired-instruction records, an in-memory buffer, streaming sources,
 // stream statistics, and a binary file format.
+//
+// Trace files are read and written in fixed 64 KiB chunks (Load, Save)
+// with a fixed number of allocations per call. A file's header record
+// count is untrusted: Load reserves at most 1<<20 records up front and
+// grows only as records arrive. Save refuses a buffer the format cannot
+// carry — a name over 64 KiB or more than 2^32-1 records — before
+// writing anything.
 package trace
 
 import (
