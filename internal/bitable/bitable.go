@@ -143,13 +143,7 @@ type Table struct {
 	bits     int
 	owners   []uint32
 
-	pk *packed.CodeArray // entries * lineSize codes, flat
-
-	// Rotating decode buffers for lookups: the engine's stale-BIT
-	// check holds two lines' codes at once, so a decoded slice stays
-	// valid until the second-following Lookup.
-	scratch [2][]Code
-	cur     int
+	pk packed.CodeArray // entries * lineSize codes, flat
 }
 
 // New creates a table with the given number of line entries and code
@@ -172,9 +166,7 @@ func New(entries, lineSize int, nearBlock bool) *Table {
 	for i := range t.owners {
 		t.owners[i] = invalidOwner
 	}
-	t.pk = packed.NewCodeArray(entries*lineSize, t.bits)
-	t.scratch[0] = make([]Code, lineSize)
-	t.scratch[1] = make([]Code, lineSize)
+	t.pk = *packed.NewCodeArray(entries*lineSize, t.bits)
 	return t
 }
 
@@ -187,53 +179,61 @@ func (t *Table) Entries() int { return len(t.owners) }
 // LineSize returns codes per entry.
 func (t *Table) LineSize() int { return t.lineSize }
 
-// Lookup returns the stored codes for the line and whether they belong
-// to it. Perfect tables return (nil, true): the caller uses the true
-// codes. A never-filled entry returns (nil, false). The returned slice
-// is a decoded copy valid until the second-following Lookup.
-func (t *Table) Lookup(lineAddr uint32) (codes []Code, fresh bool) {
+// Lookup copies the stored codes of positions off..off+len(dst)-1 of
+// the line at lineAddr into dst and reports whether the entry belongs
+// to that line. A never-filled entry reads as CodePlain and is not
+// fresh; an entry owned by another line yields that line's codes, stale.
+// Perfect tables report fresh and leave dst alone: the caller uses the
+// true codes. The engine reads exactly the positions a block covers,
+// one run per line it touches.
+func (t *Table) Lookup(lineAddr uint32, off int, dst []Code) (fresh bool) {
 	if t.Perfect() {
-		return nil, true
+		return true
 	}
+	t.checkRun("Lookup", off, len(dst))
 	i := int(lineAddr) & (len(t.owners) - 1)
 	if t.owners[i] == invalidOwner {
-		return nil, false
+		for j := range dst {
+			dst[j] = CodePlain
+		}
+		return false
 	}
-	fresh = t.owners[i] == lineAddr
-	off := i * t.lineSize
-	out := t.scratch[t.cur]
-	t.cur ^= 1
-	for j := 0; j < t.lineSize; j++ {
-		out[j] = Code(t.pk.Get(off + j))
+	base := i*t.lineSize + off
+	for j := range dst {
+		dst[j] = Code(t.pk.Get(base + j))
 	}
-	return out, fresh
+	return t.owners[i] == lineAddr
 }
 
-// Fill installs the codes for a line (after the line has been fetched
-// and decoded). codes must have length LineSize; positions the caller
-// does not know keep their previous value when the owner is unchanged
-// and are zeroed otherwise, via the mask: only positions i with
-// known[i] set are written.
-func (t *Table) Fill(lineAddr uint32, codes []Code, known []bool) {
+// Fill installs the decoded codes of positions off..off+len(codes)-1
+// of the line at lineAddr (after the line has been fetched and
+// decoded). When the entry already belongs to the line, the positions
+// outside the run keep their codes; otherwise the entry is claimed for
+// the line and every other position is cleared to CodePlain.
+func (t *Table) Fill(lineAddr uint32, off int, codes []Code) {
 	if t.Perfect() {
 		return
 	}
-	if len(codes) != t.lineSize || len(known) != t.lineSize {
-		panic("bitable: Fill length mismatch")
-	}
+	t.checkRun("Fill", off, len(codes))
 	i := int(lineAddr) & (len(t.owners) - 1)
-	off := i * t.lineSize
+	base := i * t.lineSize
 	if t.owners[i] != lineAddr {
 		// Evict: forget the old line entirely.
 		for j := 0; j < t.lineSize; j++ {
-			t.pk.Set(off+j, uint8(CodePlain))
+			t.pk.Set(base+j, uint8(CodePlain))
 		}
 		t.owners[i] = lineAddr
 	}
-	for j := 0; j < t.lineSize; j++ {
-		if known[j] {
-			t.pk.Set(off+j, uint8(codes[j]))
-		}
+	for j, c := range codes {
+		t.pk.Set(base+off+j, uint8(c))
+	}
+}
+
+// checkRun panics unless positions off..off+n-1 lie within one line.
+func (t *Table) checkRun(op string, off, n int) {
+	if off < 0 || n < 0 || off+n > t.lineSize {
+		panic(fmt.Sprintf("bitable: %s of positions [%d,%d) outside a %d-instruction line",
+			op, off, off+n, t.lineSize))
 	}
 }
 

@@ -86,9 +86,9 @@ func TestPerfectTable(t *testing.T) {
 	if !p.Perfect() {
 		t.Fatal("entries=0 should be perfect")
 	}
-	codes, fresh := p.Lookup(40)
-	if codes != nil || !fresh {
-		t.Error("perfect table should report (nil, true)")
+	dst := []Code{CodeReturn}
+	if fresh := p.Lookup(40, 0, dst); !fresh || dst[0] != CodeReturn {
+		t.Error("perfect table should report fresh and leave dst alone")
 	}
 	if got := p.CostBits(false); got != 0 {
 		t.Errorf("perfect table cost = %d, want 0", got)
@@ -97,64 +97,59 @@ func TestPerfectTable(t *testing.T) {
 
 func TestFiniteTableAliasing(t *testing.T) {
 	tb := New(4, 8, true) // 4 line entries
-	mk := func(c Code) ([]Code, []bool) {
-		codes := make([]Code, 8)
-		known := make([]bool, 8)
-		codes[3] = c
-		known[3] = true
-		return codes, known
+	got := make([]Code, 1)
+	lookup := func(addr uint32) (Code, bool) {
+		fresh := tb.Lookup(addr, 3, got)
+		return got[0], fresh
 	}
 
-	// A never-filled entry is not fresh.
-	if _, fresh := tb.Lookup(0); fresh {
-		t.Error("cold entry should not be fresh")
+	// A never-filled entry is not fresh and reads as plain.
+	if c, fresh := lookup(0); fresh || c != CodePlain {
+		t.Errorf("cold entry: fresh=%v code=%v, want stale plain", fresh, c)
 	}
 
-	c0, k0 := mk(CodeCondLong)
-	tb.Fill(0, c0, k0) // line at address 0 (line index 0, entry 0)
-	codes, fresh := tb.Lookup(0)
-	if !fresh || codes[3] != CodeCondLong {
-		t.Fatalf("after fill: fresh=%v codes[3]=%v", fresh, codes[3])
+	tb.Fill(0, 3, []Code{CodeCondLong}) // line at address 0 (line index 0, entry 0)
+	if c, fresh := lookup(0); !fresh || c != CodeCondLong {
+		t.Fatalf("after fill: fresh=%v codes[3]=%v", fresh, c)
 	}
 
 	// Line address 32 = line index 4 aliases entry 0 (4 entries).
-	codes, fresh = tb.Lookup(32)
+	c, fresh := lookup(32)
 	if fresh {
 		t.Error("aliased lookup should be stale")
 	}
-	if codes[3] != CodeCondLong {
+	if c != CodeCondLong {
 		t.Error("stale lookup should expose the alias's codes")
 	}
 
 	// Filling the alias evicts the old line entirely.
-	c1, k1 := mk(CodeReturn)
-	tb.Fill(32, c1, k1)
-	if _, fresh := tb.Lookup(0); fresh {
+	tb.Fill(32, 3, []Code{CodeReturn})
+	if _, fresh := lookup(0); fresh {
 		t.Error("evicted line should be stale")
 	}
-	codes, fresh = tb.Lookup(32)
-	if !fresh || codes[3] != CodeReturn {
-		t.Errorf("alias after fill: fresh=%v codes[3]=%v", fresh, codes[3])
+	if c, fresh := lookup(32); !fresh || c != CodeReturn {
+		t.Errorf("alias after fill: fresh=%v codes[3]=%v", fresh, c)
 	}
 }
 
 func TestFillMergesKnownPositions(t *testing.T) {
 	tb := New(2, 8, true)
-	codes := make([]Code, 8)
-	known := make([]bool, 8)
-	codes[1], known[1] = CodeCondLong, true
-	tb.Fill(0, codes, known)
+	tb.Fill(0, 1, []Code{CodeCondLong})
 
 	// A second fill of the same line with a different position must
 	// keep position 1.
-	codes2 := make([]Code, 8)
-	known2 := make([]bool, 8)
-	codes2[5], known2[5] = CodeReturn, true
-	tb.Fill(0, codes2, known2)
+	tb.Fill(0, 5, []Code{CodeReturn})
 
-	got, fresh := tb.Lookup(0)
+	got := make([]Code, 8)
+	fresh := tb.Lookup(0, 0, got)
 	if !fresh || got[1] != CodeCondLong || got[5] != CodeReturn {
 		t.Errorf("merge failed: fresh=%v codes=%v", fresh, got)
+	}
+	// Evicting fills clear the positions the run does not cover.
+	tb.Fill(16, 5, []Code{CodeOther})
+	tb.Lookup(16, 0, got)
+	if got[1] != CodePlain || got[5] != CodeOther {
+		t.Errorf("evicting fill kept the old line's codes: %v", got)
 	}
 }
 

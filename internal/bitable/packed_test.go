@@ -6,8 +6,10 @@ import (
 )
 
 // Property: the packed table and the wide-slice oracle (refTable) are
-// observationally identical under any Fill/Lookup stream, for both code
-// widths.
+// observationally identical under any stream of run fills and run
+// lookups, for both code widths. A run covers positions off..off+n-1 of
+// one line, as the engine's per-line block runs do; the oracle takes
+// the equivalent known mask and reads whole lines.
 func TestPackedMatchesReference(t *testing.T) {
 	for _, near := range []bool{false, true} {
 		near := near
@@ -21,24 +23,31 @@ func TestPackedMatchesReference(t *testing.T) {
 			}
 			codes := make([]Code, line)
 			known := make([]bool, line)
+			got := make([]Code, line)
 			for _, op := range ops {
 				addr := (op >> 8) % 64 * line
+				off := int(op>>1) % line
+				n := int(op>>4)%(line-off) + 1
 				if op&1 == 0 {
 					for j := range codes {
 						codes[j] = Code(op>>uint(2*j)) & maxCode
-						known[j] = op>>uint(j)&1 == 1
+						known[j] = j >= off && j < off+n
 					}
-					pk.Fill(addr, codes, known)
+					pk.Fill(addr, off, codes[off:off+n])
 					ref.Fill(addr, codes, known)
 					continue
 				}
-				cp, fp := pk.Lookup(addr)
+				fp := pk.Lookup(addr, off, got[:n])
 				cr, fr := ref.Lookup(addr)
-				if fp != fr || (cp == nil) != (cr == nil) {
+				if fp != fr {
 					return false
 				}
-				for j := range cp {
-					if cp[j] != cr[j] {
+				for j := 0; j < n; j++ {
+					want := CodePlain
+					if cr != nil {
+						want = cr[off+j]
+					}
+					if got[j] != want {
 						return false
 					}
 				}
@@ -51,22 +60,23 @@ func TestPackedMatchesReference(t *testing.T) {
 	}
 }
 
-// The engine's stale-BIT check holds two decoded lines at once; the
-// packed table's rotating scratch must keep the first alive across the
-// second Lookup.
-func TestPackedLookupDoubleBuffer(t *testing.T) {
-	tb := New(32, 4, true)
-	fill := func(addr uint32, c Code) {
-		codes := []Code{c, c, c, c}
-		known := []bool{true, true, true, true}
-		tb.Fill(addr, codes, known)
-	}
-	fill(0, CodeReturn)
-	fill(4, CodeOther)
-	a, _ := tb.Lookup(0)
-	b, _ := tb.Lookup(4)
-	if a[0] != CodeReturn || b[0] != CodeOther {
-		t.Fatalf("double-buffer violated: a[0]=%v b[0]=%v", a[0], b[0])
+// Runs that leave their line panic rather than touch the next entry.
+func TestRunOutsideLinePanics(t *testing.T) {
+	tb := New(4, 8, false)
+	for name, f := range map[string]func(){
+		"fill past end":    func() { tb.Fill(0, 6, make([]Code, 3)) },
+		"lookup past end":  func() { tb.Lookup(0, 0, make([]Code, 9)) },
+		"negative offset":  func() { tb.Lookup(0, -1, make([]Code, 1)) },
+		"fill offset only": func() { tb.Fill(0, 9, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }
 

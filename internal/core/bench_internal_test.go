@@ -68,11 +68,12 @@ func BenchmarkScanOnly(b *testing.B) {
 	}
 	e.pred.Lookup(0, 0)
 	sh := newSharedBlock(e.geom)
+	var sc scanResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		blk := &blocks[i%len(blocks)]
 		sh.set(blk)
-		_ = e.scan(blk, sh.trueCodes(e.cfg.NearBlock), e.pred)
+		e.scan(blk, sh.trueCodes(e.cfg.NearBlock), e.pred, &sc)
 	}
 }
 

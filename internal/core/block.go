@@ -4,6 +4,7 @@ import (
 	"mbbp/internal/cpu"
 	"mbbp/internal/icache"
 	"mbbp/internal/isa"
+	"mbbp/internal/packed"
 )
 
 // block is one actual fetch block of the dynamic stream: a run of
@@ -15,9 +16,23 @@ type block struct {
 	start uint32
 	insts []cpu.Retired // len 1..BlockWidth, backed by the reader's scratch
 	next  uint32        // starting address of the following block
+	// pos0 is start mod W, the position (PHT counter, target slot) of
+	// the first instruction. It is computed once when the block is
+	// formed; later positions step from it with wrap-around at W.
+	pos0 int
 }
 
 func (b *block) n() int { return len(b.insts) }
+
+// posOf returns the position of instruction j of the block (address
+// mod w) without dividing: j < len(insts) <= w, so one wrap suffices.
+func (b *block) posOf(j, w int) int {
+	p := b.pos0 + j
+	if p >= w {
+		p -= w
+	}
+	return p
+}
 
 // exitIdx returns the index of the redirecting control transfer ending
 // the block, or -1 when the block falls through (ended by the limit).
@@ -50,7 +65,8 @@ func (b *block) condOutcomes() (n int, bits uint32) {
 type blockReader struct {
 	src     source
 	geom    icache.Geometry
-	blk     block // the block next returns; reused for every block
+	width   packed.Divisor // geom.BlockWidth, for block.pos0
+	blk     block          // the block next returns; reused for every block
 	scratch []cpu.Retired
 	pending cpu.Retired
 	have    bool
@@ -67,6 +83,7 @@ func newBlockReader(src source, geom icache.Geometry) *blockReader {
 	return &blockReader{
 		src:     src,
 		geom:    geom,
+		width:   packed.NewDivisor(uint32(geom.BlockWidth)),
 		scratch: make([]cpu.Retired, 0, geom.BlockWidth),
 	}
 }
@@ -90,7 +107,7 @@ func (r *blockReader) next() (*block, bool) {
 	r.have = false
 
 	b := &r.blk
-	*b = block{start: first.PC, insts: r.scratch[:0]}
+	*b = block{start: first.PC, insts: r.scratch[:0], pos0: int(r.width.Mod(first.PC))}
 	limit := r.geom.BlockLimit(first.PC)
 	cur := first
 	for {

@@ -20,19 +20,24 @@ import (
 // (PHT counters, target arrays, select tables) persists across Run
 // calls, so call Reset between unrelated workloads.
 type Engine struct {
-	cfg    Config
+	// The fields consume reads or writes on every block come first, so
+	// that a lane's per-block state spans as few cache lines as
+	// possible: a lane set visits every lane once per block, and with
+	// dozens of lanes each engine's header is evicted between visits.
+	// The GHR and return stack are held by value for the same reason:
+	// reading them costs no pointer hop to a line of their own.
+
 	geom   icache.Geometry
 	blocks int // blocks fetched per cycle (1, 2, or the §5 extension's 3-4)
+	role   int // role of the next block to consume: 0 = first of a group
 
-	ghr    *pht.GHR
+	ghr    pht.GHR
 	pred   Predictor
 	bit    *bitable.Table
 	tgt    target.Array
-	ras    *ras.Stack
+	ras    ras.Stack
 	st     *seltab.Table
 	icache *icache.Model // nil = perfect (the paper's assumption)
-
-	res metrics.Result
 
 	// Carried fetch state. addrRing holds the starting addresses of
 	// recently consumed blocks, most recent first: the dual (and
@@ -47,14 +52,6 @@ type Engine struct {
 	cycGHR   uint32
 	cycAddr  uint32
 	cycValid bool
-	role     int // role of the next block to consume: 0 = first of a group
-
-	// Per-engine scratch buffers, sized once in New and reused for
-	// every block so the consume hot path performs no heap allocation.
-	linesA      []uint32
-	staleBuf    []bitable.Code
-	knownBuf    []bool
-	lineCodeBuf []bitable.Code
 
 	// blkPenalty and blkKind are the current block's largest Table 3
 	// charge and its kind (ties to the lower kind): Event.Penalty and
@@ -62,12 +59,21 @@ type Engine struct {
 	blkPenalty int
 	blkKind    metrics.Kind
 
-	obs Observer
 	// runObs is the observer active for the current Run: e.obs unless a
 	// gated observer reported itself disabled at Run entry, in which
 	// case it is nil and the per-block tap cost collapses to one
 	// nil-check (the obs-overhead guarantee).
 	runObs Observer
+
+	// Per-engine scratch buffers, sized once in New and reused for
+	// every block so the consume hot path performs no heap allocation.
+	linesA   []uint32
+	staleBuf []bitable.Code
+
+	res metrics.Result
+
+	cfg Config
+	obs Observer
 }
 
 // New builds an engine for the configuration.
@@ -76,7 +82,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, geom: cfg.Geometry, blocks: cfg.Blocks()}
-	e.ghr = pht.NewGHR(cfg.HistoryBits)
+	e.ghr = *pht.NewGHR(cfg.HistoryBits)
 	pred, err := NewPredictor(cfg)
 	if err != nil {
 		return nil, err
@@ -91,10 +97,11 @@ func New(cfg Config) (*Engine, error) {
 	default:
 		e.tgt = target.NewNLS(cfg.TargetEntries, cfg.Geometry.BlockWidth, e.blocks)
 	}
-	e.ras = ras.New(cfg.RASSize)
+	e.ras = *ras.New(cfg.RASSize)
 	if e.blocks > 1 {
 		e.st = seltab.New(cfg.HistoryBits, cfg.NumSTs,
-			cfg.Geometry.BlockWidth, cfg.Geometry.LineSize, cfg.NearBlock)
+			cfg.Geometry.BlockWidth, cfg.Geometry.LineSize, cfg.NearBlock,
+			e.blocks, cfg.Selection == metrics.DoubleSelection)
 	}
 	if cfg.ICacheLines > 0 {
 		assoc := cfg.ICacheAssoc
@@ -108,7 +115,6 @@ func New(cfg Config) (*Engine, error) {
 		e.icache = m
 	}
 	e.staleBuf = make([]bitable.Code, cfg.Geometry.BlockWidth)
-	e.knownBuf = make([]bool, cfg.Geometry.LineSize)
 	return e, nil
 }
 
@@ -178,22 +184,23 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 	e.pred.Lookup(ghrPre, blk.start)
 	trueCodes := sh.trueCodes(e.cfg.NearBlock)
 
+	var sc scanResult
+	e.scan(blk, trueCodes, e.pred, &sc)
+
 	// Finite-BIT penalty: predict with the (possibly stale or missing)
 	// table contents; if that changes the prediction, the fetch logic
 	// discovers it one cycle later when the line is decoded (§4.2).
 	if e.bit != nil && !e.bit.Perfect() {
 		staleCodes, anyStale := e.staleCodes(blk)
 		if anyStale {
-			ssc := e.scan(blk, staleCodes, e.pred)
-			tsc := e.scan(blk, trueCodes, e.pred)
-			if ssc.exit != tsc.exit || ssc.sel.Source != tsc.sel.Source {
+			var ssc scanResult
+			e.scan(blk, staleCodes, e.pred, &ssc)
+			if ssc.exit != sc.exit || ssc.sel.Source != sc.sel.Source {
 				e.charge(metrics.BITMispredict,
 					metrics.Penalty(metrics.BITMispredict, role, e.cfg.Selection))
 			}
 		}
 	}
-
-	sc := e.scan(blk, trueCodes, e.pred)
 
 	// Tentative role of the successor block if this block's prediction
 	// holds: roles cycle through the group; any redirecting penalty
@@ -203,8 +210,8 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 		succRole = role + 1
 	}
 
-	predNext, predOK := e.evaluate(blk, sc, succRole)
-	kind, redirect, extra := e.classify(blk, sc, predNext, predOK, role)
+	predNext, predOK := e.evaluate(blk, &sc, succRole)
+	kind, redirect, extra := e.classify(blk, &sc, predNext, predOK, role)
 
 	if redirect {
 		e.charge(kind, metrics.Penalty(kind, role, e.cfg.Selection)+extra)
@@ -213,16 +220,20 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 	// Select-table verification for the successor fetch (§3.1-3.2).
 	// Charged only when no redirecting penalty already squashes the
 	// pipeline; updates happen regardless.
-	condFlip := kind == metrics.CondMispredict && redirect && e.condExitWeak(blk, sc)
+	condFlip := kind == metrics.CondMispredict && redirect && e.condExitWeak(blk, &sc)
 	if dual {
-		e.verifyST(blk, sc, ghrPre, succRole, redirect, condFlip)
+		e.verifyST(blk, &sc, ghrPre, succRole, redirect, condFlip)
 	}
 
 	// Direction statistics and PHT training for every conditional
 	// branch in the block (each predicted by its position counter in
 	// the entry looked up for this block).
 	w := e.geom.BlockWidth
-	for j, rec := range blk.insts {
+	for j, pos := 0, blk.pos0; j < len(blk.insts); j, pos = j+1, pos+1 {
+		if pos == w {
+			pos = 0
+		}
+		rec := &blk.insts[j]
 		if rec.Class != isa.ClassPlain {
 			e.res.Branches++
 		}
@@ -230,7 +241,6 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 			continue
 		}
 		e.res.CondBranches++
-		pos := int(blk.start+uint32(j)) % w
 		if e.pred.Taken(pos) != rec.Taken {
 			e.res.CondMispredicts++
 		}
@@ -244,8 +254,8 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 	if x := blk.exitIdx(); x >= 0 {
 		rec := blk.insts[x]
 		exitAddr := blk.start + uint32(x)
-		if e.usesTargetArray(rec, exitAddr) {
-			pos := int(exitAddr) % w
+		if usesTargetArray(rec, trueCodes[x]) {
+			pos := blk.posOf(x, w)
 			e.tgt.Update(blk.start, pos, 0, blk.next, rec.Class.IsCall())
 			for t := 1; t < e.blocks && t <= e.ringLen; t++ {
 				e.tgt.Update(e.addrRing[t-1], pos, t, blk.next, rec.Class.IsCall())
@@ -330,7 +340,7 @@ func (e *Engine) accessICache(lines []uint32) {
 // actual contents and successor, returning the Table 3 misprediction
 // kind, whether it redirects the fetch stream, and any extra penalty
 // cycles (the re-fetch adder).
-func (e *Engine) classify(blk *block, sc scanResult, predNext uint32, predOK bool, role int) (metrics.Kind, bool, int) {
+func (e *Engine) classify(blk *block, sc *scanResult, predNext uint32, predOK bool, role int) (metrics.Kind, bool, int) {
 	actualExit := blk.exitIdx()
 	switch {
 	case sc.exit < 0 && actualExit < 0:
@@ -373,7 +383,7 @@ func (e *Engine) classify(blk *block, sc scanResult, predNext uint32, predOK boo
 // happened on a branch without a "second chance" (weak counter state),
 // in which case the BBR's replacement selector is written to the select
 // table (§3.3). Reads the predictor's state for the latched block.
-func (e *Engine) condExitWeak(blk *block, sc scanResult) bool {
+func (e *Engine) condExitWeak(blk *block, sc *scanResult) bool {
 	idx := sc.exit
 	if idx < 0 {
 		idx = blk.exitIdx()
@@ -381,15 +391,16 @@ func (e *Engine) condExitWeak(blk *block, sc scanResult) bool {
 	if idx < 0 || blk.insts[idx].Class != isa.ClassCond {
 		return false
 	}
-	pos := int(blk.start+uint32(idx)) % e.geom.BlockWidth
-	return !e.pred.SecondChance(pos)
+	return !e.pred.SecondChance(blk.posOf(idx, e.geom.BlockWidth))
 }
 
 // verifyST checks the memoized selector that launched (or, with double
 // selection, will launch) this block's successor fetch against the
 // freshly computed scan, charging misselect and GHR penalties and
-// updating the table (§3.1-3.3).
-func (e *Engine) verifyST(blk *block, sc scanResult, ghrPre uint32, succRole int, squashed, condFlip bool) {
+// updating the table (§3.1-3.3). The comparison runs on packed
+// selectors: the scan's selector is encoded once, masked against the
+// stored field, and written back as is when it differs.
+func (e *Engine) verifyST(blk *block, sc *scanResult, ghrPre uint32, succRole int, squashed, condFlip bool) {
 	var ref seltab.Ref
 	role := succRole
 	switch {
@@ -409,10 +420,10 @@ func (e *Engine) verifyST(blk *block, sc scanResult, ghrPre uint32, succRole int
 		return // single selection computes first-role fetches directly
 	}
 
-	valid := ref.Valid()
-	slot := ref.Get(role)
-	mismatchMux := !valid || !slot.SameMux(sc.sel)
-	mismatchGHR := !valid || !slot.SameGHR(sc.sel)
+	raw := e.st.Encode(sc.sel)
+	slot, valid := ref.Load(role)
+	mismatchMux := !valid || !e.st.SameMux(slot, raw)
+	mismatchGHR := !valid || !e.st.SameGHR(slot, raw)
 	if !squashed {
 		if mismatchMux {
 			e.charge(metrics.Misselect,
@@ -423,7 +434,7 @@ func (e *Engine) verifyST(blk *block, sc scanResult, ghrPre uint32, succRole int
 		}
 	}
 	if mismatchMux || mismatchGHR {
-		ref.Set(role, sc.sel)
+		ref.SetRaw(role, raw)
 	}
 	if condFlip {
 		// Bad branch recovery: the mispredicted branch will predict
@@ -436,12 +447,12 @@ func (e *Engine) verifyST(blk *block, sc scanResult, ghrPre uint32, succRole int
 // usesTargetArray reports whether the exit instruction's target is
 // stored in the target array (Table 1): returns use the RAS, near-block
 // conditionals are computed, everything else redirecting uses the array.
-func (e *Engine) usesTargetArray(rec cpu.Retired, exitAddr uint32) bool {
+// code is the exit's true BIT code under the engine's encoding.
+func usesTargetArray(rec cpu.Retired, code bitable.Code) bool {
 	switch rec.Class {
 	case isa.ClassReturn:
 		return false
 	case isa.ClassCond:
-		code := bitable.Encode(rec.Class, exitAddr, rec.Target, e.geom.LineSize, e.cfg.NearBlock)
 		return !code.IsNear()
 	default:
 		return true
@@ -453,34 +464,14 @@ func (e *Engine) usesTargetArray(rec cpu.Retired, exitAddr uint32) bool {
 // the next call) and reports whether any covering entry is stale or
 // missing.
 func (e *Engine) staleCodes(blk *block) ([]bitable.Code, bool) {
+	out := e.staleBuf[:blk.n()]
 	anyStale := false
-	lineSize := uint32(e.geom.LineSize)
-	firstLine := e.geom.LineOf(blk.start)
-	lastLine := e.geom.LineOf(blk.start + uint32(blk.n()) - 1)
-	var codesA, codesB []bitable.Code
-	for l := firstLine; l <= lastLine; l++ {
-		codes, fresh := e.bit.Lookup(l * lineSize)
-		if !fresh {
+	for j := 0; j < len(out); {
+		line, off, n := e.lineRun(blk, j)
+		if !e.bit.Lookup(line, off, out[j:j+n]) {
 			anyStale = true
 		}
-		if l == firstLine {
-			codesA = codes
-		} else {
-			codesB = codes
-		}
-	}
-	out := e.staleBuf[:blk.n()]
-	for j := range out {
-		addr := blk.start + uint32(j)
-		codes := codesA
-		if e.geom.LineOf(addr) != firstLine {
-			codes = codesB
-		}
-		if codes == nil {
-			out[j] = bitable.CodePlain
-		} else {
-			out[j] = codes[addr%lineSize]
-		}
+		j += n
 	}
 	return out, anyStale
 }
@@ -490,29 +481,19 @@ func (e *Engine) fillBIT(blk *block, trueCodes []bitable.Code) {
 	if e.bit == nil || e.bit.Perfect() {
 		return
 	}
-	lineSize := uint32(e.geom.LineSize)
-	firstLine := e.geom.LineOf(blk.start)
-	lastLine := e.geom.LineOf(blk.start + uint32(blk.n()) - 1)
-	if e.lineCodeBuf == nil {
-		e.lineCodeBuf = make([]bitable.Code, e.geom.LineSize)
+	for j := 0; j < blk.n(); {
+		line, off, n := e.lineRun(blk, j)
+		e.bit.Fill(line, off, trueCodes[j:j+n])
+		j += n
 	}
-	lineCodes := e.lineCodeBuf
-	for l := firstLine; l <= lastLine; l++ {
-		known := e.knownBuf
-		for i := range known {
-			known[i] = false
-		}
-		for i := range lineCodes {
-			lineCodes[i] = bitable.CodePlain
-		}
-		for j := range blk.insts {
-			addr := blk.start + uint32(j)
-			if e.geom.LineOf(addr) == l {
-				off := addr % lineSize
-				lineCodes[off] = trueCodes[j]
-				known[off] = true
-			}
-		}
-		e.bit.Fill(l*lineSize, lineCodes, known)
-	}
+}
+
+// lineRun splits a block by cache line: the run of instructions from
+// block index j to the end of j's line (or of the block) has n
+// instructions and starts at offset off of the line at address line.
+// A block touches at most two lines, so it is at most two runs.
+func (e *Engine) lineRun(blk *block, j int) (line uint32, off, n int) {
+	addr := blk.start + uint32(j)
+	off = int(addr & uint32(e.geom.LineSize-1))
+	return e.geom.LineStart(addr), off, min(blk.n()-j, e.geom.LineSize-off)
 }

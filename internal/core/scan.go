@@ -28,54 +28,63 @@ type directionReader interface {
 // holds the BIT code for each block-relative position (true codes, or
 // stale table contents for the BIT-penalty check). dir is the direction
 // source — normally the engine's predictor, already latched on this
-// block.
-func (e *Engine) scan(blk *block, codes []bitable.Code, dir directionReader) scanResult {
+// block. The result is written to out rather than returned: returned
+// in registers, it was spilled by the caller with narrow stores and
+// reloaded with one wide load, a store-forwarding stall on every
+// block. Positions step from the block's first position with wrap-around at
+// W, so the walk does no division.
+func (e *Engine) scan(blk *block, codes []bitable.Code, dir directionReader, out *scanResult) {
 	w := e.geom.BlockWidth
-	line := uint32(e.geom.LineSize)
+	lineMask := uint32(e.geom.LineSize - 1)
 	var nt uint8
-	for j := 0; j < blk.n(); j++ {
+	for j, pos := 0, blk.pos0; j < len(blk.insts); j, pos = j+1, pos+1 {
+		if pos == w {
+			pos = 0
+		}
 		code := codes[j]
-		addr := blk.start + uint32(j)
-		pos := uint8(addr % uint32(w))
 		switch {
 		case code == bitable.CodePlain:
 			continue
 		case code == bitable.CodeReturn:
-			return scanResult{exit: j, sel: seltab.Selector{
-				Source: seltab.SrcRAS, Pos: pos, NTCount: nt,
-			}}
+			out.exit, out.sel = j, seltab.Selector{Source: seltab.SrcRAS, Pos: uint8(pos), NTCount: nt}
+			return
 		case code == bitable.CodeOther:
-			return scanResult{exit: j, sel: seltab.Selector{
-				Source: seltab.SrcTarget, Pos: pos, NTCount: nt,
-			}}
+			out.exit, out.sel = j, seltab.Selector{Source: seltab.SrcTarget, Pos: uint8(pos), NTCount: nt}
+			return
 		default: // conditional branch variants
-			if !dir.Taken(int(addr) % w) {
+			if !dir.Taken(pos) {
 				nt++
 				continue
 			}
-			sel := seltab.Selector{Pos: pos, NTCount: nt, TakenBit: true}
+			sel := seltab.Selector{Pos: uint8(pos), NTCount: nt, TakenBit: true}
 			if code.IsNear() {
-				switch code {
-				case bitable.CodeCondPrev:
-					sel.Source = seltab.SrcNearPrev
-				case bitable.CodeCondSame:
-					sel.Source = seltab.SrcNearSame
-				case bitable.CodeCondNext:
-					sel.Source = seltab.SrcNearNext
-				default:
-					sel.Source = seltab.SrcNearNext2
-				}
+				sel.Source = nearSource(code)
 				// The starting offset within the target line comes
 				// from the branch's encoded offset; the true-code scan
 				// knows it from the instruction itself.
-				sel.StartOff = uint8(blk.insts[j].Target % line)
+				sel.StartOff = uint8(blk.insts[j].Target & lineMask)
 			} else {
 				sel.Source = seltab.SrcTarget
 			}
-			return scanResult{exit: j, sel: sel}
+			out.exit, out.sel = j, sel
+			return
 		}
 	}
-	return scanResult{exit: -1, sel: seltab.Selector{Source: seltab.SrcFallThrough, NTCount: nt}}
+	out.exit, out.sel = -1, seltab.Selector{Source: seltab.SrcFallThrough, NTCount: nt}
+}
+
+// nearSource maps a near-block BIT code to its adder input.
+func nearSource(code bitable.Code) seltab.Source {
+	switch code {
+	case bitable.CodeCondPrev:
+		return seltab.SrcNearPrev
+	case bitable.CodeCondSame:
+		return seltab.SrcNearSame
+	case bitable.CodeCondNext:
+		return seltab.SrcNearNext
+	default:
+		return seltab.SrcNearNext2
+	}
 }
 
 // evaluate resolves a scan's selector to the concrete successor address,
@@ -83,7 +92,7 @@ func (e *Engine) scan(blk *block, codes []bitable.Code, dir directionReader) sca
 // of §3.1 indexes the first target by the block's own address and the
 // second target by its predecessor's address). ok is false when a
 // tagged target array missed.
-func (e *Engine) evaluate(blk *block, sc scanResult, succRole int) (addr uint32, ok bool) {
+func (e *Engine) evaluate(blk *block, sc *scanResult, succRole int) (addr uint32, ok bool) {
 	switch sc.sel.Source {
 	case seltab.SrcFallThrough:
 		return blk.start + uint32(blk.n()), true
@@ -122,8 +131,8 @@ func (e *Engine) evaluate(blk *block, sc scanResult, succRole int) (addr uint32,
 // written into the select table after a misprediction without a second
 // chance.
 func (e *Engine) correctedSelector(blk *block) seltab.Selector {
-	w := uint32(e.geom.BlockWidth)
-	line := uint32(e.geom.LineSize)
+	w := e.geom.BlockWidth
+	lineMask := uint32(e.geom.LineSize - 1)
 	var nt uint8
 	for j, rec := range blk.insts {
 		if rec.Class == isa.ClassCond && !rec.Taken {
@@ -134,7 +143,7 @@ func (e *Engine) correctedSelector(blk *block) seltab.Selector {
 			continue
 		}
 		addr := blk.start + uint32(j)
-		sel := seltab.Selector{Pos: uint8(addr % w), NTCount: nt}
+		sel := seltab.Selector{Pos: uint8(blk.posOf(j, w)), NTCount: nt}
 		switch rec.Class {
 		case isa.ClassReturn:
 			sel.Source = seltab.SrcRAS
@@ -142,17 +151,8 @@ func (e *Engine) correctedSelector(blk *block) seltab.Selector {
 			sel.TakenBit = true
 			code := bitable.Encode(rec.Class, addr, rec.Target, e.geom.LineSize, e.cfg.NearBlock)
 			if code.IsNear() {
-				switch code {
-				case bitable.CodeCondPrev:
-					sel.Source = seltab.SrcNearPrev
-				case bitable.CodeCondSame:
-					sel.Source = seltab.SrcNearSame
-				case bitable.CodeCondNext:
-					sel.Source = seltab.SrcNearNext
-				default:
-					sel.Source = seltab.SrcNearNext2
-				}
-				sel.StartOff = uint8(rec.Target % line)
+				sel.Source = nearSource(code)
+				sel.StartOff = uint8(rec.Target & lineMask)
 			} else {
 				sel.Source = seltab.SrcTarget
 			}

@@ -19,6 +19,13 @@ func (e *Engine) trueCodes(blk *block) []bitable.Code {
 	return sh.trueCodes(e.cfg.NearBlock)
 }
 
+// scanOf scans blk over its true codes with dir and returns the result.
+func (e *Engine) scanOf(blk *block, dir directionReader) scanResult {
+	var sc scanResult
+	e.scan(blk, e.trueCodes(blk), dir, &sc)
+	return sc
+}
+
 // table2Engine builds an engine with near-block encoding for the
 // paper's Table 2 example and a PHT entry holding the example's counter
 // values: position 1 = 10 (weakly taken), position 5 = 11 (strongly
@@ -81,7 +88,7 @@ func blockFrom(line []cpu.Retired, startPos, exitPos int, taken bool, next uint3
 	if taken {
 		insts[len(insts)-1].Taken = true
 	}
-	return &block{start: line[startPos].PC, insts: insts, next: next}
+	return &block{start: line[startPos].PC, insts: insts, next: next, pos0: startPos}
 }
 
 // TestTable2Example reproduces every starting position of the paper's
@@ -108,7 +115,7 @@ func TestTable2Example(t *testing.T) {
 	// Starting position 0: exit position 1 — the branch at 9 is
 	// predicted taken (PHT 10) with a prev-line near target.
 	b0 := blockFrom(line, 0, 1, true, 2)
-	sc := e.scan(b0, e.trueCodes(b0), entryOf(entry))
+	sc := e.scanOf(b0, entryOf(entry))
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcNearPrev {
 		t.Errorf("start 0: exit %d source %v, want 1, near-prev", sc.exit, sc.sel.Source)
 	}
@@ -116,7 +123,7 @@ func TestTable2Example(t *testing.T) {
 		t.Errorf("start 0 selector = %+v", sc.sel)
 	}
 	// Near-block targets are computed exactly.
-	if addr, ok := e.evaluate(b0, sc, 0); !ok || addr != 2 {
+	if addr, ok := e.evaluate(b0, &sc, 0); !ok || addr != 2 {
 		t.Errorf("start 0 target = %d, want 2", addr)
 	}
 	// On misprediction, the alternate is the next control transfer in
@@ -134,7 +141,7 @@ func TestTable2Example(t *testing.T) {
 	// Starting position 2: exit position 3, always the target array
 	// ("NLS(3)"), no misprediction possible.
 	b2 := blockFrom(line, 2, 3, true, 100)
-	sc = e.scan(b2, e.trueCodes(b2), entryOf(entry))
+	sc = e.scanOf(b2, entryOf(entry))
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcTarget || sc.sel.Pos != 3 {
 		t.Errorf("start 2: exit %d sel %+v, want exit 1 (pos 3), target", sc.exit, sc.sel)
 	}
@@ -146,7 +153,7 @@ func TestTable2Example(t *testing.T) {
 	// NLS(5). On misprediction the alternate is the return at 7 (RAS),
 	// and the second-chance bit means the prediction does not change.
 	b4 := blockFrom(line, 4, 5, true, 200)
-	sc = e.scan(b4, e.trueCodes(b4), entryOf(entry))
+	sc = e.scanOf(b4, entryOf(entry))
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcTarget || sc.sel.Pos != 5 {
 		t.Errorf("start 4: sel %+v, want target@5", sc.sel)
 	}
@@ -160,7 +167,7 @@ func TestTable2Example(t *testing.T) {
 
 	// Starting position 6: exit position 7, return — RAS.
 	b6 := blockFrom(line, 6, 7, true, 77)
-	sc = e.scan(b6, e.trueCodes(b6), entryOf(entry))
+	sc = e.scanOf(b6, entryOf(entry))
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcRAS || sc.sel.Pos != 7 {
 		t.Errorf("start 6: sel %+v, want ras@7", sc.sel)
 	}
@@ -202,7 +209,7 @@ func TestTable1PredictionSources(t *testing.T) {
 			insts: []cpu.Retired{{PC: 8, Class: c.class, Taken: true, Target: c.target}},
 			next:  c.target,
 		}
-		sc := e.scan(blk, e.trueCodes(blk), entryOf(taken))
+		sc := e.scanOf(blk, entryOf(taken))
 		if sc.exit != 0 || sc.sel.Source != c.want {
 			t.Errorf("%v target %d: source %v, want %v", c.class, c.target, sc.sel.Source, c.want)
 		}
@@ -214,11 +221,11 @@ func TestTable1PredictionSources(t *testing.T) {
 		insts: []cpu.Retired{{PC: 8, Class: isa.ClassPlain}, {PC: 9, Class: isa.ClassPlain}},
 		next:  10,
 	}
-	sc := e.scan(blk, e.trueCodes(blk), entryOf(taken))
+	sc := e.scanOf(blk, entryOf(taken))
 	if sc.exit != -1 || sc.sel.Source != seltab.SrcFallThrough {
 		t.Errorf("plain block: %+v, want fall-through", sc.sel)
 	}
-	if addr, _ := e.evaluate(blk, sc, 0); addr != 10 {
+	if addr, _ := e.evaluate(blk, &sc, 0); addr != 10 {
 		t.Errorf("fall-through address = %d, want 10", addr)
 	}
 
@@ -232,7 +239,7 @@ func TestTable1PredictionSources(t *testing.T) {
 		},
 		next: 55,
 	}
-	sc = e.scan(blk, e.trueCodes(blk), entryOf(weak))
+	sc = e.scanOf(blk, entryOf(weak))
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcRAS || sc.sel.NTCount != 1 {
 		t.Errorf("skip-NT scan = exit %d %+v", sc.exit, sc.sel)
 	}
@@ -255,8 +262,9 @@ func TestGeometryPositionWrap(t *testing.T) {
 		start: 12,
 		insts: []cpu.Retired{{PC: 12, Class: isa.ClassCond, Taken: true, Target: 300}},
 		next:  300,
+		pos0:  12 % 8,
 	}
-	sc := e.scan(blk, e.trueCodes(blk), entryOf(entry))
+	sc := e.scanOf(blk, entryOf(entry))
 	if sc.exit != 0 || !sc.sel.TakenBit {
 		t.Errorf("wrapped counter not used: %+v", sc.sel)
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "mbbp/internal/metrics"
-
 // TargetLineIndexBits is the Table 7 convention for the size of a
 // stored target: a 10-bit line index into the paper's 32 KByte
 // direct-mapped instruction cache.
@@ -44,7 +42,7 @@ func (e *Engine) StateBits() StateBitsBreakdown {
 		s.BIT = e.bit.StateBits()
 	}
 	if e.st != nil {
-		s.SelectTable = e.st.StateBits(e.cfg.Selection == metrics.DoubleSelection)
+		s.SelectTable = e.st.StateBits()
 	}
 	s.TargetArray = e.tgt.StateBits(TargetLineIndexBits)
 	return s

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -197,9 +198,13 @@ func TestPoolStatsStressMonotonic(t *testing.T) {
 func TestIdleBiasedPlacement(t *testing.T) {
 	s := NewScheduler(8)
 	defer s.Close()
-	// Trickle: one job at a time, each fully drained before the next,
-	// so every submission happens with all eight workers parked.
+	// Trickle: one job at a time, each submitted only once all eight
+	// workers are parked. Future.Wait returns when the job body ends,
+	// before the worker that ran it re-parks, so the test waits for the
+	// park explicitly; otherwise that still-running worker could take
+	// the next job from the signalled worker's deque as a steal.
 	for i := 0; i < 32; i++ {
+		waitParked(t, s, 8)
 		if _, err := Submit(s, func() (int, error) { return 0, nil }).Wait(); err != nil {
 			t.Fatal(err)
 		}
@@ -211,6 +216,24 @@ func TestIdleBiasedPlacement(t *testing.T) {
 	if st.Steals > st.OwnPops {
 		t.Errorf("trickled jobs were mostly stolen (%d steals vs %d own-pops); idle-biased placement is not landing work on parked workers",
 			st.Steals, st.OwnPops)
+	}
+}
+
+// waitParked blocks until n workers of s are parked in cond.Wait.
+func waitParked(t *testing.T, s *Scheduler, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		s.mu.Lock()
+		parked := len(s.idle)
+		s.mu.Unlock()
+		if parked == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d workers parked after 10s", parked, n)
+		}
+		runtime.Gosched()
 	}
 }
 

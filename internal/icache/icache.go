@@ -5,7 +5,10 @@
 // simultaneously fetched blocks collide in a bank (§3.3, §4.5).
 package icache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Kind selects one of the three cache organizations of §4.5.
 type Kind int
@@ -82,12 +85,20 @@ func (g Geometry) Validate() error {
 	return nil
 }
 
+// The address arithmetic below relies on what Validate enforces: the
+// line size and bank count are powers of two, so line index, line
+// offset and bank are a shift and masks, never a divide. The block
+// width need not be a power of two.
+
+// lineShift returns log2(LineSize).
+func (g Geometry) lineShift() uint { return uint(bits.TrailingZeros(uint(g.LineSize))) }
+
 // LineOf returns the line index containing an instruction address.
-func (g Geometry) LineOf(addr uint32) uint32 { return addr / uint32(g.LineSize) }
+func (g Geometry) LineOf(addr uint32) uint32 { return addr >> g.lineShift() }
 
 // LineStart returns the address of the first instruction in addr's line.
 func (g Geometry) LineStart(addr uint32) uint32 {
-	return addr - addr%uint32(g.LineSize)
+	return addr &^ uint32(g.LineSize-1)
 }
 
 // BlockLimit returns the maximum number of instructions a fetch block
@@ -100,7 +111,7 @@ func (g Geometry) BlockLimit(start uint32) int {
 		// truncates.
 		return g.BlockWidth
 	default:
-		room := g.LineSize - int(start%uint32(g.LineSize))
+		room := g.LineSize - int(start&uint32(g.LineSize-1))
 		if room > g.BlockWidth {
 			return g.BlockWidth
 		}
@@ -125,7 +136,7 @@ func (g Geometry) LinesTouched(dst []uint32, start uint32, n int) []uint32 {
 }
 
 // BankOf returns the bank servicing a line.
-func (g Geometry) BankOf(line uint32) int { return int(line) % g.Banks }
+func (g Geometry) BankOf(line uint32) int { return int(line) & (g.Banks - 1) }
 
 // Conflict reports whether fetching both line sets in one cycle causes a
 // bank conflict (any line of a colliding with any line of b in the same

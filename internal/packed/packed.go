@@ -12,13 +12,22 @@
 //     predictor's per-entry counters), 21 per word.
 //   - CodeArray: 2- or 3-bit BIT type codes, 32 or 21 per word.
 //   - FieldArray: fixed-width fields of 1..32 bits (select-table
-//     selectors, not-taken counts, valid bits, TAGE tags), 64/width
+//     selectors with their entry's valid bit, TAGE tags), 64/width
 //     per word, with no field straddling a word boundary.
 //
 // Updates are single-load read-modify-writes: one word load, a shift
-// and mask, one store. Every array also reports its logical size via
+// and mask, one store. CodeArray and FieldArray locate element i at
+// word i/perWord, slot i%perWord; perWord (21 for 3-bit codes, 64/width
+// for fields) is rarely a power of two, so both come from a Divisor's
+// multiply-by-reciprocal rather than a hardware divide. The layout is
+// the plain quotient/remainder one either way. Every array also reports its logical size via
 // StateBits (the paper's cost-model bits, excluding word-padding), so
 // the hardware-cost tables can be printed from the live structures.
+//
+// The predictor tables embed these arrays by value rather than by
+// pointer: a lane set revisits dozens of lanes' tables per block, and
+// each pointer hop from a table to its array header is another cache
+// line to miss before the backing word itself.
 //
 // These arrays are the only storage of predictor state. The wide-slice
 // models the packed structures are checked against (one value per
@@ -29,7 +38,7 @@
 // is rounded up to a multiple of 8 words (64 bytes), which lands the
 // allocation in a size class that is itself a multiple of 64 bytes, so
 // distinct arrays never share a cache line. Without the padding, small
-// arrays (a narrow PHT entry's word, a lane's select-table valid bits)
+// arrays (a narrow PHT entry's word, a small lane's select table)
 // from different lanes or pool jobs could be packed into adjacent
 // heap slots of one span and false-share: a writer in one lane would
 // bounce the line under every other lane's reader. The logical length
@@ -54,6 +63,17 @@ func alignedWords(n int) []uint64 {
 	padded := (n + cacheLineWords - 1) &^ (cacheLineWords - 1)
 	return make([]uint64, n, padded)
 }
+
+// checkIndexable panics unless every index of an n-element array fits
+// the 32-bit numerators a Divisor maps to (word, slot) exactly.
+func checkIndexable(fn string, n int) {
+	if uint64(n) > maxIndexable {
+		panic(fmt.Sprintf("packed: %s(%d): length exceeds %d", fn, n, uint64(maxIndexable)))
+	}
+}
+
+// maxIndexable is the largest length whose indexes fit in 32 bits.
+const maxIndexable = 1<<32 - 1
 
 // Counter2Array is a dense array of 2-bit saturating counters
 // (0 strongly not-taken .. 3 strongly taken), 32 per 64-bit word.
@@ -233,11 +253,11 @@ func (a *Counter3Array) Words() int { return len(a.words) }
 // 3-bit layout wasting one pad bit per word — so no code straddles a
 // word boundary.
 type CodeArray struct {
-	n       int
-	bits    uint
-	perWord int
-	mask    uint64
-	words   []uint64
+	n     int
+	bits  uint
+	per   Divisor // codes per word: i/per is the word, i%per the slot
+	mask  uint64
+	words []uint64
 }
 
 // NewCodeArray returns n codes of the given width (2 or 3 bits), all
@@ -249,13 +269,14 @@ func NewCodeArray(n, bits int) *CodeArray {
 	if bits != 2 && bits != 3 {
 		panic(fmt.Sprintf("packed: NewCodeArray: %d bits per code, want 2 or 3", bits))
 	}
+	checkIndexable("NewCodeArray", n)
 	perWord := 64 / bits
 	return &CodeArray{
-		n:       n,
-		bits:    uint(bits),
-		perWord: perWord,
-		mask:    1<<uint(bits) - 1,
-		words:   alignedWords((n + perWord - 1) / perWord),
+		n:     n,
+		bits:  uint(bits),
+		per:   NewDivisor(uint32(perWord)),
+		mask:  1<<uint(bits) - 1,
+		words: alignedWords((n + perWord - 1) / perWord),
 	}
 }
 
@@ -267,7 +288,8 @@ func (a *CodeArray) Bits() int { return int(a.bits) }
 
 // Get returns code i.
 func (a *CodeArray) Get(i int) uint8 {
-	return uint8(a.words[i/a.perWord] >> (uint(i%a.perWord) * a.bits) & a.mask)
+	q, r := a.per.DivMod(uint32(i))
+	return uint8(a.words[q] >> (uint(r) * a.bits) & a.mask)
 }
 
 // Set stores v into code i. v must fit the code width.
@@ -275,8 +297,9 @@ func (a *CodeArray) Set(i int, v uint8) {
 	if uint64(v) > a.mask {
 		panic(fmt.Sprintf("packed: CodeArray.Set(%d, %d): value exceeds %d bits", i, v, a.bits))
 	}
-	sh := uint(i%a.perWord) * a.bits
-	w := &a.words[i/a.perWord]
+	q, r := a.per.DivMod(uint32(i))
+	sh := uint(r) * a.bits
+	w := &a.words[q]
 	*w = *w&^(a.mask<<sh) | uint64(v)<<sh
 }
 
@@ -291,13 +314,13 @@ func (a *CodeArray) Words() int { return len(a.words) }
 // floor(64/width) per word with no field straddling a word boundary.
 // The select table packs each memoized selector into one field sized by
 // the paper's Table 2 formula (log2-sized position, count and offset
-// subfields), and its valid bits into a width-1 FieldArray.
+// subfields), with the entry's valid bit on top.
 type FieldArray struct {
-	n       int
-	width   uint
-	perWord int
-	mask    uint64
-	words   []uint64
+	n     int
+	width uint
+	per   Divisor // fields per word: i/per is the word, i%per the slot
+	mask  uint64
+	words []uint64
 }
 
 // NewFieldArray returns n fields of the given width (1..32 bits), all
@@ -309,13 +332,14 @@ func NewFieldArray(n, width int) *FieldArray {
 	if width < 1 || width > 32 {
 		panic(fmt.Sprintf("packed: NewFieldArray: field width %d out of range [1,32]", width))
 	}
+	checkIndexable("NewFieldArray", n)
 	perWord := 64 / width
 	return &FieldArray{
-		n:       n,
-		width:   uint(width),
-		perWord: perWord,
-		mask:    1<<uint(width) - 1,
-		words:   alignedWords((n + perWord - 1) / perWord),
+		n:     n,
+		width: uint(width),
+		per:   NewDivisor(uint32(perWord)),
+		mask:  1<<uint(width) - 1,
+		words: alignedWords((n + perWord - 1) / perWord),
 	}
 }
 
@@ -327,7 +351,8 @@ func (a *FieldArray) Width() int { return int(a.width) }
 
 // Get returns field i.
 func (a *FieldArray) Get(i int) uint64 {
-	return a.words[i/a.perWord] >> (uint(i%a.perWord) * a.width) & a.mask
+	q, r := a.per.DivMod(uint32(i))
+	return a.words[q] >> (uint(r) * a.width) & a.mask
 }
 
 // Set stores v into field i. v must fit the field width.
@@ -335,8 +360,9 @@ func (a *FieldArray) Set(i int, v uint64) {
 	if v > a.mask {
 		panic(fmt.Sprintf("packed: FieldArray.Set(%d, %#x): value exceeds %d bits", i, v, a.width))
 	}
-	sh := uint(i%a.perWord) * a.width
-	w := &a.words[i/a.perWord]
+	q, r := a.per.DivMod(uint32(i))
+	sh := uint(r) * a.width
+	w := &a.words[q]
 	*w = *w&^(a.mask<<sh) | v<<sh
 }
 

@@ -47,7 +47,7 @@ type Blocked struct {
 	idxMask  uint32
 	mode     IndexMode
 
-	pk *packed.Counter2Array // tables * entries * width counters, flat
+	pk packed.Counter2Array // tables * entries * width counters, flat
 }
 
 // NewBlocked creates a single gshare-indexed blocked PHT with
@@ -83,7 +83,7 @@ func NewBlockedMulti(historyBits, blockWidth, numTables int, mode IndexMode) *Bl
 		hBits:    historyBits,
 		idxMask:  uint32(n - 1),
 		mode:     mode,
-		pk:       packed.NewCounter2Array(numTables*n*blockWidth, uint8(WeaklyNotTaken)),
+		pk:       *packed.NewCounter2Array(numTables*n*blockWidth, uint8(WeaklyNotTaken)),
 	}
 }
 
@@ -122,7 +122,7 @@ type Entry struct {
 
 // At returns the live entry handle for an entry index.
 func (b *Blocked) At(index uint32) Entry {
-	return Entry{pk: b.pk, base: int(index) * b.width}
+	return Entry{pk: &b.pk, base: int(index) * b.width}
 }
 
 // Counter returns the counter at a position within the entry.

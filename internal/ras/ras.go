@@ -31,7 +31,10 @@ func (s *Stack) Depth() int { return s.depth }
 
 // Push records a return address.
 func (s *Stack) Push(addr uint32) {
-	s.top = (s.top + 1) % len(s.entries)
+	s.top++
+	if s.top == len(s.entries) {
+		s.top = 0
+	}
 	s.entries[s.top] = addr
 	if s.depth < len(s.entries) {
 		s.depth++
@@ -45,7 +48,7 @@ func (s *Stack) Pop() uint32 {
 		return 0
 	}
 	v := s.entries[s.top]
-	s.top = (s.top - 1 + len(s.entries)) % len(s.entries)
+	s.top = s.below(s.top)
 	if s.depth > 0 {
 		s.depth--
 	}
@@ -66,6 +69,13 @@ func (s *Stack) Second() uint32 {
 	if s.top < 0 {
 		return 0
 	}
-	i := (s.top - 1 + len(s.entries)) % len(s.entries)
-	return s.entries[i]
+	return s.entries[s.below(s.top)]
+}
+
+// below returns the circular index under slot i (0 <= i < Size).
+func (s *Stack) below(i int) int {
+	if i == 0 {
+		return len(s.entries) - 1
+	}
+	return i - 1
 }

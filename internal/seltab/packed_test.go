@@ -21,7 +21,8 @@ func selFor(op uint64, blockWidth, lineSize int, nearBlock bool) Selector {
 
 // Property: the packed table and the wide-struct oracle (refTable) are
 // observationally identical under any Get/Set stream, across
-// geometries.
+// geometries. The table stores every role (double selection, MaxBlocks
+// blocks); TestCompactRolesMatchReference covers the narrower shapes.
 func TestPackedMatchesReference(t *testing.T) {
 	geoms := []struct {
 		w, line int
@@ -30,7 +31,7 @@ func TestPackedMatchesReference(t *testing.T) {
 	for _, g := range geoms {
 		g := g
 		f := func(ops []uint64) bool {
-			pk := New(6, 2, g.w, g.line, g.near)
+			pk := New(6, 2, g.w, g.line, g.near, MaxBlocks, true)
 			ref := newRefTable(6, 2)
 			for _, op := range ops {
 				h, addr := uint32(op>>40), uint32(op>>52)
@@ -66,7 +67,7 @@ func TestPackedMatchesReference(t *testing.T) {
 // Every reachable selector round-trips losslessly through the packed
 // field encoding (§3.1's bit budget is sufficient).
 func TestPackedSelectorRoundTrip(t *testing.T) {
-	tb := New(4, 1, 8, 8, true)
+	tb := New(4, 1, 8, 8, true, 2, false)
 	for src := Source(0); src < numSources; src++ {
 		for pos := 0; pos < 8; pos++ {
 			for nt := 0; nt <= 8; nt++ {
@@ -75,7 +76,7 @@ func TestPackedSelectorRoundTrip(t *testing.T) {
 						Source: src, Pos: uint8(pos), NTCount: uint8(nt),
 						TakenBit: nt&1 == 0, StartOff: uint8(off),
 					}
-					if got := tb.decode(tb.encode(s)); got != s {
+					if got := tb.Decode(tb.Encode(s)); got != s {
 						t.Fatalf("round trip: %+v -> %+v", s, got)
 					}
 				}
@@ -85,7 +86,7 @@ func TestPackedSelectorRoundTrip(t *testing.T) {
 }
 
 func TestPackedEncodePanicsOutOfRange(t *testing.T) {
-	tb := New(4, 1, 8, 8, false)
+	tb := New(4, 1, 8, 8, false, 2, false)
 	for name, s := range map[string]Selector{
 		"pos too wide":        {Pos: 8},
 		"nt too wide":         {NTCount: 16},
@@ -97,26 +98,31 @@ func TestPackedEncodePanicsOutOfRange(t *testing.T) {
 					t.Errorf("%s: expected panic", name)
 				}
 			}()
-			tb.encode(s)
+			tb.Encode(s)
 		}()
 	}
 }
 
 func TestStateBitsClosedForm(t *testing.T) {
 	// Table 7: the 1024-entry, 8-bit-selector ST is 8 Kbit single, 16 dual.
-	tb := New(10, 1, 8, 8, false)
-	if got := tb.StateBits(false); got != 8*1024 {
+	if got := New(10, 1, 8, 8, false, 2, false).StateBits(); got != 8*1024 {
 		t.Errorf("StateBits(single) = %d, want 8192", got)
 	}
-	if got := tb.StateBits(true); got != 16*1024 {
+	if got := New(10, 1, 8, 8, false, 2, true).StateBits(); got != 16*1024 {
 		t.Errorf("StateBits(double) = %d, want 16384", got)
 	}
-	// Closed form matches CostBits for every geometry.
+	// Closed form matches CostBits for every geometry and selection,
+	// and the N-block extension's extra slots add no modeled cost.
 	for _, w := range []int{4, 8, 16} {
 		for _, near := range []bool{false, true} {
-			s := New(8, 2, w, 8, near)
-			if s.StateBits(false) != s.CostBits(w, 8, near, false) {
-				t.Errorf("W=%d near=%v: StateBits != CostBits", w, near)
+			for _, double := range []bool{false, true} {
+				for blocks := 2; blocks <= MaxBlocks; blocks++ {
+					s := New(8, 2, w, 8, near, blocks, double)
+					if s.StateBits() != s.CostBits(w, 8, near, double) {
+						t.Errorf("W=%d near=%v double=%v blocks=%d: StateBits != CostBits",
+							w, near, double, blocks)
+					}
+				}
 			}
 		}
 	}

@@ -90,6 +90,13 @@ func (s Selector) SameGHR(o Selector) bool {
 	return s.NTCount == o.NTCount && s.TakenBit == o.TakenBit
 }
 
+// Raw is a selector in its table's packed field encoding (see Encode).
+// Raw values of one table compare field by field with masks: the
+// engine encodes the scanned selector once per block and checks it
+// against the stored field with SameMux/SameGHR without decoding
+// either side.
+type Raw uint64
+
 // MaxBlocks is the largest number of blocks per cycle an entry can
 // serve. The paper evaluates two; §5 notes the mechanism extends to
 // more ("another block prediction basically requires another select
@@ -102,39 +109,53 @@ const MaxBlocks = 4
 // multiple tables, the low bits of the block's starting address choose
 // the table, helping distinguish entering positions (§4.3).
 //
-// Each entry's MaxBlocks selectors are stored as bit fields sized
-// exactly by the construction geometry — source (3 bits), taken bit
-// (1), position (log2 W), not-taken count (log2 W + 1, since up to W
-// conditionals can fall through), and, with near-block prediction, a
-// log2(line) starting offset — plus a 1-bit valid array. Single
-// selection uses role 1 of an entry, double selection role 0 too, and
-// the N-block extension roles 2 and 3 for the third and fourth blocks
-// of a fetch group.
-// Those ranges are invariants of the engine's scan (a block never holds
-// more than W instructions), so the packing is lossless; Put panics if
-// a selector ever falls outside them.
+// An entry holds one selector per role the fetch group uses, and only
+// those: single selection stores role 1 (the second block of a dual
+// group), double selection roles 0 and 1, and the N-block extension
+// roles 1..N-1 (0..N-1 with double selection) for the third and fourth
+// blocks of a group. Each selector is one bit field sized exactly by
+// the construction geometry — source (3 bits), taken bit (1), position
+// (log2 W), not-taken count (log2 W + 1, since up to W conditionals
+// can fall through), and, with near-block prediction, a log2(line)
+// starting offset — plus the entry's valid bit, kept as the top bit of
+// every one of its role fields, so one field load answers both "is the
+// entry valid" and "what does this role hold". Those ranges are
+// invariants of the engine's scan (a block never holds more than W
+// instructions), so the packing is lossless; Encode panics if a
+// selector ever falls outside them, and every access to a role the
+// table has no slot for panics.
 type Table struct {
 	tables  int
 	hBits   int
 	idxMask uint32
 	tblMask uint32
 
-	// n * MaxBlocks selector fields and n valid bits.
-	slots *packed.FieldArray
-	valid *packed.FieldArray
-	// Packed subfield geometry (see encode).
-	posBits, ntBits, offBits uint
+	// firstRole is the lowest role stored; an entry's roles
+	// firstRole..firstRole+roles-1 occupy consecutive slots.
+	firstRole, roles int
+	double           bool
+
+	// n * roles fields: a selector (see Encode) below validBit.
+	slots packed.FieldArray
+	// Packed subfield geometry (see Encode), the masks selecting the
+	// multiplexer fields (source, position, start offset) and the
+	// GHR-update fields (taken bit, not-taken count) of a Raw, and the
+	// stored fields' valid bit just above the selector.
+	posBits, ntBits, offBits   uint
+	muxMask, ghrMask, validBit Raw
 
 	blockWidth, lineSize int
 	nearBlock            bool
 }
 
-// New creates numTables select tables of 2^historyBits entries each.
-// numTables must be a power of two (the paper sweeps 1, 2, 4, 8).
-// blockWidth, lineSize and nearBlock size the packed selector fields
-// (and the paper cost formulas); they must match the fetch geometry the
-// selectors will describe.
-func New(historyBits, numTables, blockWidth, lineSize int, nearBlock bool) *Table {
+// New creates numTables select tables of 2^historyBits entries each
+// for fetch groups of blocks blocks (2..MaxBlocks) under single or,
+// with double, double selection; together they fix the roles an entry
+// stores. numTables must be a power of two (the paper sweeps 1, 2, 4,
+// 8). blockWidth, lineSize and nearBlock size the packed selector
+// fields (and the paper cost formulas); they must match the fetch
+// geometry the selectors will describe.
+func New(historyBits, numTables, blockWidth, lineSize int, nearBlock bool, blocks int, double bool) *Table {
 	if historyBits < 1 || historyBits > 26 {
 		panic("seltab: history bits out of range")
 	}
@@ -147,24 +168,36 @@ func New(historyBits, numTables, blockWidth, lineSize int, nearBlock bool) *Tabl
 	if lineSize < 1 || lineSize > 256 {
 		panic("seltab: line size out of range")
 	}
+	if blocks < 2 || blocks > MaxBlocks {
+		panic(fmt.Sprintf("seltab: %d blocks per group out of range [2,%d]", blocks, MaxBlocks))
+	}
 	n := numTables << historyBits
 	t := &Table{
 		tables:     numTables,
 		hBits:      historyBits,
 		idxMask:    uint32(1<<historyBits - 1),
 		tblMask:    uint32(numTables - 1),
+		firstRole:  1,
+		double:     double,
 		blockWidth: blockWidth,
 		lineSize:   lineSize,
 		nearBlock:  nearBlock,
 	}
+	if double {
+		t.firstRole = 0
+	}
+	t.roles = blocks - t.firstRole
 	t.posBits = uint(log2(blockWidth))
 	t.ntBits = uint(log2(blockWidth)) + 1
 	if nearBlock {
 		t.offBits = uint(log2(lineSize))
 	}
-	width := int(4 + t.posBits + t.ntBits + t.offBits)
-	t.slots = packed.NewFieldArray(n*MaxBlocks, width)
-	t.valid = packed.NewFieldArray(n, 1)
+	posShift, ntShift := 4, 4+t.posBits
+	offShift := ntShift + t.ntBits
+	t.muxMask = 7 | (1<<t.posBits-1)<<posShift | (1<<t.offBits-1)<<offShift
+	t.ghrMask = 1<<3 | (1<<t.ntBits-1)<<ntShift
+	t.validBit = 1 << (offShift + t.offBits)
+	t.slots = *packed.NewFieldArray(n*t.roles, int(offShift+t.offBits)+1)
 	return t
 }
 
@@ -193,35 +226,61 @@ func (t *Table) At(history, blockAddr uint32) Ref {
 
 // Valid reports whether the entry has ever been written.
 func (r Ref) Valid() bool {
-	return r.t.valid.Get(r.i) != 0
+	return Raw(r.t.slots.Get(r.i*r.t.roles))&r.t.validBit != 0
 }
 
 // Get returns the selector for the given role (0 = first block of a
 // group, 1 = second, ...). Meaningful only when Valid.
 func (r Ref) Get(role int) Selector {
-	return r.t.decode(r.t.slots.Get(r.slot(role)))
+	v, _ := r.Load(role)
+	return r.t.Decode(v)
 }
 
 // Set stores the selector for the role and marks the entry valid (the
 // table's valid bit covers the whole entry, as in verifyST's original
 // write-through semantics).
 func (r Ref) Set(role int, s Selector) {
-	r.t.slots.Set(r.slot(role), r.t.encode(s))
-	r.t.valid.Set(r.i, 1)
+	r.SetRaw(role, r.t.Encode(s))
 }
 
-func (r Ref) slot(role int) int {
-	if role < 0 || role >= MaxBlocks {
-		role = MaxBlocks - 1
+// Load returns the role's stored selector in packed form and whether
+// the entry is valid, from one field read.
+func (r Ref) Load(role int) (Raw, bool) {
+	v := Raw(r.t.slots.Get(r.slot(role)))
+	return v &^ r.t.validBit, v&r.t.validBit != 0
+}
+
+// SetRaw stores a packed selector of this table (from Encode) for the
+// role and marks the entry valid: the role's field gets the selector
+// and the valid bit, and the entry's other role fields get the valid
+// bit.
+func (r Ref) SetRaw(role int, v Raw) {
+	k := r.slot(role)
+	r.t.slots.Set(k, uint64(v|r.t.validBit))
+	for j := r.i * r.t.roles; j < (r.i+1)*r.t.roles; j++ {
+		if j != k {
+			r.t.slots.Set(j, r.t.slots.Get(j)|uint64(r.t.validBit))
+		}
 	}
-	return r.i*MaxBlocks + role
 }
 
-// encode packs a selector into one field:
+// slot returns the role's field index. A role the table stores no
+// selector for panics: clamping it would silently read and write
+// another role's selector.
+func (r Ref) slot(role int) int {
+	k := role - r.t.firstRole
+	if uint(k) >= uint(r.t.roles) {
+		panic(fmt.Sprintf("seltab: role %d out of range [%d,%d]",
+			role, r.t.firstRole, r.t.firstRole+r.t.roles-1))
+	}
+	return r.i*r.t.roles + k
+}
+
+// Encode packs a selector into one field:
 // source(3) | taken(1) | pos(posBits) | nt(ntBits) | off(offBits).
 // Values outside the geometry's ranges panic: they would alias another
 // subfield, and the engine's scan invariants guarantee they never occur.
-func (t *Table) encode(s Selector) uint64 {
+func (t *Table) Encode(s Selector) Raw {
 	if s.Source >= numSources {
 		panic("seltab: encode: unknown source")
 	}
@@ -234,17 +293,18 @@ func (t *Table) encode(s Selector) uint64 {
 	if uint(s.StartOff)>>t.offBits != 0 {
 		panic(fmt.Sprintf("seltab: encode: StartOff %d needs near-block offsets (line %d)", s.StartOff, t.lineSize))
 	}
-	v := uint64(s.Source)
+	v := Raw(s.Source)
 	if s.TakenBit {
 		v |= 1 << 3
 	}
-	v |= uint64(s.Pos) << 4
-	v |= uint64(s.NTCount) << (4 + t.posBits)
-	v |= uint64(s.StartOff) << (4 + t.posBits + t.ntBits)
+	v |= Raw(s.Pos) << 4
+	v |= Raw(s.NTCount) << (4 + t.posBits)
+	v |= Raw(s.StartOff) << (4 + t.posBits + t.ntBits)
 	return v
 }
 
-func (t *Table) decode(v uint64) Selector {
+// Decode unpacks a field produced by Encode.
+func (t *Table) Decode(v Raw) Selector {
 	return Selector{
 		Source:   Source(v & 7),
 		TakenBit: v>>3&1 == 1,
@@ -254,11 +314,19 @@ func (t *Table) decode(v uint64) Selector {
 	}
 }
 
+// SameMux is Selector.SameMux on packed selectors of this table: the
+// source, position and start-offset fields agree.
+func (t *Table) SameMux(a, b Raw) bool { return (a^b)&t.muxMask == 0 }
+
+// SameGHR is Selector.SameGHR on packed selectors of this table: the
+// taken bit and not-taken count agree.
+func (t *Table) SameGHR(a, b Raw) bool { return (a^b)&t.ghrMask == 0 }
+
 // ValidCount returns the number of entries ever written.
 func (t *Table) ValidCount() int {
 	n := 0
-	for i := 0; i < t.valid.Len(); i++ {
-		if t.valid.Get(i) != 0 {
+	for i := 0; i < t.slots.Len(); i += t.roles {
+		if Raw(t.slots.Get(i))&t.validBit != 0 {
 			n++
 		}
 	}
@@ -288,12 +356,13 @@ func (t *Table) CostBits(blockWidth, lineSize int, nearBlock, double bool) int {
 }
 
 // StateBits returns the paper's storage cost in bits at the table's
-// construction geometry (Table 7's s * 2^k * SelectorBits closed form;
-// double selection stores two selectors per entry). The physical packed
-// layout allocates MaxBlocks uniform slots per entry for the §5 N-block
-// extension, but the modeled hardware cost is the paper's.
-func (t *Table) StateBits(double bool) int {
-	return t.CostBits(t.blockWidth, t.lineSize, t.nearBlock, double)
+// construction geometry and selection (Table 7's s * 2^k *
+// SelectorBits closed form; double selection stores two selectors per
+// entry). The packed layout stores one slot per role the group uses,
+// so the N-block extension's extra roles are physical slots the
+// modeled hardware cost does not count: the cost stays the paper's.
+func (t *Table) StateBits() int {
+	return t.CostBits(t.blockWidth, t.lineSize, t.nearBlock, t.double)
 }
 
 func log2(n int) int {

@@ -40,7 +40,7 @@ func TestSelectorEqualCoversAllFields(t *testing.T) {
 }
 
 func TestTableGeometryAccessors(t *testing.T) {
-	tb := New(9, 4, 8, 8, true)
+	tb := New(9, 4, 8, 8, true, 2, false)
 	if tb.Tables() != 4 {
 		t.Errorf("Tables = %d", tb.Tables())
 	}
@@ -48,7 +48,7 @@ func TestTableGeometryAccessors(t *testing.T) {
 		t.Errorf("EntriesPerTable = %d", tb.EntriesPerTable())
 	}
 	// Cost scales with table count and selector width.
-	one := New(9, 1, 8, 8, true)
+	one := New(9, 1, 8, 8, true, 2, false)
 	if tb.CostBits(8, 8, false, false) != 4*one.CostBits(8, 8, false, false) {
 		t.Error("cost should scale linearly with table count")
 	}
@@ -59,10 +59,12 @@ func TestTableGeometryAccessors(t *testing.T) {
 
 func TestNewPanicsOnBadArgs(t *testing.T) {
 	for _, f := range []func(){
-		func() { New(0, 1, 8, 8, true) },
-		func() { New(30, 1, 8, 8, true) },
-		func() { New(10, 3, 8, 8, true) },
-		func() { New(10, 0, 8, 8, true) },
+		func() { New(0, 1, 8, 8, true, 2, false) },
+		func() { New(30, 1, 8, 8, true, 2, false) },
+		func() { New(10, 3, 8, 8, true, 2, false) },
+		func() { New(10, 0, 8, 8, true, 2, false) },
+		func() { New(10, 1, 8, 8, true, 1, false) },
+		func() { New(10, 1, 8, 8, true, MaxBlocks+1, true) },
 	} {
 		func() {
 			defer func() {

@@ -34,7 +34,7 @@ func TestSelectorComparisons(t *testing.T) {
 }
 
 func TestTableIndexing(t *testing.T) {
-	tb := New(10, 1, 8, 8, true)
+	tb := New(10, 1, 8, 8, true, 2, false)
 	e1 := tb.At(0x3FF, 0x3FF) // XOR = 0
 	e2 := tb.At(0, 0)
 	if e1 != e2 {
@@ -47,7 +47,7 @@ func TestTableIndexing(t *testing.T) {
 }
 
 func TestMultipleTablesSplitByOffset(t *testing.T) {
-	tb := New(10, 8, 8, 8, true)
+	tb := New(10, 8, 8, 8, true, 2, false)
 	if tb.Tables() != 8 || tb.EntriesPerTable() != 1024 {
 		t.Fatalf("geometry: %d tables x %d", tb.Tables(), tb.EntriesPerTable())
 	}
@@ -62,7 +62,7 @@ func TestMultipleTablesSplitByOffset(t *testing.T) {
 }
 
 func TestEntryWriteThrough(t *testing.T) {
-	tb := New(8, 1, 8, 8, true)
+	tb := New(8, 1, 8, 8, true, 2, false)
 	tb.At(5, 9).Set(1, Selector{Source: SrcRAS, Pos: 7})
 	again := tb.At(5, 9)
 	if !again.Valid() || again.Get(1).Source != SrcRAS || again.Get(1).Pos != 7 {
@@ -79,7 +79,7 @@ func TestSelectorBits(t *testing.T) {
 	if got := SelectorBits(8, 8, false); got != 4+3+1 {
 		t.Errorf("W=8 selector bits = %d, want 8", got)
 	}
-	tb := New(10, 1, 8, 8, true)
+	tb := New(10, 1, 8, 8, true, 2, false)
 	if got := tb.CostBits(8, 8, false, false); got != 8*1024 {
 		t.Errorf("ST cost = %d bits, want 8192 (Table 7)", got)
 	}
@@ -93,7 +93,7 @@ func TestSelectorBits(t *testing.T) {
 // indexes never alias.
 func TestLookupDeterminism(t *testing.T) {
 	f := func(h, a uint32) bool {
-		tb := New(8, 4, 8, 8, true)
+		tb := New(8, 4, 8, 8, true, 2, false)
 		return tb.At(h, a) == tb.At(h, a)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -77,9 +77,9 @@ func (f *folded) push(newBit, outBit uint32) {
 // tags and 2-bit useful counters, all 2^bits entries, plus the folded
 // views of its history slice.
 type table struct {
-	ctr     *packed.Counter3Array
-	tag     *packed.FieldArray
-	u       *packed.Counter2Array
+	ctr     packed.Counter3Array
+	tag     packed.FieldArray
+	u       packed.Counter2Array
 	histLen int
 	mask    uint32
 	tagMask uint32
@@ -110,7 +110,7 @@ type Predictor struct {
 	params core.TAGEParams
 	w      int
 
-	base   *packed.Counter2Array
+	base   packed.Counter2Array
 	tables []table
 
 	// Private global history, a ring of single bits sized one past the
@@ -123,6 +123,8 @@ type Predictor struct {
 	lfsr uint16 // deterministic victim tie-breaker
 
 	blockAddr uint32
+	startPos  int            // blockAddr % w, the latched block's first position
+	wdiv      packed.Divisor // w, for startPos
 	looked    []bool
 	res       []posResult
 }
@@ -134,6 +136,7 @@ func New(cfg core.Config) (core.Predictor, error) {
 		cfg:    cfg,
 		params: cfg.EffectiveTAGE(),
 		w:      cfg.Geometry.BlockWidth,
+		wdiv:   packed.NewDivisor(uint32(cfg.Geometry.BlockWidth)),
 	}
 	p.build()
 	return p, nil
@@ -141,15 +144,15 @@ func New(cfg core.Config) (core.Predictor, error) {
 
 func (p *Predictor) build() {
 	t := p.params
-	p.base = packed.NewCounter2Array(1<<t.BaseBits, 1) // weakly not-taken
+	p.base = *packed.NewCounter2Array(1<<t.BaseBits, 1) // weakly not-taken
 	lens := historyLengths(t)
 	p.tables = make([]table, t.Tables)
 	for i := range p.tables {
 		n := 1 << t.TableBits
 		p.tables[i] = table{
-			ctr:     packed.NewCounter3Array(n, 3), // weakly not-taken
-			tag:     packed.NewFieldArray(n, t.TagBits),
-			u:       packed.NewCounter2Array(n, 0),
+			ctr:     *packed.NewCounter3Array(n, 3), // weakly not-taken
+			tag:     *packed.NewFieldArray(n, t.TagBits),
+			u:       *packed.NewCounter2Array(n, 0),
 			histLen: lens[i],
 			mask:    uint32(n - 1),
 			tagMask: 1<<uint(t.TagBits) - 1,
@@ -215,29 +218,36 @@ func (p *Predictor) Kind() core.PredictorKind { return core.PredictorTAGE }
 // a position is actually read.
 func (p *Predictor) Lookup(history, blockAddr uint32) {
 	p.blockAddr = blockAddr
+	p.startPos = int(p.wdiv.Mod(blockAddr))
 	for i := range p.looked {
 		p.looked[i] = false
 	}
 }
 
 // pc reconstructs the instruction address from the engine's position
-// convention (address mod block width) and the latched block start.
+// convention (address mod block width, 0 <= pos < w) and the latched
+// block start: the block-relative index is (pos - startPos) mod w.
 func (p *Predictor) pc(pos int) uint32 {
-	j := ((pos-int(p.blockAddr))%p.w + p.w) % p.w
+	j := pos - p.startPos
+	if j < 0 {
+		j += p.w
+	}
 	return p.blockAddr + uint32(j)
 }
 
 func (p *Predictor) at(pos int) *posResult {
 	if !p.looked[pos] {
-		p.res[pos] = p.predict(p.pc(pos))
+		p.predict(&p.res[pos], p.pc(pos))
 		p.looked[pos] = true
 	}
 	return &p.res[pos]
 }
 
-// predict runs the full tagged-table match for one branch address.
-func (p *Predictor) predict(pc uint32) posResult {
-	r := posResult{pc: pc, provider: -1, alt: -1}
+// predict runs the full tagged-table match for one branch address,
+// filling r in place (a posResult is too large to return by value
+// without a block copy per lookup).
+func (p *Predictor) predict(r *posResult, pc uint32) {
+	r.pc, r.provider, r.alt = pc, -1, -1
 	r.baseIdx = pc & uint32(p.base.Len()-1)
 	for i := range p.tables {
 		tb := &p.tables[i]
@@ -260,7 +270,7 @@ func (p *Predictor) predict(pc uint32) posResult {
 		r.pred, r.altPred = baseTaken, baseTaken
 		c := p.base.Get(int(r.baseIdx))
 		r.strong = c == 0 || c == 3
-		return r
+		return
 	}
 	c := p.tables[r.provider].ctr.Get(int(r.idx[r.provider]))
 	r.pred = c >= 4
@@ -270,7 +280,6 @@ func (p *Predictor) predict(pc uint32) posResult {
 	} else {
 		r.altPred = baseTaken
 	}
-	return r
 }
 
 func (p *Predictor) Taken(pos int) bool        { return p.at(pos).pred }
@@ -418,7 +427,7 @@ func (p *Predictor) CounterStates() [4]uint64 {
 		dist[p.base.Get(i)&3]++
 	}
 	for i := range p.tables {
-		ctr := p.tables[i].ctr
+		ctr := &p.tables[i].ctr
 		for j := 0; j < ctr.Len(); j++ {
 			switch c := ctr.Get(j); {
 			case c <= 2:

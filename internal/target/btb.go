@@ -1,6 +1,10 @@
 package target
 
-import "fmt"
+import (
+	"fmt"
+
+	"mbbp/internal/packed"
+)
 
 // btbEntry is one way of a BTB set: a block entry tagged by the full
 // indexing block address plus the target number, holding a target and
@@ -10,8 +14,16 @@ type btbEntry struct {
 	valid     bool
 	tag       uint32 // indexing block address
 	targetNum int    // the §3.1 target-number tag
-	slots     []nlsSlot
-	written   []bool
+	slots     []btbSlot
+}
+
+// btbSlot is one position of a BTB entry: the stored target, its call
+// bit, and whether the position has been written since the entry was
+// allocated.
+type btbSlot struct {
+	target  uint32
+	call    bool
+	written bool
 }
 
 // BTB is the tagged alternative of Table 5: an N-way set-associative
@@ -22,10 +34,10 @@ type btbEntry struct {
 // position never written) makes the fetch logic fall back to
 // misfetch-and-recompute rather than predicting a stale address.
 type BTB struct {
-	sets  int
+	sets  packed.Divisor // addr % sets picks the set
 	assoc int
-	width int
-	ways  [][]btbEntry // [set][way], most recently used first
+	width packed.Divisor // pos % width picks the slot
+	ways  [][]btbEntry   // [set][way], most recently used first
 }
 
 // NewBTB builds an N-way tagged LRU target buffer with the given total
@@ -38,8 +50,16 @@ func NewBTB(entries, blockWidth, assoc int) *BTB {
 		panic(fmt.Sprintf("target: NewBTB(%d, %d, %d): entries must be a positive multiple of assoc",
 			entries, blockWidth, assoc))
 	}
-	b := &BTB{sets: entries / assoc, assoc: assoc, width: blockWidth}
-	b.ways = make([][]btbEntry, b.sets)
+	if uint64(entries) > 1<<32-1 || uint64(blockWidth) > 1<<32-1 {
+		panic(fmt.Sprintf("target: NewBTB(%d, %d, %d): entries and width must fit in 32 bits",
+			entries, blockWidth, assoc))
+	}
+	b := &BTB{
+		sets:  packed.NewDivisor(uint32(entries / assoc)),
+		assoc: assoc,
+		width: packed.NewDivisor(uint32(blockWidth)),
+	}
+	b.ways = make([][]btbEntry, entries/assoc)
 	for s := range b.ways {
 		b.ways[s] = make([]btbEntry, assoc)
 	}
@@ -47,19 +67,19 @@ func NewBTB(entries, blockWidth, assoc int) *BTB {
 }
 
 // Entries returns the total number of block entries.
-func (b *BTB) Entries() int { return b.sets * b.assoc }
+func (b *BTB) Entries() int { return b.Sets() * b.assoc }
 
 // Sets returns the number of sets.
-func (b *BTB) Sets() int { return b.sets }
+func (b *BTB) Sets() int { return int(b.sets.D()) }
 
 // Assoc returns the number of ways per set.
 func (b *BTB) Assoc() int { return b.assoc }
 
 // Width returns the number of position slots per entry.
-func (b *BTB) Width() int { return b.width }
+func (b *BTB) Width() int { return int(b.width.D()) }
 
 func (b *BTB) set(addr uint32) []btbEntry {
-	return b.ways[int(addr%uint32(b.sets))]
+	return b.ways[b.sets.Mod(addr)]
 }
 
 // promote moves way w of set to the most-recently-used position.
@@ -73,7 +93,7 @@ func promote(set []btbEntry, w int) {
 // structure serves every target number; tags and LRU state excluded,
 // as in the paper's accounting).
 func (b *BTB) StateBits(lineIndexBits int) int {
-	return b.sets * b.assoc * b.width * lineIndexBits
+	return b.Entries() * b.Width() * lineIndexBits
 }
 
 // Lookup searches the set indexed by the block address for an entry
@@ -82,16 +102,16 @@ func (b *BTB) StateBits(lineIndexBits int) int {
 // standing; a tag mismatch or an unwritten position is a miss.
 func (b *BTB) Lookup(indexAddr uint32, pos, targetNum int) (uint32, bool, bool) {
 	set := b.set(indexAddr)
-	pos %= b.width
+	pos = int(b.width.Mod(uint32(pos)))
 	for w := range set {
 		e := &set[w]
 		if !e.valid || e.tag != indexAddr || e.targetNum != targetNum {
 			continue
 		}
-		if !e.written[pos] {
+		s := e.slots[pos]
+		if !s.written {
 			return 0, false, false
 		}
-		s := e.slots[pos]
 		promote(set, w)
 		return s.target, s.call, true
 	}
@@ -103,7 +123,7 @@ func (b *BTB) Lookup(indexAddr uint32, pos, targetNum int) (uint32, bool, bool) 
 // on a tag miss. The touched entry becomes most recently used.
 func (b *BTB) Update(blockAddr uint32, pos, targetNum int, next uint32, isCall bool) {
 	set := b.set(blockAddr)
-	pos %= b.width
+	pos = int(b.width.Mod(uint32(pos)))
 	w := -1
 	for i := range set {
 		if set[i].valid && set[i].tag == blockAddr && set[i].targetNum == targetNum {
@@ -121,16 +141,12 @@ func (b *BTB) Update(blockAddr uint32, pos, targetNum int, next uint32, isCall b
 		e.tag = blockAddr
 		e.targetNum = targetNum
 		if e.slots == nil {
-			e.slots = make([]nlsSlot, b.width)
-			e.written = make([]bool, b.width)
+			e.slots = make([]btbSlot, b.Width())
 		} else {
-			for i := range e.written {
-				e.written[i] = false
-			}
+			clear(e.slots)
 		}
 	}
 	e := &set[w]
-	e.slots[pos] = nlsSlot{target: next, call: isCall}
-	e.written[pos] = true
+	e.slots[pos] = btbSlot{target: next, call: isCall, written: true}
 	promote(set, w)
 }

@@ -26,12 +26,18 @@ type refKey struct {
 	entry, pos, tn int
 }
 
+// refSlot is one stored (target, call bit) pair of the reference models.
+type refSlot struct {
+	target uint32
+	call   bool
+}
+
 // refNLS is the executable specification of the tagless array: a map
 // from (address mod entries, position, target number) to the last
 // value stored; absent keys read as (0, false); every lookup hits.
 type refNLS struct {
 	entries, width int
-	m              map[refKey]nlsSlot
+	m              map[refKey]refSlot
 }
 
 func (r *refNLS) key(addr uint32, pos, tn int) refKey {
@@ -39,7 +45,7 @@ func (r *refNLS) key(addr uint32, pos, tn int) refKey {
 }
 
 func (r *refNLS) update(addr uint32, pos, tn int, tgt uint32, call bool) {
-	r.m[r.key(addr, pos, tn)] = nlsSlot{target: tgt, call: call}
+	r.m[r.key(addr, pos, tn)] = refSlot{target: tgt, call: call}
 }
 
 func (r *refNLS) lookup(addr uint32, pos, tn int) (uint32, bool, bool) {
@@ -54,7 +60,7 @@ func (r *refNLS) lookup(addr uint32, pos, tn int) (uint32, bool, bool) {
 type refBTBEntry struct {
 	tag uint32
 	tn  int
-	pos map[int]nlsSlot
+	pos map[int]refSlot
 }
 
 type refBTB struct {
@@ -85,9 +91,9 @@ func (r *refBTB) update(addr uint32, pos, tn int, tgt uint32, call bool) {
 		e = set[i]
 		set = append(set[:i], set[i+1:]...)
 	} else {
-		e = refBTBEntry{tag: addr, tn: tn, pos: map[int]nlsSlot{}}
+		e = refBTBEntry{tag: addr, tn: tn, pos: map[int]refSlot{}}
 	}
-	e.pos[pos%r.width] = nlsSlot{target: tgt, call: call}
+	e.pos[pos%r.width] = refSlot{target: tgt, call: call}
 	set = append([]refBTBEntry{e}, set...)
 	if len(set) > r.assoc {
 		set = set[:r.assoc]
@@ -146,7 +152,7 @@ func TestNLSMatchesReference(t *testing.T) {
 	f := func(ops []refOp, blocksRaw uint8) bool {
 		blocks := int(blocksRaw)%4 + 1
 		impl := NewNLS(64, 8, blocks)
-		ref := &refNLS{entries: 64, width: 8, m: map[refKey]nlsSlot{}}
+		ref := &refNLS{entries: 64, width: 8, m: map[refKey]refSlot{}}
 		return applyOps(t, "NLS", ops, blocks, impl, ref.update, ref.lookup)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -217,7 +223,7 @@ func FuzzTargetArray(f *testing.F) {
 		ops := decodeOps(data)
 		const blocks = 2
 		nls := NewNLS(16, 8, blocks)
-		nlsRef := &refNLS{entries: 16, width: 8, m: map[refKey]nlsSlot{}}
+		nlsRef := &refNLS{entries: 16, width: 8, m: map[refKey]refSlot{}}
 		if !applyOps(t, "NLS", ops, blocks, nls, nlsRef.update, nlsRef.lookup) {
 			t.Fatal("NLS diverged from its reference model")
 		}
