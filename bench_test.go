@@ -25,6 +25,15 @@ var (
 	benchErr    error
 )
 
+// run runs one experiment over ts through its descriptor.
+func run[R any](b *testing.B, d *harness.Descriptor[R], ts *harness.TraceSet) R {
+	r, err := d.Run(harness.DefaultScheduler(), ts, harness.Params{})()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
 func traces(b *testing.B) *harness.TraceSet {
 	benchOnce.Do(func() {
 		benchTraces, benchErr = harness.LoadTraces(harness.Options{Instructions: benchInstructions})
@@ -41,10 +50,7 @@ func traces(b *testing.B) *harness.TraceSet {
 func BenchmarkFig6BlockedVsScalar(b *testing.B) {
 	ts := traces(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Fig6(ts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := run(b, harness.Fig6, ts)
 		if i == 0 {
 			for _, r := range rows {
 				if r.History == 10 {
@@ -62,10 +68,7 @@ func BenchmarkFig6BlockedVsScalar(b *testing.B) {
 func BenchmarkFig7BITSize(b *testing.B) {
 	ts := traces(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Fig7(ts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := run(b, harness.Fig7, ts)
 		if i == 0 {
 			first, last := rows[0], rows[len(rows)-1]
 			b.ReportMetric(first.PctBEPInt, "bit64-int-%bep")
@@ -80,10 +83,7 @@ func BenchmarkFig7BITSize(b *testing.B) {
 func BenchmarkFig8Selection(b *testing.B) {
 	ts := traces(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Fig8(ts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := run(b, harness.Fig8, ts)
 		if i == 0 {
 			for _, r := range rows {
 				if r.History == 10 && r.STs == 8 {
@@ -101,10 +101,7 @@ func BenchmarkFig8Selection(b *testing.B) {
 func BenchmarkTable5TargetArrays(b *testing.B) {
 	ts := traces(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Table5(ts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := run(b, harness.Table5, ts)
 		if i == 0 {
 			for _, r := range rows {
 				if r.Kind == NLS && r.Entries == 256 && !r.NearBlock {
@@ -125,10 +122,7 @@ func BenchmarkTable5TargetArrays(b *testing.B) {
 func BenchmarkTable6CacheTypes(b *testing.B) {
 	ts := traces(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Table6(ts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := run(b, harness.Table6, ts)
 		if i == 0 {
 			for _, r := range rows {
 				switch r.Kind {
@@ -148,10 +142,7 @@ func BenchmarkTable6CacheTypes(b *testing.B) {
 func BenchmarkFig9Breakdown(b *testing.B) {
 	ts := traces(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Fig9(ts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := run(b, harness.Fig9, ts)
 		if i == 0 {
 			for _, r := range rows {
 				if r.Program == "CINT95" {
@@ -182,10 +173,7 @@ func BenchmarkCostModel(b *testing.B) {
 func BenchmarkExtBlocks(b *testing.B) {
 	ts := traces(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.ExtBlocks(ts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := run(b, harness.ExtBlocks, ts)
 		if i == 0 {
 			for _, r := range rows {
 				switch r.Blocks {
@@ -205,10 +193,7 @@ func BenchmarkExtBlocks(b *testing.B) {
 func BenchmarkAblationPHT(b *testing.B) {
 	ts := traces(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.AblationPHT(ts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := run(b, harness.Ablation, ts)
 		if i == 0 {
 			b.ReportMetric(rows[0].MispIntPct, "gshare-int-misp-%")
 			b.ReportMetric(rows[1].MispIntPct, "global-int-misp-%")
@@ -221,10 +206,7 @@ func BenchmarkAblationPHT(b *testing.B) {
 func BenchmarkCompareHeadlines(b *testing.B) {
 	ts := traces(b)
 	for i := 0; i < b.N; i++ {
-		c, err := harness.Compare(ts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		c := run(b, harness.Compare, ts)
 		if i == 0 {
 			b.ReportMetric(100*c.IntAccuracy, "int-acc-%")
 			b.ReportMetric(100*c.FPAccuracy, "fp-acc-%")
@@ -241,10 +223,7 @@ func BenchmarkCompareHeadlines(b *testing.B) {
 func BenchmarkBaselineBAC(b *testing.B) {
 	ts := traces(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.Baseline(ts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows := run(b, harness.Baseline, ts)
 		if i == 0 {
 			for _, r := range rows {
 				switch r.Scheme {

@@ -62,7 +62,7 @@
 // [RegisteredPredictors] lists the linked strategies with their
 // defaults, and Engine.StateBits reports each strategy's honest
 // Table 7 storage cost, so accuracy-per-bit comparisons (mbpexp
-// compare -predictor tage) need no hand-derived formulas. See
+// predictors) need no hand-derived formulas. See
 // [ExampleWithPredictor] for a runnable side-by-side comparison.
 //
 // # Deprecated: plain-struct construction

@@ -14,6 +14,11 @@ import (
 // more-than-two-blocks extension, the per-block multi-PHT variation of
 // §2, and the gshare indexing choice borrowed from McFarling).
 
+// ExtBlocks sweeps blocks-per-cycle from 1 to 4 (§5: "it is possible to
+// predict more than two blocks per cycle ... the cost grows
+// proportionally to the number of blocks predicted").
+var ExtBlocks = &Descriptor[[]ExtBlocksRow]{Name: "extblocks", Run: runExtBlocks, Text: renderExtBlocks}
+
 // ExtBlocksRow is one point of the N-block extension sweep.
 type ExtBlocksRow struct {
 	Blocks          int
@@ -22,8 +27,8 @@ type ExtBlocksRow struct {
 	CostKbits       float64 // select tables + target arrays scale per block
 }
 
-// ExtBlocksAsync submits the §5 extension sweep: 1-4 blocks per cycle.
-func ExtBlocksAsync(s *Scheduler, ts *TraceSet) func() ([]ExtBlocksRow, error) {
+// runExtBlocks submits the §5 extension sweep: 1-4 blocks per cycle.
+func runExtBlocks(s *Scheduler, ts *TraceSet, _ Params) func() ([]ExtBlocksRow, error) {
 	b := NewBatch(s, ts)
 	var promises []*SuitePromise
 	for blocks := 1; blocks <= 4; blocks++ {
@@ -59,13 +64,8 @@ func ExtBlocksAsync(s *Scheduler, ts *TraceSet) func() ([]ExtBlocksRow, error) {
 	}
 }
 
-// ExtBlocks sweeps blocks-per-cycle from 1 to 4 (§5: "it is possible to
-// predict more than two blocks per cycle ... the cost grows
-// proportionally to the number of blocks predicted").
-func ExtBlocks(ts *TraceSet) ([]ExtBlocksRow, error) { return ExtBlocksAsync(DefaultScheduler(), ts)() }
-
-// RenderExtBlocks writes the extension sweep.
-func RenderExtBlocks(w io.Writer, rows []ExtBlocksRow) {
+// renderExtBlocks writes the extension sweep.
+func renderExtBlocks(w io.Writer, rows []ExtBlocksRow) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Extension (§5): blocks fetched per cycle (single selection, normal cache)")
 	fmt.Fprintln(tw, "blocks\tInt IPC_f\tInt BEP\tFP IPC_f\tFP BEP\t~cost Kbit")
@@ -73,8 +73,13 @@ func RenderExtBlocks(w io.Writer, rows []ExtBlocksRow) {
 		fmt.Fprintf(tw, "%d\t%.2f\t%.3f\t%.2f\t%.3f\t%.0f\n",
 			r.Blocks, r.IPCfInt, r.BEPInt, r.IPCfFP, r.BEPFP, r.CostKbits)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
+
+// Ablation sweeps the number of blocked PHTs (the per-block variation)
+// and the index function (gshare vs history-only), holding total
+// predictor storage constant per row label.
+var Ablation = &Descriptor[[]AblationRow]{Name: "ablation", Run: runAblation, Text: renderAblation}
 
 // AblationRow is one predictor-organization point.
 type AblationRow struct {
@@ -83,8 +88,8 @@ type AblationRow struct {
 	IPCfInt, IPCfFP       float64
 }
 
-// AblationPHTAsync submits the PHT-organization ablation grid.
-func AblationPHTAsync(s *Scheduler, ts *TraceSet) func() ([]AblationRow, error) {
+// runAblation submits the PHT-organization ablation grid.
+func runAblation(s *Scheduler, ts *TraceSet, _ Params) func() ([]AblationRow, error) {
 	type pnt struct {
 		label string
 		phts  int
@@ -125,15 +130,8 @@ func AblationPHTAsync(s *Scheduler, ts *TraceSet) func() ([]AblationRow, error) 
 	}
 }
 
-// AblationPHT sweeps the number of blocked PHTs (the per-block
-// variation) and the index function (gshare vs history-only), holding
-// total predictor storage constant per row label.
-func AblationPHT(ts *TraceSet) ([]AblationRow, error) {
-	return AblationPHTAsync(DefaultScheduler(), ts)()
-}
-
-// RenderAblationPHT writes the PHT-organization ablation.
-func RenderAblationPHT(w io.Writer, rows []AblationRow) {
+// renderAblation writes the PHT-organization ablation.
+func renderAblation(w io.Writer, rows []AblationRow) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Ablation: PHT organization and index function (single block)")
 	fmt.Fprintln(tw, "organization\tInt misp%\tFP misp%\tInt IPC_f\tFP IPC_f")
@@ -141,5 +139,5 @@ func RenderAblationPHT(w io.Writer, rows []AblationRow) {
 		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.2f\t%.2f\n",
 			r.Label, r.MispIntPct, r.MispFPPct, r.IPCfInt, r.IPCfFP)
 	}
-	tw.Flush()
+	return tw.Flush()
 }

@@ -10,6 +10,12 @@ import (
 	"mbbp/internal/metrics"
 )
 
+// Baseline runs the comparison the paper's introduction frames: its
+// block-based dual fetch with linear-cost select tables against Yeh's
+// basic-block-based dual fetch with an exponential-cost branch address
+// cache, across BAC sizes.
+var Baseline = &Descriptor[[]BaselineRow]{Name: "baseline", Run: runBaseline, Text: renderBaseline}
+
 // BaselineRow compares one fetch scheme at one storage budget.
 type BaselineRow struct {
 	Scheme          string
@@ -18,10 +24,10 @@ type BaselineRow struct {
 	IPBInt, IPBFP   float64
 }
 
-// BaselineAsync submits the introduction's comparison grid: the Yeh
+// runBaseline submits the introduction's comparison grid: the Yeh
 // branch address cache at four sizes (one engine run per program each)
 // plus the paper's scheme at its default budget.
-func BaselineAsync(s *Scheduler, ts *TraceSet) func() ([]BaselineRow, error) {
+func runBaseline(s *Scheduler, ts *TraceSet, _ Params) func() ([]BaselineRow, error) {
 	bacEntries := []int{32, 64, 128, 256}
 	var bacPromises []*SuitePromise
 	for _, entries := range bacEntries {
@@ -70,14 +76,8 @@ func BaselineAsync(s *Scheduler, ts *TraceSet) func() ([]BaselineRow, error) {
 	}
 }
 
-// Baseline runs the comparison the paper's introduction frames: its
-// block-based dual fetch with linear-cost select tables against Yeh's
-// basic-block-based dual fetch with an exponential-cost branch address
-// cache, across BAC sizes.
-func Baseline(ts *TraceSet) ([]BaselineRow, error) { return BaselineAsync(DefaultScheduler(), ts)() }
-
-// RenderBaseline writes the scheme comparison.
-func RenderBaseline(w io.Writer, rows []BaselineRow) {
+// renderBaseline writes the scheme comparison.
+func renderBaseline(w io.Writer, rows []BaselineRow) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Baseline: Yeh/Marr/Patt branch address cache vs the paper's scheme (2 blocks/cycle)")
 	fmt.Fprintln(tw, "scheme\tcost Kbit\tInt IPC_f\tInt IPB\tFP IPC_f\tFP IPB")
@@ -85,5 +85,5 @@ func RenderBaseline(w io.Writer, rows []BaselineRow) {
 		fmt.Fprintf(tw, "%s\t%.0f\t%.2f\t%.2f\t%.2f\t%.2f\n",
 			r.Scheme, r.CostKbits, r.IPCfInt, r.IPBInt, r.IPCfFP, r.IPBFP)
 	}
-	tw.Flush()
+	return tw.Flush()
 }

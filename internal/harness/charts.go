@@ -4,15 +4,15 @@ import (
 	"fmt"
 	"io"
 
-	"mbbp/internal/metrics"
 	"mbbp/internal/textchart"
 )
 
 // Chart renderers: terminal sketches of the figures, complementing the
-// numeric tables (mbpexp -chart).
+// numeric tables (mbpexp -chart). textchart reports no write errors, so
+// neither do they.
 
-// ChartFig6 plots the misprediction-rate series against history length.
-func ChartFig6(w io.Writer, rows []Fig6Row) {
+// chartFig6 plots the misprediction-rate series against history length.
+func chartFig6(w io.Writer, rows []Fig6Row) error {
 	var xs []string
 	var bInt, sInt, bFP []float64
 	for _, r := range rows {
@@ -26,10 +26,11 @@ func ChartFig6(w io.Writer, rows []Fig6Row) {
 		{Name: "Int scalar", Values: sInt},
 		{Name: "FP blocked", Values: bFP},
 	}, "%.2f")
+	return nil
 }
 
-// ChartFig7 plots the BIT-size sweep.
-func ChartFig7(w io.Writer, rows []Fig7Row) {
+// chartFig7 plots the BIT-size sweep.
+func chartFig7(w io.Writer, rows []Fig7Row) error {
 	var xs []string
 	var share, ipcf []float64
 	for _, r := range rows {
@@ -41,11 +42,12 @@ func ChartFig7(w io.Writer, rows []Fig7Row) {
 		{Name: "%BEP(BIT)", Values: share},
 		{Name: "IPC_f", Values: ipcf},
 	}, "%.2f")
+	return nil
 }
 
-// ChartFig8 plots the Int IPC_f of both selection modes across the
+// chartFig8 plots the Int IPC_f of both selection modes across the
 // sweep points.
-func ChartFig8(w io.Writer, rows []Fig8Row) {
+func chartFig8(w io.Writer, rows []Fig8Row) error {
 	var xs []string
 	var single, double []float64
 	for _, r := range rows {
@@ -59,24 +61,15 @@ func ChartFig8(w io.Writer, rows []Fig8Row) {
 	}, "%.2f")
 	fmt.Fprintf(w, "  trend (single): %s\n", textchart.Sparkline(single))
 	fmt.Fprintf(w, "  trend (double): %s\n", textchart.Sparkline(double))
+	return nil
 }
 
-// ChartFig9 draws the per-program BEP bars (the figure's silhouette).
-func ChartFig9(w io.Writer, rows []Fig9Row) {
+// chartFig9 draws the per-program BEP bars (the figure's silhouette).
+func chartFig9(w io.Writer, rows []Fig9Row) error {
 	var bars []textchart.Bar
 	for _, r := range rows {
 		bars = append(bars, textchart.Bar{Label: r.Program, Value: r.BEP})
 	}
 	textchart.Bars(w, "branch execution penalty by program", bars, 48, "%.3f")
-}
-
-// ChartBreakdown draws one program's stacked contributions as bars.
-func ChartBreakdown(w io.Writer, r Fig9Row) {
-	var bars []textchart.Bar
-	for k := metrics.Kind(0); k < metrics.NumKinds; k++ {
-		if r.ByKind[k] > 0 {
-			bars = append(bars, textchart.Bar{Label: k.String(), Value: r.ByKind[k]})
-		}
-	}
-	textchart.Bars(w, fmt.Sprintf("%s BEP = %.3f", r.Program, r.BEP), bars, 40, "%.3f")
+	return nil
 }

@@ -32,9 +32,12 @@ type Comparison struct {
 	CostSingle, CostDualSingle, CostDualDouble float64
 }
 
-// CompareAsync submits every headline-claim configuration (five
-// RunConfig grids plus the near-block trace scan) at once.
-func CompareAsync(s *Scheduler, ts *TraceSet) func() (*Comparison, error) {
+// Compare measures every headline claim of the paper on the trace set.
+var Compare = &Descriptor[*Comparison]{Name: "compare", Run: runCompare, Text: renderCompare}
+
+// runCompare submits every headline-claim configuration (five RunConfig
+// grids plus the near-block trace scan) at once.
+func runCompare(s *Scheduler, ts *TraceSet, _ Params) func() (*Comparison, error) {
 	b := NewBatch(s, ts)
 
 	// Accuracy at the paper's default configuration.
@@ -155,11 +158,8 @@ func CompareAsync(s *Scheduler, ts *TraceSet) func() (*Comparison, error) {
 	}
 }
 
-// Compare measures every headline claim of the paper on the trace set.
-func Compare(ts *TraceSet) (*Comparison, error) { return CompareAsync(DefaultScheduler(), ts)() }
-
-// RenderComparison writes the paper-vs-measured table.
-func RenderComparison(w io.Writer, c *Comparison) {
+// renderCompare writes the paper-vs-measured table.
+func renderCompare(w io.Writer, c *Comparison) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Headline claims: paper vs this reproduction")
 	fmt.Fprintln(tw, "claim\tpaper\tmeasured")
@@ -185,5 +185,5 @@ func RenderComparison(w io.Writer, c *Comparison) {
 		float64(paperdata.CostDualSingleKbits), c.CostDualSingle)
 	fmt.Fprintf(tw, "cost: dual, double select\t%.0f Kbit\t%.1f Kbit\n",
 		float64(paperdata.CostDualDoubleKbits), c.CostDualDouble)
-	tw.Flush()
+	return tw.Flush()
 }

@@ -26,8 +26,8 @@ func writeCSV(w io.Writer, header []string, rows [][]string) error {
 func f(v float64) string { return fmt.Sprintf("%g", v) }
 func d(v int) string     { return fmt.Sprintf("%d", v) }
 
-// CSVFig6 writes the Figure 6 series.
-func CSVFig6(w io.Writer, rows []Fig6Row) error {
+// csvFig6 writes the Figure 6 series.
+func csvFig6(w io.Writer, rows []Fig6Row) error {
 	var out [][]string
 	for _, r := range rows {
 		out = append(out, []string{
@@ -42,8 +42,8 @@ func CSVFig6(w io.Writer, rows []Fig6Row) error {
 	}, out)
 }
 
-// CSVFig7 writes the Figure 7 series.
-func CSVFig7(w io.Writer, rows []Fig7Row) error {
+// csvFig7 writes the Figure 7 series.
+func csvFig7(w io.Writer, rows []Fig7Row) error {
 	var out [][]string
 	for _, r := range rows {
 		out = append(out, []string{
@@ -53,8 +53,8 @@ func CSVFig7(w io.Writer, rows []Fig7Row) error {
 	return writeCSV(w, []string{"bit_entries", "int_pct_bep", "int_ipcf", "fp_pct_bep", "fp_ipcf"}, out)
 }
 
-// CSVFig8 writes the Figure 8 series.
-func CSVFig8(w io.Writer, rows []Fig8Row) error {
+// csvFig8 writes the Figure 8 series.
+func csvFig8(w io.Writer, rows []Fig8Row) error {
 	var out [][]string
 	for _, r := range rows {
 		out = append(out, []string{
@@ -67,8 +67,8 @@ func CSVFig8(w io.Writer, rows []Fig8Row) error {
 	}, out)
 }
 
-// CSVTable5 writes the Table 5 rows.
-func CSVTable5(w io.Writer, rows []Table5Row) error {
+// csvTable5 writes the Table 5 rows.
+func csvTable5(w io.Writer, rows []Table5Row) error {
 	var out [][]string
 	for _, r := range rows {
 		near := "0"
@@ -85,8 +85,8 @@ func CSVTable5(w io.Writer, rows []Table5Row) error {
 	}, out)
 }
 
-// CSVTable6 writes the Table 6 rows.
-func CSVTable6(w io.Writer, rows []Table6Row) error {
+// csvTable6 writes the Table 6 rows.
+func csvTable6(w io.Writer, rows []Table6Row) error {
 	var out [][]string
 	for _, r := range rows {
 		out = append(out, []string{
@@ -102,8 +102,8 @@ func CSVTable6(w io.Writer, rows []Table6Row) error {
 	}, out)
 }
 
-// CSVFig9 writes the Figure 9 breakdown.
-func CSVFig9(w io.Writer, rows []Fig9Row) error {
+// csvFig9 writes the Figure 9 breakdown.
+func csvFig9(w io.Writer, rows []Fig9Row) error {
 	header := []string{"program", "suite", "bep"}
 	for k := metrics.Kind(0); k < metrics.NumKinds; k++ {
 		header = append(header, fmt.Sprintf("bep_%s", sanitize(k.String())))

@@ -20,7 +20,7 @@ func parseCSV(t *testing.T, buf *bytes.Buffer) [][]string {
 func TestCSVFig6RoundTrip(t *testing.T) {
 	rows := cachedFig6(t)
 	var buf bytes.Buffer
-	if err := CSVFig6(&buf, rows); err != nil {
+	if err := csvFig6(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	recs := parseCSV(t, &buf)
@@ -41,7 +41,7 @@ func TestCSVAllExperiments(t *testing.T) {
 	var buf bytes.Buffer
 
 	f7 := cachedFig7(t)
-	if err := CSVFig7(&buf, f7); err != nil {
+	if err := csvFig7(&buf, f7); err != nil {
 		t.Fatal(err)
 	}
 	if recs := parseCSV(t, &buf); len(recs) != len(f7)+1 {
@@ -50,7 +50,7 @@ func TestCSVAllExperiments(t *testing.T) {
 
 	buf.Reset()
 	f8 := cachedFig8(t)
-	if err := CSVFig8(&buf, f8); err != nil {
+	if err := csvFig8(&buf, f8); err != nil {
 		t.Fatal(err)
 	}
 	if recs := parseCSV(t, &buf); len(recs) != len(f8)+1 {
@@ -59,7 +59,7 @@ func TestCSVAllExperiments(t *testing.T) {
 
 	buf.Reset()
 	t5 := cachedTable5(t)
-	if err := CSVTable5(&buf, t5); err != nil {
+	if err := csvTable5(&buf, t5); err != nil {
 		t.Fatal(err)
 	}
 	if recs := parseCSV(t, &buf); len(recs) != len(t5)+1 {
@@ -68,7 +68,7 @@ func TestCSVAllExperiments(t *testing.T) {
 
 	buf.Reset()
 	t6 := cachedTable6(t)
-	if err := CSVTable6(&buf, t6); err != nil {
+	if err := csvTable6(&buf, t6); err != nil {
 		t.Fatal(err)
 	}
 	if recs := parseCSV(t, &buf); len(recs) != len(t6)+1 {
@@ -77,7 +77,7 @@ func TestCSVAllExperiments(t *testing.T) {
 
 	buf.Reset()
 	f9 := cachedFig9(t)
-	if err := CSVFig9(&buf, f9); err != nil {
+	if err := csvFig9(&buf, f9); err != nil {
 		t.Fatal(err)
 	}
 	recs := parseCSV(t, &buf)

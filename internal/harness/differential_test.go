@@ -2,277 +2,117 @@ package harness
 
 import (
 	"bytes"
-	"io"
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
-
-	"mbbp/internal/core"
 )
 
-// The scheduling determinism contract, checked for every experiment:
-// running it on the work-stealing pool must produce output
-// byte-identical to the serial path (Serial() runs jobs inline at
-// submission, i.e. the pre-scheduler execution order). Each case renders
-// the human table and, where one exists, the CSV form, and compares the
-// bytes of the two runs.
+// Every experiment is pinned twice over, driven by the descriptor list:
+// each form it renders must match its golden file byte for byte
+// (column layout, formatting precision, CSV headers and every number
+// against the pinned-seed 120k-instruction test traces), and running it
+// on a 4-worker pool must render byte-identically to the serial path
+// (Serial() runs jobs inline at submission, i.e. the pre-scheduler
+// execution order). A new experiment is covered as soon as it joins
+// Experiments; create its goldens with
 //
+//	go test ./internal/harness/ -run TestDifferentialGolden -update
+//
+// TestGoldenRegression pins the default configuration's raw counts.
 // Bit-packed predictor state is checked against the wide-slice oracles
 // in the pht, bitable and seltab tests, and lane-grouped batches
 // against one-config batches across every experiment dimension by
 // TestBatchMatchesPerConfig (batch_test.go).
 
-// differ runs one experiment serially and on the pool and byte-compares
-// every rendering the experiment has.
-func differ(t *testing.T, name string, run func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error)) {
+var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/")
+
+// goldenParams runs every experiment at its defaults, except that seeds,
+// which captures its own traces, runs on a reduced grid.
+var goldenParams = Params{Options: Options{Instructions: 30_000, Programs: []string{"compress", "swim"}}}
+
+func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
-	pool := NewScheduler(4)
-	defer pool.Close()
-
-	render := func(label string, s *Scheduler, ts *TraceSet) []string {
-		t.Helper()
-		outs, err := run(s, ts)
-		if err != nil {
-			t.Fatalf("%s (%s): %v", name, label, err)
-		}
-		var rendered []string
-		for _, out := range outs {
-			var buf bytes.Buffer
-			if err := out(&buf); err != nil {
-				t.Fatalf("%s (%s): render: %v", name, label, err)
-			}
-			rendered = append(rendered, buf.String())
-		}
-		return rendered
-	}
-
-	serial := render("serial", Serial(), testTraces)
-	parallel := render("parallel", pool, testTraces)
-	if len(serial) != len(parallel) {
-		t.Fatalf("%s: rendering count differs between serial and parallel", name)
-	}
-	for i := range serial {
-		if len(serial[i]) == 0 {
-			t.Errorf("%s: rendering %d is empty", name, i)
-		}
-		if serial[i] != parallel[i] {
-			t.Errorf("%s: rendering %d differs between serial and parallel:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				name, i, serial[i], parallel[i])
-		}
-	}
-}
-
-func TestDifferentialFig6(t *testing.T) {
-	differ(t, "fig6", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		rows, err := Fig6Async(s, ts)()
-		if err != nil {
-			return nil, err
-		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderFig6(w, rows); return nil },
-			func(w io.Writer) error { return CSVFig6(w, rows) },
-		}, nil
-	})
-}
-
-func TestDifferentialFig7(t *testing.T) {
-	differ(t, "fig7", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		rows, err := Fig7Async(s, ts)()
-		if err != nil {
-			return nil, err
-		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderFig7(w, rows); return nil },
-			func(w io.Writer) error { return CSVFig7(w, rows) },
-		}, nil
-	})
-}
-
-func TestDifferentialFig8(t *testing.T) {
-	differ(t, "fig8", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		rows, err := Fig8Async(s, ts)()
-		if err != nil {
-			return nil, err
-		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderFig8(w, rows); return nil },
-			func(w io.Writer) error { return CSVFig8(w, rows) },
-		}, nil
-	})
-}
-
-func TestDifferentialFig9(t *testing.T) {
-	differ(t, "fig9", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		rows, err := Fig9Async(s, ts)()
-		if err != nil {
-			return nil, err
-		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderFig9(w, rows); return nil },
-			func(w io.Writer) error { return CSVFig9(w, rows) },
-		}, nil
-	})
-}
-
-func TestDifferentialTable5(t *testing.T) {
-	differ(t, "table5", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		rows, err := Table5Async(s, ts)()
-		if err != nil {
-			return nil, err
-		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderTable5(w, rows); return nil },
-			func(w io.Writer) error { return CSVTable5(w, rows) },
-		}, nil
-	})
-}
-
-func TestDifferentialTable6(t *testing.T) {
-	differ(t, "table6", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		rows, err := Table6Async(s, ts)()
-		if err != nil {
-			return nil, err
-		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderTable6(w, rows); return nil },
-			func(w io.Writer) error { return CSVTable6(w, rows) },
-		}, nil
-	})
-}
-
-func TestDifferentialCompare(t *testing.T) {
-	differ(t, "compare", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		c, err := CompareAsync(s, ts)()
-		if err != nil {
-			return nil, err
-		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderComparison(w, c); return nil },
-		}, nil
-	})
-}
-
-// TestDifferentialPredictors pins the mixed-predictor lane path: the
-// strategy-comparison grid groups paper and TAGE lanes into ONE lane
-// set (shared geometry), and its output must stay byte-identical to
-// per-config engine runs, serially and on the pool.
-func TestDifferentialPredictors(t *testing.T) {
-	differ(t, "predictors", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		rows, err := ComparePredictorsAsync(s, ts, core.PredictorTAGE)()
-		if err != nil {
-			return nil, err
-		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderPredictors(w, rows); return nil },
-			func(w io.Writer) error { return CSVPredictors(w, rows) },
-		}, nil
-	})
-}
-
-func TestDifferentialBaseline(t *testing.T) {
-	differ(t, "baseline", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		rows, err := BaselineAsync(s, ts)()
-		if err != nil {
-			return nil, err
-		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderBaseline(w, rows); return nil },
-		}, nil
-	})
-}
-
-func TestDifferentialExtBlocks(t *testing.T) {
-	differ(t, "extblocks", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		rows, err := ExtBlocksAsync(s, ts)()
-		if err != nil {
-			return nil, err
-		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderExtBlocks(w, rows); return nil },
-		}, nil
-	})
-}
-
-func TestDifferentialAblation(t *testing.T) {
-	differ(t, "ablation", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		rows, err := AblationPHTAsync(s, ts)()
-		if err != nil {
-			return nil, err
-		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderAblationPHT(w, rows); return nil },
-		}, nil
-	})
-}
-
-func TestDifferentialWidths(t *testing.T) {
-	differ(t, "widths", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		rows, err := WidthsAsync(s, ts)()
-		if err != nil {
-			return nil, err
-		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderWidths(w, rows); return nil },
-		}, nil
-	})
-}
-
-func TestDifferentialICache(t *testing.T) {
-	differ(t, "icache", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		rows, err := ICacheAsync(s, ts)()
-		if err != nil {
-			return nil, err
-		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderICache(w, rows); return nil },
-		}, nil
-	})
-}
-
-// TestDifferentialSeeds covers the one driver that captures its own
-// traces (seed sweep) — the trickiest interleaving, since trace capture
-// jobs and simulation jobs coexist on the pool. The sweep ignores the
-// shared trace set, so only the serial-vs-pool contract applies; a
-// reduced grid keeps it fast.
-func TestDifferentialSeeds(t *testing.T) {
-	pool := NewScheduler(4)
-	defer pool.Close()
-	opts := Options{Instructions: 30_000, Programs: []string{"compress", "swim"}}
-	seeds := []int64{1, 99}
-	render := func(s *Scheduler) string {
-		t.Helper()
-		rows, err := SeedsAsync(s, opts, seeds)()
-		if err != nil {
+	path := filepath.Join("testdata", name+".golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		RenderSeeds(&buf, rows)
-		return buf.String()
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	serial, parallel := render(Serial()), render(pool)
-	if serial == "" {
-		t.Fatal("empty serial rendering")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
 	}
-	if serial != parallel {
-		t.Errorf("seeds rendering differs between serial and parallel:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, parallel)
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from golden file %s (run with -update after intentional changes)\n--- got ---\n%s\n--- want ---\n%s",
+			name, path, got, want)
 	}
 }
 
-// TestDifferentialEvents covers the tapped replay: attribution rides on
-// observers, which must not perturb results, so the events rendering
-// and CSV obey the same serial/parallel byte-identity as every untapped
-// experiment.
-func TestDifferentialEvents(t *testing.T) {
-	differ(t, "events", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		rows, err := EventsAsync(s, ts, core.DefaultConfig())()
-		if err != nil {
-			return nil, err
+// goldenName names a form's golden file: <experiment>_<form>, or just
+// <experiment> when the experiment renders one form only.
+func goldenName(ex Experiment, f Form) string {
+	forms := 0
+	for g := Form(0); g < numForms; g++ {
+		if ex.Has(g) {
+			forms++
 		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderEvents(w, rows, DefaultEventsTopN); return nil },
-			func(w io.Writer) error { return CSVEvents(w, rows, DefaultEventsTopN) },
-		}, nil
-	})
+	}
+	if forms == 1 {
+		return ex.String()
+	}
+	return ex.String() + "_" + f.String()
+}
+
+// renderForms runs ex on s and renders every form it has.
+func renderForms(t *testing.T, ex Experiment, s *Scheduler) [numForms][]byte {
+	t.Helper()
+	render, err := ex.Start(s, testTraces, goldenParams)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [numForms][]byte
+	for f := Form(0); f < numForms; f++ {
+		if ex.Has(f) {
+			var buf bytes.Buffer
+			if err := render(&buf, f); err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			out[f] = buf.Bytes()
+		}
+	}
+	return out
+}
+
+func TestDifferentialGolden(t *testing.T) {
+	pool := NewScheduler(4)
+	defer pool.Close()
+	for _, ex := range append(append([]Experiment(nil), Experiments...), Report) {
+		t.Run(ex.String(), func(t *testing.T) {
+			serial := renderForms(t, ex, Serial())
+			parallel := renderForms(t, ex, pool)
+			for f := Form(0); f < numForms; f++ {
+				if !ex.Has(f) {
+					continue
+				}
+				t.Run(f.String(), func(t *testing.T) {
+					if len(serial[f]) == 0 {
+						t.Fatal("empty rendering")
+					}
+					checkGolden(t, goldenName(ex, f), serial[f])
+					if !bytes.Equal(serial[f], parallel[f]) {
+						t.Errorf("rendering differs between serial and parallel:\n--- serial ---\n%s\n--- parallel ---\n%s",
+							serial[f], parallel[f])
+					}
+				})
+			}
+		})
+	}
 }
 
 // TestDifferentialWorkerCountInvariance is the scaling pipeline's
@@ -295,20 +135,17 @@ func TestDifferentialWorkerCountInvariance(t *testing.T) {
 			defer s.Close()
 		}
 		var out [2]string
-		rows6, err := Fig6Async(s, testTraces)()
-		if err != nil {
-			t.Fatalf("fig6 at %d workers: %v", workers, err)
+		for i, ex := range []Experiment{Fig6, Fig8} {
+			render, err := ex.Start(s, testTraces, Params{})()
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", ex, workers, err)
+			}
+			var b bytes.Buffer
+			if err := render(&b, FormText); err != nil {
+				t.Fatal(err)
+			}
+			out[i] = b.String()
 		}
-		var b bytes.Buffer
-		RenderFig6(&b, rows6)
-		out[0] = b.String()
-		rows8, err := Fig8Async(s, testTraces)()
-		if err != nil {
-			t.Fatalf("fig8 at %d workers: %v", workers, err)
-		}
-		b.Reset()
-		RenderFig8(&b, rows8)
-		out[1] = b.String()
 		return out
 	}
 

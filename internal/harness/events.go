@@ -18,6 +18,17 @@ import (
 // dominate a kind (the "hard to predict" observation), so the top-N
 // table is the first thing to read when a configuration regresses.
 
+// Events replays every program under an engine event tap and attributes
+// each penalty kind's cycles to the block addresses that carried them.
+var Events = &Descriptor[EventsResult]{Name: "events", Run: runEvents, Text: renderEvents, CSV: csvEvents}
+
+// EventsResult is the events experiment's result: one row per program
+// and the number of block addresses shown per kind.
+type EventsResult struct {
+	Rows []EventsRow
+	TopN int
+}
+
 // EventsRow is one program's replay under an enabled tap: its ordinary
 // result plus the per-block attribution, read through its per-kind view.
 type EventsRow struct {
@@ -26,15 +37,15 @@ type EventsRow struct {
 	Att     *obs.H2P
 }
 
-// DefaultEventsTopN is the per-kind site count the renderers show.
+// DefaultEventsTopN is the per-kind site count shown by default.
 const DefaultEventsTopN = 5
 
-// EventsAsync submits the tapped replay: one attribution accumulator
-// per program, installed on the measured run through the trace set's
-// observer hook, with the engine runs batched like every other
-// experiment. Rows fold in suite order — deterministic like every
-// other experiment (taps observe, they never steer).
-func EventsAsync(s *Scheduler, ts *TraceSet, cfg core.Config) func() ([]EventsRow, error) {
+// runEvents submits the tapped replay of the default configuration: one
+// attribution accumulator per program, installed on the measured run
+// through the trace set's observer hook, with the engine runs batched
+// like every other experiment. Rows fold in suite order — deterministic
+// like every other experiment (taps observe, they never steer).
+func runEvents(s *Scheduler, ts *TraceSet, p Params) func() (EventsResult, error) {
 	atts := make(map[string]*obs.H2P, len(ts.order))
 	for _, name := range ts.order {
 		atts[name] = obs.NewH2P()
@@ -43,37 +54,31 @@ func EventsAsync(s *Scheduler, ts *TraceSet, cfg core.Config) func() ([]EventsRo
 		return obs.NewTap(atts[program])
 	})
 	b := NewBatch(s, tsv)
-	p := b.RunConfig(cfg)
+	promise := b.RunConfig(core.DefaultConfig())
 	b.Flush()
-	return func() ([]EventsRow, error) {
-		res, err := p.Wait()
+	return func() (EventsResult, error) {
+		res, err := promise.Wait()
 		if err != nil {
-			return nil, err
+			return EventsResult{}, err
 		}
-		var rows []EventsRow
+		out := EventsResult{TopN: p.TopN}
+		if out.TopN <= 0 {
+			out.TopN = DefaultEventsTopN
+		}
 		for _, name := range ts.order {
-			rows = append(rows, EventsRow{Program: name, Res: res.Per[name], Att: atts[name]})
+			out.Rows = append(out.Rows, EventsRow{Program: name, Res: res.Per[name], Att: atts[name]})
 		}
-		return rows, nil
+		return out, nil
 	}
 }
 
-// Events runs the events experiment for the default configuration on
-// the default scheduler.
-func Events(ts *TraceSet) ([]EventsRow, error) {
-	return EventsAsync(DefaultScheduler(), ts, core.DefaultConfig())()
-}
-
-// RenderEvents writes the per-program attribution tables: for every
+// renderEvents writes the per-program attribution tables: for every
 // misprediction kind with charges, the topN worst block addresses with
 // their event counts, penalty cycles, and share of the kind's total.
-func RenderEvents(w io.Writer, rows []EventsRow, topN int) {
-	if topN <= 0 {
-		topN = DefaultEventsTopN
-	}
-	fmt.Fprintf(w, "Misprediction attribution: top %d block addresses per penalty kind\n", topN)
+func renderEvents(w io.Writer, er EventsResult) error {
+	fmt.Fprintf(w, "Misprediction attribution: top %d block addresses per penalty kind\n", er.TopN)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	for _, r := range rows {
+	for _, r := range er.Rows {
 		fmt.Fprintf(tw, "%s\tBEP=%.3f\tpenalty=%d cycles over %d blocks\t\t\n",
 			r.Program, r.Res.BEP(), r.Res.TotalPenaltyCycles(), r.Res.Blocks)
 		for k := metrics.Kind(0); k < metrics.NumKinds; k++ {
@@ -81,7 +86,7 @@ func RenderEvents(w io.Writer, rows []EventsRow, topN int) {
 			if total == 0 {
 				continue
 			}
-			for i, s := range r.Att.KindTop(k, topN) {
+			for i, s := range r.Att.KindTop(k, er.TopN) {
 				label := ""
 				if i == 0 {
 					label = k.String()
@@ -91,23 +96,20 @@ func RenderEvents(w io.Writer, rows []EventsRow, topN int) {
 			}
 		}
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
-// CSVEvents writes the attribution as CSV: one record per (program,
+// csvEvents writes the attribution as CSV: one record per (program,
 // kind, site) for the topN sites of each kind.
-func CSVEvents(w io.Writer, rows []EventsRow, topN int) error {
-	if topN <= 0 {
-		topN = DefaultEventsTopN
-	}
+func csvEvents(w io.Writer, er EventsResult) error {
 	var out [][]string
-	for _, r := range rows {
+	for _, r := range er.Rows {
 		for k := metrics.Kind(0); k < metrics.NumKinds; k++ {
 			total := r.Att.KindCycles(k)
 			if total == 0 {
 				continue
 			}
-			for i, s := range r.Att.KindTop(k, topN) {
+			for i, s := range r.Att.KindTop(k, er.TopN) {
 				out = append(out, []string{
 					r.Program, k.String(), d(i + 1), fmt.Sprintf("%d", s.Addr),
 					fmt.Sprintf("%d", s.Events), fmt.Sprintf("%d", s.Cycles),

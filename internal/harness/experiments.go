@@ -11,12 +11,10 @@ import (
 	"mbbp/internal/metrics"
 )
 
-// Every experiment driver comes in two forms: XAsync(s, ts) submits the
-// experiment's whole (configuration × program) grid to the scheduler
-// immediately and returns a wait function, so several experiments can
-// share one pool (mbpexp all, the report); X(ts) is the synchronous
-// form on the default scheduler. Wait functions fold in declaration
-// order, so rendered output never depends on execution interleaving.
+// Fig6 sweeps the branch history length from 6 to 12 (paper Figure 6).
+var Fig6 = &Descriptor[[]Fig6Row]{
+	Name: "fig6", Run: runFig6, Text: renderFig6, CSV: csvFig6, Chart: chartFig6,
+}
 
 // Fig6Row is one history length of Figure 6: blocked-PHT vs equal-size
 // scalar conditional misprediction rates.
@@ -27,9 +25,9 @@ type Fig6Row struct {
 	ImproveInt, ImproveFP float64 // scalar - blocked, percentage points
 }
 
-// Fig6Async submits the Figure 6 sweep: branch history length 6 to 12,
+// runFig6 submits the Figure 6 sweep: branch history length 6 to 12,
 // blocked PHT and the equal-size scalar baseline per point.
-func Fig6Async(s *Scheduler, ts *TraceSet) func() ([]Fig6Row, error) {
+func runFig6(s *Scheduler, ts *TraceSet, _ Params) func() ([]Fig6Row, error) {
 	type point struct {
 		h               int
 		blocked, scalar *SuitePromise
@@ -73,11 +71,8 @@ func Fig6Async(s *Scheduler, ts *TraceSet) func() ([]Fig6Row, error) {
 	}
 }
 
-// Fig6 sweeps the branch history length from 6 to 12 (paper Figure 6).
-func Fig6(ts *TraceSet) ([]Fig6Row, error) { return Fig6Async(DefaultScheduler(), ts)() }
-
-// RenderFig6 writes the Figure 6 series as a table.
-func RenderFig6(w io.Writer, rows []Fig6Row) {
+// renderFig6 writes the Figure 6 series as a table.
+func renderFig6(w io.Writer, rows []Fig6Row) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Figure 6: conditional branch misprediction rate, blocked vs scalar PHT")
 	fmt.Fprintln(tw, "hist\tInt blocked%\tInt scalar%\tInt improve(pp)\tFP blocked%\tFP scalar%\tFP improve(pp)")
@@ -86,7 +81,13 @@ func RenderFig6(w io.Writer, rows []Fig6Row) {
 			r.History, 100*r.BlockedInt, 100*r.ScalarInt, r.ImproveInt,
 			100*r.BlockedFP, 100*r.ScalarFP, r.ImproveFP)
 	}
-	tw.Flush()
+	return tw.Flush()
+}
+
+// Fig7 sweeps the separate BIT table size with single-block fetching
+// (paper Figure 7).
+var Fig7 = &Descriptor[[]Fig7Row]{
+	Name: "fig7", Run: runFig7, Text: renderFig7, CSV: csvFig7, Chart: chartFig7,
 }
 
 // Fig7Row is one BIT size of Figure 7.
@@ -96,9 +97,9 @@ type Fig7Row struct {
 	IPCfInt, IPCfFP     float64
 }
 
-// Fig7Async submits the Figure 7 sweep: separate BIT table sizes with
+// runFig7 submits the Figure 7 sweep: separate BIT table sizes with
 // single-block fetching.
-func Fig7Async(s *Scheduler, ts *TraceSet) func() ([]Fig7Row, error) {
+func runFig7(s *Scheduler, ts *TraceSet, _ Params) func() ([]Fig7Row, error) {
 	entries := []int{64, 128, 256, 512, 1024, 2048, 4096}
 	b := NewBatch(s, ts)
 	var promises []*SuitePromise
@@ -132,12 +133,8 @@ func Fig7Async(s *Scheduler, ts *TraceSet) func() ([]Fig7Row, error) {
 	}
 }
 
-// Fig7 sweeps the separate BIT table size with single-block fetching
-// (paper Figure 7).
-func Fig7(ts *TraceSet) ([]Fig7Row, error) { return Fig7Async(DefaultScheduler(), ts)() }
-
-// RenderFig7 writes the Figure 7 series.
-func RenderFig7(w io.Writer, rows []Fig7Row) {
+// renderFig7 writes the Figure 7 series.
+func renderFig7(w io.Writer, rows []Fig7Row) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Figure 7: BIT table size vs BEP contribution and fetch rate (single block)")
 	fmt.Fprintln(tw, "BIT entries\tInt %BEP(BIT)\tInt IPC_f\tFP %BEP(BIT)\tFP IPC_f")
@@ -145,7 +142,13 @@ func RenderFig7(w io.Writer, rows []Fig7Row) {
 		fmt.Fprintf(tw, "%d\t%.1f\t%.2f\t%.1f\t%.2f\n",
 			r.Entries, r.PctBEPInt, r.IPCfInt, r.PctBEPFP, r.IPCfFP)
 	}
-	tw.Flush()
+	return tw.Flush()
+}
+
+// Fig8 sweeps history length 9-12 and select-table count 1-8 for single
+// and double selection, dual-block fetching (paper Figure 8).
+var Fig8 = &Descriptor[[]Fig8Row]{
+	Name: "fig8", Run: runFig8, Text: renderFig8, CSV: csvFig8, Chart: chartFig8,
 }
 
 // Fig8Row is one (history, #STs) point of Figure 8 for both selection
@@ -156,10 +159,10 @@ type Fig8Row struct {
 	DoubleInt, DoubleFP float64
 }
 
-// Fig8Async submits the Figure 8 grid: history length 9-12 × select
+// runFig8 submits the Figure 8 grid: history length 9-12 × select
 // table count 1-8 × both selection modes — 32 configurations, each
 // fanned out per program.
-func Fig8Async(s *Scheduler, ts *TraceSet) func() ([]Fig8Row, error) {
+func runFig8(s *Scheduler, ts *TraceSet, _ Params) func() ([]Fig8Row, error) {
 	type point struct {
 		h, sts         int
 		single, double *SuitePromise
@@ -205,12 +208,8 @@ func Fig8Async(s *Scheduler, ts *TraceSet) func() ([]Fig8Row, error) {
 	}
 }
 
-// Fig8 sweeps history length 9-12 and select-table count 1-8 for single
-// and double selection, dual-block fetching (paper Figure 8).
-func Fig8(ts *TraceSet) ([]Fig8Row, error) { return Fig8Async(DefaultScheduler(), ts)() }
-
-// RenderFig8 writes the Figure 8 series.
-func RenderFig8(w io.Writer, rows []Fig8Row) {
+// renderFig8 writes the Figure 8 series.
+func renderFig8(w io.Writer, rows []Fig8Row) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Figure 8: IPC_f for single vs double selection (dual block)")
 	fmt.Fprintln(tw, "hist/STs\tInt single\tInt double\tFP single\tFP double")
@@ -218,7 +217,14 @@ func RenderFig8(w io.Writer, rows []Fig8Row) {
 		fmt.Fprintf(tw, "%d/%d\t%.2f\t%.2f\t%.2f\t%.2f\n",
 			r.History, r.STs, r.SingleInt, r.DoubleInt, r.SingleFP, r.DoubleFP)
 	}
-	tw.Flush()
+	return tw.Flush()
+}
+
+// Table5 sweeps target array configurations over the integer suite
+// (paper Table 5): a 4-way BTB with 8-64 block entries and an NLS with
+// 64-512 block entries, each with and without near-block encoding.
+var Table5 = &Descriptor[[]Table5Row]{
+	Name: "table5", Run: runTable5, Text: renderTable5, CSV: csvTable5,
 }
 
 // Table5Row is one target-array configuration of Table 5 (SPECint95).
@@ -232,9 +238,9 @@ type Table5Row struct {
 	IPCf      float64
 }
 
-// Table5Async submits the Table 5 sweep: BTB 8-64 and NLS 64-512 block
+// runTable5 submits the Table 5 sweep: BTB 8-64 and NLS 64-512 block
 // entries, each with and without near-block encoding.
-func Table5Async(s *Scheduler, ts *TraceSet) func() ([]Table5Row, error) {
+func runTable5(s *Scheduler, ts *TraceSet, _ Params) func() ([]Table5Row, error) {
 	type point struct {
 		kind    core.TargetArrayKind
 		entries int
@@ -286,13 +292,8 @@ func Table5Async(s *Scheduler, ts *TraceSet) func() ([]Table5Row, error) {
 	}
 }
 
-// Table5 sweeps target array configurations over the integer suite
-// (paper Table 5): a 4-way BTB with 8-64 block entries and an NLS with
-// 64-512 block entries, each with and without near-block encoding.
-func Table5(ts *TraceSet) ([]Table5Row, error) { return Table5Async(DefaultScheduler(), ts)() }
-
-// RenderTable5 writes Table 5.
-func RenderTable5(w io.Writer, rows []Table5Row) {
+// renderTable5 writes Table 5.
+func renderTable5(w io.Writer, rows []Table5Row) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Table 5: indirect and immediate misfetch penalty, SPECint95 (dual block)")
 	fmt.Fprintln(tw, "type\t# blk entries\tnear-block\t%BEP imm\t%BEP ind\tBEP\tIPC_f")
@@ -304,7 +305,13 @@ func RenderTable5(w io.Writer, rows []Table5Row) {
 		fmt.Fprintf(tw, "%s\t%d\t%s\t%.1f\t%.1f\t%.3f\t%.2f\n",
 			r.Kind, r.Entries, near, r.PctBEPImm, r.PctBEPInd, r.BEP, r.IPCf)
 	}
-	tw.Flush()
+	return tw.Flush()
+}
+
+// Table6 compares the normal, extended and self-aligned caches with one
+// and two block fetching (paper Table 6: 8 STs, history length 10).
+var Table6 = &Descriptor[[]Table6Row]{
+	Name: "table6", Run: runTable6, Text: renderTable6, CSV: csvTable6,
 }
 
 // Table6Row is one cache organization of Table 6.
@@ -316,9 +323,9 @@ type Table6Row struct {
 	IPCf2Int, IPCf2FP float64 // dual block
 }
 
-// Table6Async submits the Table 6 grid: normal, extended and
+// runTable6 submits the Table 6 grid: normal, extended and
 // self-aligned caches × one- and two-block fetching.
-func Table6Async(s *Scheduler, ts *TraceSet) func() ([]Table6Row, error) {
+func runTable6(s *Scheduler, ts *TraceSet, _ Params) func() ([]Table6Row, error) {
 	type point struct {
 		kind     icache.Kind
 		geom     icache.Geometry
@@ -365,12 +372,8 @@ func Table6Async(s *Scheduler, ts *TraceSet) func() ([]Table6Row, error) {
 	}
 }
 
-// Table6 compares the normal, extended and self-aligned caches with one
-// and two block fetching (paper Table 6: 8 STs, history length 10).
-func Table6(ts *TraceSet) ([]Table6Row, error) { return Table6Async(DefaultScheduler(), ts)() }
-
-// RenderTable6 writes Table 6.
-func RenderTable6(w io.Writer, rows []Table6Row) {
+// renderTable6 writes Table 6.
+func renderTable6(w io.Writer, rows []Table6Row) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Table 6: instructions per block and IPC_f by cache type (8 STs, h=10)")
 	fmt.Fprintln(tw, "cache\tline\tbanks\tInt IPB\tInt 1blk\tInt 2blk\tFP IPB\tFP 1blk\tFP 2blk")
@@ -380,7 +383,14 @@ func RenderTable6(w io.Writer, rows []Table6Row) {
 			r.IPBInt, r.IPCf1Int, r.IPCf2Int,
 			r.IPBFP, r.IPCf1FP, r.IPCf2FP)
 	}
-	tw.Flush()
+	return tw.Flush()
+}
+
+// Fig9 computes the per-program BEP breakdown for two-block single
+// selection with a self-aligned cache, 8 STs, history length 10 (paper
+// Figure 9).
+var Fig9 = &Descriptor[[]Fig9Row]{
+	Name: "fig9", Run: runFig9, Text: renderFig9, CSV: csvFig9, Chart: chartFig9,
 }
 
 // Fig9Row is one program's BEP breakdown (paper Figure 9).
@@ -391,10 +401,10 @@ type Fig9Row struct {
 	ByKind  [metrics.NumKinds]float64
 }
 
-// Fig9Async submits the Figure 9 configuration (two-block single
+// runFig9 submits the Figure 9 configuration (two-block single
 // selection, self-aligned cache, 8 STs, history length 10) — a single
 // configuration whose parallelism is the per-program fan-out.
-func Fig9Async(s *Scheduler, ts *TraceSet) func() ([]Fig9Row, error) {
+func runFig9(s *Scheduler, ts *TraceSet, _ Params) func() ([]Fig9Row, error) {
 	cfg := core.DefaultConfig()
 	cfg.Geometry = icache.ForKind(icache.SelfAligned, 8)
 	cfg.NumSTs = 8
@@ -427,12 +437,8 @@ func Fig9Async(s *Scheduler, ts *TraceSet) func() ([]Fig9Row, error) {
 	}
 }
 
-// Fig9 computes the per-program BEP breakdown for two-block single
-// selection with a self-aligned cache, 8 STs, history length 10.
-func Fig9(ts *TraceSet) ([]Fig9Row, error) { return Fig9Async(DefaultScheduler(), ts)() }
-
-// RenderFig9 writes the Figure 9 stacked breakdown.
-func RenderFig9(w io.Writer, rows []Fig9Row) {
+// renderFig9 writes the Figure 9 stacked breakdown.
+func renderFig9(w io.Writer, rows []Fig9Row) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Figure 9: BEP by misprediction type (two block, single selection, self-aligned)")
 	fmt.Fprint(tw, "program\tBEP")
@@ -447,15 +453,17 @@ func RenderFig9(w io.Writer, rows []Fig9Row) {
 		}
 		fmt.Fprintln(tw)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
-// RenderCost writes the §5 cost walkthrough for the paper's default
+// Cost is the §5 cost walkthrough for the paper's default
 // configuration: first the Table 7 closed forms, then the same
 // accounting measured from live engines' structures (Engine.StateBits)
 // — the path the sweep tooling uses to print hardware-cost rows for
-// arbitrary configurations.
-func RenderCost(w io.Writer) {
+// arbitrary configurations. It simulates nothing.
+var Cost = &Descriptor[struct{}]{Name: "cost", Text: renderCost}
+
+func renderCost(w io.Writer, _ struct{}) error {
 	est := cost.PaperDefault()
 	fmt.Fprintln(w, "Section 5: simplified hardware cost estimates (paper defaults)")
 	fmt.Fprintf(w, "  PHT: %6.1f Kbits\n", kbits(est.PHT))
@@ -493,8 +501,11 @@ func RenderCost(w io.Writer) {
 			c.name, kbits(s.PHT), kbits(s.SelectTable), kbits(s.BIT),
 			kbits(s.TargetArray), kbits(s.Total()))
 	}
-	tw.Flush()
-	fmt.Fprintln(w, "  (BBR registers live outside the modeled tables; dual rows keep the BIT in-cache)")
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintln(w, "  (BBR registers live outside the modeled tables; dual rows keep the BIT in-cache)")
+	return err
 }
 
 func kbits(bits int) float64 { return float64(bits) / 1024 }

@@ -13,10 +13,7 @@ func defaultCfg() core.Config { return core.DefaultConfig() }
 // TestCompareHeadlines checks the paper's headline claims hold on the
 // test trace set, with generous tolerances for the short runs.
 func TestCompareHeadlines(t *testing.T) {
-	c, err := Compare(testTraces)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := cachedCompare(t)
 	if c.FPAccuracy <= c.IntAccuracy {
 		t.Errorf("FP accuracy %.3f must exceed Int %.3f", c.FPAccuracy, c.IntAccuracy)
 	}
@@ -38,7 +35,7 @@ func TestCompareHeadlines(t *testing.T) {
 		t.Errorf("near-block share %.2f far from paper's ~0.70", c.NearShare)
 	}
 	var buf bytes.Buffer
-	RenderComparison(&buf, c)
+	renderCompare(&buf, c)
 	t.Logf("\n%s", buf.String())
 }
 
@@ -74,10 +71,7 @@ func TestWarmupOption(t *testing.T) {
 // TestExtBlocksShape checks the §5 extension: FP fetch rate keeps
 // rising through four blocks, cost rises linearly.
 func TestExtBlocksShape(t *testing.T) {
-	rows, err := ExtBlocks(testTraces)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := cachedExtBlocks(t)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -92,17 +86,14 @@ func TestExtBlocksShape(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	RenderExtBlocks(&buf, rows)
+	renderExtBlocks(&buf, rows)
 	t.Logf("\n%s", buf.String())
 }
 
 // TestAblationPHTShape checks the ablation rows all run and gshare is
 // competitive with history-only indexing.
 func TestAblationPHTShape(t *testing.T) {
-	rows, err := AblationPHT(testTraces)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := cachedAblation(t)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -112,17 +103,14 @@ func TestAblationPHTShape(t *testing.T) {
 			gshare.MispIntPct, global.MispIntPct)
 	}
 	var buf bytes.Buffer
-	RenderAblationPHT(&buf, rows)
+	renderAblation(&buf, rows)
 	t.Logf("\n%s", buf.String())
 }
 
 // TestWidthsShape checks §4's remark: two blocks of four instructions
 // beat one block of eight on FP, and wider is better at fixed blocks.
 func TestWidthsShape(t *testing.T) {
-	rows, err := Widths(testTraces)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := cachedWidths(t)
 	get := func(w, b int) WidthsRow {
 		for _, r := range rows {
 			if r.Width == w && r.Blocks == b {
@@ -141,17 +129,17 @@ func TestWidthsShape(t *testing.T) {
 			get(16, 2).IPCfInt, get(8, 2).IPCfInt)
 	}
 	var buf bytes.Buffer
-	RenderWidths(&buf, rows)
+	renderWidths(&buf, rows)
 	t.Logf("\n%s", buf.String())
 }
 
 // TestSeedsRobustness runs three seeds over a subset and checks the
 // integer fetch rate varies by little.
 func TestSeedsRobustness(t *testing.T) {
-	rows, err := Seeds(Options{
+	rows, err := seedsAsync(DefaultScheduler(), Options{
 		Instructions: 80_000,
 		Programs:     []string{"compress", "go", "swim"},
-	}, []int64{3, 77, 991})
+	}, []int64{3, 77, 991})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +158,7 @@ func TestSeedsRobustness(t *testing.T) {
 		t.Error("seed replacement had no effect on the workloads")
 	}
 	var buf bytes.Buffer
-	RenderSeeds(&buf, rows)
+	renderSeeds(&buf, rows)
 	t.Logf("\n%s", buf.String())
 }
 
@@ -181,12 +169,12 @@ func TestSeedsRobustness(t *testing.T) {
 func TestSeedsHonorsWarmup(t *testing.T) {
 	opts := Options{Instructions: 20_000, Programs: []string{"compress", "gcc"}}
 	seeds := []int64{1}
-	cold, err := Seeds(opts, seeds)
+	cold, err := seedsAsync(DefaultScheduler(), opts, seeds)()
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Warmup = true
-	warm, err := Seeds(opts, seeds)
+	warm, err := seedsAsync(DefaultScheduler(), opts, seeds)()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +195,12 @@ func TestWriteReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	parts, err := Report.Run(DefaultScheduler(), ts, Params{})()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := WriteReport(&buf, ts, 60_000); err != nil {
+	if err := Report.Text(&buf, parts); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -218,7 +210,7 @@ func TestWriteReport(t *testing.T) {
 		"## Table 5", "## Table 6", "## Figure 9",
 		"## Headline claims", "## Extension", "## Ablation",
 		"## Baseline", "## Hardware cost",
-		"CINT95", "CFP95",
+		"CINT95", "CFP95", "4 programs, 60000 dynamic instructions each",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("report missing %q", want)
@@ -233,14 +225,13 @@ func TestWriteReport(t *testing.T) {
 func TestCharts(t *testing.T) {
 	f6 := cachedFig6(t)
 	var buf bytes.Buffer
-	ChartFig6(&buf, f6)
+	chartFig6(&buf, f6)
 	if buf.Len() == 0 {
 		t.Error("empty fig6 chart")
 	}
 	f9 := cachedFig9(t)
 	buf.Reset()
-	ChartFig9(&buf, f9)
-	ChartBreakdown(&buf, f9[0])
+	chartFig9(&buf, f9)
 	if !bytes.Contains(buf.Bytes(), []byte("#")) {
 		t.Error("charts drew no bars")
 	}
@@ -250,10 +241,7 @@ func TestCharts(t *testing.T) {
 // scheme fetches bigger blocks than the basic-block BAC baseline, and
 // the BAC's cost curve dwarfs the select table's.
 func TestBaselineShape(t *testing.T) {
-	rows, err := Baseline(testTraces)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := cachedBaseline(t)
 	paper := rows[len(rows)-1]
 	bac256 := rows[len(rows)-2]
 	if paper.IPBInt <= bac256.IPBInt {
@@ -264,6 +252,6 @@ func TestBaselineShape(t *testing.T) {
 		t.Errorf("paper Int IPC_f %.2f should exceed BAC's %.2f", paper.IPCfInt, bac256.IPCfInt)
 	}
 	var buf bytes.Buffer
-	RenderBaseline(&buf, rows)
+	renderBaseline(&buf, rows)
 	t.Logf("\n%s", buf.String())
 }

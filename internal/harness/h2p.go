@@ -23,12 +23,27 @@ import (
 // touch the cache geometry, so all h-values ride one lane group and
 // one trace walk per program does the whole sweep.
 
-// DefaultH2PTopN is the block count the renderers show.
+// DefaultH2PTopN is the block count shown by default.
 const DefaultH2PTopN = 10
 
 // DefaultH2PHistories is the history-length sensitivity grid; the base
 // configuration's own history length joins it automatically.
 var DefaultH2PHistories = []int{6, 8, 10, 12, 14}
+
+// H2P ranks the default configuration's hard-to-predict blocks and
+// sweeps their history-length sensitivity.
+var H2P = &Descriptor[H2PResult]{Name: "h2p", Run: runH2P, Text: renderH2P, CSV: csvH2P}
+
+func runH2P(s *Scheduler, ts *TraceSet, p Params) func() (H2PResult, error) {
+	return h2pAsync(s, ts, core.DefaultConfig(), p)
+}
+
+// H2PResult is the h2p experiment's result: one row per program and
+// the number of blocks shown per program.
+type H2PResult struct {
+	Rows []H2PRow
+	TopN int
+}
 
 // H2PRow is one program's sweep: the base-history result plus one H2P
 // accumulator per history length (Att[BaseH] is the ranking view).
@@ -124,17 +139,19 @@ func normalizeHistories(hs []int, base int) []int {
 	return out
 }
 
-// H2PAsync submits the H2P sweep: one configuration per history length
-// (the base config with only HistoryBits changed — geometry untouched,
+// h2pAsync submits the H2P sweep over p.Histories (nil =
+// DefaultH2PHistories): one configuration per history length (the base
+// config with only HistoryBits changed — geometry untouched,
 // so the whole grid is one lane group and one trace walk per program),
 // each lane tapped into its own per-program H2P accumulator through the
 // config-aware observer hook. Rows fold in suite order; like every
 // experiment the output is byte-identical across serial, parallel, and
 // lane execution (taps observe, they never steer).
-func H2PAsync(s *Scheduler, ts *TraceSet, cfg core.Config, histories []int) func() ([]H2PRow, error) {
+func h2pAsync(s *Scheduler, ts *TraceSet, cfg core.Config, p Params) func() (H2PResult, error) {
 	if err := cfg.Validate(); err != nil {
-		return func() ([]H2PRow, error) { return nil, err }
+		return func() (H2PResult, error) { return H2PResult{}, err }
 	}
+	histories := p.Histories
 	if len(histories) == 0 {
 		histories = DefaultH2PHistories
 	}
@@ -161,31 +178,28 @@ func H2PAsync(s *Scheduler, ts *TraceSet, cfg core.Config, histories []int) func
 		proms[h] = b.RunConfig(c)
 	}
 	b.Flush()
-	return func() ([]H2PRow, error) {
+	return func() (H2PResult, error) {
 		base, err := proms[cfg.HistoryBits].Wait()
 		if err != nil {
-			return nil, err
+			return H2PResult{}, err
 		}
 		for _, h := range hs {
 			if _, err := proms[h].Wait(); err != nil {
-				return nil, err
+				return H2PResult{}, err
 			}
 		}
-		var rows []H2PRow
+		out := H2PResult{TopN: p.TopN}
+		if out.TopN <= 0 {
+			out.TopN = DefaultH2PTopN
+		}
 		for _, name := range ts.order {
-			rows = append(rows, H2PRow{
+			out.Rows = append(out.Rows, H2PRow{
 				Program: name, Res: base.Per[name],
 				BaseH: cfg.HistoryBits, Histories: hs, Att: aggs[name],
 			})
 		}
-		return rows, nil
+		return out, nil
 	}
-}
-
-// H2P runs the hard-to-predict report for the default configuration and
-// history grid on the default scheduler.
-func H2P(ts *TraceSet) ([]H2PRow, error) {
-	return H2PAsync(DefaultScheduler(), ts, core.DefaultConfig(), nil)()
 }
 
 func historiesLabel(hs []int) string {
@@ -196,43 +210,37 @@ func historiesLabel(hs []int) string {
 	return strings.Join(parts, ",")
 }
 
-// RenderH2P writes the per-program hard-to-predict tables: the topN
+// renderH2P writes the per-program hard-to-predict tables: the topN
 // worst blocks across all kinds with dominant kind, penalty share,
 // cumulative coverage, and the sensitivity-sweep best history length
 // with the cycles it would save.
-func RenderH2P(w io.Writer, rows []H2PRow, topN int) {
-	if topN <= 0 {
-		topN = DefaultH2PTopN
-	}
+func renderH2P(w io.Writer, hr H2PResult) error {
 	var label string
-	if len(rows) > 0 {
-		label = historiesLabel(rows[0].Histories)
+	if len(hr.Rows) > 0 {
+		label = historiesLabel(hr.Rows[0].Histories)
 	}
-	fmt.Fprintf(w, "H2P report: top %d hard-to-predict blocks, history sensitivity h={%s}\n", topN, label)
+	fmt.Fprintf(w, "H2P report: top %d hard-to-predict blocks, history sensitivity h={%s}\n", hr.TopN, label)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	for _, r := range rows {
+	for _, r := range hr.Rows {
 		att := r.Att[r.BaseH]
 		fmt.Fprintf(tw, "%s\th=%d\tpenalty=%d cycles over %d blocks\tsites=%d\t\t\t\t\n",
 			r.Program, r.BaseH, att.TotalCycles(), att.Blocks(), att.Sites())
 		fmt.Fprintf(tw, "  #\taddr\tkind\tevents\tcycles\tshare\tcum\tbest-h\tsaves\n")
-		for i, b := range r.TopBlocks(topN) {
+		for i, b := range r.TopBlocks(hr.TopN) {
 			fmt.Fprintf(tw, "  %d\t@%d\t%s\t%d\t%d\t%.1f%%\t%.1f%%\th=%d\t%d\n",
 				i+1, b.Addr, b.Kind, b.Events, b.Cycles,
 				100*b.Share, 100*b.Cum, b.BestH, b.Delta)
 		}
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
-// CSVH2P writes the report as CSV: one record per (program, rank).
-func CSVH2P(w io.Writer, rows []H2PRow, topN int) error {
-	if topN <= 0 {
-		topN = DefaultH2PTopN
-	}
+// csvH2P writes the report as CSV: one record per (program, rank).
+func csvH2P(w io.Writer, hr H2PResult) error {
 	var out [][]string
-	for _, r := range rows {
+	for _, r := range hr.Rows {
 		total := r.Att[r.BaseH].TotalCycles()
-		for i, b := range r.TopBlocks(topN) {
+		for i, b := range r.TopBlocks(hr.TopN) {
 			out = append(out, []string{
 				r.Program, d(i + 1), fmt.Sprintf("%d", b.Addr), b.Kind.String(),
 				fmt.Sprintf("%d", b.Events), fmt.Sprintf("%d", b.Cycles),

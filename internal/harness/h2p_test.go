@@ -1,38 +1,18 @@
 package harness
 
 import (
-	"io"
 	"reflect"
 	"testing"
 
 	"mbbp/internal/core"
 )
 
-// TestDifferentialH2P covers the sensitivity sweep: every history lane
-// taps into its own accumulator through the config-aware observer hook,
-// and observers must not perturb results — so the h2p rendering and CSV
-// obey the same serial/parallel byte-identity as every untapped
-// experiment. That a lane's observer sees exactly what a lone engine's
-// would is pinned one layer down, by TestLaneObservers in core.
-func TestDifferentialH2P(t *testing.T) {
-	differ(t, "h2p", func(s *Scheduler, ts *TraceSet) ([]func(io.Writer) error, error) {
-		rows, err := H2PAsync(s, ts, core.DefaultConfig(), nil)()
-		if err != nil {
-			return nil, err
-		}
-		return []func(io.Writer) error{
-			func(w io.Writer) error { RenderH2P(w, rows, DefaultH2PTopN); return nil },
-			func(w io.Writer) error { return CSVH2P(w, rows, DefaultH2PTopN) },
-		}, nil
-	})
-}
-
 // TestH2PShape checks the report's internal consistency on the pinned
 // test traces: the history grid, the coverage curve's monotonicity, and
 // the sensitivity sweep's best-h contract (best never worse than base,
 // delta is exactly the claimed saving).
 func TestH2PShape(t *testing.T) {
-	rows := cachedH2P(t)
+	rows := cachedH2P(t).Rows
 	if len(rows) != len(testTraces.Programs()) {
 		t.Fatalf("got %d rows, want %d", len(rows), len(testTraces.Programs()))
 	}
@@ -110,7 +90,7 @@ func TestParseHistories(t *testing.T) {
 func TestH2PInvalidConfig(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.HistoryBits = -1
-	if _, err := H2PAsync(Serial(), testTraces, cfg, nil)(); err == nil {
+	if _, err := h2pAsync(Serial(), testTraces, cfg, Params{})(); err == nil {
 		t.Fatal("invalid base config produced no error")
 	}
 }

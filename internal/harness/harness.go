@@ -58,6 +58,8 @@ type TraceSet struct {
 	traces map[string]*trace.Buffer
 	suites map[string]workload.Suite
 	warmup bool
+	// instructions is the dynamic trace length per program.
+	instructions uint64
 
 	// observer, when set, supplies an engine observer per run (see
 	// WithObserver). observerCfg is the config-aware variant
@@ -118,9 +120,10 @@ func (ts *TraceSet) attachObserver(e *core.Engine, name string, cfg core.Config)
 // driver, including the ones that capture their own traces.
 func newTraceSet(o Options) *TraceSet {
 	return &TraceSet{
-		traces: make(map[string]*trace.Buffer),
-		suites: make(map[string]workload.Suite),
-		warmup: o.Warmup,
+		traces:       make(map[string]*trace.Buffer),
+		suites:       make(map[string]workload.Suite),
+		warmup:       o.Warmup,
+		instructions: o.instructions(),
 	}
 }
 
@@ -361,15 +364,4 @@ func RunScalarAsync(s *Scheduler, ts *TraceSet, historyBits, numTables int) *Sui
 			CondMispredicts: sr.CondMispredicts,
 		}, nil
 	})
-}
-
-// RunScalar runs the Figure 6 scalar baseline over every trace.
-func RunScalar(ts *TraceSet, historyBits, numTables int) *SuiteResult {
-	out, err := RunScalarAsync(DefaultScheduler(), ts, historyBits, numTables).Wait()
-	if err != nil {
-		// The scalar jobs cannot fail; keep the historical non-error
-		// signature.
-		panic(err)
-	}
-	return out
 }

@@ -5,8 +5,6 @@ import (
 	"os"
 	"sync"
 	"testing"
-
-	"mbbp/internal/core"
 )
 
 var testTraces *TraceSet
@@ -21,33 +19,36 @@ func TestMain(m *testing.M) {
 }
 
 // The experiments are deterministic over testTraces, so tests share one
-// computation of each via these cached accessors.
-func cached[T any](compute func(*TraceSet) ([]T, error)) func(t *testing.T) []T {
+// run of each (default parameters, default scheduler) via these cached
+// accessors.
+func cached[R any](d *Descriptor[R]) func(t *testing.T) R {
 	var once sync.Once
-	var rows []T
+	var r R
 	var err error
-	return func(t *testing.T) []T {
+	return func(t *testing.T) R {
 		t.Helper()
-		once.Do(func() { rows, err = compute(testTraces) })
+		once.Do(func() { r, err = d.Run(DefaultScheduler(), testTraces, Params{})() })
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows
+		return r
 	}
 }
 
 var (
-	cachedFig6       = cached(Fig6)
-	cachedFig7       = cached(Fig7)
-	cachedFig8       = cached(Fig8)
-	cachedFig9       = cached(Fig9)
-	cachedTable5     = cached(Table5)
-	cachedTable6     = cached(Table6)
-	cachedEvents     = cached(Events)
-	cachedH2P        = cached(H2P)
-	cachedPredictors = cached(func(ts *TraceSet) ([]PredictorRow, error) {
-		return ComparePredictors(ts, core.PredictorTAGE)
-	})
+	cachedFig6      = cached(Fig6)
+	cachedFig7      = cached(Fig7)
+	cachedFig8      = cached(Fig8)
+	cachedFig9      = cached(Fig9)
+	cachedTable5    = cached(Table5)
+	cachedTable6    = cached(Table6)
+	cachedCompare   = cached(Compare)
+	cachedExtBlocks = cached(ExtBlocks)
+	cachedAblation  = cached(Ablation)
+	cachedBaseline  = cached(Baseline)
+	cachedWidths    = cached(Widths)
+	cachedEvents    = cached(Events)
+	cachedH2P       = cached(H2P)
 )
 
 // TestFig6Shape checks the paper's Figure 6 claims: the blocked PHT's
@@ -73,7 +74,7 @@ func TestFig6Shape(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	RenderFig6(&buf, rows)
+	renderFig6(&buf, rows)
 	t.Logf("\n%s", buf.String())
 }
 
@@ -90,7 +91,7 @@ func TestFig7Shape(t *testing.T) {
 		t.Errorf("IPC_f should grow with BIT size: %.2f vs %.2f", first.IPCfInt, last.IPCfInt)
 	}
 	var buf bytes.Buffer
-	RenderFig7(&buf, rows)
+	renderFig7(&buf, rows)
 	t.Logf("\n%s", buf.String())
 }
 
@@ -123,7 +124,7 @@ func TestFig8Shape(t *testing.T) {
 			h10[len(h10)-1].DoubleInt, h10[0].DoubleInt)
 	}
 	var buf bytes.Buffer
-	RenderFig8(&buf, rows)
+	renderFig8(&buf, rows)
 	t.Logf("\n%s", buf.String())
 }
 
@@ -148,7 +149,7 @@ func TestTable5Shape(t *testing.T) {
 			a.PctBEPImm, b.PctBEPImm)
 	}
 	var buf bytes.Buffer
-	RenderTable5(&buf, rows)
+	renderTable5(&buf, rows)
 	t.Logf("\n%s", buf.String())
 }
 
@@ -175,7 +176,7 @@ func TestTable6Shape(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	RenderTable6(&buf, rows)
+	renderTable6(&buf, rows)
 	t.Logf("\n%s", buf.String())
 }
 
@@ -189,6 +190,6 @@ func TestFig9Shape(t *testing.T) {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 	var buf bytes.Buffer
-	RenderFig9(&buf, rows)
+	renderFig9(&buf, rows)
 	t.Logf("\n%s", buf.String())
 }

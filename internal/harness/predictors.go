@@ -33,9 +33,9 @@ type PredictorRow struct {
 	IntAccPerKbit float64
 }
 
-// predictorGrid returns the comparison ladder for the paper strategy
-// versus the given second family.
-func predictorGrid(kind core.PredictorKind) []core.Config {
+// predictorLadder is the comparison's storage ladder: paper rungs
+// first, then TAGE.
+func predictorLadder() []core.Config {
 	var cfgs []core.Config
 	for _, h := range []int{8, 10, 12, 14} {
 		cfg := core.DefaultConfig()
@@ -43,14 +43,12 @@ func predictorGrid(kind core.PredictorKind) []core.Config {
 		cfg.HistoryBits = h
 		cfgs = append(cfgs, cfg)
 	}
-	if kind == core.PredictorTAGE {
-		for _, tb := range []int{6, 7, 8, 9} {
-			cfg := core.DefaultConfig()
-			cfg.Mode = core.SingleBlock
-			cfg.Predictor = core.PredictorTAGE
-			cfg.TAGE.TableBits = tb
-			cfgs = append(cfgs, cfg)
-		}
+	for _, tb := range []int{6, 7, 8, 9} {
+		cfg := core.DefaultConfig()
+		cfg.Mode = core.SingleBlock
+		cfg.Predictor = core.PredictorTAGE
+		cfg.TAGE.TableBits = tb
+		cfgs = append(cfgs, cfg)
 	}
 	return cfgs
 }
@@ -65,11 +63,15 @@ func predictorRowLabel(cfg core.Config) string {
 	return fmt.Sprintf("h=%d", cfg.HistoryBits)
 }
 
-// ComparePredictorsAsync submits the strategy-comparison grid. The
-// returned wait function yields one row per configuration, paper rungs
-// first.
-func ComparePredictorsAsync(s *Scheduler, ts *TraceSet, kind core.PredictorKind) func() ([]PredictorRow, error) {
-	cfgs := predictorGrid(kind)
+// Predictors is the predictor-strategy comparison.
+var Predictors = &Descriptor[[]PredictorRow]{
+	Name: "predictors", Run: runPredictors, Text: renderPredictors, CSV: csvPredictors,
+}
+
+// runPredictors submits the strategy-comparison grid. The returned wait
+// function yields one row per configuration, paper rungs first.
+func runPredictors(s *Scheduler, ts *TraceSet, _ Params) func() ([]PredictorRow, error) {
+	cfgs := predictorLadder()
 	b := NewBatch(s, ts)
 	var promises []*SuitePromise
 	for _, cfg := range cfgs {
@@ -106,13 +108,8 @@ func ComparePredictorsAsync(s *Scheduler, ts *TraceSet, kind core.PredictorKind)
 	}
 }
 
-// ComparePredictors runs the comparison on the default scheduler.
-func ComparePredictors(ts *TraceSet, kind core.PredictorKind) ([]PredictorRow, error) {
-	return ComparePredictorsAsync(DefaultScheduler(), ts, kind)()
-}
-
-// RenderPredictors writes the accuracy-per-bit comparison table.
-func RenderPredictors(w io.Writer, rows []PredictorRow) {
+// renderPredictors writes the accuracy-per-bit comparison table.
+func renderPredictors(w io.Writer, rows []PredictorRow) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Predictor strategies: accuracy per direction-storage bit (single block)")
 	fmt.Fprintln(tw, "predictor\tconfig\tInt acc%\tFP acc%\tdir Kbit\tInt acc%/Kbit")
@@ -120,11 +117,11 @@ func RenderPredictors(w io.Writer, rows []PredictorRow) {
 		fmt.Fprintf(tw, "%s\t%s\t%.2f\t%.2f\t%.1f\t%.2f\n",
 			r.Predictor, r.Label, 100*r.IntAcc, 100*r.FPAcc, r.DirKbits, r.IntAccPerKbit)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
-// CSVPredictors writes the comparison as CSV.
-func CSVPredictors(w io.Writer, rows []PredictorRow) error {
+// csvPredictors writes the comparison as CSV.
+func csvPredictors(w io.Writer, rows []PredictorRow) error {
 	var out [][]string
 	for _, r := range rows {
 		out = append(out, []string{

@@ -8,129 +8,155 @@ import (
 	"mbbp/internal/paperdata"
 )
 
-// WriteReport renders every experiment as one self-contained markdown
+// Report renders the experiments as one self-contained markdown
 // document with paper-vs-measured commentary — the machine-generated
-// counterpart of EXPERIMENTS.md (mbpexp report > report.md). The whole
-// experiment grid is submitted to the default scheduler before any
-// section renders, so every sweep's jobs interleave on the pool while
-// the sections are written in order.
-func WriteReport(w io.Writer, ts *TraceSet, instructions uint64) error {
-	s := DefaultScheduler()
-	waitFig6 := Fig6Async(s, ts)
-	waitFig7 := Fig7Async(s, ts)
-	waitFig8 := Fig8Async(s, ts)
-	waitTable5 := Table5Async(s, ts)
-	waitTable6 := Table6Async(s, ts)
-	waitFig9 := Fig9Async(s, ts)
-	waitCompare := CompareAsync(s, ts)
-	waitExt := ExtBlocksAsync(s, ts)
-	waitAbl := AblationPHTAsync(s, ts)
-	waitBase := BaselineAsync(s, ts)
-	waitWidths := WidthsAsync(s, ts)
-	waitICache := ICacheAsync(s, ts)
+// counterpart of EXPERIMENTS.md (mbpexp report > report.md). Every
+// section's run is submitted before any section renders, so all the
+// sweeps' jobs interleave on one pool while the sections are written
+// in order.
+var Report = &Descriptor[[]func(io.Writer) error]{Name: "report", Run: runReport, Text: renderReport}
 
-	fmt.Fprintf(w, "# Reproduction report — Multiple Branch and Block Prediction (HPCA 1997)\n\n")
-	fmt.Fprintf(w, "Workloads: %d programs, %d dynamic instructions each. ", len(ts.Programs()), instructions)
-	fmt.Fprintf(w, "Deterministic: rerunning this command reproduces these numbers exactly.\n\n")
+// reportSections is the report's layout, in order.
+var reportSections = []reportSection{
+	section("Figure 6 — blocked vs scalar PHT", Fig6, noteFig6),
+	section("Figure 7 — BIT table size", Fig7, noteFig7),
+	section("Figure 8 — single vs double selection", Fig8, noteFig8),
+	section("Table 5 — target arrays", Table5, nil),
+	section("Table 6 — cache organizations", Table6, noteTable6),
+	section("Figure 9 — BEP breakdown", Fig9, noteFig9),
+	section("Headline claims", Compare, nil),
+	section("Extension: blocks per cycle (§5)", ExtBlocks, nil),
+	section("Ablation: PHT organization", Ablation, nil),
+	section("Baseline: Yeh branch address cache", Baseline, nil),
+	section("Block width sweep (§4 remark)", Widths, nil),
+	section("Extension: finite instruction cache", ICache, nil),
+	section("Hardware cost (§5)", Cost, nil),
+}
 
-	section := func(title string) { fmt.Fprintf(w, "## %s\n\n", title) }
-	codeOpen := func() { fmt.Fprint(w, "```\n") }
-	codeClose := func() { fmt.Fprint(w, "```\n\n") }
+// reportSection submits one section's run; its wait function returns
+// the section's writer.
+type reportSection func(s *Scheduler, ts *TraceSet, p Params) func() (func(io.Writer) error, error)
 
-	// Figure 6.
-	section("Figure 6 — blocked vs scalar PHT")
-	f6, err := waitFig6()
-	if err != nil {
+// section lays out d's table under title, followed by note's
+// commentary when note is non-nil.
+func section[R any](title string, d *Descriptor[R], note func(io.Writer, R) error) reportSection {
+	return func(s *Scheduler, ts *TraceSet, p Params) func() (func(io.Writer) error, error) {
+		wait := d.submit(s, ts, p)
+		return func() (func(io.Writer) error, error) {
+			r, err := wait()
+			if err != nil {
+				return nil, err
+			}
+			return func(w io.Writer) error {
+				fmt.Fprintf(w, "## %s\n\n", title)
+				if err := codeBlock(w, r, d.Text); err != nil {
+					return err
+				}
+				if note == nil {
+					return nil
+				}
+				return note(w, r)
+			}, nil
+		}
+	}
+}
+
+// codeBlock writes render's output as a fenced markdown block.
+func codeBlock[R any](w io.Writer, r R, render func(io.Writer, R) error) error {
+	fmt.Fprint(w, "```\n")
+	if err := render(w, r); err != nil {
 		return err
 	}
-	codeOpen()
-	RenderFig6(w, f6)
-	codeClose()
+	_, err := fmt.Fprint(w, "```\n\n")
+	return err
+}
+
+func runReport(s *Scheduler, ts *TraceSet, p Params) func() ([]func(io.Writer) error, error) {
+	waits := make([]func() (func(io.Writer) error, error), len(reportSections))
+	for i, sec := range reportSections {
+		waits[i] = sec(s, ts, p)
+	}
+	return func() ([]func(io.Writer) error, error) {
+		parts := []func(io.Writer) error{func(w io.Writer) error {
+			fmt.Fprintf(w, "# Reproduction report — Multiple Branch and Block Prediction (HPCA 1997)\n\n")
+			fmt.Fprintf(w, "Workloads: %d programs, %d dynamic instructions each. ", len(ts.Programs()), ts.instructions)
+			_, err := fmt.Fprintf(w, "Deterministic: rerunning this command reproduces these numbers exactly.\n\n")
+			return err
+		}}
+		for _, wait := range waits {
+			part, err := wait()
+			if err != nil {
+				return nil, err
+			}
+			parts = append(parts, part)
+		}
+		return parts, nil
+	}
+}
+
+func renderReport(w io.Writer, parts []func(io.Writer) error) error {
+	for _, part := range parts {
+		if err := part(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func noteFig6(w io.Writer, rows []Fig6Row) error {
 	var h10 Fig6Row
-	for _, r := range f6 {
+	for _, r := range rows {
 		if r.History == 10 {
 			h10 = r
 		}
 	}
-	fmt.Fprintf(w, "At h=10 the blocked PHT is %.1f%% accurate on Int (paper: %.1f%%) "+
+	_, err := fmt.Fprintf(w, "At h=10 the blocked PHT is %.1f%% accurate on Int (paper: %.1f%%) "+
 		"and %.1f%% on FP (paper: %.1f%%); blocked-vs-scalar differs by %+.3f pp Int.\n\n",
 		100*(1-h10.BlockedInt), 100*paperdata.Fig6IntAccuracy,
 		100*(1-h10.BlockedFP), 100*paperdata.Fig6FPAccuracy, h10.ImproveInt)
+	return err
+}
 
-	// Figure 7.
-	section("Figure 7 — BIT table size")
-	f7, err := waitFig7()
-	if err != nil {
-		return err
-	}
-	codeOpen()
-	RenderFig7(w, f7)
-	codeClose()
+func noteFig7(w io.Writer, rows []Fig7Row) error {
 	knee := "beyond the sweep"
-	for _, r := range f7 {
+	for _, r := range rows {
 		if r.PctBEPInt < 5 {
 			knee = fmt.Sprintf("%d entries", r.Entries)
 			break
 		}
 	}
-	fmt.Fprintf(w, "The Int BIT share of BEP first drops below 5%% at %s (paper: about 2048).\n\n", knee)
+	_, err := fmt.Fprintf(w, "The Int BIT share of BEP first drops below 5%% at %s (paper: about 2048).\n\n", knee)
+	return err
+}
 
-	// Figure 8.
-	section("Figure 8 — single vs double selection")
-	f8, err := waitFig8()
-	if err != nil {
-		return err
-	}
-	codeOpen()
-	RenderFig8(w, f8)
-	codeClose()
+func noteFig8(w io.Writer, rows []Fig8Row) error {
 	wins := 0
-	for _, r := range f8 {
+	for _, r := range rows {
 		if r.SingleInt > r.DoubleInt {
 			wins++
 		}
 	}
-	fmt.Fprintf(w, "Single selection beats double in %d of %d configurations "+
-		"(paper: double loses roughly 10%% in most cases).\n\n", wins, len(f8))
+	_, err := fmt.Fprintf(w, "Single selection beats double in %d of %d configurations "+
+		"(paper: double loses roughly 10%% in most cases).\n\n", wins, len(rows))
+	return err
+}
 
-	// Table 5.
-	section("Table 5 — target arrays")
-	t5, err := waitTable5()
-	if err != nil {
-		return err
-	}
-	codeOpen()
-	RenderTable5(w, t5)
-	codeClose()
-
-	// Table 6.
-	section("Table 6 — cache organizations")
-	t6, err := waitTable6()
-	if err != nil {
-		return err
-	}
-	codeOpen()
-	RenderTable6(w, t6)
-	codeClose()
+func noteTable6(w io.Writer, _ []Table6Row) error {
 	for _, pr := range paperdata.Table6 {
 		fmt.Fprintf(w, "paper %-7s Int %.2f/%.2f FP %.2f/%.2f (1blk/2blk)\n",
 			pr.Kind+":", pr.IPCf1Int, pr.IPCf2Int, pr.IPCf1FP, pr.IPCf2FP)
 	}
-	fmt.Fprintln(w)
+	_, err := fmt.Fprintln(w)
+	return err
+}
 
-	// Figure 9.
-	section("Figure 9 — BEP breakdown")
-	f9, err := waitFig9()
-	if err != nil {
+// noteFig9 adds the figure's bar chart and names each suite's dominant
+// penalty kind.
+func noteFig9(w io.Writer, rows []Fig9Row) error {
+	if err := codeBlock(w, rows, chartFig9); err != nil {
 		return err
 	}
-	codeOpen()
-	RenderFig9(w, f9)
-	codeClose()
-	codeOpen()
-	ChartFig9(w, f9)
-	codeClose()
-	for _, r := range f9 {
+	for _, r := range rows {
 		if r.Program == "CINT95" || r.Program == "CFP95" {
 			top := metrics.Kind(0)
 			for k := metrics.Kind(1); k < metrics.NumKinds; k++ {
@@ -141,66 +167,6 @@ func WriteReport(w io.Writer, ts *TraceSet, instructions uint64) error {
 			fmt.Fprintf(w, "%s: BEP %.3f, dominated by %s (%.3f).\n", r.Program, r.BEP, top, r.ByKind[top])
 		}
 	}
-	fmt.Fprintln(w)
-
-	// Headlines, extension, ablation, baseline, cost.
-	section("Headline claims")
-	cmp, err := waitCompare()
-	if err != nil {
-		return err
-	}
-	codeOpen()
-	RenderComparison(w, cmp)
-	codeClose()
-
-	section("Extension: blocks per cycle (§5)")
-	ext, err := waitExt()
-	if err != nil {
-		return err
-	}
-	codeOpen()
-	RenderExtBlocks(w, ext)
-	codeClose()
-
-	section("Ablation: PHT organization")
-	abl, err := waitAbl()
-	if err != nil {
-		return err
-	}
-	codeOpen()
-	RenderAblationPHT(w, abl)
-	codeClose()
-
-	section("Baseline: Yeh branch address cache")
-	base, err := waitBase()
-	if err != nil {
-		return err
-	}
-	codeOpen()
-	RenderBaseline(w, base)
-	codeClose()
-
-	section("Block width sweep (§4 remark)")
-	wid, err := waitWidths()
-	if err != nil {
-		return err
-	}
-	codeOpen()
-	RenderWidths(w, wid)
-	codeClose()
-
-	section("Extension: finite instruction cache")
-	ic, err := waitICache()
-	if err != nil {
-		return err
-	}
-	codeOpen()
-	RenderICache(w, ic)
-	codeClose()
-
-	section("Hardware cost (§5)")
-	codeOpen()
-	RenderCost(w)
-	codeClose()
-	return nil
+	_, err := fmt.Fprintln(w)
+	return err
 }

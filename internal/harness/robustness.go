@@ -12,6 +12,18 @@ import (
 	"mbbp/internal/workload"
 )
 
+// Seeds re-runs the default configuration over the suite with the
+// workload generators' pseudo-random seeds replaced, checking that the
+// reported numbers are properties of program *structure*, not of one
+// particular input stream. (The FP kernels are deterministic; their
+// variation comes only from wave5's particle placement.) It captures
+// its own traces under Params.Options and ignores the trace set.
+var Seeds = &Descriptor[[]SeedsRow]{Name: "seeds", Run: runSeeds, Text: renderSeeds}
+
+func runSeeds(s *Scheduler, _ *TraceSet, p Params) func() ([]SeedsRow, error) {
+	return seedsAsync(s, p.Options, nil)
+}
+
 // SeedsRow reports one random seed's suite results.
 type SeedsRow struct {
 	Seed            int64
@@ -19,11 +31,12 @@ type SeedsRow struct {
 	MispIntPct      float64
 }
 
-// SeedsAsync submits the robustness sweep: every (seed × program) trace
-// capture is one job, and each seed's suite run fans out per program as
-// soon as its traces are collected. Capture for later seeds overlaps
-// the simulation of earlier ones.
-func SeedsAsync(s *Scheduler, o Options, seeds []int64) func() ([]SeedsRow, error) {
+// seedsAsync submits the robustness sweep over seeds (nil = the five
+// default seeds): every (seed × program) trace capture is one job, and
+// each seed's suite run fans out per program as soon as its traces are
+// collected. Capture for later seeds overlaps the simulation of earlier
+// ones.
+func seedsAsync(s *Scheduler, o Options, seeds []int64) func() ([]SeedsRow, error) {
 	if len(seeds) == 0 {
 		seeds = []int64{1, 20261, 777321, 90125, 443556689}
 	}
@@ -80,15 +93,6 @@ func SeedsAsync(s *Scheduler, o Options, seeds []int64) func() ([]SeedsRow, erro
 	}
 }
 
-// Seeds re-runs the default configuration over the suite with the
-// workload generators' pseudo-random seeds replaced, checking that the
-// reported numbers are properties of program *structure*, not of one
-// particular input stream. (The FP kernels are deterministic; their
-// variation comes only from wave5's particle placement.)
-func Seeds(o Options, seeds []int64) ([]SeedsRow, error) {
-	return SeedsAsync(DefaultScheduler(), o, seeds)()
-}
-
 // SeedSpread summarizes the rows: mean and max relative deviation of
 // the integer IPC_f.
 func SeedSpread(rows []SeedsRow) (mean, maxRelDev float64) {
@@ -107,18 +111,26 @@ func SeedSpread(rows []SeedsRow) (mean, maxRelDev float64) {
 	return mean, maxRelDev
 }
 
-// RenderSeeds writes the robustness table.
-func RenderSeeds(w io.Writer, rows []SeedsRow) {
+// renderSeeds writes the robustness table.
+func renderSeeds(w io.Writer, rows []SeedsRow) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Robustness: default configuration across workload input seeds")
 	fmt.Fprintln(tw, "seed\tInt IPC_f\tFP IPC_f\tInt misp%")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%d\t%.2f\t%.2f\t%.2f\n", r.Seed, r.IPCfInt, r.IPCfFP, r.MispIntPct)
 	}
-	tw.Flush()
+	if err := tw.Flush(); err != nil {
+		return err
+	}
 	mean, dev := SeedSpread(rows)
-	fmt.Fprintf(w, "Int IPC_f mean %.2f, max deviation %.1f%%\n", mean, 100*dev)
+	_, err := fmt.Fprintf(w, "Int IPC_f mean %.2f, max deviation %.1f%%\n", mean, 100*dev)
+	return err
 }
+
+// Widths sweeps the block width — §4's remark that "a simpler
+// configuration ... would be to use two blocks of four instructions
+// each", which "would still yield an excellent fetching rate".
+var Widths = &Descriptor[[]WidthsRow]{Name: "widths", Run: runWidths, Text: renderWidths}
 
 // WidthsRow is one (block width, blocks per cycle) point.
 type WidthsRow struct {
@@ -127,8 +139,8 @@ type WidthsRow struct {
 	IPBInt          float64
 }
 
-// WidthsAsync submits the block-width sweep grid.
-func WidthsAsync(s *Scheduler, ts *TraceSet) func() ([]WidthsRow, error) {
+// runWidths submits the block-width sweep grid.
+func runWidths(s *Scheduler, ts *TraceSet, _ Params) func() ([]WidthsRow, error) {
 	type point struct {
 		width, blocks int
 		promise       *SuitePromise
@@ -163,10 +175,10 @@ func WidthsAsync(s *Scheduler, ts *TraceSet) func() ([]WidthsRow, error) {
 	}
 }
 
-// Widths sweeps the block width — §4's remark that "a simpler
-// configuration ... would be to use two blocks of four instructions
-// each", which "would still yield an excellent fetching rate".
-func Widths(ts *TraceSet) ([]WidthsRow, error) { return WidthsAsync(DefaultScheduler(), ts)() }
+// ICache sweeps the optional finite instruction cache (an extension —
+// the paper assumes a perfect one): how small the cache must get before
+// fetch-prediction gains drown in miss stalls.
+var ICache = &Descriptor[[]ICacheRow]{Name: "icache", Run: runICache, Text: renderICache}
 
 // ICacheRow is one finite-instruction-cache point.
 type ICacheRow struct {
@@ -175,8 +187,8 @@ type ICacheRow struct {
 	MissPerKInt     float64 // misses per 1000 instructions, Int suite
 }
 
-// ICacheAsync submits the finite-instruction-cache sweep.
-func ICacheAsync(s *Scheduler, ts *TraceSet) func() ([]ICacheRow, error) {
+// runICache submits the finite-instruction-cache sweep.
+func runICache(s *Scheduler, ts *TraceSet, _ Params) func() ([]ICacheRow, error) {
 	sizes := []int{0, 32, 64, 128, 256, 1024}
 	b := NewBatch(s, ts)
 	var promises []*SuitePromise
@@ -207,13 +219,8 @@ func ICacheAsync(s *Scheduler, ts *TraceSet) func() ([]ICacheRow, error) {
 	}
 }
 
-// ICache sweeps the optional finite instruction cache (an extension —
-// the paper assumes a perfect one): how small the cache must get before
-// fetch-prediction gains drown in miss stalls.
-func ICache(ts *TraceSet) ([]ICacheRow, error) { return ICacheAsync(DefaultScheduler(), ts)() }
-
-// RenderICache writes the finite-cache sweep.
-func RenderICache(w io.Writer, rows []ICacheRow) {
+// renderICache writes the finite-cache sweep.
+func renderICache(w io.Writer, rows []ICacheRow) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Extension: finite instruction cache (2-way, 10-cycle miss; 0 = perfect)")
 	fmt.Fprintln(tw, "lines\tInt IPC_f\tFP IPC_f\tInt misses/kinstr")
@@ -224,16 +231,16 @@ func RenderICache(w io.Writer, rows []ICacheRow) {
 		}
 		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.2f\n", name, r.IPCfInt, r.IPCfFP, r.MissPerKInt)
 	}
-	tw.Flush()
+	return tw.Flush()
 }
 
-// RenderWidths writes the width sweep.
-func RenderWidths(w io.Writer, rows []WidthsRow) {
+// renderWidths writes the width sweep.
+func renderWidths(w io.Writer, rows []WidthsRow) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "Block width sweep (normal cache): two narrow blocks vs one wide block")
 	fmt.Fprintln(tw, "W\tblocks\tInt IPC_f\tInt IPB\tFP IPC_f")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%d\t%d\t%.2f\t%.2f\t%.2f\n", r.Width, r.Blocks, r.IPCfInt, r.IPBInt, r.IPCfFP)
 	}
-	tw.Flush()
+	return tw.Flush()
 }

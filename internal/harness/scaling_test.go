@@ -43,7 +43,7 @@ func TestScalingFloor(t *testing.T) {
 		pool := NewScheduler(w)
 		defer pool.Close()
 		start := time.Now()
-		if _, err := Fig6Async(pool, ts)(); err != nil {
+		if _, err := Fig6.Run(pool, ts, Params{})(); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

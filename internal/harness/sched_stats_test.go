@@ -272,7 +272,7 @@ func TestWithObserverTapsMeasuredRun(t *testing.T) {
 // dominant charge per block, and at most one charge of each kind is
 // recorded per block).
 func TestEventsAttributionMatchesResults(t *testing.T) {
-	rows := cachedEvents(t)
+	rows := cachedEvents(t).Rows
 	if len(rows) != len(testTraces.Programs()) {
 		t.Fatalf("events rows = %d, want %d", len(rows), len(testTraces.Programs()))
 	}
