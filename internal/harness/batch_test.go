@@ -206,7 +206,7 @@ func TestBatchPooledNoAliasing(t *testing.T) {
 	}
 
 	// Observers exercise the per-lane attach path concurrently.
-	tsv := testTraces.WithObserver(func(string) core.Observer {
+	tsv := testTraces.WithObserver(func(string, core.Config) core.Observer {
 		return countingObserver{}
 	})
 	const rounds = 4

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"mbbp/internal/core"
+	"mbbp/internal/flight"
 	"mbbp/internal/trace"
 )
 
@@ -118,7 +120,7 @@ func TestLoadTracesCached(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := trace.NewCache(8)
+	cache := flight.New[TraceKey, *trace.Buffer](8)
 	s := NewScheduler(4)
 	defer s.Close()
 	for pass := 0; pass < 3; pass++ {
@@ -145,11 +147,47 @@ func TestLoadTracesCached(t *testing.T) {
 			}
 		}
 	}
-	hits, misses := cache.Stats()
-	if misses != 3 {
-		t.Errorf("misses = %d, want 3 (one per program)", misses)
+	st := cache.Stats()
+	if st.Misses != 3 {
+		t.Errorf("misses = %d, want 3 (one per program)", st.Misses)
 	}
-	if hits != 6 {
-		t.Errorf("hits = %d, want 6 (two warm passes x three programs)", hits)
+	if st.Hits != 6 {
+		t.Errorf("hits = %d, want 6 (two warm passes x three programs)", st.Hits)
+	}
+}
+
+// TestLoadTracesCachedCapturesInParallel: a cold cached load submits
+// every missing capture before it waits on any, so on a one-worker
+// pool all four captures queue at once — the depth LoadTracesOn
+// reaches — instead of one at a time. A job holding the only worker
+// keeps the queue from draining until the load has submitted all it
+// will submit before waiting.
+func TestLoadTracesCachedCapturesInParallel(t *testing.T) {
+	s := NewScheduler(1)
+	defer s.Close()
+	held, hold := make(chan struct{}), make(chan struct{})
+	Submit(s, func() (struct{}, error) { close(held); <-hold; return struct{}{}, nil })
+	<-held
+
+	opts := Options{Instructions: 20_000, Programs: []string{"li", "go", "swim", "compress"}}
+	cache := flight.New[TraceKey, *trace.Buffer](8)
+	loaded := make(chan error, 1)
+	go func() {
+		_, err := LoadTracesCached(context.Background(), s, opts, cache)
+		loaded <- err
+	}()
+	want := uint64(1 + len(opts.Programs))
+	for deadline := time.Now().Add(2 * time.Second); s.Stats().Submits < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(hold)
+	if err := <-loaded; err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().MaxQueueDepth; got != len(opts.Programs) {
+		t.Errorf("max queue depth = %d, want %d (every capture submitted before the first wait)", got, len(opts.Programs))
+	}
+	if st := cache.Stats(); st.Misses != 4 || st.Hits != 0 {
+		t.Errorf("stats = %+v, want 4 misses and no hits", st)
 	}
 }

@@ -50,7 +50,7 @@ func runEvents(s *Scheduler, ts *TraceSet, p Params) func() (EventsResult, error
 	for _, name := range ts.order {
 		atts[name] = obs.NewH2P()
 	}
-	tsv := ts.WithObserver(func(program string) core.Observer {
+	tsv := ts.WithObserver(func(program string, _ core.Config) core.Observer {
 		return obs.NewTap(atts[program])
 	})
 	b := NewBatch(s, tsv)

@@ -144,7 +144,7 @@ func normalizeHistories(hs []int, base int) []int {
 // config with only HistoryBits changed — geometry untouched,
 // so the whole grid is one lane group and one trace walk per program),
 // each lane tapped into its own per-program H2P accumulator through the
-// config-aware observer hook. Rows fold in suite order; like every
+// trace set's observer hook. Rows fold in suite order; like every
 // experiment the output is byte-identical across serial, parallel, and
 // lane execution (taps observe, they never steer).
 func h2pAsync(s *Scheduler, ts *TraceSet, cfg core.Config, p Params) func() (H2PResult, error) {
@@ -167,7 +167,7 @@ func h2pAsync(s *Scheduler, ts *TraceSet, cfg core.Config, p Params) func() (H2P
 	// The nested map is fully built before any job runs; factory calls
 	// from concurrent pool workers only read it, and each (program, h)
 	// accumulator belongs to exactly one engine run.
-	tsv := ts.WithConfigObserver(func(program string, c core.Config) core.Observer {
+	tsv := ts.WithObserver(func(program string, c core.Config) core.Observer {
 		return aggs[program][c.HistoryBits]
 	})
 	b := NewBatch(s, tsv)

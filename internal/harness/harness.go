@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"mbbp/internal/core"
+	"mbbp/internal/flight"
 	"mbbp/internal/metrics"
 	_ "mbbp/internal/tage" // register the TAGE predictor for every consumer
 	"mbbp/internal/trace"
@@ -62,55 +63,36 @@ type TraceSet struct {
 	instructions uint64
 
 	// observer, when set, supplies an engine observer per run (see
-	// WithObserver). observerCfg is the config-aware variant
-	// (WithConfigObserver) and wins when both are set.
-	observer    func(program string) core.Observer
-	observerCfg func(program string, cfg core.Config) core.Observer
+	// WithObserver).
+	observer func(program string, cfg core.Config) core.Observer
 }
 
 // WithObserver returns a view of the trace set that installs f's
 // observer on every engine run launched through it — the hook the
 // observability layer uses to tap engines the harness constructs
-// internally (the mbbpd aggregate tap, the events attribution view). f
-// is called once per engine run with the program name and may return a
-// shared concurrency-safe observer (obs.Counters) or a fresh one per
-// call; a nil return leaves that run untapped. Warmup passes are not
-// observed — the observer sees exactly the measured run. Observers
-// cannot change results, so every determinism contract holds with or
-// without one.
-func (ts *TraceSet) WithObserver(f func(program string) core.Observer) *TraceSet {
+// internally (the mbbpd aggregate tap, the events attribution view,
+// the H2P history sweep). f is called once per engine run with the
+// program name and the run's validated configuration: lane batches
+// attach observers per lane, and every lane of a group shares the
+// program, so the configuration is the only handle that tells lanes
+// apart. f may return a shared concurrency-safe observer
+// (obs.Counters) or a fresh one per call; a nil return leaves that run
+// untapped. Warmup passes are not observed — the observer sees exactly
+// the measured run. Observers cannot change results, so every
+// determinism contract holds with or without one.
+func (ts *TraceSet) WithObserver(f func(program string, cfg core.Config) core.Observer) *TraceSet {
 	out := *ts
 	out.observer = f
-	return &out
-}
-
-// WithConfigObserver is WithObserver with the run's validated
-// configuration passed alongside the program name. Lane batches attach
-// observers per lane, and every lane of a group shares the program —
-// the configuration is the only handle that tells the lanes apart, so
-// any driver that sweeps a config dimension under one trace walk (the
-// H2P history-sensitivity sweep) keys its accumulators on it. The same
-// determinism contract as WithObserver holds: observers see exactly
-// the measured run and cannot change results.
-func (ts *TraceSet) WithConfigObserver(f func(program string, cfg core.Config) core.Observer) *TraceSet {
-	out := *ts
-	out.observerCfg = f
 	return &out
 }
 
 // attachObserver installs the set's observer on e for name's measured
 // run under cfg, if one is configured.
 func (ts *TraceSet) attachObserver(e *core.Engine, name string, cfg core.Config) {
-	if ts.observerCfg != nil {
-		if o := ts.observerCfg(name, cfg); o != nil {
-			e.SetObserver(o)
-		}
-		return
-	}
 	if ts.observer == nil {
 		return
 	}
-	if o := ts.observer(name); o != nil {
+	if o := ts.observer(name, cfg); o != nil {
 		e.SetObserver(o)
 	}
 }
@@ -135,78 +117,118 @@ func LoadTraces(o Options) (*TraceSet, error) {
 
 // LoadTracesOn captures the per-program traces in parallel on s — the
 // programs are independent and deterministic, so capture order does not
-// matter — and assembles them in suite (declaration) order.
+// matter — and assembles them in suite (declaration) order. It is
+// LoadTracesCached with a private cache.
 func LoadTracesOn(s *Scheduler, o Options) (*TraceSet, error) {
-	ts := newTraceSet(o)
-	type captured struct {
-		tr    *trace.Buffer
-		suite workload.Suite
-	}
-	var futs []*Future[captured]
-	for _, name := range o.programs() {
-		name := name
-		futs = append(futs, Submit(s, func() (captured, error) {
-			b, err := workload.Get(name)
-			if err != nil {
-				return captured{}, err
-			}
-			tr, err := b.Trace(o.instructions())
-			if err != nil {
-				return captured{}, fmt.Errorf("harness: tracing %s: %w", name, err)
-			}
-			return captured{tr, b.Suite}, nil
-		}))
-	}
-	for i, name := range o.programs() {
-		c, err := futs[i].Wait()
-		if err != nil {
-			return nil, err
-		}
-		ts.order = append(ts.order, name)
-		ts.traces[name] = c.tr
-		ts.suites[name] = c.suite
-	}
-	return ts, nil
+	return LoadTracesCached(context.Background(), s, o, nil)
 }
 
-// LoadTracesCached assembles a TraceSet like LoadTracesOn, but shares
-// capture through the cache: each program's trace is captured at most
-// once per (program, instructions) key across every concurrent caller,
-// which is how the simulation service keeps N simultaneous sweep
-// requests from capturing the workload suite N times.
+// TraceKey identifies one captured trace in a trace cache.
+type TraceKey struct {
+	Program string
+	N       uint64
+}
+
+// LoadTracesCached assembles a TraceSet, sharing capture through c:
+// each program's trace is captured at most once per (program,
+// instructions) key across every concurrent caller, which is how the
+// simulation service keeps N simultaneous sweep requests from
+// capturing the workload suite N times. A nil c stands for a private
+// cache. Cached buffers are shared; consumers Clone them before
+// reading.
 //
-// Captures run as jobs on s; the waiting happens here, in the caller's
-// goroutine, so the pool's leaf-job discipline holds (a pool job never
-// blocks on another). Cancelling ctx abandons the waits — an in-flight
-// capture finishes for whoever else wants it and stays cached.
-func LoadTracesCached(ctx context.Context, s *Scheduler, o Options, c *trace.Cache) (*TraceSet, error) {
+// Every program is claimed first and every missing capture submitted
+// as a job on s before anything waits, so a cold load captures in
+// parallel. The waiting happens here, in the caller's goroutine, so
+// the pool's leaf-job discipline holds (a pool job never blocks on
+// another). A capture this call owns is waited out and published even
+// if ctx ends; cancelling ctx abandons only the waits on other
+// callers' captures. A joined capture whose owner failed is claimed
+// again under this call's context. Every join, completed or in
+// flight, counts as a cache hit.
+func LoadTracesCached(ctx context.Context, s *Scheduler, o Options, c *flight.Cache[TraceKey, *trace.Buffer]) (*TraceSet, error) {
+	names := o.programs()
+	if c == nil {
+		c = flight.New[TraceKey, *trace.Buffer](len(names))
+	}
 	ts := newTraceSet(o)
 	n := o.instructions()
-	for _, name := range o.programs() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	benches := make([]*workload.Benchmark, len(names))
+	for i, name := range names {
 		b, err := workload.Get(name)
 		if err != nil {
 			return nil, err
 		}
-		name := name
-		buf, err := c.Get(ctx, trace.CacheKey{Program: name, N: n}, func() (*trace.Buffer, error) {
-			fut := Submit(s, func() (*trace.Buffer, error) {
-				tr, err := b.Trace(n)
-				if err != nil {
-					return nil, fmt.Errorf("harness: tracing %s: %w", name, err)
-				}
-				return tr, nil
-			})
-			return fut.Wait()
-		})
-		if err != nil {
+		benches[i] = b
+	}
+	bufs := make([]*trace.Buffer, len(names))
+	pending := make([]int, len(names))
+	for i := range pending {
+		pending[i] = i
+	}
+	for len(pending) > 0 {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		entries := make([]*flight.Entry[TraceKey, *trace.Buffer], len(names))
+		owned := make([]bool, len(names))
+		for _, i := range pending {
+			key := TraceKey{Program: names[i], N: n}
+			if entries[i] = c.Probe(key); entries[i] == nil {
+				entries[i], owned[i] = c.Claim(key)
+			}
+			if !owned[i] {
+				c.Hit(entries[i])
+			}
+		}
+		futs := make([]*Future[*trace.Buffer], len(names))
+		for _, i := range pending {
+			if owned[i] {
+				b, name := benches[i], names[i]
+				futs[i] = Submit(s, func() (*trace.Buffer, error) {
+					tr, err := b.Trace(n)
+					if err != nil {
+						return nil, fmt.Errorf("harness: tracing %s: %w", name, err)
+					}
+					return tr, nil
+				})
+			}
+		}
+		var ownErr error
+		for _, i := range pending {
+			if !owned[i] {
+				continue
+			}
+			buf, err := futs[i].Wait()
+			c.Resolve(entries[i], buf, err)
+			bufs[i] = buf
+			if ownErr == nil {
+				ownErr = err
+			}
+		}
+		if ownErr != nil {
+			return nil, ownErr
+		}
+		var retry []int
+		for _, i := range pending {
+			if owned[i] {
+				continue
+			}
+			buf, ok, err := entries[i].Wait(ctx)
+			switch {
+			case err != nil:
+				return nil, err
+			case !ok:
+				retry = append(retry, i)
+			}
+			bufs[i] = buf
+		}
+		pending = retry
+	}
+	for i, name := range names {
 		ts.order = append(ts.order, name)
-		ts.traces[name] = buf
-		ts.suites[name] = b.Suite
+		ts.traces[name] = bufs[i]
+		ts.suites[name] = benches[i].Suite
 	}
 	return ts, nil
 }

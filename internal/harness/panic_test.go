@@ -68,7 +68,7 @@ func TestBatchLanePanicFailsGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := testTraces.Programs()[1]
-	ts := testTraces.WithConfigObserver(func(program string, cfg core.Config) core.Observer {
+	ts := testTraces.WithObserver(func(program string, cfg core.Config) core.Observer {
 		if program == victim && cfg == faulty {
 			return panicObserver{}
 		}

@@ -247,7 +247,7 @@ func TestWithObserverTapsMeasuredRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	counters := obs.NewCounters()
-	tapped, err := RunConfig(testTraces.WithObserver(func(string) core.Observer {
+	tapped, err := RunConfig(testTraces.WithObserver(func(string, core.Config) core.Observer {
 		return counters
 	}), cfg)
 	if err != nil {

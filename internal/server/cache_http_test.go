@@ -145,7 +145,7 @@ func TestCacheStatusLifecycle(t *testing.T) {
 		t.Error("hit body differs from the computed body")
 	}
 
-	st := s.results.stats()
+	st := s.results.Stats()
 	if st.Misses != 1 || st.Coalesced != 1 || st.Hits != 1 {
 		t.Errorf("stats = %+v, want 1 miss / 1 coalesced / 1 hit", st)
 	}
@@ -170,7 +170,7 @@ func TestNDJSONBypassesCache(t *testing.T) {
 				i, w.Header().Get(cacheStatusHeader), w.Header().Get("ETag"))
 		}
 	}
-	if st := s.results.stats(); st.Misses != 0 || st.Hits != 0 || s.results.Len() != 0 {
+	if st := s.results.Stats(); st.Misses != 0 || st.Hits != 0 || s.results.Len() != 0 {
 		t.Errorf("streams touched the result cache: %+v, len %d", st, s.results.Len())
 	}
 
@@ -215,7 +215,7 @@ func TestMultiSweepPerEntryCaching(t *testing.T) {
 	if got := m1.Header().Get(cacheStatusHeader); got != string(cacheMiss) {
 		t.Errorf("first multi Cache-Status = %q, want miss (cfgB computed)", got)
 	}
-	st := s.results.stats()
+	st := s.results.Stats()
 	if st.Hits != 1 {
 		t.Errorf("per-entry hits after multi = %d, want 1 (cfgA reused)", st.Hits)
 	}
@@ -280,7 +280,7 @@ func TestResultCacheEvictionUnderPressure(t *testing.T) {
 	if !bytes.Equal(a1.Body.Bytes(), a2.Body.Bytes()) {
 		t.Error("recomputed body differs from the original")
 	}
-	if st := s.results.stats(); st.Evictions == 0 {
+	if st := s.results.Stats(); st.Evictions == 0 {
 		t.Error("no evictions recorded at capacity 1")
 	}
 }
@@ -376,7 +376,7 @@ func TestCoalescedWaiterSurvivesOwnerFailure(t *testing.T) {
 	if !bytes.Equal(ww.Body.Bytes(), want.Body.Bytes()) {
 		t.Error("waiter body differs from the cold reference")
 	}
-	if st := s.results.stats(); st.Misses < 2 {
+	if st := s.results.Stats(); st.Misses < 2 {
 		t.Errorf("misses = %d, want >= 2 (failed flight + retry)", st.Misses)
 	}
 }
@@ -421,7 +421,7 @@ func TestStreamCancellationAccounting(t *testing.T) {
 	if got := s.metrics.requestsCancelled.Value(); got != 1 {
 		t.Errorf("requests_cancelled = %d, want 1", got)
 	}
-	if st := s.results.stats(); st.Hits+st.Misses+st.Coalesced != 1 {
+	if st := s.results.Stats(); st.Hits+st.Misses+st.Coalesced != 1 {
 		t.Errorf("stream touched the result cache: %+v (want only the warming miss)", st)
 	}
 }

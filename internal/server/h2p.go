@@ -108,23 +108,13 @@ func (t teeObserver) Observe(ev core.Event) {
 // tappedH2P attaches the service-wide event tap (when enabled) and this
 // request's attribution (when st is non-nil) to a trace set. The tap's
 // counters are atomic and shared by every engine of every request;
-// observers never perturb results. The config-aware hook preempts the
-// plain observer hook in the harness, so when h2p is on the tap must
-// ride along in a tee rather than on its own hook.
+// observers never perturb results.
 func (s *Server) tappedH2P(ts *harness.TraceSet, st *h2pState) *harness.TraceSet {
-	if st == nil {
-		if s.tap == nil {
-			return ts
-		}
-		return ts.WithObserver(func(string) core.Observer { return s.tap })
+	if st == nil && s.tap == nil {
+		return ts
 	}
-	return ts.WithConfigObserver(func(program string, cfg core.Config) core.Observer {
-		var agg *obs.H2P
-		if ck, err := cfg.CanonicalHash(); err == nil {
-			if per := st.aggs[ck]; per != nil {
-				agg = per[program]
-			}
-		}
+	return ts.WithObserver(func(program string, cfg core.Config) core.Observer {
+		agg := st.agg(program, cfg)
 		switch {
 		case agg == nil && s.tap == nil:
 			return nil
@@ -135,6 +125,19 @@ func (s *Server) tappedH2P(ts *harness.TraceSet, st *h2pState) *harness.TraceSet
 		}
 		return teeObserver{s.tap, agg}
 	})
+}
+
+// agg returns the accumulator of program's run under cfg, or nil when
+// h2p is off (st nil) or cfg is not part of the request.
+func (st *h2pState) agg(program string, cfg core.Config) *obs.H2P {
+	if st == nil {
+		return nil
+	}
+	ck, err := cfg.CanonicalHash()
+	if err != nil {
+		return nil
+	}
+	return st.aggs[ck][program]
 }
 
 // report renders one configuration's attribution section, or nil when

@@ -114,6 +114,26 @@ func TestSweepH2PValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", c.name, w.Code)
 		}
 	}
+
+	// A stream request that can never succeed is refused as invalid
+	// before it is admitted: with the only queue slot held, it must
+	// still answer 400, not 429.
+	full := newTestServer(t, Config{QueueDepth: 1})
+	admitted := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	full.hookAdmitted = func(context.Context) {
+		once.Do(func() {
+			close(admitted)
+			<-release
+		})
+	}
+	defer close(release)
+	go postSweepQuiet(full.Handler(), SweepRequest{Programs: []string{"go"}, Instructions: 5_000})
+	<-admitted
+	if w := postSweep(t, full.Handler(), SweepRequest{H2P: true}, "?stream=ndjson"); w.Code != 400 {
+		t.Errorf("ndjson h2p with a full queue: status %d, want 400", w.Code)
+	}
 }
 
 // TestSweepH2PMultiMatchesSingle: each entry of a multi-config h2p

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mbbp/internal/core"
+	"mbbp/internal/flight"
 	"mbbp/internal/harness"
 	"mbbp/internal/metrics"
 	"mbbp/internal/obs"
@@ -115,8 +116,8 @@ type metricsSet struct {
 	hist          *histogram
 
 	cacheStats  func() (hits, misses uint64)
-	resultStats func() resultCacheStats // nil only in partial test setups
-	shardSnap   func() *shardSnapshot   // nil unless shard mode
+	resultStats func() flight.Stats   // nil only in partial test setups
+	shardSnap   func() *shardSnapshot // nil unless shard mode
 	poolStats   func() harness.PoolStats
 	tap         *obs.Counters       // nil when the engine tap is off
 	h2pSnap     func() *h2pSnapshot // nil only in partial test setups
@@ -126,7 +127,7 @@ type metricsSet struct {
 }
 
 func newMetricsSet(queueCapacity int, cacheStats func() (hits, misses uint64),
-	resultStats func() resultCacheStats, shardSnap func() *shardSnapshot,
+	resultStats func() flight.Stats, shardSnap func() *shardSnapshot,
 	poolStats func() harness.PoolStats, tap *obs.Counters,
 	h2pSnap func() *h2pSnapshot) *metricsSet {
 	m := &metricsSet{
@@ -172,7 +173,7 @@ type metricsSnapshot struct {
 	JobPanics                                    int64
 	Inflight                                     int64
 	CacheHits, CacheMisses                       uint64
-	Results                                      resultCacheStats
+	Results                                      flight.Stats
 	Shard                                        *shardSnapshot
 	Hist                                         histSnapshot
 	Pool                                         harness.PoolStats

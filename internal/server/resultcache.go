@@ -1,14 +1,10 @@
 package server
 
 import (
-	"container/list"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"mbbp/internal/core"
 	"mbbp/internal/harness"
@@ -18,13 +14,16 @@ import (
 // (validated config × workload set × instruction count × warmup): the
 // same request always renders a byte-identical body, so whole rendered
 // responses are perfectly cacheable, keyed by a canonical hash of the
-// request semantics. This is the trace.Cache pattern lifted one level:
-// trace.Cache deduplicates the *capture* stage across concurrent
-// requests; resultCache deduplicates the entire request. The same
-// singleflight discipline applies — the first request for a key
-// computes while identical concurrent requests coalesce onto the
-// in-flight entry — and the same second-chance (clock) eviction keeps
-// warm hits off the exclusive lock.
+// request semantics. The cache is a flight.Cache — the same
+// singleflight, second-chance cache type the trace loader captures
+// through, one level up: the trace instance deduplicates the *capture*
+// stage across concurrent requests; this one deduplicates the entire
+// request. The first request for a key computes while identical
+// concurrent requests coalesce onto the in-flight entry, warm hits stay
+// off the exclusive lock, and errors are never cached: a failed
+// compute drops its entry and coalesced waiters retry under their own
+// contexts. serveCached (server.go) is the one loop that runs the
+// protocol.
 //
 // Keying and layering:
 //
@@ -38,176 +37,19 @@ import (
 //     per-entry: entries warmed by single requests serve multi
 //     requests and vice versa. The whole-request key (multiSweepKey,
 //     used for the ETag and for shard routing) is a hash over the
-//     entry keys.
+//     entry keys; a shard front-end caches under it.
 //   - NDJSON streaming responses bypass this cache entirely: a stream
 //     is an incremental representation with client-observable pacing,
 //     not a content-addressed document. Streamed runs still share the
-//     trace.Cache below.
-//
-// Entries store the fully rendered body (what goes on the wire) and,
-// for locally computed single-config entries, the parsed SweepResponse
-// so multi-config requests can assemble their composite body from
-// per-entry hits without re-simulating. Errors are never cached:
-// a failed compute drops its entry and coalesced waiters retry under
-// their own contexts, exactly like trace.Cache.
-type resultCache struct {
-	mu      sync.RWMutex
-	cap     int
-	entries map[string]*resultEntry
-	lru     *list.List // front = most recently inserted/spared; values are *resultEntry
+//     trace cache below.
 
-	hits, misses, coalesced, evictions atomic.Uint64
-}
-
-type resultEntry struct {
-	key  string
-	elem *list.Element
-
-	// touched is set lock-free by every warm hit and consumed by the
-	// evictor (second chance): a touched entry is spared once instead
-	// of evicted.
-	touched atomic.Bool
-
-	done chan struct{} // closed when body/resp/err are set
+// sweepValue is one result-cache value: the fully rendered body (what
+// goes on the wire) and, for locally computed per-config entries, the
+// parsed response, so multi-config requests assemble their composite
+// body from per-entry hits without re-simulating.
+type sweepValue struct {
 	body []byte
-	resp *SweepResponse // non-nil only for locally computed single-config entries
-	err  error
-}
-
-// completed reports whether the entry has resolved, without blocking.
-func (e *resultEntry) completed() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
-}
-
-func newResultCache(capacity int) *resultCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &resultCache{
-		cap:     capacity,
-		entries: make(map[string]*resultEntry),
-		lru:     list.New(),
-	}
-}
-
-// probe returns the entry for key (completed or in-flight) or nil,
-// taking only the shared lock — the warm path of a hot sweep workload
-// never serializes on the cache mutex.
-func (c *resultCache) probe(key string) *resultEntry {
-	c.mu.RLock()
-	e := c.entries[key]
-	c.mu.RUnlock()
-	return e
-}
-
-// claim returns the entry for key, creating an in-flight entry (and
-// counting a miss) if none exists. claimed reports whether the caller
-// owns the flight and must resolve it.
-func (c *resultCache) claim(key string) (e *resultEntry, claimed bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e = c.entries[key]; e != nil {
-		return e, false
-	}
-	c.misses.Add(1)
-	e = &resultEntry{key: key, done: make(chan struct{})}
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
-	c.evictLocked()
-	return e, true
-}
-
-// resolve completes a claimed flight. A nil err publishes the body (and
-// optional parsed response) to every waiter; a non-nil err drops the
-// entry so later requests recompute — failures are never cached, since
-// the owner's failure may be its own context dying, which says nothing
-// about the waiters' requests.
-func (c *resultCache) resolve(e *resultEntry, body []byte, resp *SweepResponse, err error) {
-	e.body, e.resp, e.err = body, resp, err
-	if err != nil {
-		c.mu.Lock()
-		if c.entries[e.key] == e {
-			delete(c.entries, e.key)
-			c.lru.Remove(e.elem)
-		}
-		c.mu.Unlock()
-	}
-	close(e.done)
-}
-
-// served records e's final outcome for one response: a hit counts and
-// marks the entry touched (spared once by the evictor), a coalesced
-// wait counts, and a miss was already counted when it was claimed.
-func (c *resultCache) served(e *resultEntry, o cacheStatus) {
-	switch o {
-	case cacheHit:
-		c.hits.Add(1)
-		e.touched.Store(true)
-	case cacheCoalesced:
-		c.coalesced.Add(1)
-	}
-}
-
-// await blocks until e resolves or ctx dies. It does not record hit or
-// coalesced counts — the caller knows which path it took (served).
-func (c *resultCache) await(ctx context.Context, e *resultEntry) error {
-	select {
-	case <-e.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// evictLocked trims beyond capacity, second-chance style (the
-// trace.Cache discipline): from the back, a touched completed entry is
-// spared once, an untouched completed entry is evicted, and in-flight
-// entries are skipped — their owner and waiters hold them anyway. Two
-// passes bound the scan.
-func (c *resultCache) evictLocked() {
-	for pass := 0; pass < 2 && c.lru.Len() > c.cap; pass++ {
-		for elem := c.lru.Back(); elem != nil && c.lru.Len() > c.cap; {
-			e := elem.Value.(*resultEntry)
-			prev := elem.Prev()
-			if e.completed() {
-				if e.touched.Swap(false) {
-					c.lru.MoveToFront(elem)
-				} else {
-					delete(c.entries, e.key)
-					c.lru.Remove(elem)
-					c.evictions.Add(1)
-				}
-			}
-			elem = prev
-		}
-	}
-}
-
-// Len returns the number of cached (including in-flight) entries.
-func (c *resultCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.lru.Len()
-}
-
-// resultCacheStats is one consistent-enough scrape of the counters
-// (each is atomic; they are read in one pass).
-type resultCacheStats struct {
-	Hits, Misses, Coalesced, Evictions uint64
-}
-
-func (c *resultCache) stats() resultCacheStats {
-	return resultCacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Coalesced: c.coalesced.Load(),
-		Evictions: c.evictions.Load(),
-	}
+	resp *SweepResponse
 }
 
 // cacheStatus is the Cache-Status header value: how this response was

@@ -106,11 +106,11 @@ func TestSweepKeysJSONSpellings(t *testing.T) {
 		if err := json.Unmarshal([]byte(body), &req); err != nil {
 			t.Fatal(err)
 		}
-		cfgs, o, multi, err := req.parseAll(10_000_000)
+		call, err := req.parseAll(10_000_000, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, reqKey, err := sweepKeys(cfgs, o, multi)
+		_, reqKey, err := sweepKeys(call.cfgs, call.opts, call.multi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,93 +159,6 @@ func TestEtagMatches(t *testing.T) {
 	}
 }
 
-// TestResultCacheSingleflight pins the claim/coalesce contract: one
-// claimer per key, waiters see the resolved body, and a failed flight
-// drops its entry so the next claim recomputes.
-func TestResultCacheSingleflight(t *testing.T) {
-	c := newResultCache(8)
-	e, claimed := c.claim("k")
-	if !claimed {
-		t.Fatal("first claim not owner")
-	}
-	if e2, claimed2 := c.claim("k"); claimed2 || e2 != e {
-		t.Fatal("second claim did not coalesce onto the flight")
-	}
-	if e.completed() {
-		t.Error("in-flight entry reports completed")
-	}
-	c.resolve(e, []byte("body"), nil, nil)
-	if !e.completed() || string(e.body) != "body" {
-		t.Error("resolved entry not visible")
-	}
-	if err := c.await(context.Background(), e); err != nil {
-		t.Errorf("await after resolve: %v", err)
-	}
-
-	// Failure path: entry dropped, key reclaims fresh.
-	f, _ := c.claim("fail")
-	c.resolve(f, nil, nil, errors.New("boom"))
-	if g, claimed := c.claim("fail"); !claimed || g == f {
-		t.Error("failed flight not dropped; waiter would inherit the error")
-	}
-	if got := c.stats().Misses; got != 3 {
-		t.Errorf("misses = %d, want 3 (k, fail, fail-again)", got)
-	}
-}
-
-// TestResultCacheAwaitContext: await returns when the caller's context
-// dies, without waiting out the flight.
-func TestResultCacheAwaitContext(t *testing.T) {
-	c := newResultCache(8)
-	e, _ := c.claim("slow")
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := c.await(ctx, e); !errors.Is(err, context.Canceled) {
-		t.Errorf("await on dead context = %v, want Canceled", err)
-	}
-}
-
-// TestResultCacheEviction: completed entries beyond capacity are
-// evicted second-chance style; recently hit entries are spared first;
-// in-flight entries are never evicted.
-func TestResultCacheEviction(t *testing.T) {
-	if c := newResultCache(0); c.cap != 1 {
-		t.Errorf("non-positive capacity clamps to 1, got %d", c.cap)
-	}
-	c := newResultCache(2)
-	for i := 0; i < 2; i++ {
-		e, _ := c.claim(fmt.Sprintf("k%d", i))
-		c.resolve(e, []byte("b"), nil, nil)
-	}
-	// Mark k1 hot, as a handler hit would.
-	c.probe("k1").touched.Store(true)
-
-	inflight, _ := c.claim("k2") // over capacity; k0 (cold) should go
-	if c.probe("k0") != nil {
-		t.Error("cold entry k0 survived eviction")
-	}
-	if c.probe("k1") == nil {
-		t.Error("hot entry k1 was evicted despite its second chance")
-	}
-	if c.probe("k2") == nil {
-		t.Error("in-flight entry k2 missing")
-	}
-	if got := c.stats().Evictions; got != 1 {
-		t.Errorf("evictions = %d, want 1", got)
-	}
-
-	// An in-flight entry is immune even at capacity pressure.
-	e3, _ := c.claim("k3")
-	c.resolve(e3, []byte("b"), nil, nil)
-	if c.probe("k2") == nil {
-		t.Error("in-flight entry evicted")
-	}
-	c.resolve(inflight, []byte("b"), nil, nil)
-	if c.Len() > 3 {
-		t.Errorf("len = %d after resolutions, want <= 3", c.Len())
-	}
-}
-
 // FuzzResultCacheKey fuzzes the canonical-key derivation against its
 // contract: for any two config JSON documents that both validate, the
 // keys are equal iff the validated configs are equal as structs —
@@ -286,6 +199,94 @@ func FuzzResultCacheKey(f *testing.F) {
 			t.Errorf("key not deterministic: %s vs %s", keyA, again)
 		}
 	})
+}
+
+// TestResultCacheSingleflight pins the claim/coalesce contract on the
+// server's result-cache instance: one claimer per key, waiters see the
+// resolved body, and a failed flight drops its entry so the next claim
+// recomputes.
+func TestResultCacheSingleflight(t *testing.T) {
+	c := newTestServer(t, Config{}).results
+	e, claimed := c.Claim("k")
+	if !claimed {
+		t.Fatal("first claim not owner")
+	}
+	if e2, claimed2 := c.Claim("k"); claimed2 || e2 != e {
+		t.Fatal("second claim did not coalesce onto the flight")
+	}
+	if e.Done() {
+		t.Error("in-flight entry reports completed")
+	}
+	c.Resolve(e, sweepValue{body: []byte("body")}, nil)
+	v, ok, err := e.Wait(context.Background())
+	if err != nil || !ok || string(v.body) != "body" {
+		t.Errorf("wait after resolve = %q, %v, %v", v.body, ok, err)
+	}
+
+	// Failure path: entry dropped, key reclaims fresh.
+	f, _ := c.Claim("fail")
+	c.Resolve(f, sweepValue{}, errors.New("boom"))
+	if _, ok, _ := f.Wait(context.Background()); ok {
+		t.Error("waiter on a failed flight told it succeeded")
+	}
+	if g, claimed := c.Claim("fail"); !claimed || g == f {
+		t.Error("failed flight not dropped; waiter would inherit the error")
+	}
+	if got := c.Stats().Misses; got != 3 {
+		t.Errorf("misses = %d, want 3 (k, fail, fail-again)", got)
+	}
+}
+
+// TestResultCacheAwaitContext: a wait on the server's result cache
+// returns when the caller's context dies, without waiting out the
+// flight.
+func TestResultCacheAwaitContext(t *testing.T) {
+	c := newTestServer(t, Config{}).results
+	e, _ := c.Claim("slow")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, ok, err := e.Wait(ctx); ok || !errors.Is(err, context.Canceled) {
+		t.Errorf("wait on dead context = %v, %v, want Canceled", ok, err)
+	}
+}
+
+// TestResultCacheEviction: the server's result cache holds
+// Config.ResultCacheEntries completed bodies; beyond that it evicts
+// second-chance style — recently hit entries are spared first — and
+// never evicts an in-flight entry.
+func TestResultCacheEviction(t *testing.T) {
+	c := newTestServer(t, Config{ResultCacheEntries: 2}).results
+	for i := 0; i < 2; i++ {
+		e, _ := c.Claim(fmt.Sprintf("k%d", i))
+		c.Resolve(e, sweepValue{body: []byte("b")}, nil)
+	}
+	// Mark k1 hot, as a handler hit would.
+	c.Hit(c.Probe("k1"))
+
+	inflight, _ := c.Claim("k2") // over capacity; k0 (cold) should go
+	if c.Probe("k0") != nil {
+		t.Error("cold entry k0 survived eviction")
+	}
+	if c.Probe("k1") == nil {
+		t.Error("hot entry k1 was evicted despite its second chance")
+	}
+	if c.Probe("k2") == nil {
+		t.Error("in-flight entry k2 missing")
+	}
+	if got := c.Stats().Evictions; got != 1 {
+		t.Errorf("evictions = %d, want 1", got)
+	}
+
+	// An in-flight entry is immune even at capacity pressure.
+	e3, _ := c.Claim("k3")
+	c.Resolve(e3, sweepValue{body: []byte("b")}, nil)
+	if c.Probe("k2") != inflight {
+		t.Error("in-flight entry evicted")
+	}
+	c.Resolve(inflight, sweepValue{body: []byte("b")}, nil)
+	if c.Len() > 3 {
+		t.Errorf("len = %d after resolutions, want <= 3", c.Len())
+	}
 }
 
 // TestResultCacheKeyBuildDimension pins satellite of the mixed-version

@@ -2,22 +2,27 @@
 // HTTP/JSON front end over the paper's fetch-prediction engine. Sweep
 // requests (configuration × workload set × instruction count) are
 // validated, admitted through a bounded queue (full ⇒ 429 +
-// Retry-After), and batched onto one shared work-stealing pool; trace
-// capture is deduplicated across concurrent requests by an LRU cache,
-// request contexts (client disconnect, per-request timeout) cancel
-// queued and running jobs, and results reuse the exact drivers the CLI
-// runs — a sweep's JSON body is byte-identical to the serial harness
-// reference for the same request.
+// Retry-After), and batched onto one shared work-stealing pool; request
+// contexts (client disconnect, per-request timeout) cancel queued and
+// running jobs, and results reuse the exact drivers the CLI runs — a
+// sweep's JSON body is byte-identical to the serial harness reference
+// for the same request.
 //
-// Because sweeps are pure functions of the request, whole rendered
-// bodies are content-addressed and cached (resultcache.go): repeat
-// requests are served from memory without a queue slot, identical
-// concurrent requests coalesce onto one computation, and strong ETags
-// derived from the canonical request key give clients If-None-Match →
-// 304 revalidation. A server can also front a pool of replicas
-// (shard.go): sweep keys route to backends on a consistent-hash ring,
-// bodies proxy through unchanged, and the front-end degrades to local
-// execution when every replica is down.
+// Two instances of one singleflight cache type (internal/flight) front
+// the work. Captured traces are shared across concurrent requests by
+// the trace loader's instance. Because sweeps are pure functions of the
+// request, whole rendered bodies are content-addressed and cached in
+// the other (resultcache.go): repeat requests are served from memory
+// without a queue slot, identical concurrent requests coalesce onto
+// one computation, and strong ETags derived from the canonical request
+// key give clients If-None-Match → 304 revalidation. One serve loop
+// (serveCached) runs every non-streamed sweep through the result
+// cache; what varies is the keys it resolves and how it fills a miss.
+// A standalone server keys per configuration and simulates; a server
+// fronting a pool of replicas (shard.go) keys the whole request, routes
+// it to a replica on a consistent-hash ring, proxies the body through
+// unchanged, and degrades to local execution when every replica is
+// down.
 package server
 
 import (
@@ -32,12 +37,14 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mbbp/internal/core"
+	"mbbp/internal/flight"
 	"mbbp/internal/harness"
 	"mbbp/internal/metrics"
 	"mbbp/internal/obs"
@@ -121,8 +128,8 @@ type Server struct {
 	cfg     Config
 	log     *slog.Logger
 	sched   *harness.Scheduler
-	cache   *trace.Cache
-	results *resultCache
+	cache   *flight.Cache[harness.TraceKey, *trace.Buffer]
+	results *flight.Cache[string, sweepValue]
 	pool    *shardPool    // nil unless Config.ShardOf
 	queue   chan struct{} // admission semaphore; len() is the live depth
 	metrics *metricsSet
@@ -161,8 +168,8 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		log:     cfg.Logger,
 		sched:   harness.NewScheduler(cfg.Workers),
-		cache:   trace.NewCache(cfg.CacheEntries),
-		results: newResultCache(cfg.ResultCacheEntries),
+		cache:   flight.New[harness.TraceKey, *trace.Buffer](cfg.CacheEntries),
+		results: flight.New[string, sweepValue](cfg.ResultCacheEntries),
 		queue:   make(chan struct{}, cfg.QueueDepth),
 		h2p:     newFleetH2P(),
 
@@ -183,7 +190,11 @@ func New(cfg Config) (*Server, error) {
 	if s.pool != nil {
 		shardSnap = s.pool.snapshot
 	}
-	s.metrics = newMetricsSet(cfg.QueueDepth, s.cache.Stats, s.results.stats, shardSnap, s.sched.Stats, s.tap, s.h2p.snapshot)
+	traceStats := func() (hits, misses uint64) {
+		st := s.cache.Stats()
+		return st.Hits, st.Misses
+	}
+	s.metrics = newMetricsSet(cfg.QueueDepth, traceStats, s.results.Stats, shardSnap, s.sched.Stats, s.tap, s.h2p.snapshot)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
@@ -243,7 +254,8 @@ func (s *Server) drainingNow() bool {
 	return s.draining
 }
 
-// admit reserves a queue slot, or reports why it cannot.
+// admit reserves a queue slot, or reports why it cannot. The slot
+// counts as in flight on /metrics until release.
 func (s *Server) admit() (release func(), status int) {
 	s.mu.Lock()
 	draining := s.draining
@@ -254,7 +266,9 @@ func (s *Server) admit() (release func(), status int) {
 		case s.queue <- struct{}{}:
 			s.inflight.Add(1)
 			s.mu.Unlock()
+			s.metrics.inflight.Add(1)
 			return func() {
+				s.metrics.inflight.Add(-1)
 				<-s.queue
 				s.inflight.Done()
 			}, 0
@@ -292,14 +306,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	cfgs, opts, multi, err := req.parseAll(s.cfg.MaxInstructions)
-	if err != nil {
-		s.metrics.requestsBad.Add(1)
-		log.Warn("rejected request", "err", err)
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	h2pN, err := req.h2pTopN()
+	stream := r.URL.Query().Get("stream") == "ndjson" || r.Header.Get("Accept") == "application/x-ndjson"
+	call, err := req.parseAll(s.cfg.MaxInstructions, stream)
 	if err != nil {
 		s.metrics.requestsBad.Add(1)
 		log.Warn("rejected request", "err", err)
@@ -315,46 +323,30 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// stream is an incremental representation (lines flush as programs
 	// fold), not a content-addressed document, so it always runs
 	// locally. Streamed runs still share the trace cache.
-	if r.URL.Query().Get("stream") == "ndjson" || r.Header.Get("Accept") == "application/x-ndjson" {
+	if stream {
 		release, status := s.admit()
 		if status != 0 {
 			s.refuse(w, log, status)
 			return
 		}
 		defer release()
-		s.metrics.inflight.Add(1)
-		defer s.metrics.inflight.Add(-1)
 		sp.Mark("queue")
 		if s.hookAdmitted != nil {
 			s.hookAdmitted(ctx)
 		}
-		if multi {
-			s.metrics.requestsBad.Add(1)
-			err := errors.New("streaming supports a single config; use the configs field without stream=ndjson")
-			log.Warn("rejected request", "err", err)
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if h2pN > 0 {
-			s.metrics.requestsBad.Add(1)
-			err := errors.New("h2p is not available with NDJSON streaming")
-			log.Warn("rejected request", "err", err)
-			s.writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		s.streamSweep(ctx, w, log, start, sp, cfgs[0], opts)
+		s.streamSweep(ctx, w, log, start, sp, call.cfgs[0], call.opts)
 		return
 	}
 
-	keys, reqKey, err := sweepKeys(cfgs, opts, multi)
+	keys, reqKey, err := sweepKeys(call.cfgs, call.opts, call.multi)
 	if err != nil {
 		// Unreachable in practice: parseAll validated every config.
 		s.metrics.requestsErrored.Add(1)
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if h2pN > 0 {
-		keys, reqKey = h2pKeys(keys, reqKey, h2pN)
+	if call.h2pN > 0 {
+		keys, reqKey = h2pKeys(keys, reqKey, call.h2pN)
 	}
 	etag := etagFor(reqKey)
 
@@ -369,11 +361,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	plan := sweepPlan{keys: keys, whole: !call.multi, fill: s.computeFill(call)}
 	if s.pool != nil {
-		s.serveSharded(ctx, w, log, start, sp, raw, rid, cfgs, opts, multi, h2pN, reqKey, etag)
-		return
+		plan = sweepPlan{keys: []string{reqKey}, whole: true, fill: s.proxyFill(call, log, raw, rid, reqKey)}
 	}
-	s.serveLocal(ctx, w, log, start, sp, cfgs, opts, multi, h2pN, keys, etag)
+	s.serveCached(ctx, w, log, start, sp, call, plan, etag)
 }
 
 // refuse writes a queue rejection (429 or 503) with its metrics.
@@ -389,161 +381,199 @@ func (s *Server) refuse(w http.ResponseWriter, log *slog.Logger, status int) {
 	s.writeError(w, status, errors.New(http.StatusText(status)))
 }
 
-// serveLocal answers a (non-streaming) sweep from the local engine,
-// fronted by the result cache. Per-entry flow — multi-config requests
-// resolve each configuration independently, so entries warmed by
-// single-config requests serve multi requests and vice versa:
+// sweepPlan is what differs between the ways serveCached produces a
+// sweep: which result-cache entries the request resolves and how the
+// entries it claims are filled.
+type sweepPlan struct {
+	// keys are the entries: one per configuration on a standalone
+	// server, so entries warmed by single-config requests serve
+	// multi-config ones and vice versa; the one whole-request key on a
+	// shard front-end.
+	keys []string
+	// whole reports that each entry is a whole response body; otherwise
+	// the multi-config body is assembled from the entries' parsed
+	// responses.
+	whole bool
+	fill  fillFunc
+}
+
+// fillFunc produces the values of a request's claimed entries (indexes
+// into its plan's keys), in order, and names their origin.
+type fillFunc func(ctx context.Context, sp *obs.Spans, claimed []int) ([]sweepValue, origin, error)
+
+// origin names where a filled body came from on a shard front-end: the
+// answering replica (or "local" in degraded mode) and the replica's own
+// Cache-Status. Both are empty for a locally computed body.
+type origin struct{ replica, backendStatus string }
+
+// serveCached answers a non-streamed sweep through the result cache —
+// the one serve loop of a standalone server and a shard front-end.
+// Each pass:
 //
-//   - fast path: every entry already exists (completed or in-flight) —
-//     wait and serve without taking a queue slot, so hot traffic is
-//     immune to admission backpressure;
-//   - slow path: admit, claim the missing entries, compute them as one
-//     lane batch, resolve, serve.
-//
-// A claimed flight that fails drops its entry (failures are never
-// cached); waiters retry from the top under their own context.
-func (s *Server) serveLocal(ctx context.Context, w http.ResponseWriter, log *slog.Logger,
-	start time.Time, sp *obs.Spans, cfgs []core.Config, opts harness.Options,
-	multi bool, h2pN int, keys []string, etag string) {
+//   - refuses with 503 once the server drains (hits never pass admit);
+//   - probes every key: when all are present, completed or in flight,
+//     the request takes no queue slot, so hot traffic is immune to
+//     admission backpressure;
+//   - otherwise admits, claims every key, fills the claimed entries in
+//     one plan.fill call, resolves them and gives the slot back;
+//   - waits for every entry, and starts over if another request's
+//     flight failed (failures are never cached, and that owner's error
+//     belongs to its own request);
+//   - writes the body, counting each entry's hit or coalesced wait once
+//     the outcome is final.
+func (s *Server) serveCached(ctx context.Context, w http.ResponseWriter, log *slog.Logger,
+	start time.Time, sp *obs.Spans, call sweepCall, plan sweepPlan, etag string) {
+	fail := func(err error) {
+		elapsed := time.Since(start)
+		s.metrics.observeLatency(elapsed)
+		s.failSweep(w, log, err, elapsed)
+	}
+pass:
 	for {
 		if s.drainingNow() {
 			s.refuse(w, log, http.StatusServiceUnavailable)
 			return
 		}
-
-		// Fast path: probe only (shared lock, no queue slot).
-		entries := make([]*resultEntry, len(keys))
-		outcomes := make([]cacheStatus, len(keys))
-		allPresent := true
-		for i, k := range keys {
-			if entries[i] = s.results.probe(k); entries[i] == nil {
-				allPresent = false
+		entries := make([]*flight.Entry[string, sweepValue], len(plan.keys))
+		present := true
+		for i, k := range plan.keys {
+			if entries[i] = s.results.Probe(k); entries[i] == nil {
+				present = false
 				break
 			}
-			if entries[i].completed() {
-				outcomes[i] = cacheHit
-			} else {
-				outcomes[i] = cacheCoalesced
-			}
 		}
-		if allPresent {
-			if s.hookCoalescing != nil {
-				for _, o := range outcomes {
-					if o == cacheCoalesced {
-						s.hookCoalescing()
-						break
-					}
+
+		outcomes := make([]cacheStatus, len(plan.keys))
+		var claimed []int
+		release := func() {}
+		if !present {
+			var status int
+			if release, status = s.admit(); status != 0 {
+				s.refuse(w, log, status)
+				return
+			}
+			sp.Mark("queue")
+			if s.hookAdmitted != nil {
+				s.hookAdmitted(ctx)
+			}
+			for i, k := range plan.keys {
+				var owner bool
+				if entries[i], owner = s.results.Claim(k); owner {
+					outcomes[i] = cacheMiss
+					claimed = append(claimed, i)
 				}
 			}
-			if retry, ok := s.finishEntries(ctx, w, log, start, entries); !ok {
-				return
-			} else if retry {
-				continue
-			}
-			s.serveAssembled(w, log, start, sp, entries, outcomes, multi, etag, opts, len(cfgs))
-			return
 		}
-
-		// Slow path: take a queue slot, claim what is missing, compute.
-		release, status := s.admit()
-		if status != 0 {
-			s.refuse(w, log, status)
-			return
-		}
-		s.metrics.inflight.Add(1)
-		sp.Mark("queue")
-		if s.hookAdmitted != nil {
-			s.hookAdmitted(ctx)
-		}
-
-		var toCompute []int
-		for i, k := range keys {
-			e, claimed := s.results.claim(k)
-			entries[i] = e
-			switch {
-			case claimed:
-				outcomes[i] = cacheMiss
-				toCompute = append(toCompute, i)
-			case e.completed():
-				outcomes[i] = cacheHit
-			default:
-				outcomes[i] = cacheCoalesced
-			}
-		}
-		var computeErr error
-		if len(toCompute) > 0 {
-			if s.hookComputing != nil {
-				s.hookComputing()
-			}
-			computeErr = s.computeEntries(ctx, sp, cfgs, opts, entries, toCompute, h2pN)
-		}
+		markJoined(entries, outcomes)
+		from, err := s.fillClaimed(ctx, sp, plan, entries, claimed)
 		release()
-		s.metrics.inflight.Add(-1)
-		if computeErr != nil {
-			elapsed := time.Since(start)
-			s.metrics.observeLatency(elapsed)
-			s.failSweep(w, log, computeErr, elapsed)
+		if err != nil {
+			fail(err)
 			return
 		}
-		if retry, ok := s.finishEntries(ctx, w, log, start, entries); !ok {
-			return
-		} else if retry {
-			continue
+
+		if s.hookCoalescing != nil && slices.Contains(outcomes, cacheCoalesced) {
+			s.hookCoalescing()
 		}
-		s.serveAssembled(w, log, start, sp, entries, outcomes, multi, etag, opts, len(cfgs))
+		values := make([]sweepValue, len(entries))
+		for i, e := range entries {
+			v, ok, err := e.Wait(ctx)
+			if err != nil {
+				fail(err)
+				return
+			}
+			if !ok {
+				continue pass
+			}
+			values[i] = v
+		}
+
+		body := values[0].body
+		if !plan.whole {
+			resp := MultiSweepResponse{Sweeps: make([]SweepResponse, len(values))}
+			for i, v := range values {
+				resp.Sweeps[i] = *v.resp
+			}
+			var err error
+			if body, err = MarshalMultiResponse(resp); err != nil {
+				s.metrics.requestsErrored.Add(1)
+				s.writeError(w, http.StatusInternalServerError, err)
+				return
+			}
+		}
+		overall := cacheHit
+		for i, o := range outcomes {
+			switch o {
+			case cacheHit:
+				s.results.Hit(entries[i])
+			case cacheCoalesced:
+				s.results.Coalesced()
+			}
+			overall = overall.worse(o)
+		}
+		s.writeSweepBody(w, log, start, sp, body, overall, etag, from, call.opts, len(call.cfgs))
 		return
 	}
 }
 
-// finishEntries waits for every entry to resolve. ok=false means the
-// request already failed (context died) and a response was written;
-// retry=true means some flight owner failed and dropped its entry, so
-// the caller should re-resolve from the top.
-func (s *Server) finishEntries(ctx context.Context, w http.ResponseWriter, log *slog.Logger,
-	start time.Time, entries []*resultEntry) (retry, ok bool) {
-	for _, e := range entries {
-		if err := s.results.await(ctx, e); err != nil {
-			elapsed := time.Since(start)
-			s.metrics.observeLatency(elapsed)
-			s.failSweep(w, log, err, elapsed)
-			return false, false
+// markJoined sets the outcome of every entry the request did not claim:
+// a hit when it had already resolved, coalesced when it was in flight.
+func markJoined(entries []*flight.Entry[string, sweepValue], outcomes []cacheStatus) {
+	for i, e := range entries {
+		switch {
+		case outcomes[i] != "":
+		case e.Done():
+			outcomes[i] = cacheHit
+		default:
+			outcomes[i] = cacheCoalesced
 		}
 	}
-	for _, e := range entries {
-		if e.err != nil {
-			return true, true
-		}
-	}
-	return false, true
 }
 
-// computeEntries runs the claimed configurations through computeSweeps
-// and resolves each claimed entry with its rendered body. On error
-// every claimed entry is dropped.
-func (s *Server) computeEntries(ctx context.Context, sp *obs.Spans, cfgs []core.Config,
-	opts harness.Options, entries []*resultEntry, toCompute []int, h2pN int) error {
-	fail := func(err error) error {
-		for _, i := range toCompute {
-			s.results.resolve(entries[i], nil, nil, err)
+// fillClaimed runs plan.fill over the claimed entries, if any, and
+// resolves each with its value — or, on error, drops them all.
+func (s *Server) fillClaimed(ctx context.Context, sp *obs.Spans, plan sweepPlan,
+	entries []*flight.Entry[string, sweepValue], claimed []int) (origin, error) {
+	if len(claimed) == 0 {
+		return origin{}, nil
+	}
+	if s.hookComputing != nil {
+		s.hookComputing()
+	}
+	values, from, err := plan.fill(ctx, sp, claimed)
+	for j, i := range claimed {
+		var v sweepValue
+		if err == nil {
+			v = values[j]
 		}
-		return err
+		s.results.Resolve(entries[i], v, err)
 	}
-	computed := make([]core.Config, len(toCompute))
-	for j, i := range toCompute {
-		computed[j] = cfgs[i]
-	}
-	resps, err := s.computeSweeps(ctx, sp, computed, opts, h2pN)
-	if err != nil {
-		return fail(err)
-	}
-	for j, i := range toCompute {
-		body, err := MarshalResponse(resps[j])
+	return from, err
+}
+
+// computeFill is a standalone server's fill: the claimed
+// configurations run as one lane batch through computeSweeps, and each
+// entry stores its rendered body with the parsed response.
+func (s *Server) computeFill(call sweepCall) fillFunc {
+	return func(ctx context.Context, sp *obs.Spans, claimed []int) ([]sweepValue, origin, error) {
+		cfgs := make([]core.Config, len(claimed))
+		for j, i := range claimed {
+			cfgs[j] = call.cfgs[i]
+		}
+		resps, err := s.computeSweeps(ctx, sp, cfgs, call.opts, call.h2pN)
 		if err != nil {
-			return fail(err)
+			return nil, origin{}, err
 		}
-		s.results.resolve(entries[i], body, &resps[j], nil)
+		values := make([]sweepValue, len(resps))
+		for j := range resps {
+			body, err := MarshalResponse(resps[j])
+			if err != nil {
+				return nil, origin{}, err
+			}
+			values[j] = sweepValue{body: body, resp: &resps[j]}
+		}
+		return values, origin{}, nil
 	}
-	return nil
 }
 
 // computeSweeps is the one place mbbpd simulates: it runs a request's
@@ -592,51 +622,11 @@ func (s *Server) computeSweeps(ctx context.Context, sp *obs.Spans, cfgs []core.C
 	return resps, nil
 }
 
-// serveAssembled writes the response for fully resolved entries: the
-// cached body directly for a single-config request, or the composite
-// document assembled from the per-entry parsed responses for a
-// multi-config request (byte-identical to rendering the batch cold —
-// MarshalMultiResponse over the same structs). Hit/coalesced counters
-// are recorded here, once per entry, when the outcome is final; the
-// request's overall outcome is its worst entry's.
-func (s *Server) serveAssembled(w http.ResponseWriter, log *slog.Logger, start time.Time,
-	sp *obs.Spans, entries []*resultEntry, outcomes []cacheStatus, multi bool,
-	etag string, opts harness.Options, ncfgs int) {
-	var body []byte
-	if multi {
-		resp := MultiSweepResponse{Sweeps: make([]SweepResponse, 0, len(entries))}
-		for _, e := range entries {
-			if e.resp == nil {
-				s.metrics.requestsErrored.Add(1)
-				s.writeError(w, http.StatusInternalServerError,
-					errors.New("cache entry has no parsed response"))
-				return
-			}
-			resp.Sweeps = append(resp.Sweeps, *e.resp)
-		}
-		var err error
-		if body, err = MarshalMultiResponse(resp); err != nil {
-			s.metrics.requestsErrored.Add(1)
-			s.writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-	} else {
-		body = entries[0].body
-	}
-
-	overall := cacheHit
-	for i, o := range outcomes {
-		s.results.served(entries[i], o)
-		overall = overall.worse(o)
-	}
-	s.writeSweepBody(w, log, start, sp, body, overall, etag, "", "", opts, ncfgs)
-}
-
 // writeSweepBody writes a completed sweep body with its cache headers
 // (and, on a shard front-end, the replica headers), accounts the
 // request, and sets the stage trailer and the completion log line.
 func (s *Server) writeSweepBody(w http.ResponseWriter, log *slog.Logger, start time.Time,
-	sp *obs.Spans, body []byte, outcome cacheStatus, etag, replica, backendStatus string,
+	sp *obs.Spans, body []byte, outcome cacheStatus, etag string, from origin,
 	opts harness.Options, ncfgs int) {
 	s.metrics.observeLatency(time.Since(start))
 	s.metrics.requestsOK.Add(1)
@@ -646,17 +636,17 @@ func (s *Server) writeSweepBody(w http.ResponseWriter, log *slog.Logger, start t
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.Header().Set("ETag", etag)
 	w.Header().Set(cacheStatusHeader, string(outcome))
-	if replica != "" {
-		w.Header().Set(shardReplicaHeader, replica)
+	if from.replica != "" {
+		w.Header().Set(shardReplicaHeader, from.replica)
 	}
-	if backendStatus != "" {
-		w.Header().Set(backendCacheStatusHeader, backendStatus)
+	if from.backendStatus != "" {
+		w.Header().Set(backendCacheStatusHeader, from.backendStatus)
 	}
 	w.Write(body)
 	sp.Mark("render")
 	w.Header().Set(stagesTrailer, sp.Header())
-	if replica != "" {
-		log = log.With("replica", replica)
+	if from.replica != "" {
+		log = log.With("replica", from.replica)
 	}
 	log.Info("sweep done",
 		"configs", ncfgs,
@@ -752,7 +742,20 @@ func (s *Server) failStreamed(log *slog.Logger, err error, elapsed time.Duration
 
 // failSweep maps a sweep failure to a response and metrics.
 func (s *Server) failSweep(w http.ResponseWriter, log *slog.Logger, err error, elapsed time.Duration) {
+	var re *replicaError
 	switch {
+	case errors.As(err, &re):
+		// The front-end validated the request, so a replica's own
+		// non-retryable verdict is the replica's to report: it passes
+		// through unchanged (and was never cached).
+		s.metrics.requestsErrored.Add(1)
+		log.Error("replica error passed through", "replica", re.replica, "status", re.code)
+		if re.contentType != "" {
+			w.Header().Set("Content-Type", re.contentType)
+		}
+		w.Header().Set(shardReplicaHeader, re.replica)
+		w.WriteHeader(re.code)
+		w.Write(re.body)
 	case errors.Is(err, context.Canceled):
 		// Client went away; nobody reads this response, but complete it.
 		s.metrics.requestsCancelled.Add(1)

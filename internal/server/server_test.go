@@ -181,7 +181,8 @@ func TestSweepMultiConfigDifferential(t *testing.T) {
 
 	// One capture per program, no matter how many configurations rode
 	// the request; /metrics carries the same counters.
-	hits, misses := s.cache.Stats()
+	st := s.cache.Stats()
+	hits, misses := st.Hits, st.Misses
 	if misses != uint64(len(opts.Programs)) {
 		t.Errorf("cache misses = %d, want %d (one capture per program, not per config)",
 			misses, len(opts.Programs))
@@ -677,7 +678,8 @@ func TestTraceCacheSharing(t *testing.T) {
 	if w := postSweep(t, s.Handler(), second, ""); w.Code != 200 {
 		t.Fatalf("second sweep = %d", w.Code)
 	}
-	hits, misses := s.cache.Stats()
+	st := s.cache.Stats()
+	hits, misses := st.Hits, st.Misses
 	if misses != 2 {
 		t.Errorf("trace cache misses = %d, want 2 (one per program)", misses)
 	}
@@ -694,8 +696,8 @@ func TestTraceCacheSharing(t *testing.T) {
 	if got := w.Header().Get(cacheStatusHeader); got != string(cacheHit) {
 		t.Errorf("repeat Cache-Status = %q, want %q", got, cacheHit)
 	}
-	if h2, m2 := s.cache.Stats(); h2 != hits || m2 != misses {
+	if st := s.cache.Stats(); st.Hits != hits || st.Misses != misses {
 		t.Errorf("identical repeat reached the trace layer: hits %d->%d misses %d->%d",
-			hits, h2, misses, m2)
+			hits, st.Hits, misses, st.Misses)
 	}
 }

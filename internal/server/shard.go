@@ -13,8 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mbbp/internal/core"
-	"mbbp/internal/harness"
 	"mbbp/internal/obs"
 	"mbbp/internal/shard"
 )
@@ -218,154 +216,49 @@ func (p *shardPool) snapshot() *shardSnapshot {
 	return s
 }
 
-// serveSharded answers a (non-streaming) sweep by routing it to the
-// replica pool, fronted by this server's own result cache keyed on the
-// whole-request key. The singleflight discipline is identical to the
-// local path: one request proxies while identical concurrent requests
-// coalesce; proxy failures are never cached.
-func (s *Server) serveSharded(ctx context.Context, w http.ResponseWriter, log *slog.Logger,
-	start time.Time, sp *obs.Spans, raw []byte, rid string, cfgs []core.Config, opts harness.Options,
-	multi bool, h2pN int, reqKey, etag string) {
-	for {
-		if s.drainingNow() {
-			s.refuse(w, log, http.StatusServiceUnavailable)
-			return
-		}
-
-		// Fast path: cached or in-flight, no queue slot.
-		if e := s.results.probe(reqKey); e != nil {
-			outcome := cacheCoalesced
-			if e.completed() {
-				outcome = cacheHit
-			} else if s.hookCoalescing != nil {
-				s.hookCoalescing()
-			}
-			if retry, ok := s.awaitShardEntry(ctx, w, log, start, e); !ok {
-				return
-			} else if retry {
-				continue
-			}
-			s.results.served(e, outcome)
-			s.writeSweepBody(w, log, start, sp, e.body, outcome, etag, "", "", opts, len(cfgs))
-			return
-		}
-
-		release, status := s.admit()
-		if status != 0 {
-			s.refuse(w, log, status)
-			return
-		}
-		s.metrics.inflight.Add(1)
-		done := func() { release(); s.metrics.inflight.Add(-1) }
-		sp.Mark("queue")
-		if s.hookAdmitted != nil {
-			s.hookAdmitted(ctx)
-		}
-
-		e, claimed := s.results.claim(reqKey)
-		if !claimed {
-			// Someone else owns the flight; give the slot back and wait.
-			done()
-			outcome := cacheCoalesced
-			if e.completed() {
-				outcome = cacheHit
-			}
-			if retry, ok := s.awaitShardEntry(ctx, w, log, start, e); !ok {
-				return
-			} else if retry {
-				continue
-			}
-			s.results.served(e, outcome)
-			s.writeSweepBody(w, log, start, sp, e.body, outcome, etag, "", "", opts, len(cfgs))
-			return
-		}
-
-		if s.hookComputing != nil {
-			s.hookComputing()
-		}
+// proxyFill is a shard front-end's fill for its one whole-request
+// entry: proxy the client's own bytes to the key's replica. A replica's
+// non-200, non-retryable answer comes back as a *replicaError, which
+// failSweep passes through. When every replica is unreachable the
+// request degrades to local execution through computeSweeps, the path
+// a replica runs, so the body is byte-identical to what a healthy
+// replica would have sent (and it warms this front-end's cache).
+func (s *Server) proxyFill(call sweepCall, log *slog.Logger, raw []byte, rid, reqKey string) fillFunc {
+	return func(ctx context.Context, sp *obs.Spans, _ []int) ([]sweepValue, origin, error) {
 		code, body, hdr, replica, err := s.pool.do(ctx, reqKey, rid, raw)
 		switch {
 		case err == nil && code == http.StatusOK:
-			s.results.resolve(e, body, nil, nil)
-			done()
 			sp.Mark("proxy")
-			s.writeSweepBody(w, log, start, sp, body, cacheMiss, etag, replica,
-				hdr.Get(cacheStatusHeader), opts, len(cfgs))
-			return
+			return []sweepValue{{body: body}}, origin{replica, hdr.Get(cacheStatusHeader)}, nil
 		case err == nil:
-			// A replica answered with a non-retryable failure. Pass its
-			// verdict through uncached — the front-end validated the
-			// request, so this is the replica's problem to report.
-			s.results.resolve(e, nil, nil, fmt.Errorf("replica %s answered %d", replica, code))
-			done()
-			s.metrics.requestsErrored.Add(1)
-			s.metrics.observeLatency(time.Since(start))
-			log.Error("replica error passed through", "replica", replica, "status", code)
-			if ct := hdr.Get("Content-Type"); ct != "" {
-				w.Header().Set("Content-Type", ct)
-			}
-			w.Header().Set(shardReplicaHeader, replica)
-			w.WriteHeader(code)
-			w.Write(body)
-			return
+			return nil, origin{}, &replicaError{code: code, body: body, contentType: hdr.Get("Content-Type"), replica: replica}
 		case ctx.Err() != nil:
-			s.results.resolve(e, nil, nil, ctx.Err())
-			done()
-			elapsed := time.Since(start)
-			s.metrics.observeLatency(elapsed)
-			s.failSweep(w, log, ctx.Err(), elapsed)
-			return
+			return nil, origin{}, ctx.Err()
 		}
-
-		// Every replica unreachable: degrade to local execution so the
-		// request still succeeds (and warms this front-end's cache).
 		s.pool.fallbacks.Add(1)
 		log.Warn("all replicas unreachable; running sweep locally", "err", err)
-		body, lerr := s.computeBodyLocal(ctx, sp, cfgs, opts, multi, h2pN)
-		if lerr != nil {
-			s.results.resolve(e, nil, nil, lerr)
-			done()
-			elapsed := time.Since(start)
-			s.metrics.observeLatency(elapsed)
-			s.failSweep(w, log, lerr, elapsed)
-			return
+		resps, err := s.computeSweeps(ctx, sp, call.cfgs, call.opts, call.h2pN)
+		if err != nil {
+			return nil, origin{}, err
 		}
-		s.results.resolve(e, body, nil, nil)
-		done()
-		s.writeSweepBody(w, log, start, sp, body, cacheMiss, etag, "local", "", opts, len(cfgs))
-		return
+		if call.multi {
+			body, err = MarshalMultiResponse(MultiSweepResponse{Sweeps: resps})
+		} else {
+			body, err = MarshalResponse(resps[0])
+		}
+		return []sweepValue{{body: body}}, origin{replica: "local"}, err
 	}
 }
 
-// awaitShardEntry waits out another request's flight. ok=false means
-// this request failed and was answered; retry=true means the flight
-// owner failed (entry dropped) and the caller should start over.
-func (s *Server) awaitShardEntry(ctx context.Context, w http.ResponseWriter, log *slog.Logger,
-	start time.Time, e *resultEntry) (retry, ok bool) {
-	if err := s.results.await(ctx, e); err != nil {
-		elapsed := time.Since(start)
-		s.metrics.observeLatency(elapsed)
-		s.failSweep(w, log, err, elapsed)
-		return false, false
-	}
-	if e.err != nil {
-		return true, true
-	}
-	return false, true
+// replicaError is a replica's non-200 answer that is not worth retrying
+// on another replica: a verdict about the request, relayed as is.
+type replicaError struct {
+	code        int
+	body        []byte
+	contentType string
+	replica     string
 }
 
-// computeBodyLocal is the shard front-end's degraded mode: run the
-// sweep on the local engine through computeSweeps, the path a replica
-// runs, so the body is byte-identical to what a healthy replica would
-// have sent.
-func (s *Server) computeBodyLocal(ctx context.Context, sp *obs.Spans, cfgs []core.Config,
-	opts harness.Options, multi bool, h2pN int) ([]byte, error) {
-	resps, err := s.computeSweeps(ctx, sp, cfgs, opts, h2pN)
-	if err != nil {
-		return nil, err
-	}
-	if multi {
-		return MarshalMultiResponse(MultiSweepResponse{Sweeps: resps})
-	}
-	return MarshalResponse(resps[0])
+func (e *replicaError) Error() string {
+	return fmt.Sprintf("replica %s answered %d", e.replica, e.code)
 }

@@ -67,7 +67,7 @@ func TestShardProxiesAndCaches(t *testing.T) {
 	}
 
 	// The front-end never simulated: its trace cache is untouched.
-	if _, misses := front.cache.Stats(); misses != 0 {
+	if misses := front.cache.Stats().Misses; misses != 0 {
 		t.Errorf("front-end captured %d traces; should proxy, not simulate", misses)
 	}
 
@@ -94,26 +94,44 @@ func TestShardProxiesAndCaches(t *testing.T) {
 }
 
 // TestShardRoutingDisperses: distinct sweep keys spread over the
-// replicas (consistent hashing with virtual nodes), and the shard
+// replicas (consistent hashing with virtual nodes), each key reaches
+// exactly the replica the ring names as its owner, and the shard
 // metrics group reports the pool.
+//
+// The replicas listen on ephemeral ports, so the ring differs from run
+// to run and a fixed set of 8 keys all land on one replica about once
+// in 128 runs. The test therefore sends at least 8 distinct keys and
+// keeps going until every replica owns one of them; only a ring that
+// leaves a replica unowned over 64 keys fails.
 func TestShardRoutingDisperses(t *testing.T) {
 	front, _ := startReplicaPool(t, 2, Config{}, Config{})
-	for i := 0; i < 8; i++ {
-		req := SweepRequest{Programs: []string{"li"}, Instructions: uint64(1_000 + i)}
+	want := make([]uint64, 2)
+	owners := 0
+	sent := 0
+	for ; sent < 64 && (sent < 8 || owners < len(want)); sent++ {
+		req := SweepRequest{Programs: []string{"li"}, Instructions: uint64(1_000 + sent)}
+		owner := front.pool.ring.Owner(sweepKeyOf(t, req))
+		if want[owner] == 0 {
+			owners++
+		}
+		want[owner]++
 		if w := postSweep(t, front.Handler(), req, ""); w.Code != 200 {
-			t.Fatalf("sweep %d = %d", i, w.Code)
+			t.Fatalf("sweep %d = %d", sent, w.Code)
 		}
 	}
 	snap := front.pool.snapshot()
 	var total uint64
-	for _, r := range snap.Replicas {
+	for i, r := range snap.Replicas {
 		if r.Routes == 0 {
-			t.Errorf("replica %s received no traffic over 8 distinct keys", r.Addr)
+			t.Errorf("replica %s received no traffic over %d distinct keys", r.Addr, sent)
+		}
+		if r.Routes != want[i] {
+			t.Errorf("replica %s routes = %d, want %d (the keys the ring assigns it)", r.Addr, r.Routes, want[i])
 		}
 		total += r.Routes
 	}
-	if total != 8 {
-		t.Errorf("routes total = %d, want 8", total)
+	if total != uint64(sent) {
+		t.Errorf("routes total = %d, want %d", total, sent)
 	}
 
 	// The JSON metrics expose the shard group.
@@ -353,11 +371,11 @@ func TestShardRejectsBadReplicaSet(t *testing.T) {
 // sweepKeyOf derives the request key the way the handler does.
 func sweepKeyOf(t *testing.T, req SweepRequest) string {
 	t.Helper()
-	cfgs, opts, multi, err := req.parseAll(10_000_000)
+	call, err := req.parseAll(10_000_000, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, reqKey, err := sweepKeys(cfgs, opts, multi)
+	_, reqKey, err := sweepKeys(call.cfgs, call.opts, call.multi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +501,7 @@ func TestShardSoak(t *testing.T) {
 		t.Errorf("healthy replicas = %d, want 2 of 3", healthy)
 	}
 	// The hot set must have been served overwhelmingly from cache.
-	if st := front.results.stats(); st.Hits == 0 {
+	if st := front.results.Stats(); st.Hits == 0 {
 		t.Errorf("soak recorded no front-end cache hits: %+v", st)
 	}
 }

@@ -99,7 +99,7 @@ func TestSoakConcurrentSweeps(t *testing.T) {
 		t.Errorf("requests_total = %d, want %d", m.total, clients)
 	}
 	// Each (program, n) pair captures at most once across all clients.
-	if _, misses := s.cache.Stats(); misses != uint64(len(opts.Programs)) {
+	if misses := s.cache.Stats().Misses; misses != uint64(len(opts.Programs)) {
 		t.Errorf("trace captures = %d, want %d (shared cache defeated)", misses, len(opts.Programs))
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"mbbp/internal/core"
@@ -52,67 +53,65 @@ type SweepRequest struct {
 // h2pTopNLimit caps the per-program block list a request may ask for.
 const h2pTopNLimit = 100
 
-// h2pTopN resolves the request's effective top-N (0 when H2P is off).
-// The error maps to 400.
-func (r *SweepRequest) h2pTopN() (int, error) {
-	if !r.H2P {
-		if r.H2PTopN != 0 {
-			return 0, fmt.Errorf("h2p_topn requires h2p")
+// sweepCall is a validated sweep request: one configuration per
+// requested entry, the resolved workload options, whether the client
+// asked for the multi-config schema (the configs field), and the h2p
+// top-N (0 when h2p is off).
+type sweepCall struct {
+	cfgs  []core.Config
+	opts  harness.Options
+	multi bool
+	h2pN  int
+}
+
+// parseAll resolves and validates the request, single- and
+// multi-config alike, including the limits of the representation
+// asked for: a stream (NDJSON) takes neither a configs array nor h2p.
+// Every check happens here, before the request can take a queue slot;
+// the error, when non-nil, is safe to show clients and maps to 400.
+func (r *SweepRequest) parseAll(maxInstructions uint64, stream bool) (c sweepCall, err error) {
+	c.multi = len(r.Configs) > 0
+	switch {
+	case !c.multi:
+		cfg := core.DefaultConfig()
+		if len(r.Config) > 0 {
+			if cfg, err = core.LoadConfigJSON(bytes.NewReader(r.Config)); err != nil {
+				return c, err
+			}
 		}
-		return 0, nil
+		c.cfgs = []core.Config{cfg}
+	case len(r.Config) > 0:
+		return c, errors.New("config and configs are mutually exclusive")
+	default:
+		for i, raw := range r.Configs {
+			cfg, err := core.LoadConfigJSON(bytes.NewReader(raw))
+			if err != nil {
+				return c, fmt.Errorf("configs[%d]: %w", i, err)
+			}
+			c.cfgs = append(c.cfgs, cfg)
+		}
+	}
+	if c.opts, err = r.options(maxInstructions); err != nil {
+		return c, err
 	}
 	switch {
+	case !r.H2P && r.H2PTopN != 0:
+		return c, errors.New("h2p_topn requires h2p")
+	case !r.H2P:
 	case r.H2PTopN == 0:
-		return harness.DefaultH2PTopN, nil
+		c.h2pN = harness.DefaultH2PTopN
 	case r.H2PTopN < 0 || r.H2PTopN > h2pTopNLimit:
-		return 0, fmt.Errorf("h2p_topn %d out of range [1,%d]", r.H2PTopN, h2pTopNLimit)
+		return c, fmt.Errorf("h2p_topn %d out of range [1,%d]", r.H2PTopN, h2pTopNLimit)
+	default:
+		c.h2pN = r.H2PTopN
 	}
-	return r.H2PTopN, nil
-}
-
-// parse resolves the request into a validated configuration and
-// harness options. The error, when non-nil, is safe to show clients
-// and maps to 400.
-func (r *SweepRequest) parse(maxInstructions uint64) (core.Config, harness.Options, error) {
-	cfg := core.DefaultConfig()
-	if len(r.Config) > 0 {
-		var err error
-		cfg, err = core.LoadConfigJSON(bytes.NewReader(r.Config))
-		if err != nil {
-			return core.Config{}, harness.Options{}, err
-		}
+	switch {
+	case stream && c.multi:
+		return c, errors.New("streaming supports a single config; use the configs field without stream=ndjson")
+	case stream && c.h2pN > 0:
+		return c, errors.New("h2p is not available with NDJSON streaming")
 	}
-	o, err := r.options(maxInstructions)
-	if err != nil {
-		return core.Config{}, harness.Options{}, err
-	}
-	return cfg, o, nil
-}
-
-// parseAll resolves single- and multi-config requests alike: the
-// returned slice has one entry per requested configuration and multi
-// reports which response schema the client asked for (Configs set).
-func (r *SweepRequest) parseAll(maxInstructions uint64) (cfgs []core.Config, o harness.Options, multi bool, err error) {
-	if len(r.Configs) == 0 {
-		cfg, o, err := r.parse(maxInstructions)
-		return []core.Config{cfg}, o, false, err
-	}
-	if len(r.Config) > 0 {
-		return nil, harness.Options{}, true,
-			fmt.Errorf("config and configs are mutually exclusive")
-	}
-	for i, raw := range r.Configs {
-		cfg, err := core.LoadConfigJSON(bytes.NewReader(raw))
-		if err != nil {
-			return nil, harness.Options{}, true, fmt.Errorf("configs[%d]: %w", i, err)
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	o, err = r.options(maxInstructions)
-	if err != nil {
-		return nil, harness.Options{}, true, err
-	}
-	return cfgs, o, true, nil
+	return c, nil
 }
 
 // options resolves the workload-set part of the request.

@@ -3,7 +3,18 @@ package trace
 import (
 	"context"
 	"testing"
+
+	"mbbp/internal/cpu"
 )
+
+// testBuffer returns a buffer of n records whose PCs count up from 0.
+func testBuffer(name string, n int) *Buffer {
+	b := NewBuffer(name, n)
+	for i := 0; i < n; i++ {
+		b.Append(cpu.Retired{PC: uint32(i)})
+	}
+	return b
+}
 
 func TestWithContextForwardsUncancelled(t *testing.T) {
 	b := testBuffer("fwd", 3*ctxCheckStride/2)
