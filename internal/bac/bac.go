@@ -204,7 +204,7 @@ func (b *basicBlock) exit() (cpu.Retired, bool) {
 }
 
 type bbReader struct {
-	src      trace.Source
+	src      *trace.Buffer
 	width    int
 	lineSize int
 	scratch  []cpu.Retired
@@ -269,11 +269,9 @@ func (r *bbReader) next() (basicBlock, bool) {
 // when the BAC entry's second-level information for the predicted
 // first-branch outcome is present and correct — the structural
 // dependence the paper's select table removes.
-func (e *Engine) Run(src trace.Source) metrics.Result {
+func (e *Engine) Run(src *trace.Buffer) metrics.Result {
 	src.Reset()
-	if b, ok := src.(trace.Named); ok {
-		e.res.Program = b.TraceName()
-	}
+	e.res.Program = src.Name
 	rd := &bbReader{
 		src: src, width: e.cfg.BlockWidth, lineSize: e.cfg.LineSize,
 		scratch: make([]cpu.Retired, 0, e.cfg.BlockWidth),

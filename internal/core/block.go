@@ -5,6 +5,7 @@ import (
 	"mbbp/internal/icache"
 	"mbbp/internal/isa"
 	"mbbp/internal/packed"
+	"mbbp/internal/trace"
 )
 
 // block is one actual fetch block of the dynamic stream: a run of
@@ -59,11 +60,14 @@ func (b *block) condOutcomes() (n int, bits uint32) {
 	return n, bits
 }
 
-// blockReader segments a retired-instruction stream into blocks under a
-// cache geometry. It keeps one instruction of lookahead because a block
-// boundary is only known once the next instruction's address is seen.
+// blockReader segments a trace into blocks under a cache geometry. It
+// keeps one instruction of lookahead because a block boundary is only
+// known once the next instruction's address is seen. Cancellation is
+// polled between blocks: once the records consumed cross a multiple of
+// trace.PollStride, the next block starts only if the trace's Err is
+// nil.
 type blockReader struct {
-	src     source
+	src     *trace.Buffer
 	geom    icache.Geometry
 	width   packed.Divisor // geom.BlockWidth, for block.pos0
 	blk     block          // the block next returns; reused for every block
@@ -71,15 +75,11 @@ type blockReader struct {
 	pending cpu.Retired
 	have    bool
 	done    bool
+	read    uint64 // records in the blocks returned so far
+	poll    uint64 // read count at which Err is next polled
 }
 
-// source is the subset of trace.Source the reader needs (avoids an
-// import cycle in tests that fake it).
-type source interface {
-	Next() (cpu.Retired, bool)
-}
-
-func newBlockReader(src source, geom icache.Geometry) *blockReader {
+func newBlockReader(src *trace.Buffer, geom icache.Geometry) *blockReader {
 	return &blockReader{
 		src:     src,
 		geom:    geom,
@@ -94,6 +94,14 @@ func newBlockReader(src source, geom icache.Geometry) *blockReader {
 func (r *blockReader) next() (*block, bool) {
 	if r.done {
 		return nil, false
+	}
+	r.read += uint64(len(r.blk.insts))
+	if r.read >= r.poll {
+		r.poll = r.read&^(trace.PollStride-1) + trace.PollStride
+		if r.src.Err() != nil {
+			r.done = true
+			return nil, false
+		}
 	}
 	first := r.pending
 	if !r.have {

@@ -25,7 +25,7 @@ func mkTrace(recs []rec) *trace.Buffer {
 	return b
 }
 
-func readBlocks(t *testing.T, src trace.Source, geom icache.Geometry) []block {
+func readBlocks(t *testing.T, src *trace.Buffer, geom icache.Geometry) []block {
 	t.Helper()
 	src.Reset()
 	rd := newBlockReader(src, geom)

@@ -131,10 +131,10 @@ func (e *Engine) Reset() {
 }
 
 // Run consumes the trace (resetting it first) and returns the
-// accumulated result. The result's Program field is taken from the
-// source when it is a named buffer. Run is a one-lane LaneSet walk:
-// the lane batch is the only block loop.
-func (e *Engine) Run(src trace.Source) metrics.Result {
+// accumulated result, its Program field taken from the trace's Name.
+// Run is a one-lane LaneSet walk: the lane batch is the only block
+// loop.
+func (e *Engine) Run(src *trace.Buffer) metrics.Result {
 	ls := LaneSet{lanes: []*Engine{e}, geom: e.geom}
 	return ls.Run(src)[0]
 }

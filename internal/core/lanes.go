@@ -86,7 +86,7 @@ func (sh *sharedBlock) trueCodes(near bool) []bitable.Code {
 // cache geometry (block formation is a function of the geometry); the
 // rest of the configuration is free to vary per lane. Results are
 // byte-identical to running each engine independently over the same
-// source.
+// trace.
 type LaneSet struct {
 	lanes []*Engine
 	geom  icache.Geometry
@@ -120,23 +120,18 @@ func (ls *LaneSet) Lanes() []*Engine { return ls.lanes }
 
 // Run consumes the trace (resetting it first) exactly once, feeding
 // every block to each lane in lane order, and returns the accumulated
-// per-lane results in configuration order. Each result is identical to
-// what that lane's engine would have returned from its own Run over the
-// same source.
-func (ls *LaneSet) Run(src trace.Source) []metrics.Result {
-	name := ""
-	named := false
-	if b, ok := src.(trace.Named); ok {
-		name, named = b.TraceName(), true
-	}
+// per-lane results, labelled with the trace's Name, in configuration
+// order. Each result is identical to what that lane's engine would
+// have returned from its own Run over the same trace. A trace bound to
+// a context (trace.Buffer.WithContext) ends the walk early once its Err
+// is non-nil; the caller tells a cut walk from a whole one by Err.
+func (ls *LaneSet) Run(src *trace.Buffer) []metrics.Result {
 	for _, e := range ls.lanes {
 		e.runObs = e.obs
 		if g, ok := e.obs.(ObserverGate); ok && !g.ObserverEnabled() {
 			e.runObs = nil
 		}
-		if named {
-			e.res.Program = name
-		}
+		e.res.Program = src.Name
 	}
 	src.Reset()
 	rd := newBlockReader(src, ls.geom)

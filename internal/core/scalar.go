@@ -34,12 +34,9 @@ func (r *ScalarResult) Add(other ScalarResult) {
 // makes it equal in size to a blocked PHT with W = 8), predicting one
 // conditional branch at a time with a per-branch-updated global history
 // register.
-func RunScalar(src trace.Source, historyBits, numTables int) ScalarResult {
+func RunScalar(src *trace.Buffer, historyBits, numTables int) ScalarResult {
 	src.Reset()
-	var res ScalarResult
-	if b, ok := src.(trace.Named); ok {
-		res.Program = b.TraceName()
-	}
+	res := ScalarResult{Program: src.Name}
 	p := pht.NewScalar(historyBits, numTables)
 	g := pht.NewGHR(historyBits)
 	for {

@@ -6,7 +6,6 @@ import (
 	"mbbp/internal/core"
 	"mbbp/internal/icache"
 	"mbbp/internal/metrics"
-	"mbbp/internal/trace"
 )
 
 // Batch collects configuration submissions for one experiment and runs
@@ -52,8 +51,9 @@ func NewBatch(s *Scheduler, ts *TraceSet) *Batch {
 }
 
 // NewBatchCtx is NewBatch with cancellation: lane jobs not started when
-// ctx is cancelled never run, and running jobs stop at the next
-// trace-source cancellation check.
+// ctx is cancelled never run, and running jobs walk a cursor bound to
+// ctx (trace.Buffer.WithContext), so they stop at their block reader's
+// next cancellation poll.
 func NewBatchCtx(ctx context.Context, s *Scheduler, ts *TraceSet) *Batch {
 	return &Batch{s: s, ts: ts, ctx: ctx, byGeom: make(map[icache.Geometry]*laneGroup)}
 }
@@ -120,7 +120,7 @@ func (b *Batch) runLanes(g *laneGroup, name string) (rs []metrics.Result, err er
 	if err != nil {
 		return nil, err
 	}
-	tr := trace.WithContext(b.ctx, b.ts.traces[name].Clone())
+	tr := b.ts.traces[name].WithContext(b.ctx)
 	if b.ts.warmup {
 		ls.Run(tr) // untimed training pass, all lanes at once
 	}

@@ -11,24 +11,6 @@ import (
 	"mbbp/internal/trace"
 )
 
-func TestSubmitCtxSkipsCancelled(t *testing.T) {
-	s := NewScheduler(2)
-	defer s.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := false
-	f := SubmitCtx(ctx, s, func(context.Context) (int, error) {
-		ran = true
-		return 42, nil
-	})
-	if _, err := f.Wait(); !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-	if ran {
-		t.Error("job body ran under a cancelled context")
-	}
-}
-
 func TestWaitCtxReturnsEarly(t *testing.T) {
 	s := NewScheduler(1)
 	defer s.Close()

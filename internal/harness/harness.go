@@ -33,11 +33,6 @@ type Options struct {
 	Warmup bool
 }
 
-// DefaultOptions returns the defaults used by the CLI.
-func DefaultOptions() Options {
-	return Options{Instructions: 1_000_000}
-}
-
 func (o Options) instructions() uint64 {
 	if o.Instructions == 0 {
 		return 1_000_000
@@ -290,9 +285,10 @@ func (p *SuitePromise) Wait() (*SuiteResult, error) {
 	return out, nil
 }
 
-// WaitCtx is Wait that stops folding once ctx is done. Jobs submitted
-// through SubmitCtx with the same ctx wind down on their own; jobs
-// already running stop at their next trace-source cancellation check.
+// WaitCtx is Wait that stops folding once ctx is done. Jobs of a batch
+// built with the same ctx (NewBatchCtx) wind down on their own: queued
+// ones never start, running ones stop at their block reader's next
+// cancellation poll.
 func (p *SuitePromise) WaitCtx(ctx context.Context) (*SuiteResult, error) {
 	return p.waitEach(ctx, nil)
 }
@@ -355,8 +351,8 @@ func RunConfigAsync(s *Scheduler, ts *TraceSet, cfg core.Config) *SuitePromise {
 
 // RunConfigCtxAsync is RunConfigAsync with cancellation: jobs that have
 // not started when ctx is cancelled never run, and running jobs stop at
-// the next trace-source cancellation check. An uncancelled run is
-// byte-identical to RunConfigAsync — the context guard only forwards
+// their block reader's next cancellation poll. An uncancelled run is
+// byte-identical to RunConfigAsync — the bound cursor reads the same
 // records.
 func RunConfigCtxAsync(ctx context.Context, s *Scheduler, ts *TraceSet, cfg core.Config) *SuitePromise {
 	b := NewBatchCtx(ctx, s, ts)

@@ -307,8 +307,9 @@ func (f *Future[T]) Wait() (T, error) {
 
 // WaitCtx is Wait with an escape hatch: it returns ctx's error if ctx
 // is done before the job finishes. The job itself keeps running (the
-// pool is shared; abandoning a wait must not corrupt it) — pass the
-// same ctx into the job via SubmitCtx so the work also stops promptly.
+// pool is shared; abandoning a wait must not corrupt it) — a job that
+// walks its trace through a cursor bound to the same ctx
+// (trace.Buffer.WithContext, as Batch does) also stops promptly.
 func (f *Future[T]) WaitCtx(ctx context.Context) (T, error) {
 	select {
 	case <-f.done:
@@ -317,19 +318,4 @@ func (f *Future[T]) WaitCtx(ctx context.Context) (T, error) {
 		var zero T
 		return zero, ctx.Err()
 	}
-}
-
-// SubmitCtx schedules fn with a context: if ctx is already done when
-// the job is dequeued, fn never runs and the future resolves to ctx's
-// error — so a cancelled request's queued jobs drain at no cost instead
-// of occupying workers. fn receives ctx and is expected to honor it
-// (e.g. by running the engine over a trace.WithContext source).
-func SubmitCtx[T any](ctx context.Context, s *Scheduler, fn func(context.Context) (T, error)) *Future[T] {
-	return Submit(s, func() (T, error) {
-		if err := ctx.Err(); err != nil {
-			var zero T
-			return zero, err
-		}
-		return fn(ctx)
-	})
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"io"
 	"testing"
 
 	"mbbp/internal/core"
@@ -9,10 +8,11 @@ import (
 	"mbbp/internal/workload"
 )
 
-// The three tap states whose relative cost the observability layer
-// promises: no observer at all, a tap installed but disabled (must cost
-// the same — the ObserverGate hoist makes both a nil runObs), and a
-// live ring tap (the price of actually recording). Run with:
+// The three observer states whose relative cost the observability
+// layer promises: no observer at all, a tap installed but disabled
+// (must cost the same — the ObserverGate hoist makes both a nil
+// runObs), and live H2P attribution (the price of actually recording).
+// Run with:
 //
 //	go test -run NONE -bench BenchmarkEngine ./internal/obs/
 //
@@ -53,17 +53,9 @@ func BenchmarkEngineNoTap(b *testing.B) {
 }
 
 func BenchmarkEngineTapDisabled(b *testing.B) {
-	tap := NewTap(NewRing(1024))
+	tap := NewTap(NewH2P())
 	tap.Disable()
 	benchEngine(b, benchTrace(b), tap)
-}
-
-func BenchmarkEngineTapRing(b *testing.B) {
-	benchEngine(b, benchTrace(b), NewTap(NewRing(1024)))
-}
-
-func BenchmarkEngineTapNDJSON(b *testing.B) {
-	benchEngine(b, benchTrace(b), NewTap(NewNDJSON(io.Discard)))
 }
 
 func BenchmarkEngineTapAttribution(b *testing.B) {

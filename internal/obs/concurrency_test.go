@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -9,15 +8,14 @@ import (
 	"time"
 
 	"mbbp/internal/core"
-	"mbbp/internal/metrics"
-	"mbbp/internal/workload"
 )
 
 // These tests pin the package's concurrency contracts under -race:
 // a Tap and its Counters sink are shared across engines and toggled
-// from other goroutines; Ring, Spans, and H2P are single-owner values
-// that many goroutines use *in parallel* (one each) — the lane-batch
-// and per-request shapes the harness and server actually run.
+// from other goroutines; an engine's own event sink, Spans, and H2P are
+// single-owner values that many goroutines use *in parallel* (one
+// each) — the lane-batch and per-request shapes the harness and server
+// actually run.
 
 // TestTapSharedToggleRace: one Tap → Counters chain shared by several
 // engines running concurrently while another goroutine flips the tap.
@@ -71,38 +69,41 @@ func TestTapSharedToggleRace(t *testing.T) {
 	}
 }
 
-// TestRingsConcurrentEngines: one Ring per engine, all engines running
-// in parallel (the documented ownership model). Each ring must hold
-// exactly its own engine's event stream — byte-equal to a serial rerun.
+// recorder is a single-owner sink keeping every event it observes.
+type recorder struct{ events []core.Event }
+
+func (r *recorder) Observe(ev core.Event) { r.events = append(r.events, ev) }
+
+// TestRingsConcurrentEngines: one recording sink per engine, all
+// engines running in parallel (the documented ownership model). Each
+// sink must hold exactly its own engine's event stream — equal, event
+// for event, to a serial rerun.
 func TestRingsConcurrentEngines(t *testing.T) {
 	programs := []string{"li", "go", "swim"}
-	rings := make([]*Ring, len(programs))
+	recs := make([]*recorder, len(programs))
 	var wg sync.WaitGroup
 	wg.Add(len(programs))
 	for i, program := range programs {
-		rings[i] = NewRing(256)
-		go func(r *Ring, program string) {
+		recs[i] = &recorder{}
+		go func(r *recorder, program string) {
 			defer wg.Done()
 			e := newEngine(t)
 			e.SetObserver(r)
 			runWorkload(t, e, program, 20_000)
-		}(rings[i], program)
+		}(recs[i], program)
 	}
 	wg.Wait()
 
 	for i, program := range programs {
-		if rings[i].Len() == 0 {
-			t.Fatalf("%s: empty ring", program)
+		if len(recs[i].events) == 0 {
+			t.Fatalf("%s: no events recorded", program)
 		}
-		ref := NewRing(256)
+		ref := &recorder{}
 		e := newEngine(t)
 		e.SetObserver(ref)
 		runWorkload(t, e, program, 20_000)
-		if !reflect.DeepEqual(rings[i].Events(), ref.Events()) {
-			t.Errorf("%s: concurrent ring differs from serial rerun", program)
-		}
-		if rings[i].Dropped() != ref.Dropped() {
-			t.Errorf("%s: dropped %d vs %d", program, rings[i].Dropped(), ref.Dropped())
+		if !reflect.DeepEqual(recs[i].events, ref.events) {
+			t.Errorf("%s: concurrent event stream differs from serial rerun", program)
 		}
 	}
 }
@@ -172,67 +173,5 @@ func TestH2PConcurrentPerEngineMerge(t *testing.T) {
 	}
 	if !reflect.DeepEqual(merged.Top(10), ref.Top(10)) {
 		t.Error("merged top blocks differ from serial reference")
-	}
-}
-
-// flakyWriter fails every write after the first okAfter calls, with a
-// distinguishable error, and counts attempts past the failure.
-type flakyWriter struct {
-	okAfter    int
-	writes     int
-	pastLatch  int
-	latchedErr error
-}
-
-var errDiskFull = errors.New("disk full")
-
-func (f *flakyWriter) Write(p []byte) (int, error) {
-	f.writes++
-	if f.writes > f.okAfter {
-		if f.latchedErr != nil {
-			f.pastLatch++ // a write attempted after the sink should have latched
-		}
-		f.latchedErr = errDiskFull
-		return 0, errDiskFull
-	}
-	return len(p), nil
-}
-
-// TestNDJSONErrorLatchMidStream: a writer that fails mid-stream latches
-// the *first* error; subsequent events neither write nor clear it, so a
-// long engine run degrades to a cheap no-op instead of hammering a dead
-// writer.
-func TestNDJSONErrorLatchMidStream(t *testing.T) {
-	w := &flakyWriter{okAfter: 3}
-	nd := NewNDJSON(w)
-	e := newEngine(t)
-	e.SetObserver(nd)
-
-	b, err := workload.Get("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := b.Trace(20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := e.Run(tr)
-	if res.Blocks < 10 {
-		t.Fatalf("run too short to exercise the latch: %d blocks", res.Blocks)
-	}
-
-	if !errors.Is(nd.Err(), errDiskFull) {
-		t.Fatalf("Err() = %v, want the writer's error", nd.Err())
-	}
-	if w.writes != w.okAfter+1 {
-		t.Errorf("writer saw %d writes; the latch should stop at %d", w.writes, w.okAfter+1)
-	}
-	if w.pastLatch != 0 {
-		t.Errorf("%d writes attempted after the error latched", w.pastLatch)
-	}
-	// The latch survives further direct events too.
-	nd.Observe(core.Event{Penalty: 1, Kind: metrics.CondMispredict})
-	if !errors.Is(nd.Err(), errDiskFull) {
-		t.Error("latched error cleared by a later event")
 	}
 }

@@ -1,7 +1,7 @@
-// Package obs is the unified observability layer: engine event taps
-// with sinks (ring buffer, NDJSON), misprediction attribution in the
-// paper's Table 3 taxonomy, concurrency-safe aggregate counters for
-// the simulation service, and per-request stage spans.
+// Package obs is the unified observability layer: switchable engine
+// event taps, misprediction attribution in the paper's Table 3
+// taxonomy (H2P), concurrency-safe aggregate counters for the
+// simulation service, and per-request stage spans.
 //
 // The layer is zero-overhead when disabled. An engine with no observer
 // pays one nil-check per block; an engine with a Tap installed but
@@ -51,59 +51,4 @@ func (t *Tap) Observe(ev core.Event) {
 	if t.on.Load() {
 		t.sink.Observe(ev)
 	}
-}
-
-// Ring is a fixed-capacity ring-buffer sink: it keeps the most recent
-// events and counts how many older ones were overwritten. It is not
-// synchronized — a ring belongs to one engine, which calls Observe from
-// a single goroutine (use Counters for a sink shared across engines).
-type Ring struct {
-	buf     []core.Event
-	next    int // next write position
-	n       int // live events (≤ cap)
-	dropped uint64
-}
-
-// NewRing returns a ring holding the last capacity events; capacity < 1
-// is treated as 1.
-func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{buf: make([]core.Event, capacity)}
-}
-
-// Observe implements core.Observer.
-func (r *Ring) Observe(ev core.Event) {
-	if r.n == len(r.buf) {
-		r.dropped++
-	} else {
-		r.n++
-	}
-	r.buf[r.next] = ev
-	r.next = (r.next + 1) % len(r.buf)
-}
-
-// Len returns the number of buffered events.
-func (r *Ring) Len() int { return r.n }
-
-// Dropped returns how many events were overwritten before being read.
-func (r *Ring) Dropped() uint64 { return r.dropped }
-
-// Events returns the buffered events, oldest first.
-func (r *Ring) Events() []core.Event {
-	out := make([]core.Event, 0, r.n)
-	start := r.next - r.n
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
-	}
-	return out
-}
-
-// Reset empties the ring and clears the dropped count.
-func (r *Ring) Reset() {
-	r.next, r.n, r.dropped = 0, 0, 0
 }

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -38,139 +35,43 @@ func runWorkload(t testing.TB, e *core.Engine, program string, n uint64) metrics
 
 func TestTapGateDisablesDelivery(t *testing.T) {
 	e := newEngine(t)
-	ring := NewRing(64)
-	tap := NewTap(ring)
+	sink := NewH2P()
+	tap := NewTap(sink)
 	e.SetObserver(tap)
 
-	runWorkload(t, e, "li", 20_000)
-	if ring.Len() == 0 {
-		t.Fatal("enabled tap delivered no events")
+	res := runWorkload(t, e, "li", 20_000)
+	if sink.Blocks() != res.Blocks {
+		t.Fatalf("enabled tap delivered %d events for %d blocks", sink.Blocks(), res.Blocks)
 	}
-	seen := ring.Len()
-	dropped := ring.Dropped()
+	seen := sink.Blocks()
 
 	tap.Disable()
 	runWorkload(t, e, "li", 20_000)
-	if ring.Len() != seen || ring.Dropped() != dropped {
-		t.Errorf("disabled tap still delivered events: len %d→%d dropped %d→%d",
-			seen, ring.Len(), dropped, ring.Dropped())
+	if sink.Blocks() != seen {
+		t.Errorf("disabled tap still delivered events: %d→%d", seen, sink.Blocks())
 	}
 
 	tap.Enable()
 	runWorkload(t, e, "li", 20_000)
-	if ring.Dropped() == dropped && ring.Len() == seen {
+	if sink.Blocks() == seen {
 		t.Error("re-enabled tap delivered nothing")
 	}
 }
 
 func TestTapObserveChecksGateDirectly(t *testing.T) {
-	ring := NewRing(4)
-	tap := NewTap(ring)
+	sink := NewH2P()
+	tap := NewTap(sink)
 	tap.Disable()
 	tap.Observe(core.Event{Block: 1})
-	if ring.Len() != 0 {
+	if sink.Blocks() != 0 {
 		t.Error("disabled tap forwarded a direct Observe")
 	}
 	tap.Enable()
 	tap.Observe(core.Event{Block: 2})
-	if ring.Len() != 1 {
+	if sink.Blocks() != 1 {
 		t.Error("enabled tap dropped a direct Observe")
 	}
 }
-
-func TestRingWrapsOldestFirst(t *testing.T) {
-	r := NewRing(3)
-	for i := 1; i <= 5; i++ {
-		r.Observe(core.Event{Block: uint64(i)})
-	}
-	if r.Len() != 3 {
-		t.Fatalf("len = %d, want 3", r.Len())
-	}
-	if r.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", r.Dropped())
-	}
-	evs := r.Events()
-	for i, want := range []uint64{3, 4, 5} {
-		if evs[i].Block != want {
-			t.Errorf("event %d block = %d, want %d", i, evs[i].Block, want)
-		}
-	}
-	r.Reset()
-	if r.Len() != 0 || r.Dropped() != 0 || len(r.Events()) != 0 {
-		t.Error("Reset did not clear the ring")
-	}
-}
-
-func TestRingCapacityFloor(t *testing.T) {
-	r := NewRing(0)
-	r.Observe(core.Event{Block: 1})
-	r.Observe(core.Event{Block: 2})
-	if r.Len() != 1 || r.Events()[0].Block != 2 {
-		t.Errorf("capacity-floored ring misbehaved: len=%d", r.Len())
-	}
-}
-
-func TestNDJSONStream(t *testing.T) {
-	e := newEngine(t)
-	var buf bytes.Buffer
-	nd := NewNDJSON(&buf)
-	e.SetObserver(NewTap(nd))
-	res := runWorkload(t, e, "gcc", 30_000)
-	if nd.Err() != nil {
-		t.Fatal(nd.Err())
-	}
-
-	sc := bufio.NewScanner(&buf)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var lines uint64
-	var penalised bool
-	for sc.Scan() {
-		lines++
-		var ev struct {
-			Cycle  uint64 `json:"cycle"`
-			Block  uint64 `json:"block"`
-			Len    int    `json:"len"`
-			Exit   string `json:"exit"`
-			Sel    string `json:"sel"`
-			Kind   string `json:"kind"`
-			Actual uint32 `json:"actual"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("line %d not JSON: %v\n%s", lines, err, sc.Text())
-		}
-		if ev.Block != lines {
-			t.Fatalf("line %d has block %d (stream must be in block order)", lines, ev.Block)
-		}
-		if ev.Len < 1 || ev.Exit == "" || ev.Sel == "" {
-			t.Fatalf("line %d malformed: %s", lines, sc.Text())
-		}
-		if ev.Kind != "" {
-			penalised = true
-		}
-	}
-	if lines != res.Blocks {
-		t.Errorf("stream has %d lines for %d blocks", lines, res.Blocks)
-	}
-	if !penalised {
-		t.Error("no penalty-attributed line in a gcc run (expected mispredictions)")
-	}
-}
-
-func TestNDJSONLatchesError(t *testing.T) {
-	nd := NewNDJSON(failWriter{})
-	nd.Observe(core.Event{})
-	if nd.Err() == nil {
-		t.Fatal("write error not latched")
-	}
-	nd.Observe(core.Event{}) // must not panic or clear the error
-	if nd.Err() == nil {
-		t.Fatal("latched error cleared")
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write([]byte) (int, error) { return 0, bytes.ErrTooLarge }
 
 func TestAttributionTopDeterministicAndConsistent(t *testing.T) {
 	run := func() *H2P {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mbbp/internal/core"
-	"mbbp/internal/trace"
 )
 
 // TestTapDisabledOverhead is the obs-overhead gate: an engine with a
@@ -88,23 +87,21 @@ func TestTapDisabledOverhead(t *testing.T) {
 // Run — without any engine rebuild.
 func TestTapDisabledSemantics(t *testing.T) {
 	tr := benchTrace(t)
-	ring := NewRing(64)
-	tap := NewTap(ring)
+	sink := NewH2P()
+	tap := NewTap(sink)
 	tap.Disable()
 	e, err := core.New(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.SetObserver(tap)
-	e.Run(cloneOrSelf(tr))
-	if ring.Len() != 0 {
-		t.Fatalf("disabled tap delivered %d events", ring.Len())
+	e.Run(tr.Clone())
+	if sink.Blocks() != 0 {
+		t.Fatalf("disabled tap delivered %d events", sink.Blocks())
 	}
 	tap.Enable()
-	e.Run(cloneOrSelf(tr))
-	if ring.Len() == 0 {
+	e.Run(tr.Clone())
+	if sink.Blocks() == 0 {
 		t.Fatal("enabled tap delivered nothing")
 	}
 }
-
-func cloneOrSelf(tr *trace.Buffer) trace.Source { return tr.Clone() }

@@ -22,9 +22,9 @@ type Stats struct {
 	BasicBlocks uint64
 }
 
-// Collect computes statistics over a source (which it resets first and
+// Collect computes statistics over a trace (which it resets first and
 // leaves drained).
-func Collect(src Source) Stats {
+func Collect(src *Buffer) Stats {
 	src.Reset()
 	var s Stats
 	for {

@@ -1,7 +1,8 @@
 // Package trace provides the dynamic-instruction trace infrastructure
 // that connects the functional CPU to the fetch simulator: packed
-// retired-instruction records, an in-memory buffer, streaming sources,
-// stream statistics, and a binary file format.
+// retired-instruction records, an in-memory buffer whose read cursor
+// every simulator walks (optionally bound to a context for
+// cancellation), stream statistics, and a binary file format.
 //
 // Trace files are read and written in fixed 64 KiB chunks (Load, Save)
 // with a fixed number of allocations per call. A file's header record
@@ -12,6 +13,7 @@
 package trace
 
 import (
+	"context"
 	"fmt"
 
 	"mbbp/internal/cpu"
@@ -65,32 +67,21 @@ func Unpack(p Packed) cpu.Retired {
 	}
 }
 
-// Named is implemented by sources that know which program produced
-// them; engines use it to label their Result. Wrapping sources (e.g.
-// WithContext) forward it.
-type Named interface {
-	// TraceName returns the program name of the trace.
-	TraceName() string
-}
+// PollStride is how many records a reader of a context-bound Buffer
+// consumes between cancellation polls (Err). A power of two keeps the
+// check a single mask; 4096 records is a few microseconds of
+// simulation, so cancellation latency stays well under a millisecond
+// without touching the per-record path.
+const PollStride = 4096
 
-// Source yields a stream of retired instructions. Reset rewinds the
-// stream to the beginning so one trace can drive many simulator
-// configurations.
-type Source interface {
-	// Next returns the next record, or ok=false at end of stream.
-	Next() (cpu.Retired, bool)
-	// Reset rewinds to the beginning of the stream.
-	Reset()
-	// Len returns the total number of records in the stream, if known
-	// (0 if unknown).
-	Len() uint64
-}
-
-// Buffer is an in-memory trace; it implements Source.
+// Buffer is an in-memory trace and its read cursor: Next walks the
+// records, Reset rewinds. Clone and WithContext give further cursors
+// over the same records.
 type Buffer struct {
 	Name    string
 	records []Packed
 	pos     int
+	ctx     context.Context // bound by WithContext; nil when unbound
 }
 
 // NewBuffer returns an empty buffer with capacity for n records.
@@ -101,7 +92,9 @@ func NewBuffer(name string, n int) *Buffer {
 // Append adds a record to the buffer.
 func (b *Buffer) Append(r cpu.Retired) { b.records = append(b.records, Pack(r)) }
 
-// Next implements Source.
+// Next returns the next record, or ok=false at end of stream. It
+// never consults the bound context — readers poll Err every PollStride
+// records — so it stays small enough to inline into their loops.
 func (b *Buffer) Next() (cpu.Retired, bool) {
 	if b.pos >= len(b.records) {
 		return cpu.Retired{}, false
@@ -111,23 +104,41 @@ func (b *Buffer) Next() (cpu.Retired, bool) {
 	return r, true
 }
 
-// Reset implements Source.
+// Reset rewinds the cursor to the first record.
 func (b *Buffer) Reset() { b.pos = 0 }
 
-// Len implements Source.
+// Len returns the number of records in the trace.
 func (b *Buffer) Len() uint64 { return uint64(len(b.records)) }
 
 // At returns record i (for tests).
 func (b *Buffer) At(i int) cpu.Retired { return Unpack(b.records[i]) }
 
-// TraceName implements Named.
-func (b *Buffer) TraceName() string { return b.Name }
-
-// Clone returns a new Buffer sharing the (immutable once captured)
-// records with an independent read cursor, so several simulations can
-// consume the same trace concurrently.
+// Clone returns a new, unbound Buffer sharing the (immutable once
+// captured) records with an independent read cursor, so several
+// simulations can consume the same trace concurrently.
 func (b *Buffer) Clone() *Buffer {
 	return &Buffer{Name: b.Name, records: b.records}
+}
+
+// WithContext returns a clone bound to ctx: readers stop at their next
+// poll once ctx is done, and Err then reports why. A context that can
+// never be done (Background, TODO, nil) binds nothing, leaving Err a
+// nil check.
+func (b *Buffer) WithContext(ctx context.Context) *Buffer {
+	c := b.Clone()
+	if ctx != nil && ctx.Done() != nil {
+		c.ctx = ctx
+	}
+	return c
+}
+
+// Err reports the bound context's error: nil while the walk may go on
+// (always nil for an unbound buffer), non-nil once it should stop.
+func (b *Buffer) Err() error {
+	if b.ctx == nil {
+		return nil
+	}
+	return b.ctx.Err()
 }
 
 // Capture runs the program for n instructions and returns the buffered
@@ -151,65 +162,3 @@ func Capture(p *isa.Program, cfg cpu.Config, n uint64) (*Buffer, error) {
 	}
 	return b, nil
 }
-
-// Live is a Source that regenerates the trace by re-executing the
-// program on every Reset. It trades CPU time for memory and is useful
-// for very long runs.
-type Live struct {
-	prog *isa.Program
-	cfg  cpu.Config
-	n    uint64
-
-	c    *cpu.CPU
-	done uint64
-	cur  cpu.Retired
-	have bool
-	err  error
-}
-
-// NewLive returns a live source that yields exactly n records per pass.
-func NewLive(p *isa.Program, cfg cpu.Config, n uint64) *Live {
-	l := &Live{prog: p, cfg: cfg, n: n}
-	l.Reset()
-	return l
-}
-
-// Err returns the first execution error, if any. A Live source ends its
-// stream early on error; callers that care should check Err after
-// draining.
-func (l *Live) Err() error { return l.err }
-
-// Next implements Source.
-func (l *Live) Next() (cpu.Retired, bool) {
-	if l.err != nil || l.done >= l.n {
-		return cpu.Retired{}, false
-	}
-	// Run the CPU one instruction at a time through a 1-record window.
-	// The closure capture below is the hot path; it stays allocation
-	// free.
-	l.have = false
-	_, err := l.c.Run(1, func(r cpu.Retired) bool {
-		l.cur = r
-		l.have = true
-		return true
-	})
-	if err != nil {
-		l.err = err
-		return cpu.Retired{}, false
-	}
-	if !l.have {
-		return cpu.Retired{}, false
-	}
-	l.done++
-	return l.cur, true
-}
-
-// Reset implements Source.
-func (l *Live) Reset() {
-	l.c = cpu.New(l.prog, l.cfg)
-	l.done = 0
-	l.err = nil
-}
-
-// Len implements Source.
-func (l *Live) Len() uint64 { return l.n }

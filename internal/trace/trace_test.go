@@ -91,43 +91,6 @@ func TestCaptureAndStats(t *testing.T) {
 	}
 }
 
-func TestLiveMatchesCapture(t *testing.T) {
-	p, err := asm.Assemble("loop", loopSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := cpu.Config{HeapWords: 64, RestartOnHalt: true}
-	buf, err := Capture(p, cfg, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := NewLive(p, cfg, 50)
-	for i := 0; ; i++ {
-		a, aok := buf.Next()
-		b, bok := live.Next()
-		if aok != bok {
-			t.Fatalf("record %d: buffered ok=%v live ok=%v", i, aok, bok)
-		}
-		if !aok {
-			break
-		}
-		if a != b {
-			t.Fatalf("record %d: %+v vs %+v", i, a, b)
-		}
-	}
-	if live.Err() != nil {
-		t.Fatal(live.Err())
-	}
-	// A reset live source replays identically.
-	live.Reset()
-	buf.Reset()
-	a, _ := buf.Next()
-	b, ok := live.Next()
-	if !ok || a != b {
-		t.Error("live source did not replay after Reset")
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	b := NewBuffer("roundtrip", 3)
 	b.Append(cpu.Retired{PC: 1, Target: 2, Class: isa.ClassCond, Taken: true})

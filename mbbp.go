@@ -32,9 +32,8 @@ type (
 	Geometry = icache.Geometry
 	// Program is an assembled mini-ISA program.
 	Program = isa.Program
-	// TraceSource yields retired instructions to an Engine.
-	TraceSource = trace.Source
-	// TraceBuffer is an in-memory trace.
+	// TraceBuffer is an in-memory trace and its read cursor; every
+	// simulator walks one.
 	TraceBuffer = trace.Buffer
 	// CostEstimate is a §5 hardware cost breakdown.
 	CostEstimate = cost.Estimate
@@ -174,9 +173,10 @@ func CaptureTrace(p *Program, n uint64) (*TraceBuffer, error) {
 }
 
 // ScalarMispredictRate runs the Figure 6 scalar two-level baseline over
-// a trace and returns its conditional misprediction rate.
-func ScalarMispredictRate(src TraceSource, historyBits, numTables int) float64 {
-	return core.RunScalar(src, historyBits, numTables).MispredictRate()
+// a trace and returns its conditional misprediction rate. It walks a
+// private cursor (a clone of src), so concurrent calls may share src.
+func ScalarMispredictRate(src *TraceBuffer, historyBits, numTables int) float64 {
+	return core.RunScalar(src.Clone(), historyBits, numTables).MispredictRate()
 }
 
 // EstimateCost evaluates the §5 cost model.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mbbp/internal/core"
-	"mbbp/internal/trace"
 )
 
 // Run is the canonical simulation entry point: it validates cfg, builds
@@ -16,13 +15,15 @@ import (
 // set per geometry. So a given (config, trace) pair produces the same
 // Result everywhere.
 //
-// Cancellation is checked between fetch blocks (every few thousand
-// records), so a cancelled Run returns promptly with ctx's error and no
-// Result; an uncancelled Run is byte-for-byte identical to
-// Engine.Run(src).
-func Run(ctx context.Context, cfg Config, src TraceSource) (Result, error) {
+// Run walks a private cursor over src's records (src.WithContext(ctx)),
+// so concurrent calls may share one buffer and the caller's own cursor
+// is left where it was. The block reader polls that cursor for
+// cancellation between fetch blocks, every 4096 records or so,
+// so a cancelled Run returns promptly with ctx's error and no Result;
+// an uncancelled Run is byte-for-byte identical to Engine.Run(src).
+func Run(ctx context.Context, cfg Config, src *TraceBuffer) (Result, error) {
 	if src == nil {
-		return Result{}, fmt.Errorf("mbbp: Run: nil trace source")
+		return Result{}, fmt.Errorf("mbbp: Run: nil trace")
 	}
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -31,7 +32,7 @@ func Run(ctx context.Context, cfg Config, src TraceSource) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res := e.Run(trace.WithContext(ctx, src))
+	res := e.Run(src.WithContext(ctx))
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -47,11 +48,12 @@ func Run(ctx context.Context, cfg Config, src TraceSource) (Result, error) {
 // grouping is a performance detail, never a semantic one.
 //
 // Any invalid configuration fails the whole call (reporting its index),
-// before any simulation runs. Cancellation is checked between fetch
-// blocks, like Run.
-func RunMany(ctx context.Context, cfgs []Config, src TraceSource) ([]Result, error) {
+// before any simulation runs. Like Run, RunMany walks its own cursor
+// over src's records, and the block reader polls it for cancellation
+// between fetch blocks.
+func RunMany(ctx context.Context, cfgs []Config, src *TraceBuffer) ([]Result, error) {
 	if src == nil {
-		return nil, fmt.Errorf("mbbp: RunMany: nil trace source")
+		return nil, fmt.Errorf("mbbp: RunMany: nil trace")
 	}
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("mbbp: RunMany: no configurations")
@@ -80,14 +82,14 @@ func RunMany(ctx context.Context, cfgs []Config, src TraceSource) ([]Result, err
 		g.idx = append(g.idx, i)
 	}
 	out := make([]Result, len(cfgs))
-	wrapped := trace.WithContext(ctx, src)
+	cur := src.WithContext(ctx)
 	for _, geom := range order {
 		g := groups[geom]
 		ls, err := core.NewLanes(g.cfgs)
 		if err != nil {
 			return nil, err
 		}
-		rs := ls.Run(wrapped)
+		rs := ls.Run(cur)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -3,7 +3,10 @@ package mbbp
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -75,5 +78,69 @@ func TestRunManyCancellation(t *testing.T) {
 	cancel()
 	if _, err := RunMany(ctx, []Config{DefaultConfig()}, tr); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestSharedBufferConcurrentRuns: Run, RunMany and ScalarMispredictRate
+// each walk a private cursor, so concurrent calls on one shared buffer
+// all equal the serial result, and the caller's own cursor stays where
+// it was.
+func TestSharedBufferConcurrentRuns(t *testing.T) {
+	tr, err := WorkloadTrace("li", 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := []Config{DefaultConfig(), NewConfig(WithHistoryBits(12)), NewConfig(WithSingleBlock())}
+	bg := context.Background()
+	wantOne, err := Run(bg, cfgs[0], tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMany, err := RunMany(bg, cfgs, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRate := ScalarMispredictRate(tr, 10, 8)
+
+	tr.Reset()
+	tr.Next()
+	live, cancel := context.WithCancel(bg)
+	defer cancel()
+	const callers = 4
+	var wg sync.WaitGroup
+	errs := make(chan string, 3*callers)
+	for i := 0; i < callers; i++ {
+		ctx := bg
+		if i%2 == 1 {
+			ctx = live // a bound cursor as well as an unbound one
+		}
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			if got, err := Run(ctx, cfgs[0], tr); err != nil || got != wantOne {
+				errs <- fmt.Sprintf("Run = %d instructions, %v; serial %d", got.Instructions, err, wantOne.Instructions)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			got, err := RunMany(ctx, cfgs, tr)
+			if err != nil || !reflect.DeepEqual(got, wantMany) {
+				errs <- fmt.Sprintf("RunMany differs from serial (err %v)", err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if got := ScalarMispredictRate(tr, 10, 8); got != wantRate {
+				errs <- fmt.Sprintf("ScalarMispredictRate = %v, serial %v", got, wantRate)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if r, ok := tr.Next(); !ok || r != tr.At(1) {
+		t.Errorf("caller's cursor moved: next = %+v, %v; want record 1", r, ok)
 	}
 }
