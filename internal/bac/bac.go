@@ -20,7 +20,6 @@ package bac
 import (
 	"fmt"
 
-	"mbbp/internal/cpu"
 	"mbbp/internal/isa"
 	"mbbp/internal/metrics"
 	"mbbp/internal/pht"
@@ -188,80 +187,62 @@ func (e *Engine) alloc(addr uint32) *entry {
 // block width.
 type basicBlock struct {
 	start uint32
-	insts []cpu.Retired
+	insts []trace.Packed // a window on the trace's records, read in place
 	next  uint32
 }
 
 func (b *basicBlock) n() int { return len(b.insts) }
 
 // exit returns the terminating control transfer, if any.
-func (b *basicBlock) exit() (cpu.Retired, bool) {
+func (b *basicBlock) exit() (trace.Packed, bool) {
 	last := b.insts[len(b.insts)-1]
-	if last.Class.IsControlTransfer() {
-		return last, true
-	}
-	return cpu.Retired{}, false
+	return last, last.Class().IsControlTransfer()
 }
 
+// bbReader segments a trace into basic blocks by scanning the cursor's
+// unread records in place (trace.Buffer.Rest) and advancing past each
+// block (Skip).
 type bbReader struct {
 	src      *trace.Buffer
 	width    int
 	lineSize int
-	scratch  []cpu.Retired
-	pending  cpu.Retired
-	have     bool
-	done     bool
 }
 
 func (r *bbReader) next() (basicBlock, bool) {
-	if r.done {
+	rest := r.src.Rest()
+	if len(rest) == 0 {
 		return basicBlock{}, false
 	}
-	first := r.pending
-	if !r.have {
-		var ok bool
-		first, ok = r.src.Next()
-		if !ok {
-			r.done = true
-			return basicBlock{}, false
-		}
-	}
-	r.have = false
+	start := rest[0].PC()
 	// Like the paper's normal cache, a block cannot cross a line.
-	limit := r.lineSize - int(first.PC)%r.lineSize
-	if limit > r.width {
-		limit = r.width
-	}
-	b := basicBlock{start: first.PC, insts: r.scratch[:0]}
-	cur := first
+	limit := min(r.lineSize-int(start)%r.lineSize, r.width, len(rest))
+	b := basicBlock{start: start}
+	n := 0
 	for {
-		b.insts = append(b.insts, cur)
-		if cur.Class.IsControlTransfer() {
+		rec := rest[n]
+		n++
+		if rec.Class().IsControlTransfer() {
 			// A basic block ends at any branch, taken or not.
-			if cur.Taken {
-				b.next = cur.Target
+			if rec.Taken() {
+				b.next = rec.Target()
 			} else {
-				b.next = cur.PC + 1
+				b.next = rec.PC() + 1
 			}
-			return b, true
+			break
 		}
-		if len(b.insts) >= limit {
-			b.next = b.start + uint32(len(b.insts))
-			return b, true
+		if n == limit {
+			// The line, the width or the end of the stream.
+			b.next = start + uint32(n)
+			break
 		}
-		nxt, ok := r.src.Next()
-		if !ok {
-			r.done = true
-			b.next = b.start + uint32(len(b.insts))
-			return b, true
+		if pc := rest[n].PC(); pc != start+uint32(n) {
+			b.next = pc
+			break
 		}
-		if nxt.PC != cur.PC+1 {
-			r.pending, r.have = nxt, true
-			b.next = nxt.PC
-			return b, true
-		}
-		cur = nxt
 	}
+	b.insts = rest[:n:n]
+	r.src.Skip(n)
+	return b, true
 }
 
 // Run consumes the trace and returns the metrics. Fetch groups hold up
@@ -272,10 +253,7 @@ func (r *bbReader) next() (basicBlock, bool) {
 func (e *Engine) Run(src *trace.Buffer) metrics.Result {
 	src.Reset()
 	e.res.Program = src.Name
-	rd := &bbReader{
-		src: src, width: e.cfg.BlockWidth, lineSize: e.cfg.LineSize,
-		scratch: make([]cpu.Retired, 0, e.cfg.BlockWidth),
-	}
+	rd := &bbReader{src: src, width: e.cfg.BlockWidth, lineSize: e.cfg.LineSize}
 	role := 0
 	var prevEnt *entry // entry of the previously consumed block
 	var prevOut int    // outcome its terminating branch actually took
@@ -305,7 +283,7 @@ func (e *Engine) Run(src *trace.Buffer) metrics.Result {
 		curEnt := e.find(blk.start)
 		rec, hasExit := blk.exit()
 		out := 0
-		if hasExit && rec.Taken {
+		if hasExit && rec.Taken() {
 			out = 1
 		}
 		prevEnt, prevOut = curEnt, out
@@ -338,9 +316,9 @@ func (e *Engine) fillInfoFromBlock(si *secondInfo, blk *basicBlock) {
 		return
 	}
 	si.exitPos = uint8(blk.n() - 1)
-	si.class = rec.Class
-	si.fallThrough = rec.PC + 1
-	si.target = rec.Target
+	si.class = rec.Class()
+	si.fallThrough = rec.PC() + 1
+	si.target = rec.Target()
 }
 
 // consume classifies the prediction of one basic block's successor and
@@ -357,27 +335,27 @@ func (e *Engine) consume(blk *basicBlock, role int) bool {
 		// BAC miss (or stale block shape): the fetch unit discovers
 		// the branch at decode and redirects in one cycle if the
 		// sequential assumption was wrong.
-		if hasExit && rec.Taken {
+		if hasExit && rec.Taken() {
 			redirect = true
 			kind = metrics.MisfetchImmediate
 		}
 	case !hasExit:
 		// Sequential block, entry agrees: always right.
-	case rec.Class == isa.ClassCond:
-		dir := e.tab.Predict(e.ghr.Value(), rec.PC)
-		if dir != rec.Taken {
+	case rec.Class() == isa.ClassCond:
+		dir := e.tab.Predict(e.ghr.Value(), rec.PC())
+		if dir != rec.Taken() {
 			redirect = true
 			kind = metrics.CondMispredict
-		} else if dir && ent.target != rec.Target {
+		} else if dir && ent.target != rec.Target() {
 			redirect = true
 			kind = metrics.MisfetchImmediate
 		}
-	case rec.Class == isa.ClassReturn:
+	case rec.Class() == isa.ClassReturn:
 		if e.ras.Top() != blk.next {
 			redirect = true
 			kind = metrics.ReturnMispredict
 		}
-	case rec.Class.IsIndirect():
+	case rec.Class().IsIndirect():
 		if ent.target != blk.next {
 			redirect = true
 			kind = metrics.MisfetchIndirect
@@ -395,28 +373,28 @@ func (e *Engine) consume(blk *basicBlock, role int) bool {
 	// Training.
 	if hasExit {
 		e.res.Branches++
-		if rec.Class == isa.ClassCond {
+		if rec.Class() == isa.ClassCond {
 			e.res.CondBranches++
-			if e.tab.Predict(e.ghr.Value(), rec.PC) != rec.Taken {
+			if e.tab.Predict(e.ghr.Value(), rec.PC()) != rec.Taken() {
 				e.res.CondMispredicts++
 			}
-			e.tab.Update(e.ghr.Value(), rec.PC, rec.Taken)
-			e.ghr.Shift(rec.Taken)
+			e.tab.Update(e.ghr.Value(), rec.PC(), rec.Taken())
+			e.ghr.Shift(rec.Taken())
 		}
 		switch {
-		case rec.Class.IsCall():
-			e.ras.Push(rec.PC + 1)
-		case rec.Class == isa.ClassReturn:
+		case rec.Class().IsCall():
+			e.ras.Push(rec.PC() + 1)
+		case rec.Class() == isa.ClassReturn:
 			e.ras.Pop()
 		}
 	}
 	ne := e.alloc(blk.start)
 	if hasExit {
 		ne.exitPos = uint8(blk.n() - 1)
-		ne.class = rec.Class
-		ne.fallThrough = rec.PC + 1
-		if rec.Taken {
-			ne.target = rec.Target
+		ne.class = rec.Class()
+		ne.fallThrough = rec.PC() + 1
+		if rec.Taken() {
+			ne.target = rec.Target()
 		}
 	} else {
 		ne.exitPos = noBranch
@@ -434,5 +412,5 @@ func (e *Engine) stale(ent *entry, blk *basicBlock) bool {
 	if !hasExit {
 		return ent.exitPos != noBranch && int(ent.exitPos) < blk.n()
 	}
-	return ent.exitPos != uint8(blk.n()-1) || ent.class != rec.Class
+	return ent.exitPos != uint8(blk.n()-1) || ent.class != rec.Class()
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"math/bits"
 	"testing"
 
-	"mbbp/internal/cpu"
 	"mbbp/internal/icache"
 )
 
@@ -24,28 +24,33 @@ func BenchmarkConsume(b *testing.B) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-// BenchmarkBlockReader measures pure segmentation throughput.
+// BenchmarkBlockReader measures block formation throughput: finding
+// each block's end and deriving its branch masks and conditional
+// outcomes, which the benchmark reads back.
 func BenchmarkBlockReader(b *testing.B) {
 	tr := randomTrace(2, 10_000)
 	geom := icache.ForKind(icache.Normal, 8)
 	b.ResetTimer()
-	blocks := 0
+	blocks, branches := 0, 0
 	for i := 0; i < b.N; i++ {
 		tr.Reset()
 		rd := newBlockReader(tr, geom)
 		for {
-			if _, ok := rd.next(); !ok {
+			blk, ok := rd.next()
+			if !ok {
 				break
 			}
 			blocks++
+			branches += bits.OnesCount64(blk.branch) + blk.condN
 		}
 	}
-	if blocks == 0 {
-		b.Fatal("no blocks")
+	if blocks == 0 || branches == 0 {
+		b.Fatal("no blocks or no branches")
 	}
 }
 
-// BenchmarkScanOnly isolates the BIT/PHT scan.
+// BenchmarkScanOnly isolates the BIT/PHT scan over blocks formed by the
+// reader, with each block's true codes encoded from its branch mask.
 func BenchmarkScanOnly(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Mode = SingleBlock
@@ -53,19 +58,7 @@ func BenchmarkScanOnly(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr := randomTrace(3, 4096)
-	tr.Reset()
-	rd := newBlockReader(tr, e.geom)
-	var blocks []block
-	for {
-		blk, ok := rd.next()
-		if !ok {
-			break
-		}
-		cp := *blk
-		cp.insts = append([]cpu.Retired(nil), blk.insts...)
-		blocks = append(blocks, cp)
-	}
+	blocks := readBlocks(b, randomTrace(3, 4096), e.geom)
 	e.pred.Lookup(0, 0)
 	sh := newSharedBlock(e.geom)
 	var sc scanResult

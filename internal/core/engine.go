@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mbbp/internal/bitable"
-	"mbbp/internal/cpu"
 	"mbbp/internal/icache"
 	"mbbp/internal/isa"
 	"mbbp/internal/metrics"
@@ -227,24 +227,19 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 
 	// Direction statistics and PHT training for every conditional
 	// branch in the block (each predicted by its position counter in
-	// the entry looked up for this block).
+	// the entry looked up for this block). The branch counts are the
+	// popcounts of the block's masks; training visits only the set bits
+	// of cond, in ascending position order.
 	w := e.geom.BlockWidth
-	for j, pos := 0, blk.pos0; j < len(blk.insts); j, pos = j+1, pos+1 {
-		if pos == w {
-			pos = 0
-		}
-		rec := &blk.insts[j]
-		if rec.Class != isa.ClassPlain {
-			e.res.Branches++
-		}
-		if rec.Class != isa.ClassCond {
-			continue
-		}
-		e.res.CondBranches++
-		if e.pred.Taken(pos) != rec.Taken {
+	e.res.Branches += uint64(bits.OnesCount64(blk.branch))
+	e.res.CondBranches += uint64(bits.OnesCount64(blk.cond))
+	for m := blk.cond; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		pos, taken := blk.posOf(j, w), blk.insts[j].Taken()
+		if e.pred.Taken(pos) != taken {
 			e.res.CondMispredicts++
 		}
-		e.pred.Update(pos, rec.Taken)
+		e.pred.Update(pos, taken)
 	}
 
 	// Target array training: a redirecting exit whose source is the
@@ -252,19 +247,19 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 	// t indexed by the block t positions back (§3.1's inherent
 	// duplication, extended to N blocks).
 	if x := blk.exitIdx(); x >= 0 {
-		rec := blk.insts[x]
+		class := blk.insts[x].Class()
 		exitAddr := blk.start + uint32(x)
-		if usesTargetArray(rec, trueCodes[x]) {
+		if usesTargetArray(class, trueCodes[x]) {
 			pos := blk.posOf(x, w)
-			e.tgt.Update(blk.start, pos, 0, blk.next, rec.Class.IsCall())
+			e.tgt.Update(blk.start, pos, 0, blk.next, class.IsCall())
 			for t := 1; t < e.blocks && t <= e.ringLen; t++ {
-				e.tgt.Update(e.addrRing[t-1], pos, t, blk.next, rec.Class.IsCall())
+				e.tgt.Update(e.addrRing[t-1], pos, t, blk.next, class.IsCall())
 			}
 		}
 		switch {
-		case rec.Class.IsCall():
+		case class.IsCall():
 			e.ras.Push(exitAddr + 1)
-		case rec.Class == isa.ClassReturn:
+		case class == isa.ClassReturn:
 			e.ras.Pop()
 		}
 	}
@@ -276,8 +271,8 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 	// outcomes (§2). The predictor observes the same outcomes, so a
 	// strategy whose private history outlives the shared GHR stays in
 	// sync with it.
-	e.ghr.ShiftPacked(sh.condN, sh.condBits)
-	e.pred.Shift(sh.condN, sh.condBits)
+	e.ghr.ShiftPacked(blk.condN, blk.condBits)
+	e.pred.Shift(blk.condN, blk.condBits)
 
 	// Carry state for the next block.
 	copy(e.addrRing[1:], e.addrRing[:len(e.addrRing)-1])
@@ -305,7 +300,7 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 			Redirect:      redirect,
 		}
 		if x := blk.exitIdx(); x >= 0 {
-			ev.ExitClass = blk.insts[x].Class
+			ev.ExitClass = blk.insts[x].Class()
 		}
 		e.runObs.Observe(ev)
 	}
@@ -362,11 +357,10 @@ func (e *Engine) classify(blk *block, sc *scanResult, predNext uint32, predOK bo
 		return metrics.CondMispredict, true, extra
 	default:
 		// Exit position agrees; direction is right, check the target.
-		rec := blk.insts[sc.exit]
 		if predOK && predNext == blk.next {
 			return 0, false, 0
 		}
-		switch rec.Class {
+		switch blk.insts[sc.exit].Class() {
 		case isa.ClassReturn:
 			return metrics.ReturnMispredict, true, 0
 		case isa.ClassIndirect, isa.ClassIndirectCall:
@@ -388,7 +382,7 @@ func (e *Engine) condExitWeak(blk *block, sc *scanResult) bool {
 	if idx < 0 {
 		idx = blk.exitIdx()
 	}
-	if idx < 0 || blk.insts[idx].Class != isa.ClassCond {
+	if idx < 0 || blk.cond&(1<<idx) == 0 {
 		return false
 	}
 	return !e.pred.SecondChance(blk.posOf(idx, e.geom.BlockWidth))
@@ -448,8 +442,8 @@ func (e *Engine) verifyST(blk *block, sc *scanResult, ghrPre uint32, succRole in
 // stored in the target array (Table 1): returns use the RAS, near-block
 // conditionals are computed, everything else redirecting uses the array.
 // code is the exit's true BIT code under the engine's encoding.
-func usesTargetArray(rec cpu.Retired, code bitable.Code) bool {
-	switch rec.Class {
+func usesTargetArray(class isa.Class, code bitable.Code) bool {
+	switch class {
 	case isa.ClassReturn:
 		return false
 	case isa.ClassCond:

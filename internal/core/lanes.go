@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mbbp/internal/bitable"
 	"mbbp/internal/icache"
@@ -13,12 +14,13 @@ import (
 // lockstep. The block stream — and everything derived from the block
 // alone — depends only on the cache geometry, not on predictor
 // configuration, so a LaneSet hoists that work out of the per-config
-// loop: decode and block formation run once per block (newBlockReader),
-// and the per-block derived values (lines touched, decoded BIT codes,
-// packed conditional outcomes) are computed once in a sharedBlock and
-// consumed by every lane. All predictor state (PHT, BIT, select tables,
-// target arrays, RAS, GHR, carried fetch state) stays per-lane, so each
-// lane's result is byte-identical to running its engine alone.
+// loop: block formation runs once per block (newBlockReader, which also
+// derives the branch masks and packed conditional outcomes), and the
+// other per-block derived values (lines touched, decoded BIT codes) are
+// computed once in a sharedBlock and consumed by every lane. All
+// predictor state (PHT, BIT, select tables, target arrays, RAS, GHR,
+// carried fetch state) stays per-lane, so each lane's result is
+// byte-identical to running its engine alone.
 
 // sharedBlock carries the per-block values that are a pure function of
 // (block, geometry) — identical for every lane of a set — so they are
@@ -30,10 +32,6 @@ type sharedBlock struct {
 
 	// lines is the geometry's LinesTouched for the block.
 	lines []uint32
-	// condN/condBits are the block's packed conditional outcomes (GHR
-	// shift material).
-	condN    int
-	condBits uint32
 
 	// codes hold the decoded BIT codes for the block, by the NearBlock
 	// flag (the only configuration bit that changes the encoding at a
@@ -54,26 +52,31 @@ func newSharedBlock(geom icache.Geometry) *sharedBlock {
 }
 
 // set points the shared state at the next block and computes the
-// unconditionally needed values (lines, conditional outcomes).
+// lines it touches.
 func (sh *sharedBlock) set(blk *block) {
 	sh.blk = blk
 	sh.lines = sh.geom.LinesTouched(sh.lines[:0], blk.start, blk.n())
-	sh.condN, sh.condBits = blk.condOutcomes()
 	sh.codesOK[0], sh.codesOK[1] = false, false
 }
 
 // trueCodes returns the correct BIT codes for the block under the given
 // near-block encoding, computing them on first request. The returned
-// slice is valid until the next set call.
+// slice is valid until the next set call. Plain instructions encode as
+// bitable.CodePlain (zero), so only the control transfers the block's
+// branch mask names are encoded.
 func (sh *sharedBlock) trueCodes(near bool) []bitable.Code {
 	i := 0
 	if near {
 		i = 1
 	}
-	codes := sh.codes[i][:sh.blk.n()]
+	blk := sh.blk
+	codes := sh.codes[i][:blk.n()]
 	if !sh.codesOK[i] {
-		for j, rec := range sh.blk.insts {
-			codes[j] = bitable.Encode(rec.Class, sh.blk.start+uint32(j), rec.Target,
+		clear(codes)
+		for m := blk.branch; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			rec := blk.insts[j]
+			codes[j] = bitable.Encode(rec.Class(), blk.start+uint32(j), rec.Target(),
 				sh.geom.LineSize, near)
 		}
 		sh.codesOK[i] = true

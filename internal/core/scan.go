@@ -62,7 +62,7 @@ func (e *Engine) scan(blk *block, codes []bitable.Code, dir directionReader, out
 				// The starting offset within the target line comes
 				// from the branch's encoded offset; the true-code scan
 				// knows it from the instruction itself.
-				sel.StartOff = uint8(blk.insts[j].Target & lineMask)
+				sel.StartOff = uint8(blk.insts[j].Target() & lineMask)
 			} else {
 				sel.Source = seltab.SrcTarget
 			}
@@ -135,24 +135,25 @@ func (e *Engine) correctedSelector(blk *block) seltab.Selector {
 	lineMask := uint32(e.geom.LineSize - 1)
 	var nt uint8
 	for j, rec := range blk.insts {
-		if rec.Class == isa.ClassCond && !rec.Taken {
+		class, taken := rec.Class(), rec.Taken()
+		if class == isa.ClassCond && !taken {
 			nt++
 			continue
 		}
-		if !rec.Taken {
+		if !taken {
 			continue
 		}
 		addr := blk.start + uint32(j)
 		sel := seltab.Selector{Pos: uint8(blk.posOf(j, w)), NTCount: nt}
-		switch rec.Class {
+		switch class {
 		case isa.ClassReturn:
 			sel.Source = seltab.SrcRAS
 		case isa.ClassCond:
 			sel.TakenBit = true
-			code := bitable.Encode(rec.Class, addr, rec.Target, e.geom.LineSize, e.cfg.NearBlock)
+			code := bitable.Encode(class, addr, rec.Target(), e.geom.LineSize, e.cfg.NearBlock)
 			if code.IsNear() {
 				sel.Source = nearSource(code)
-				sel.StartOff = uint8(rec.Target & lineMask)
+				sel.StartOff = uint8(rec.Target() & lineMask)
 			} else {
 				sel.Source = seltab.SrcTarget
 			}

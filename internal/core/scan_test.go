@@ -80,15 +80,14 @@ func entryOf(counters []pht.Counter) pht.Entry {
 	return e
 }
 
-// blockFrom builds a block starting at the given position of the
-// Table 2 line, ending at idx exit (inclusive) with the actual next
-// address.
-func blockFrom(line []cpu.Retired, startPos, exitPos int, taken bool, next uint32) *block {
-	insts := append([]cpu.Retired(nil), line[startPos:exitPos+1]...)
-	if taken {
-		insts[len(insts)-1].Taken = true
-	}
-	return &block{start: line[startPos].PC, insts: insts, next: next, pos0: startPos}
+// blockFrom forms the block of the Table 2 line that starts at
+// startPos and exits at exitPos (inclusive), its exit redirecting to
+// next.
+func blockFrom(t *testing.T, e *Engine, line []cpu.Retired, startPos, exitPos int, next uint32) *block {
+	t.Helper()
+	recs := append([]cpu.Retired(nil), line[startPos:exitPos+1]...)
+	recs[len(recs)-1].Taken, recs[len(recs)-1].Target = true, next
+	return formBlock(t, e.geom, recs...)
 }
 
 // TestTable2Example reproduces every starting position of the paper's
@@ -100,7 +99,7 @@ func TestTable2Example(t *testing.T) {
 
 	// Check the BIT codes of the full line first (Table 2 row "BIT
 	// value"): 000 100 000 010 000 011 000 001.
-	full := &block{start: 8, insts: line, next: 0}
+	full := formBlock(t, e.geom, line...)
 	wantCodes := []bitable.Code{
 		bitable.CodePlain, bitable.CodeCondPrev, bitable.CodePlain, bitable.CodeOther,
 		bitable.CodePlain, bitable.CodeCondLong, bitable.CodePlain, bitable.CodeReturn,
@@ -114,7 +113,7 @@ func TestTable2Example(t *testing.T) {
 
 	// Starting position 0: exit position 1 — the branch at 9 is
 	// predicted taken (PHT 10) with a prev-line near target.
-	b0 := blockFrom(line, 0, 1, true, 2)
+	b0 := blockFrom(t, e, line, 0, 1, 2)
 	sc := e.scanOf(b0, entryOf(entry))
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcNearPrev {
 		t.Errorf("start 0: exit %d source %v, want 1, near-prev", sc.exit, sc.sel.Source)
@@ -130,7 +129,7 @@ func TestTable2Example(t *testing.T) {
 	// the block: the jump at position 3, i.e. the target array slot for
 	// position 3 ("target on misprediction: NLS(3)"). The replacement
 	// selector is the same, because PHT 10 has no second chance.
-	alt := e.correctedSelector(blockFrom(line, 0, 3, true, 100))
+	alt := e.correctedSelector(blockFrom(t, e, line, 0, 3, 100))
 	if alt.Source != seltab.SrcTarget || alt.Pos != 3 {
 		t.Errorf("start 0 replacement = %+v, want target@3", alt)
 	}
@@ -140,7 +139,7 @@ func TestTable2Example(t *testing.T) {
 
 	// Starting position 2: exit position 3, always the target array
 	// ("NLS(3)"), no misprediction possible.
-	b2 := blockFrom(line, 2, 3, true, 100)
+	b2 := blockFrom(t, e, line, 2, 3, 100)
 	sc = e.scanOf(b2, entryOf(entry))
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcTarget || sc.sel.Pos != 3 {
 		t.Errorf("start 2: exit %d sel %+v, want exit 1 (pos 3), target", sc.exit, sc.sel)
@@ -152,12 +151,12 @@ func TestTable2Example(t *testing.T) {
 	// Starting position 4: exit position 5 (PHT 11 strongly taken),
 	// NLS(5). On misprediction the alternate is the return at 7 (RAS),
 	// and the second-chance bit means the prediction does not change.
-	b4 := blockFrom(line, 4, 5, true, 200)
+	b4 := blockFrom(t, e, line, 4, 5, 200)
 	sc = e.scanOf(b4, entryOf(entry))
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcTarget || sc.sel.Pos != 5 {
 		t.Errorf("start 4: sel %+v, want target@5", sc.sel)
 	}
-	alt = e.correctedSelector(blockFrom(line, 4, 7, true, 77))
+	alt = e.correctedSelector(blockFrom(t, e, line, 4, 7, 77))
 	if alt.Source != seltab.SrcRAS {
 		t.Errorf("start 4 misprediction target = %v, want RAS", alt.Source)
 	}
@@ -166,7 +165,7 @@ func TestTable2Example(t *testing.T) {
 	}
 
 	// Starting position 6: exit position 7, return — RAS.
-	b6 := blockFrom(line, 6, 7, true, 77)
+	b6 := blockFrom(t, e, line, 6, 7, 77)
 	sc = e.scanOf(b6, entryOf(entry))
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcRAS || sc.sel.Pos != 7 {
 		t.Errorf("start 6: sel %+v, want ras@7", sc.sel)
@@ -204,11 +203,7 @@ func TestTable1PredictionSources(t *testing.T) {
 		{isa.ClassCond, 26, seltab.SrcNearNext2}, // next line + 1
 	}
 	for _, c := range cases {
-		blk := &block{
-			start: 8,
-			insts: []cpu.Retired{{PC: 8, Class: c.class, Taken: true, Target: c.target}},
-			next:  c.target,
-		}
+		blk := formBlock(t, e.geom, cpu.Retired{PC: 8, Class: c.class, Taken: true, Target: c.target})
 		sc := e.scanOf(blk, entryOf(taken))
 		if sc.exit != 0 || sc.sel.Source != c.want {
 			t.Errorf("%v target %d: source %v, want %v", c.class, c.target, sc.sel.Source, c.want)
@@ -216,11 +211,7 @@ func TestTable1PredictionSources(t *testing.T) {
 	}
 
 	// A plain block falls through.
-	blk := &block{
-		start: 8,
-		insts: []cpu.Retired{{PC: 8, Class: isa.ClassPlain}, {PC: 9, Class: isa.ClassPlain}},
-		next:  10,
-	}
+	blk := formBlock(t, e.geom, cpu.Retired{PC: 8, Class: isa.ClassPlain}, cpu.Retired{PC: 9, Class: isa.ClassPlain})
 	sc := e.scanOf(blk, entryOf(taken))
 	if sc.exit != -1 || sc.sel.Source != seltab.SrcFallThrough {
 		t.Errorf("plain block: %+v, want fall-through", sc.sel)
@@ -231,14 +222,9 @@ func TestTable1PredictionSources(t *testing.T) {
 
 	// A not-taken-predicted conditional is skipped and counted.
 	weak := make([]pht.Counter, 8)
-	blk = &block{
-		start: 8,
-		insts: []cpu.Retired{
-			{PC: 8, Class: isa.ClassCond, Target: 100},
-			{PC: 9, Class: isa.ClassReturn, Taken: true},
-		},
-		next: 55,
-	}
+	blk = formBlock(t, e.geom,
+		cpu.Retired{PC: 8, Class: isa.ClassCond, Target: 100},
+		cpu.Retired{PC: 9, Class: isa.ClassReturn, Taken: true, Target: 55})
 	sc = e.scanOf(blk, entryOf(weak))
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcRAS || sc.sel.NTCount != 1 {
 		t.Errorf("skip-NT scan = exit %d %+v", sc.exit, sc.sel)
@@ -258,12 +244,7 @@ func TestGeometryPositionWrap(t *testing.T) {
 	}
 	entry := make([]pht.Counter, 8)
 	entry[12%8] = 3 // the branch at line offset 12 uses counter 4
-	blk := &block{
-		start: 12,
-		insts: []cpu.Retired{{PC: 12, Class: isa.ClassCond, Taken: true, Target: 300}},
-		next:  300,
-		pos0:  12 % 8,
-	}
+	blk := formBlock(t, e.geom, cpu.Retired{PC: 12, Class: isa.ClassCond, Taken: true, Target: 300})
 	sc := e.scanOf(blk, entryOf(entry))
 	if sc.exit != 0 || !sc.sel.TakenBit {
 		t.Errorf("wrapped counter not used: %+v", sc.sel)

@@ -44,8 +44,7 @@ func TestTapDisabledOverhead(t *testing.T) {
 	}
 	// The sink behind the disabled tap is the H2P aggregator — the
 	// heaviest sink the service installs (per-site map updates) — so the
-	// gate pins the cost of having attribution *registered*, not just a
-	// ring buffer, at zero.
+	// gate pins the cost of having attribution *registered* at zero.
 	disabledTap := func() core.Observer {
 		tap := NewTap(NewH2P())
 		tap.Disable()

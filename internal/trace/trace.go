@@ -59,13 +59,24 @@ func Pack(r cpu.Retired) Packed {
 
 // Unpack converts a packed record back to a retired record.
 func Unpack(p Packed) cpu.Retired {
-	return cpu.Retired{
-		PC:     uint32(p & pcMask),
-		Target: uint32(p >> targetShift & targetMask),
-		Class:  isa.Class(p >> classShift & classMask),
-		Taken:  p>>takenShift&1 == 1,
-	}
+	return cpu.Retired{PC: p.PC(), Target: p.Target(), Class: p.Class(), Taken: p.Taken()}
 }
+
+// The field accessors read one field of a packed record without
+// unpacking the others, so a reader walking the records in place
+// (Buffer.Rest) pays one load per record.
+
+// PC returns the record's instruction address.
+func (p Packed) PC() uint32 { return uint32(p & pcMask) }
+
+// Target returns the record's control-transfer target.
+func (p Packed) Target() uint32 { return uint32(p >> targetShift & targetMask) }
+
+// Class returns the record's control-transfer class.
+func (p Packed) Class() isa.Class { return isa.Class(p >> classShift & classMask) }
+
+// Taken reports whether the record redirected the stream.
+func (p Packed) Taken() bool { return p>>takenShift&1 == 1 }
 
 // PollStride is how many records a reader of a context-bound Buffer
 // consumes between cancellation polls (Err). A power of two keeps the
@@ -75,8 +86,9 @@ func Unpack(p Packed) cpu.Retired {
 const PollStride = 4096
 
 // Buffer is an in-memory trace and its read cursor: Next walks the
-// records, Reset rewinds. Clone and WithContext give further cursors
-// over the same records.
+// records one at a time, Rest and Skip let a reader scan the unread
+// records in place and then advance past them, Reset rewinds. Clone and
+// WithContext give further cursors over the same records.
 type Buffer struct {
 	Name    string
 	records []Packed
@@ -103,6 +115,15 @@ func (b *Buffer) Next() (cpu.Retired, bool) {
 	b.pos++
 	return r, true
 }
+
+// Rest returns the unread records, in order, without advancing the
+// cursor. The slice aliases the buffer's records, which are immutable
+// once captured: read it, do not write it.
+func (b *Buffer) Rest() []Packed { return b.records[b.pos:] }
+
+// Skip advances the cursor past n records; n must not exceed
+// len(Rest()).
+func (b *Buffer) Skip(n int) { b.pos += n }
 
 // Reset rewinds the cursor to the first record.
 func (b *Buffer) Reset() { b.pos = 0 }

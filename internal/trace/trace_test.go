@@ -47,6 +47,18 @@ func TestBufferSourceSemantics(t *testing.T) {
 	if r, ok := b.Next(); !ok || r.PC != 0 {
 		t.Error("Reset should rewind")
 	}
+	// Rest is the unread records in place; Skip advances past some of
+	// them and Next carries on after.
+	if rest := b.Rest(); len(rest) != 3 || rest[0].PC() != 1 {
+		t.Fatalf("Rest after one Next = %v, want records 1..3", rest)
+	}
+	b.Skip(2)
+	if r, ok := b.Next(); !ok || r.PC != 3 {
+		t.Errorf("Next after Skip(2) = %+v, %v; want record 3", r, ok)
+	}
+	if rest := b.Rest(); len(rest) != 0 {
+		t.Errorf("Rest at end = %v, want empty", rest)
+	}
 }
 
 const loopSrc = `
