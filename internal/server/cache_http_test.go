@@ -55,7 +55,7 @@ func TestSweepETagRevalidation(t *testing.T) {
 	if got := nm.Header().Get("ETag"); got != etag {
 		t.Errorf("304 ETag = %q, want %q", got, etag)
 	}
-	if got := s.metrics.requestsNotModified.Value(); got != 1 {
+	if got := s.metrics.requestsNotModified.Load(); got != 1 {
 		t.Errorf("requests_not_modified = %d, want 1", got)
 	}
 
@@ -418,7 +418,7 @@ func TestStreamCancellationAccounting(t *testing.T) {
 	close(release)
 	<-done
 
-	if got := s.metrics.requestsCancelled.Value(); got != 1 {
+	if got := s.metrics.requestsCancelled.Load(); got != 1 {
 		t.Errorf("requests_cancelled = %d, want 1", got)
 	}
 	if st := s.results.Stats(); st.Hits+st.Misses+st.Coalesced != 1 {

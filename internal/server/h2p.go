@@ -193,23 +193,21 @@ const h2pTopSeries = 10
 
 // h2pSnapshot is one consistent scrape of the fleet accumulator.
 type h2pSnapshot struct {
-	Requests    uint64
-	Blocks      uint64
-	TotalCycles uint64
-	Sites       int
-	Kinds       [metrics.NumKinds]uint64
-	Top         []obs.H2PSite
+	Requests uint64
+	Blocks   uint64
+	Sites    int
+	Kinds    [metrics.NumKinds]uint64
+	Top      []obs.H2PSite
 }
 
 func (f *fleetH2P) snapshot() *h2pSnapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s := &h2pSnapshot{
-		Requests:    f.requests,
-		Blocks:      f.agg.Blocks(),
-		TotalCycles: f.agg.TotalCycles(),
-		Sites:       f.agg.Sites(),
-		Top:         f.agg.Top(h2pTopSeries),
+		Requests: f.requests,
+		Blocks:   f.agg.Blocks(),
+		Sites:    f.agg.Sites(),
+		Top:      f.agg.Top(h2pTopSeries),
 	}
 	for k := metrics.Kind(0); k < metrics.NumKinds; k++ {
 		s.Kinds[k] = f.agg.KindCycles(k)

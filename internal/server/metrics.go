@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mbbp/internal/core"
@@ -41,11 +41,14 @@ func newHistogram() *histogram {
 	return &histogram{buckets: make([]uint64, len(latencyBuckets))}
 }
 
+// observe counts d in every bucket whose bound it does not exceed. The
+// comparison is on durations, not whole milliseconds, so a 1.9 ms
+// request stays out of the 1 ms bucket, as the Prometheus le (≤ bound)
+// contract and the _sum require.
 func (h *histogram) observe(d time.Duration) {
-	ms := d.Milliseconds()
 	h.mu.Lock()
 	for i, le := range latencyBuckets {
-		if ms <= le {
+		if d <= time.Duration(le)*time.Millisecond {
 			h.buckets[i]++
 		}
 	}
@@ -95,61 +98,44 @@ func readBuildInfo() buildInfo {
 	return b
 }
 
-// metricsSet is the service's observability surface. Request counters
-// are expvar.Ints (private to the set, never in the process-global
-// registry, so multiple servers — tests! — never collide); the latency
-// histogram, trace-cache stats, pool telemetry, and tap counters are
-// all read through one snapshot() per render. GET /metrics serves the
-// snapshot as JSON, or Prometheus text exposition with ?format=prom.
-type metricsSet struct {
-	requestsTotal       *expvar.Int // sweep requests received
-	requestsOK          *expvar.Int // completed 200s
-	requestsRejected    *expvar.Int // 429 backpressure rejections
-	requestsBad         *expvar.Int // 400 validation failures
-	requestsCancelled   *expvar.Int // client gone / deadline exceeded
-	requestsErrored     *expvar.Int // everything else (500s, 503s)
-	requestsNotModified *expvar.Int // 304 ETag revalidations
-	jobPanics           *expvar.Int // requests failed by a panicking pool job
-	inflight            *expvar.Int // admitted and currently running
-
-	queueCapacity int64
-	hist          *histogram
-
-	cacheStats  func() (hits, misses uint64)
-	resultStats func() flight.Stats   // nil only in partial test setups
-	shardSnap   func() *shardSnapshot // nil unless shard mode
+// metricSources are what a render reads besides the set's own
+// counters. Each is read once per render; only shardSnap and tap may
+// be nil.
+type metricSources struct {
+	queue       chan struct{} // the admission semaphore: len is in flight, cap the bound
+	traceStats  func() flight.Stats
+	resultStats func() flight.Stats
 	poolStats   func() harness.PoolStats
-	tap         *obs.Counters       // nil when the engine tap is off
-	h2pSnap     func() *h2pSnapshot // nil only in partial test setups
+	h2pSnap     func() *h2pSnapshot
+	shardSnap   func() *shardSnapshot // nil unless shard mode
+	tap         *obs.Counters         // nil when the engine tap is off
+}
 
+// metricsSet is the service's observability surface: its own request
+// counters and latency histogram, plus the sources it reads at render
+// time. Nothing here is in the process-global expvar registry, so
+// several servers (tests!) coexist. GET /metrics builds one metric
+// table per render (families) and writes it as JSON, or as Prometheus
+// text exposition with ?format=prom.
+type metricsSet struct {
+	metricSources
+
+	requestsTotal       atomic.Int64 // sweep requests received
+	requestsOK          atomic.Int64 // completed 200s
+	requestsRejected    atomic.Int64 // 429 backpressure rejections
+	requestsBad         atomic.Int64 // 400 validation failures
+	requestsCancelled   atomic.Int64 // client gone / deadline exceeded
+	requestsErrored     atomic.Int64 // everything else (500s, 503s)
+	requestsNotModified atomic.Int64 // 304 ETag revalidations
+	jobPanics           atomic.Int64 // requests failed by a panicking pool job
+
+	hist      *histogram
 	stateBits core.StateBitsBreakdown
 	build     buildInfo
 }
 
-func newMetricsSet(queueCapacity int, cacheStats func() (hits, misses uint64),
-	resultStats func() flight.Stats, shardSnap func() *shardSnapshot,
-	poolStats func() harness.PoolStats, tap *obs.Counters,
-	h2pSnap func() *h2pSnapshot) *metricsSet {
-	m := &metricsSet{
-		requestsTotal:       new(expvar.Int),
-		requestsOK:          new(expvar.Int),
-		requestsRejected:    new(expvar.Int),
-		requestsBad:         new(expvar.Int),
-		requestsCancelled:   new(expvar.Int),
-		requestsErrored:     new(expvar.Int),
-		requestsNotModified: new(expvar.Int),
-		jobPanics:           new(expvar.Int),
-		inflight:            new(expvar.Int),
-		queueCapacity:       int64(queueCapacity),
-		hist:                newHistogram(),
-		cacheStats:          cacheStats,
-		resultStats:         resultStats,
-		shardSnap:           shardSnap,
-		poolStats:           poolStats,
-		tap:                 tap,
-		h2pSnap:             h2pSnap,
-		build:               readBuildInfo(),
-	}
+func newMetricsSet(src metricSources) *metricsSet {
+	m := &metricsSet{metricSources: src, hist: newHistogram(), build: readBuildInfo()}
 	// The hardware-cost accounting of the default configuration's
 	// predictor structures (Table 7 conventions), measured from a live
 	// engine — the same numbers `mbpexp cost` prints.
@@ -162,177 +148,51 @@ func newMetricsSet(queueCapacity int, cacheStats func() (hits, misses uint64),
 // observeLatency records one completed request duration.
 func (m *metricsSet) observeLatency(d time.Duration) { m.hist.observe(d) }
 
-// metricsSnapshot is one consistent scrape: the cache stats come from a
-// single Stats() call (hits and misses belong to the same instant — two
-// separate reads could tear across a concurrent lookup), the histogram
-// from a single locked copy, the pool and tap counters from one pass of
-// atomic loads.
-type metricsSnapshot struct {
-	Total, OK, Rejected, Bad, Cancelled, Errored int64
-	NotModified                                  int64
-	JobPanics                                    int64
-	Inflight                                     int64
-	CacheHits, CacheMisses                       uint64
-	Results                                      flight.Stats
-	Shard                                        *shardSnapshot
-	Hist                                         histSnapshot
-	Pool                                         harness.PoolStats
-	Tap                                          *obs.CountersSnapshot
-	H2P                                          *h2pSnapshot
+// family is one metric, declared once: its Prometheus name, type and
+// help, its place in the JSON document, its label names, and this
+// render's samples. A family with no prom name is JSON only; one with
+// no json path is Prometheus only.
+type family struct {
+	prom, typ, help string
+	// json is the dotted path of the family's key in the JSON document.
+	// A labelled family is an object there, keyed by label value;
+	// a flat one spells each sample as a sibling key <path>_<value>.
+	json   string
+	flat   bool
+	labels []string
+	// samples are the family's series, in exposition order.
+	samples []sample
 }
 
-func (m *metricsSet) snapshot() metricsSnapshot {
-	hits, misses := m.cacheStats() // exactly one call per render
-	s := metricsSnapshot{
-		Total:       m.requestsTotal.Value(),
-		OK:          m.requestsOK.Value(),
-		Rejected:    m.requestsRejected.Value(),
-		Bad:         m.requestsBad.Value(),
-		Cancelled:   m.requestsCancelled.Value(),
-		Errored:     m.requestsErrored.Value(),
-		NotModified: m.requestsNotModified.Value(),
-		JobPanics:   m.jobPanics.Value(),
-		Inflight:    m.inflight.Value(),
-		CacheHits:   hits,
-		CacheMisses: misses,
-		Hist:        m.hist.snapshot(),
-	}
-	if m.resultStats != nil {
-		s.Results = m.resultStats()
-	}
-	if m.shardSnap != nil {
-		s.Shard = m.shardSnap()
-	}
-	if m.poolStats != nil {
-		s.Pool = m.poolStats()
-	}
-	if m.tap != nil {
-		t := m.tap.Snapshot()
-		s.Tap = &t
-	}
-	if m.h2pSnap != nil {
-		s.H2P = m.h2pSnap()
-	}
-	return s
+// sample is one series: label values aligned with the family's label
+// names, a name suffix (a histogram's _bucket, _sum, _count), and the
+// value — an integer, a float64 (rendered shortest), or for JSON-only
+// families any JSON value.
+type sample struct {
+	suffix string
+	labels []string
+	value  any
 }
 
-// handler serves the metrics snapshot: JSON by default (the expvar-ish
-// document the CLI and tests consume), Prometheus text exposition with
-// ?format=prom.
-func (m *metricsSet) handler(w http.ResponseWriter, r *http.Request) {
-	s := m.snapshot()
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		m.writeProm(w, s)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	m.writeJSON(w, s)
-}
+const (
+	promCounter   = "counter"
+	promGauge     = "gauge"
+	promHistogram = "histogram"
+)
 
-// writeJSON renders the historical document shape: flat request
-// counters, the le_-keyed cumulative histogram, the state-bits
-// breakdown, plus the pool and (when enabled) tap groups.
-func (m *metricsSet) writeJSON(w io.Writer, s metricsSnapshot) {
-	latency := map[string]uint64{"le_inf": s.Hist.Count}
-	for i, le := range latencyBuckets {
-		latency[fmt.Sprintf("le_%dms", le)] = s.Hist.Buckets[i]
+// one is the sample of an unlabelled family.
+func one(v any) []sample { return []sample{{value: v}} }
+
+// labelled is a sample with label values.
+func labelled(v any, labels ...string) sample { return sample{labels: labels, value: v} }
+
+// byKind fills a counter family with one sample per Table 3 kind.
+func byKind(f family, vals [metrics.NumKinds]uint64) family {
+	f.typ, f.labels = promCounter, []string{"kind"}
+	for k, v := range vals {
+		f.samples = append(f.samples, labelled(v, kindLabel(metrics.Kind(k))))
 	}
-	pool := map[string]any{
-		"workers":         s.Pool.Workers,
-		"submits":         s.Pool.Submits,
-		"own_pops":        s.Pool.OwnPops,
-		"steals":          s.Pool.Steals,
-		"parks":           s.Pool.Parks,
-		"max_queue_depth": s.Pool.MaxQueueDepth,
-		"busy_ms":         s.Pool.BusyTotal().Milliseconds(),
-	}
-	doc := map[string]any{
-		"requests_total":         s.Total,
-		"requests_ok":            s.OK,
-		"requests_rejected":      s.Rejected,
-		"requests_bad":           s.Bad,
-		"requests_cancelled":     s.Cancelled,
-		"requests_errored":       s.Errored,
-		"requests_not_modified":  s.NotModified,
-		"job_panics":             s.JobPanics,
-		"inflight":               s.Inflight,
-		"queue_depth":            s.Inflight,
-		"queue_capacity":         m.queueCapacity,
-		"trace_cache_hits":       s.CacheHits,
-		"trace_cache_misses":     s.CacheMisses,
-		"result_cache_hits":      s.Results.Hits,
-		"result_cache_misses":    s.Results.Misses,
-		"result_cache_coalesced": s.Results.Coalesced,
-		"result_cache_evictions": s.Results.Evictions,
-		"job_latency_ms":         latency,
-		"job_latency_count":      s.Hist.Count,
-		"job_latency_sum_ms":     s.Hist.Sum.Milliseconds(),
-		"state_bits": map[string]int{
-			"pht":          m.stateBits.PHT,
-			"bit":          m.stateBits.BIT,
-			"select_table": m.stateBits.SelectTable,
-			"target_array": m.stateBits.TargetArray,
-			"total":        m.stateBits.Total(),
-		},
-		"pool": pool,
-	}
-	if s.Shard != nil {
-		routes := map[string]uint64{}
-		healthy := 0
-		for _, r := range s.Shard.Replicas {
-			routes[r.Addr] = r.Routes
-			if r.Healthy {
-				healthy++
-			}
-		}
-		doc["shard"] = map[string]any{
-			"replicas":        len(s.Shard.Replicas),
-			"healthy":         healthy,
-			"routes":          routes,
-			"reroutes":        s.Shard.Reroutes,
-			"local_fallbacks": s.Shard.Fallbacks,
-		}
-	}
-	if s.Tap != nil {
-		cycles := map[string]uint64{}
-		events := map[string]uint64{}
-		for k := metrics.Kind(0); k < metrics.NumKinds; k++ {
-			cycles[kindLabel(k)] = s.Tap.PenaltyCycles[k]
-			events[kindLabel(k)] = s.Tap.PenaltyEvents[k]
-		}
-		doc["tap"] = map[string]any{
-			"blocks":         s.Tap.Blocks,
-			"redirects":      s.Tap.Redirects,
-			"penalty_cycles": cycles,
-			"penalty_events": events,
-		}
-	}
-	if s.H2P != nil {
-		cycles := map[string]uint64{}
-		for k := metrics.Kind(0); k < metrics.NumKinds; k++ {
-			cycles[kindLabel(k)] = s.H2P.Kinds[k]
-		}
-		top := make([]map[string]any, 0, len(s.H2P.Top))
-		for _, site := range s.H2P.Top {
-			top = append(top, map[string]any{
-				"addr":   site.Addr,
-				"kind":   kindLabel(site.Kind),
-				"events": site.Events,
-				"cycles": site.Cycles,
-			})
-		}
-		doc["h2p"] = map[string]any{
-			"requests":       s.H2P.Requests,
-			"blocks":         s.H2P.Blocks,
-			"sites":          s.H2P.Sites,
-			"penalty_cycles": cycles,
-			"top_blocks":     top,
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(doc)
+	return f
 }
 
 // kindLabel is a metrics.Kind as a label value: lower snake, no spaces.
@@ -340,172 +200,235 @@ func kindLabel(k metrics.Kind) string {
 	return strings.ReplaceAll(k.String(), " ", "_")
 }
 
-// writeProm renders the snapshot in Prometheus text exposition format
-// (version 0.0.4): counters carry a _total suffix, the histogram uses
-// _bucket{le=...}/_sum/_count with seconds as the base unit, gauges are
-// bare, and build_info is the conventional always-1 info metric.
-func (m *metricsSet) writeProm(w io.Writer, s metricsSnapshot) {
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
+// families is the metric table of one render, in exposition order. It
+// reads each source once: the trace-cache stats in a single call (hits
+// and misses of one instant; two reads could tear across a concurrent
+// lookup), the histogram as one locked copy, the pool and tap counters
+// in one pass of atomic loads.
+func (m *metricsSet) families() []family {
+	traces := m.traceStats()
+	results := m.resultStats()
+	hist := m.hist.snapshot()
+	pool := m.poolStats()
+	h2p := m.h2pSnap()
+	inflight := len(m.queue)
 
-	p("# HELP mbbpd_requests_total Sweep requests received.\n")
-	p("# TYPE mbbpd_requests_total counter\n")
-	p("mbbpd_requests_total %d\n", s.Total)
-
-	p("# HELP mbbpd_request_outcomes_total Completed sweep requests by outcome.\n")
-	p("# TYPE mbbpd_request_outcomes_total counter\n")
-	for _, o := range []struct {
-		label string
-		v     int64
-	}{
-		{"ok", s.OK}, {"rejected", s.Rejected}, {"bad", s.Bad},
-		{"cancelled", s.Cancelled}, {"errored", s.Errored},
-		{"not_modified", s.NotModified},
-	} {
-		p("mbbpd_request_outcomes_total{outcome=%q} %d\n", o.label, o.v)
+	fams := []family{
+		{prom: "mbbpd_requests_total", typ: promCounter, help: "Sweep requests received.",
+			json: "requests_total", samples: one(m.requestsTotal.Load())},
+		{prom: "mbbpd_request_outcomes_total", typ: promCounter, help: "Completed sweep requests by outcome.",
+			json: "requests", flat: true, labels: []string{"outcome"}, samples: []sample{
+				labelled(m.requestsOK.Load(), "ok"),
+				labelled(m.requestsRejected.Load(), "rejected"),
+				labelled(m.requestsBad.Load(), "bad"),
+				labelled(m.requestsCancelled.Load(), "cancelled"),
+				labelled(m.requestsErrored.Load(), "errored"),
+				labelled(m.requestsNotModified.Load(), "not_modified"),
+			}},
+		{prom: "mbbpd_job_panics_total", typ: promCounter, help: "Sweep requests failed by a panicking pool job (answered 500).",
+			json: "job_panics", samples: one(m.jobPanics.Load())},
+		{prom: "mbbpd_inflight_requests", typ: promGauge, help: "Admitted sweep requests currently running.",
+			json: "inflight", samples: one(inflight)},
+		{json: "queue_depth", samples: one(inflight)},
+		{prom: "mbbpd_queue_capacity", typ: promGauge, help: "Admission queue bound.",
+			json: "queue_capacity", samples: one(cap(m.queue))},
+		{prom: "mbbpd_trace_cache_hits_total", typ: promCounter, help: "Trace cache lookups served from cache.",
+			json: "trace_cache_hits", samples: one(traces.Hits)},
+		{prom: "mbbpd_trace_cache_misses_total", typ: promCounter, help: "Trace cache lookups that captured a trace.",
+			json: "trace_cache_misses", samples: one(traces.Misses)},
+		{prom: "mbbpd_result_cache_hits_total", typ: promCounter, help: "Sweep requests served from a completed result-cache entry.",
+			json: "result_cache_hits", samples: one(results.Hits)},
+		{prom: "mbbpd_result_cache_misses_total", typ: promCounter, help: "Result-cache entries computed (or proxied) fresh.",
+			json: "result_cache_misses", samples: one(results.Misses)},
+		{prom: "mbbpd_result_cache_coalesced_total", typ: promCounter, help: "Sweep entries that waited on an identical in-flight request.",
+			json: "result_cache_coalesced", samples: one(results.Coalesced)},
+		{prom: "mbbpd_result_cache_evictions_total", typ: promCounter, help: "Result-cache entries evicted for capacity.",
+			json: "result_cache_evictions", samples: one(results.Evictions)},
 	}
 
-	p("# HELP mbbpd_job_panics_total Sweep requests failed by a panicking pool job (answered 500).\n")
-	p("# TYPE mbbpd_job_panics_total counter\n")
-	p("mbbpd_job_panics_total %d\n", s.JobPanics)
-
-	p("# HELP mbbpd_inflight_requests Admitted sweep requests currently running.\n")
-	p("# TYPE mbbpd_inflight_requests gauge\n")
-	p("mbbpd_inflight_requests %d\n", s.Inflight)
-	p("# HELP mbbpd_queue_capacity Admission queue bound.\n")
-	p("# TYPE mbbpd_queue_capacity gauge\n")
-	p("mbbpd_queue_capacity %d\n", m.queueCapacity)
-
-	p("# HELP mbbpd_trace_cache_hits_total Trace cache lookups served from cache.\n")
-	p("# TYPE mbbpd_trace_cache_hits_total counter\n")
-	p("mbbpd_trace_cache_hits_total %d\n", s.CacheHits)
-	p("# HELP mbbpd_trace_cache_misses_total Trace cache lookups that captured a trace.\n")
-	p("# TYPE mbbpd_trace_cache_misses_total counter\n")
-	p("mbbpd_trace_cache_misses_total %d\n", s.CacheMisses)
-
-	p("# HELP mbbpd_result_cache_hits_total Sweep requests served from a completed result-cache entry.\n")
-	p("# TYPE mbbpd_result_cache_hits_total counter\n")
-	p("mbbpd_result_cache_hits_total %d\n", s.Results.Hits)
-	p("# HELP mbbpd_result_cache_misses_total Result-cache entries computed (or proxied) fresh.\n")
-	p("# TYPE mbbpd_result_cache_misses_total counter\n")
-	p("mbbpd_result_cache_misses_total %d\n", s.Results.Misses)
-	p("# HELP mbbpd_result_cache_coalesced_total Sweep entries that waited on an identical in-flight request.\n")
-	p("# TYPE mbbpd_result_cache_coalesced_total counter\n")
-	p("mbbpd_result_cache_coalesced_total %d\n", s.Results.Coalesced)
-	p("# HELP mbbpd_result_cache_evictions_total Result-cache entries evicted for capacity.\n")
-	p("# TYPE mbbpd_result_cache_evictions_total counter\n")
-	p("mbbpd_result_cache_evictions_total %d\n", s.Results.Evictions)
-
-	if s.Shard != nil {
+	if m.shardSnap != nil {
+		sh := m.shardSnap()
+		routes := family{prom: "mbbpd_shard_routes_total", typ: promCounter, help: "Sweep requests proxied to each replica.",
+			json: "shard.routes", labels: []string{"replica"}}
 		healthy := 0
-		p("# HELP mbbpd_shard_routes_total Sweep requests proxied to each replica.\n")
-		p("# TYPE mbbpd_shard_routes_total counter\n")
-		for _, r := range s.Shard.Replicas {
-			p("mbbpd_shard_routes_total{replica=%q} %d\n", r.Addr, r.Routes)
+		for _, r := range sh.Replicas {
+			routes.samples = append(routes.samples, labelled(r.Routes, r.Addr))
 			if r.Healthy {
 				healthy++
 			}
 		}
-		p("# HELP mbbpd_shard_reroutes_total Proxy attempts routed past a key's owning replica.\n")
-		p("# TYPE mbbpd_shard_reroutes_total counter\n")
-		p("mbbpd_shard_reroutes_total %d\n", s.Shard.Reroutes)
-		p("# HELP mbbpd_shard_local_fallbacks_total Requests executed locally because no replica was reachable.\n")
-		p("# TYPE mbbpd_shard_local_fallbacks_total counter\n")
-		p("mbbpd_shard_local_fallbacks_total %d\n", s.Shard.Fallbacks)
-		p("# HELP mbbpd_shard_replicas Configured replica count.\n")
-		p("# TYPE mbbpd_shard_replicas gauge\n")
-		p("mbbpd_shard_replicas %d\n", len(s.Shard.Replicas))
-		p("# HELP mbbpd_shard_replicas_healthy Replicas not in failure cooldown.\n")
-		p("# TYPE mbbpd_shard_replicas_healthy gauge\n")
-		p("mbbpd_shard_replicas_healthy %d\n", healthy)
+		fams = append(fams, routes,
+			family{prom: "mbbpd_shard_reroutes_total", typ: promCounter, help: "Proxy attempts routed past a key's owning replica.",
+				json: "shard.reroutes", samples: one(sh.Reroutes)},
+			family{prom: "mbbpd_shard_local_fallbacks_total", typ: promCounter, help: "Requests executed locally because no replica was reachable.",
+				json: "shard.local_fallbacks", samples: one(sh.Fallbacks)},
+			family{prom: "mbbpd_shard_replicas", typ: promGauge, help: "Configured replica count.",
+				json: "shard.replicas", samples: one(len(sh.Replicas))},
+			family{prom: "mbbpd_shard_replicas_healthy", typ: promGauge, help: "Replicas not in failure cooldown.",
+				json: "shard.healthy", samples: one(healthy)})
 	}
 
-	p("# HELP mbbpd_request_duration_seconds Sweep request latency.\n")
-	p("# TYPE mbbpd_request_duration_seconds histogram\n")
-	for i, le := range latencyBuckets {
-		p("mbbpd_request_duration_seconds_bucket{le=%q} %d\n",
-			strconv.FormatFloat(float64(le)/1000, 'g', -1, 64), s.Hist.Buckets[i])
-	}
-	p("mbbpd_request_duration_seconds_bucket{le=\"+Inf\"} %d\n", s.Hist.Count)
-	p("mbbpd_request_duration_seconds_sum %s\n",
-		strconv.FormatFloat(s.Hist.Sum.Seconds(), 'g', -1, 64))
-	p("mbbpd_request_duration_seconds_count %d\n", s.Hist.Count)
-
-	p("# HELP mbbpd_predictor_state_bits Modeled predictor storage cost by structure (Table 7 conventions).\n")
-	p("# TYPE mbbpd_predictor_state_bits gauge\n")
-	for _, sb := range []struct {
-		label string
-		v     int
-	}{
-		{"pht", m.stateBits.PHT}, {"bit", m.stateBits.BIT},
-		{"select_table", m.stateBits.SelectTable}, {"target_array", m.stateBits.TargetArray},
-	} {
-		p("mbbpd_predictor_state_bits{structure=%q} %d\n", sb.label, sb.v)
-	}
-
-	p("# HELP mbbpd_pool_workers Simulation pool size.\n")
-	p("# TYPE mbbpd_pool_workers gauge\n")
-	p("mbbpd_pool_workers %d\n", s.Pool.Workers)
-	p("# HELP mbbpd_pool_submits_total Jobs submitted to the pool.\n")
-	p("# TYPE mbbpd_pool_submits_total counter\n")
-	p("mbbpd_pool_submits_total %d\n", s.Pool.Submits)
-	p("# HELP mbbpd_pool_claims_total Jobs claimed by workers, by claim path.\n")
-	p("# TYPE mbbpd_pool_claims_total counter\n")
-	p("mbbpd_pool_claims_total{mode=\"own\"} %d\n", s.Pool.OwnPops)
-	p("mbbpd_pool_claims_total{mode=\"steal\"} %d\n", s.Pool.Steals)
-	p("# HELP mbbpd_pool_parks_total Times a worker slept for lack of work.\n")
-	p("# TYPE mbbpd_pool_parks_total counter\n")
-	p("mbbpd_pool_parks_total %d\n", s.Pool.Parks)
-	p("# HELP mbbpd_pool_queue_depth_max High-water mark of queued jobs.\n")
-	p("# TYPE mbbpd_pool_queue_depth_max gauge\n")
-	p("mbbpd_pool_queue_depth_max %d\n", s.Pool.MaxQueueDepth)
-	p("# HELP mbbpd_pool_busy_seconds_total Time workers spent executing jobs.\n")
-	p("# TYPE mbbpd_pool_busy_seconds_total counter\n")
-	for i, d := range s.Pool.WorkerBusy {
-		p("mbbpd_pool_busy_seconds_total{worker=\"%d\"} %s\n", i,
-			strconv.FormatFloat(d.Seconds(), 'g', -1, 64))
-	}
-
-	if s.Tap != nil {
-		p("# HELP mbbpd_tap_blocks_total Fetched blocks observed by the engine tap.\n")
-		p("# TYPE mbbpd_tap_blocks_total counter\n")
-		p("mbbpd_tap_blocks_total %d\n", s.Tap.Blocks)
-		p("# HELP mbbpd_tap_redirects_total Observed blocks that redirected the fetch stream.\n")
-		p("# TYPE mbbpd_tap_redirects_total counter\n")
-		p("mbbpd_tap_redirects_total %d\n", s.Tap.Redirects)
-		p("# HELP mbbpd_tap_penalty_cycles_total Penalty cycles observed by the tap, by Table 3 kind.\n")
-		p("# TYPE mbbpd_tap_penalty_cycles_total counter\n")
-		for k := metrics.Kind(0); k < metrics.NumKinds; k++ {
-			p("mbbpd_tap_penalty_cycles_total{kind=%q} %d\n", kindLabel(k), s.Tap.PenaltyCycles[k])
+	duration := family{prom: "mbbpd_request_duration_seconds", typ: promHistogram, help: "Sweep request latency.",
+		labels: []string{"le"}}
+	latency := family{json: "job_latency_ms", labels: []string{"le"}}
+	for i, n := range append(hist.Buckets, hist.Count) { // the count is the +Inf bucket
+		le, key := "+Inf", "le_inf"
+		if i < len(latencyBuckets) {
+			le = strconv.FormatFloat(float64(latencyBuckets[i])/1000, 'g', -1, 64)
+			key = fmt.Sprintf("le_%dms", latencyBuckets[i])
 		}
-		p("# HELP mbbpd_tap_penalty_events_total Penalty events observed by the tap, by Table 3 kind.\n")
-		p("# TYPE mbbpd_tap_penalty_events_total counter\n")
-		for k := metrics.Kind(0); k < metrics.NumKinds; k++ {
-			p("mbbpd_tap_penalty_events_total{kind=%q} %d\n", kindLabel(k), s.Tap.PenaltyEvents[k])
-		}
+		duration.samples = append(duration.samples, sample{suffix: "_bucket", labels: []string{le}, value: n})
+		latency.samples = append(latency.samples, labelled(n, key))
+	}
+	duration.samples = append(duration.samples,
+		sample{suffix: "_sum", value: hist.Sum.Seconds()},
+		sample{suffix: "_count", value: hist.Count})
+
+	sb := m.stateBits
+	var busy []sample
+	for i, d := range pool.WorkerBusy {
+		busy = append(busy, labelled(d.Seconds(), strconv.Itoa(i)))
+	}
+	fams = append(fams, duration, latency,
+		family{json: "job_latency_count", samples: one(hist.Count)},
+		family{json: "job_latency_sum_ms", samples: one(hist.Sum.Milliseconds())},
+		family{prom: "mbbpd_predictor_state_bits", typ: promGauge, help: "Modeled predictor storage cost by structure (Table 7 conventions).",
+			json: "state_bits", labels: []string{"structure"}, samples: []sample{
+				labelled(sb.PHT, "pht"), labelled(sb.BIT, "bit"),
+				labelled(sb.SelectTable, "select_table"), labelled(sb.TargetArray, "target_array"),
+			}},
+		family{json: "state_bits.total", samples: one(sb.Total())},
+		family{prom: "mbbpd_pool_workers", typ: promGauge, help: "Simulation pool size.",
+			json: "pool.workers", samples: one(pool.Workers)},
+		family{prom: "mbbpd_pool_submits_total", typ: promCounter, help: "Jobs submitted to the pool.",
+			json: "pool.submits", samples: one(pool.Submits)},
+		family{prom: "mbbpd_pool_claims_total", typ: promCounter, help: "Jobs claimed by workers, by claim path.",
+			labels: []string{"mode"}, samples: []sample{labelled(pool.OwnPops, "own"), labelled(pool.Steals, "steal")}},
+		family{json: "pool.own_pops", samples: one(pool.OwnPops)},
+		family{json: "pool.steals", samples: one(pool.Steals)},
+		family{prom: "mbbpd_pool_parks_total", typ: promCounter, help: "Times a worker slept for lack of work.",
+			json: "pool.parks", samples: one(pool.Parks)},
+		family{prom: "mbbpd_pool_queue_depth_max", typ: promGauge, help: "High-water mark of queued jobs.",
+			json: "pool.max_queue_depth", samples: one(pool.MaxQueueDepth)},
+		family{prom: "mbbpd_pool_busy_seconds_total", typ: promCounter, help: "Time workers spent executing jobs.",
+			labels: []string{"worker"}, samples: busy},
+		family{json: "pool.busy_ms", samples: one(pool.BusyTotal().Milliseconds())})
+
+	if m.tap != nil {
+		t := m.tap.Snapshot()
+		fams = append(fams,
+			family{prom: "mbbpd_tap_blocks_total", typ: promCounter, help: "Fetched blocks observed by the engine tap.",
+				json: "tap.blocks", samples: one(t.Blocks)},
+			family{prom: "mbbpd_tap_redirects_total", typ: promCounter, help: "Observed blocks that redirected the fetch stream.",
+				json: "tap.redirects", samples: one(t.Redirects)},
+			byKind(family{prom: "mbbpd_tap_penalty_cycles_total", help: "Penalty cycles observed by the tap, by Table 3 kind.",
+				json: "tap.penalty_cycles"}, t.PenaltyCycles),
+			byKind(family{prom: "mbbpd_tap_penalty_events_total", help: "Penalty events observed by the tap, by Table 3 kind.",
+				json: "tap.penalty_events"}, t.PenaltyEvents))
 	}
 
-	if s.H2P != nil {
-		p("# HELP mbbpd_h2p_requests_total Sweep requests that asked for H2P attribution.\n")
-		p("# TYPE mbbpd_h2p_requests_total counter\n")
-		p("mbbpd_h2p_requests_total %d\n", s.H2P.Requests)
-		p("# HELP mbbpd_h2p_penalty_total Penalty cycles attributed by H2P-enabled sweeps, by Table 3 kind.\n")
-		p("# TYPE mbbpd_h2p_penalty_total counter\n")
-		for k := metrics.Kind(0); k < metrics.NumKinds; k++ {
-			p("mbbpd_h2p_penalty_total{kind=%q} %d\n", kindLabel(k), s.H2P.Kinds[k])
+	top := family{prom: "mbbpd_h2p_top_block_penalty_cycles", typ: promGauge, help: "Penalty cycles of the worst attributed blocks.",
+		labels: []string{"rank", "addr", "kind"}}
+	topJSON := make([]map[string]any, 0, len(h2p.Top))
+	for i, site := range h2p.Top {
+		kind := kindLabel(site.Kind)
+		top.samples = append(top.samples, labelled(site.Cycles, strconv.Itoa(i+1), strconv.FormatUint(uint64(site.Addr), 10), kind))
+		topJSON = append(topJSON, map[string]any{"addr": site.Addr, "kind": kind, "events": site.Events, "cycles": site.Cycles})
+	}
+	return append(fams,
+		family{prom: "mbbpd_h2p_requests_total", typ: promCounter, help: "Sweep requests that asked for H2P attribution.",
+			json: "h2p.requests", samples: one(h2p.Requests)},
+		family{json: "h2p.blocks", samples: one(h2p.Blocks)},
+		byKind(family{prom: "mbbpd_h2p_penalty_total", help: "Penalty cycles attributed by H2P-enabled sweeps, by Table 3 kind.",
+			json: "h2p.penalty_cycles"}, h2p.Kinds),
+		family{prom: "mbbpd_h2p_sites", typ: promGauge, help: "Distinct static blocks carrying attributed penalty.",
+			json: "h2p.sites", samples: one(h2p.Sites)},
+		top,
+		family{json: "h2p.top_blocks", samples: one(topJSON)},
+		family{prom: "mbbpd_build_info", typ: promGauge, help: "Build identity; value is always 1.",
+			labels:  []string{"go_version", "version", "revision"},
+			samples: []sample{labelled(1, m.build.GoVersion, m.build.Version, m.build.Revision)}})
+}
+
+// handler serves the metric table: JSON by default (the document the
+// CLI and tests consume), Prometheus text exposition with ?format=prom.
+func (m *metricsSet) handler(w http.ResponseWriter, r *http.Request) {
+	fams := m.families()
+	if r.URL.Query().Get("format") == "prom" {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		writeProm(w, fams)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	writeJSON(w, fams)
+}
+
+// writeJSON renders the families with a json path as one indented
+// object; dots in a path nest groups.
+func writeJSON(w io.Writer, fams []family) {
+	doc := map[string]any{}
+	for _, f := range fams {
+		if f.json == "" {
+			continue
 		}
-		p("# HELP mbbpd_h2p_sites Distinct static blocks carrying attributed penalty.\n")
-		p("# TYPE mbbpd_h2p_sites gauge\n")
-		p("mbbpd_h2p_sites %d\n", s.H2P.Sites)
-		p("# HELP mbbpd_h2p_top_block_penalty_cycles Penalty cycles of the worst attributed blocks.\n")
-		p("# TYPE mbbpd_h2p_top_block_penalty_cycles gauge\n")
-		for i, site := range s.H2P.Top {
-			p("mbbpd_h2p_top_block_penalty_cycles{rank=\"%d\",addr=\"%d\",kind=%q} %d\n",
-				i+1, site.Addr, kindLabel(site.Kind), site.Cycles)
+		path := strings.Split(f.json, ".")
+		dir, key := doc, path[len(path)-1]
+		for _, group := range path[:len(path)-1] {
+			dir = subObject(dir, group)
+		}
+		switch {
+		case len(f.labels) == 0:
+			dir[key] = f.samples[0].value
+		case f.flat:
+			for _, s := range f.samples {
+				dir[key+"_"+s.labels[0]] = s.value
+			}
+		default:
+			obj := subObject(dir, key)
+			for _, s := range f.samples {
+				obj[s.labels[0]] = s.value
+			}
 		}
 	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(doc)
+}
 
-	p("# HELP mbbpd_build_info Build identity; value is always 1.\n")
-	p("# TYPE mbbpd_build_info gauge\n")
-	p("mbbpd_build_info{go_version=%q,version=%q,revision=%q} 1\n",
-		m.build.GoVersion, m.build.Version, m.build.Revision)
+// subObject returns m[key] as an object, creating it if absent.
+func subObject(m map[string]any, key string) map[string]any {
+	obj, ok := m[key].(map[string]any)
+	if !ok {
+		obj = map[string]any{}
+		m[key] = obj
+	}
+	return obj
+}
+
+// writeProm renders the families with a prom name in Prometheus text
+// exposition format (version 0.0.4): a HELP and a TYPE line, then the
+// family's samples.
+func writeProm(w io.Writer, fams []family) {
+	for _, f := range fams {
+		if f.prom == "" {
+			continue
+		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.prom, f.help, f.prom, f.typ)
+		for _, s := range f.samples {
+			io.WriteString(w, f.prom+s.suffix)
+			sep := "{"
+			for i, v := range s.labels {
+				fmt.Fprintf(w, "%s%s=%q", sep, f.labels[i], v)
+				sep = ","
+			}
+			if len(s.labels) > 0 {
+				io.WriteString(w, "}")
+			}
+			if v, ok := s.value.(float64); ok {
+				fmt.Fprintf(w, " %s\n", strconv.FormatFloat(v, 'g', -1, 64))
+			} else {
+				fmt.Fprintf(w, " %d\n", s.value)
+			}
+		}
+	}
 }

@@ -53,7 +53,7 @@ func goldenMetricsSet(sharded, tapped bool) *metricsSet {
 			}
 		}
 		tap.Observe(core.Event{})
-		h2p = &h2pSnapshot{Requests: 3, Blocks: 12345, TotalCycles: 640, Sites: 7}
+		h2p = &h2pSnapshot{Requests: 3, Blocks: 12345, Sites: 7}
 		for k := metrics.Kind(0); k < metrics.NumKinds; k++ {
 			h2p.Kinds[k] = 10 * uint64(k+1)
 		}
@@ -63,18 +63,24 @@ func goldenMetricsSet(sharded, tapped bool) *metricsSet {
 			{Addr: 0x5004, Events: 2, Cycles: 14, Kind: 7},
 		}
 	}
-	m := newMetricsSet(8,
-		func() (uint64, uint64) { return 120, 30 },
-		func() flight.Stats { return flight.Stats{Hits: 50, Misses: 20, Coalesced: 4, Evictions: 1} },
-		shardSnap,
-		func() harness.PoolStats {
+	queue := make(chan struct{}, 8)
+	for i := 0; i < 3; i++ {
+		queue <- struct{}{} // three requests in flight
+	}
+	m := newMetricsSet(metricSources{
+		queue:       queue,
+		traceStats:  func() flight.Stats { return flight.Stats{Hits: 120, Misses: 30} },
+		resultStats: func() flight.Stats { return flight.Stats{Hits: 50, Misses: 20, Coalesced: 4, Evictions: 1} },
+		poolStats: func() harness.PoolStats {
 			return harness.PoolStats{
 				Workers: 2, Submits: 300, OwnPops: 250, Steals: 50, Parks: 12, MaxQueueDepth: 9,
 				WorkerBusy: []time.Duration{1500 * time.Millisecond, 2250 * time.Millisecond},
 			}
 		},
-		tap,
-		func() *h2pSnapshot { return h2p })
+		h2pSnap:   func() *h2pSnapshot { return h2p },
+		shardSnap: shardSnap,
+		tap:       tap,
+	})
 	m.build = buildInfo{GoVersion: "go1.0", Version: "v0.0.0", Revision: "0123456789ab"}
 	m.requestsTotal.Add(61)
 	m.requestsOK.Add(40)
@@ -84,7 +90,6 @@ func goldenMetricsSet(sharded, tapped bool) *metricsSet {
 	m.requestsErrored.Add(2)
 	m.requestsNotModified.Add(1)
 	m.jobPanics.Add(1)
-	m.inflight.Add(3)
 	for _, d := range goldenLatencies {
 		m.observeLatency(d)
 	}

@@ -3,6 +3,9 @@ package server
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"mbbp/internal/harness"
+	"mbbp/internal/flight"
 )
 
 // TestHistogramConcurrentConsistency hammers the latency histogram from
@@ -96,6 +99,24 @@ func TestHistogramConcurrentConsistency(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketsCompareDurations is the regression test for
+// buckets that compared whole milliseconds with each bound: a 1.9 ms
+// request landed in the 1 ms bucket and a 5.999 ms one in the 5 ms
+// bucket, breaking the Prometheus le (≤ bound) contract and
+// disagreeing with _sum.
+func TestHistogramBucketsCompareDurations(t *testing.T) {
+	if !slices.Equal(latencyBuckets[:3], []int64{1, 5, 10}) {
+		t.Fatalf("latencyBuckets start %v, want [1 5 10]", latencyBuckets[:3])
+	}
+	h := newHistogram()
+	h.observe(1900 * time.Microsecond)
+	h.observe(5999 * time.Microsecond)
+	s := h.snapshot()
+	if got := s.Buckets[:3]; !slices.Equal(got, []uint64{0, 1, 2}) {
+		t.Errorf("le 1ms/5ms/10ms buckets = %v, want [0 1 2]", got)
+	}
+}
+
 // TestMetricsSnapshotSingleCacheRead is the regression test for the
 // torn trace-cache read: the old code sampled hits and misses through
 // two separate expvar.Funcs, i.e. two cacheStats() calls per render,
@@ -104,20 +125,34 @@ func TestHistogramConcurrentConsistency(t *testing.T) {
 // calls it twice reports hits != misses.
 func TestMetricsSnapshotSingleCacheRead(t *testing.T) {
 	var calls atomic.Uint64
-	m := newMetricsSet(4, func() (uint64, uint64) {
+	m := goldenMetricsSet(false, false)
+	m.traceStats = func() flight.Stats {
 		n := calls.Add(1)
-		return n, n
-	}, nil, nil, func() harness.PoolStats { return harness.PoolStats{} }, nil, nil)
+		return flight.Stats{Hits: n, Misses: n}
+	}
 
-	for i := 0; i < 5; i++ {
-		s := m.snapshot()
-		if s.CacheHits != s.CacheMisses {
-			t.Fatalf("render %d tore the cache stats: hits=%d misses=%d (two reads)",
-				i, s.CacheHits, s.CacheMisses)
+	const renders = 6
+	for i := 0; i < renders; i++ {
+		var hits, misses float64
+		w := httptest.NewRecorder()
+		if i%2 == 0 {
+			m.handler(w, httptest.NewRequest("GET", "/metrics", nil))
+			var doc map[string]any
+			if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+				t.Fatal(err)
+			}
+			hits, misses = doc["trace_cache_hits"].(float64), doc["trace_cache_misses"].(float64)
+		} else {
+			m.handler(w, httptest.NewRequest("GET", "/metrics?format=prom", nil))
+			series := promSeries(t, w.Body.String())
+			hits, misses = series["mbbpd_trace_cache_hits_total"], series["mbbpd_trace_cache_misses_total"]
+		}
+		if hits != misses || hits == 0 {
+			t.Fatalf("render %d tore the cache stats: hits=%v misses=%v (two reads)", i, hits, misses)
 		}
 	}
-	if got := calls.Load(); got != 5 {
-		t.Errorf("cacheStats called %d times over 5 renders, want 5", got)
+	if got := calls.Load(); got != renders {
+		t.Errorf("cacheStats called %d times over %d renders, want %d", got, renders, renders)
 	}
 }
 
@@ -128,24 +163,10 @@ func getPath(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 	return w
 }
 
-// TestMetricsPromExposition runs a sweep and checks the Prometheus text
-// rendering: conventional names, histogram invariants, and the pool,
-// cache, state-bits, and build_info series.
-func TestMetricsPromExposition(t *testing.T) {
-	s := newTestServer(t, Config{})
-	if w := postSweep(t, s.Handler(), SweepRequest{Programs: []string{"li"}, Instructions: 5_000}, ""); w.Code != 200 {
-		t.Fatalf("sweep = %d", w.Code)
-	}
-
-	w := getPath(t, s, "/metrics?format=prom")
-	if w.Code != 200 {
-		t.Fatalf("metrics?format=prom = %d", w.Code)
-	}
-	if ct := w.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("content type = %q, want text/plain exposition", ct)
-	}
-	body := w.Body.String()
-
+// promSeries maps each sample line of an exposition body, name and
+// labels, to its value.
+func promSeries(t *testing.T, body string) map[string]float64 {
+	t.Helper()
 	series := map[string]float64{}
 	for _, line := range strings.Split(body, "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -163,39 +184,112 @@ func TestMetricsPromExposition(t *testing.T) {
 		}
 		series[name] = v
 	}
+	return series
+}
 
-	for _, name := range []string{
-		"mbbpd_requests_total",
-		`mbbpd_request_outcomes_total{outcome="ok"}`,
-		"mbbpd_inflight_requests",
-		"mbbpd_queue_capacity",
-		"mbbpd_trace_cache_hits_total",
-		"mbbpd_trace_cache_misses_total",
-		`mbbpd_request_duration_seconds_bucket{le="+Inf"}`,
-		"mbbpd_request_duration_seconds_sum",
-		"mbbpd_request_duration_seconds_count",
-		`mbbpd_predictor_state_bits{structure="pht"}`,
-		"mbbpd_pool_workers",
-		"mbbpd_pool_submits_total",
-		`mbbpd_pool_claims_total{mode="own"}`,
-		`mbbpd_pool_claims_total{mode="steal"}`,
-		"mbbpd_pool_parks_total",
-	} {
-		if _, ok := series[name]; !ok {
-			t.Errorf("exposition missing %s", name)
+// checkExposition checks an exposition body's structure against the
+// metric table it was rendered from: the table's Prometheus families
+// appear in order, each with exactly one HELP then one TYPE line before
+// its samples; every sample belongs to the family declared above it
+// (a histogram's _bucket, _sum and _count included), each family has
+// as many samples as the table holds, and no series appears twice.
+func checkExposition(t *testing.T, body string, fams []family) {
+	t.Helper()
+	var want []string
+	wantSamples := map[string]int{}
+	for _, f := range fams {
+		if f.prom != "" {
+			want = append(want, f.prom)
+			wantSamples[f.prom] = len(f.samples)
 		}
 	}
+	var got []string
+	help := map[string]int{}
+	typ := map[string]string{}
+	samples := map[string]int{}
+	seen := map[string]bool{}
+	var helped, cur string
+	for _, line := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
+		fields := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "# HELP "):
+			helped, cur = fields[2], ""
+			if help[helped]++; help[helped] > 1 {
+				t.Errorf("family %s has a second HELP line", helped)
+			}
+		case strings.HasPrefix(line, "# TYPE "):
+			name := fields[2]
+			if name != helped {
+				t.Errorf("TYPE line of %s does not follow its HELP line", name)
+			}
+			if _, dup := typ[name]; dup {
+				t.Errorf("family %s has a second TYPE line", name)
+			}
+			typ[name], cur, helped = fields[3], name, ""
+			got = append(got, name)
+		default:
+			series, _, _ := strings.Cut(line, " ")
+			name, _, _ := strings.Cut(series, "{")
+			suffix, inFamily := strings.CutPrefix(name, cur)
+			if cur == "" || !inFamily ||
+				suffix != "" && !(typ[cur] == promHistogram && slices.Contains([]string{"_bucket", "_sum", "_count"}, suffix)) {
+				t.Errorf("sample %q outside its family (last declared: %q)", line, cur)
+				continue
+			}
+			if seen[series] {
+				t.Errorf("series %s appears twice", series)
+			}
+			seen[series] = true
+			samples[cur]++
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("exposition families\n got %v\nwant %v (the table)", got, want)
+	}
+	for name, n := range wantSamples {
+		if samples[name] != n {
+			t.Errorf("family %s has %d samples, the table %d", name, samples[name], n)
+		}
+	}
+}
+
+// TestMetricsPromExposition runs a sweep and checks the Prometheus text
+// rendering: the structure of the plain server's body and of the
+// sharded and tapped fixtures against their metric tables, counters
+// that move, and the histogram invariants.
+func TestMetricsPromExposition(t *testing.T) {
+	s := newTestServer(t, Config{})
+	if w := postSweep(t, s.Handler(), SweepRequest{Programs: []string{"li"}, Instructions: 5_000}, ""); w.Code != 200 {
+		t.Fatalf("sweep = %d", w.Code)
+	}
+
+	w := getPath(t, s, "/metrics?format=prom")
+	if w.Code != 200 {
+		t.Fatalf("metrics?format=prom = %d", w.Code)
+	}
+	if ct := w.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Errorf("content type = %q, want text/plain exposition", ct)
+	}
+	body := w.Body.String()
+	checkExposition(t, body, s.metrics.families())
+	for _, v := range []struct {
+		name            string
+		sharded, tapped bool
+	}{{"sharded", true, false}, {"tapped", false, true}, {"sharded+tapped", true, true}} {
+		t.Run(v.name, func(t *testing.T) {
+			m := goldenMetricsSet(v.sharded, v.tapped)
+			w := httptest.NewRecorder()
+			m.handler(w, httptest.NewRequest("GET", "/metrics?format=prom", nil))
+			checkExposition(t, w.Body.String(), m.families())
+		})
+	}
+
+	series := promSeries(t, body)
 	if series["mbbpd_requests_total"] < 1 || series[`mbbpd_request_outcomes_total{outcome="ok"}`] < 1 {
 		t.Error("request counters did not move")
 	}
 	if series["mbbpd_pool_submits_total"] < 1 {
 		t.Error("pool submits did not move")
-	}
-	if !strings.Contains(body, "mbbpd_build_info{go_version=") {
-		t.Error("exposition missing build_info")
-	}
-	if !strings.Contains(body, "# TYPE mbbpd_request_duration_seconds histogram") {
-		t.Error("histogram missing TYPE line")
 	}
 
 	// Histogram invariants in the exposition itself.
@@ -220,6 +314,44 @@ func TestMetricsPromExposition(t *testing.T) {
 	}
 	if prev > inf {
 		t.Errorf("largest finite bucket %v exceeds +Inf %v", prev, inf)
+	}
+}
+
+// TestMetricFamiliesDocumented checks that the Prometheus table in
+// docs/ARCHITECTURE.md lists, one row each, exactly the families a
+// sharded, tapped server emits.
+func TestMetricFamiliesDocumented(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "ARCHITECTURE.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		cell, ok := strings.CutPrefix(line, "| `mbbpd_")
+		if !ok {
+			continue
+		}
+		name, _, _ := strings.Cut("mbbpd_"+cell, "`")
+		name, _, _ = strings.Cut(name, "{")
+		if documented[name] {
+			t.Errorf("docs/ARCHITECTURE.md lists %s twice", name)
+		}
+		documented[name] = true
+	}
+	emitted := map[string]bool{}
+	for _, f := range goldenMetricsSet(true, true).families() {
+		if f.prom == "" {
+			continue
+		}
+		emitted[f.prom] = true
+		if !documented[f.prom] {
+			t.Errorf("family %s is missing from the metric table in docs/ARCHITECTURE.md", f.prom)
+		}
+	}
+	for name := range documented {
+		if !emitted[name] {
+			t.Errorf("docs/ARCHITECTURE.md documents %s, which the server does not emit", name)
+		}
 	}
 }
 

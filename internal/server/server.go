@@ -186,15 +186,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Tap {
 		s.tap = obs.NewCounters()
 	}
-	var shardSnap func() *shardSnapshot
+	src := metricSources{
+		queue:       s.queue,
+		traceStats:  s.cache.Stats,
+		resultStats: s.results.Stats,
+		poolStats:   s.sched.Stats,
+		h2pSnap:     s.h2p.snapshot,
+		tap:         s.tap,
+	}
 	if s.pool != nil {
-		shardSnap = s.pool.snapshot
+		src.shardSnap = s.pool.snapshot
 	}
-	traceStats := func() (hits, misses uint64) {
-		st := s.cache.Stats()
-		return st.Hits, st.Misses
-	}
-	s.metrics = newMetricsSet(cfg.QueueDepth, traceStats, s.results.Stats, shardSnap, s.sched.Stats, s.tap, s.h2p.snapshot)
+	s.metrics = newMetricsSet(src)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
@@ -255,7 +258,7 @@ func (s *Server) drainingNow() bool {
 }
 
 // admit reserves a queue slot, or reports why it cannot. The slot
-// counts as in flight on /metrics until release.
+// counts as in flight on /metrics (the queue's length) until release.
 func (s *Server) admit() (release func(), status int) {
 	s.mu.Lock()
 	draining := s.draining
@@ -266,9 +269,7 @@ func (s *Server) admit() (release func(), status int) {
 		case s.queue <- struct{}{}:
 			s.inflight.Add(1)
 			s.mu.Unlock()
-			s.metrics.inflight.Add(1)
 			return func() {
-				s.metrics.inflight.Add(-1)
 				<-s.queue
 				s.inflight.Done()
 			}, 0

@@ -23,7 +23,7 @@ func quietLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	cfg.Logger = quietLogger()
 	s, err := New(cfg)
@@ -329,7 +329,7 @@ func TestBackpressure429(t *testing.T) {
 	if w := <-firstDone; w.Code != http.StatusOK {
 		t.Errorf("admitted request got %d, want 200; body %s", w.Code, w.Body.String())
 	}
-	if got := s.metrics.requestsRejected.Value(); got != overflow {
+	if got := s.metrics.requestsRejected.Load(); got != overflow {
 		t.Errorf("requests_rejected = %d, want %d", got, overflow)
 	}
 }
@@ -393,7 +393,7 @@ func TestCancellationMidJob(t *testing.T) {
 	if w.Code != 499 {
 		t.Errorf("cancelled request status = %d, want 499", w.Code)
 	}
-	if got := s.metrics.requestsCancelled.Value(); got != 1 {
+	if got := s.metrics.requestsCancelled.Load(); got != 1 {
 		t.Errorf("requests_cancelled = %d, want 1", got)
 	}
 }

@@ -352,7 +352,7 @@ func TestShardReplicaErrorPassthrough(t *testing.T) {
 	if front.results.Len() != 0 {
 		t.Error("replica error left an entry in the front-end cache")
 	}
-	if got := front.metrics.requestsErrored.Value(); got != 1 {
+	if got := front.metrics.requestsErrored.Load(); got != 1 {
 		t.Errorf("requests_errored = %d, want 1", got)
 	}
 }
@@ -462,10 +462,10 @@ func TestShardSoak(t *testing.T) {
 	}
 
 	// Every request succeeded end to end.
-	if got, wantN := front.metrics.requestsOK.Value(), int64(clients*iterations); got != wantN {
+	if got, wantN := front.metrics.requestsOK.Load(), int64(clients*iterations); got != wantN {
 		t.Errorf("front-end requests_ok = %d, want %d", got, wantN)
 	}
-	if got := front.metrics.requestsErrored.Value() + front.metrics.requestsRejected.Value(); got != 0 {
+	if got := front.metrics.requestsErrored.Load() + front.metrics.requestsRejected.Load(); got != 0 {
 		t.Errorf("front-end errored/rejected = %d, want 0", got)
 	}
 

@@ -108,8 +108,8 @@ type mVals struct{ total, ok int64 }
 
 func (m *mVals) read(t *testing.T, s *Server) {
 	t.Helper()
-	m.total = s.metrics.requestsTotal.Value()
-	m.ok = s.metrics.requestsOK.Value()
+	m.total = s.metrics.requestsTotal.Load()
+	m.ok = s.metrics.requestsOK.Load()
 }
 
 func mustConfigJSON(cfg core.Config) []byte {
