@@ -63,21 +63,71 @@ func TestNearDelta(t *testing.T) {
 	}
 }
 
+// nearTarget decodes a near code the way the fetch adder does: the
+// start of pc's line, plus the code's delta in lines, plus the target's
+// offset within its line (the field the select table carries).
+func nearTarget(pc uint32, c Code, off uint32, lineSize int) uint32 {
+	lineStart := pc - pc%uint32(lineSize)
+	return uint32(int64(lineStart) + int64(c.NearDelta())*int64(lineSize) + int64(off))
+}
+
 // Property: a near code round-trips — encoding a conditional branch and
-// applying the code's delta recovers the target's line.
+// applying the code's delta and the target's line offset recovers the
+// target, over random addresses and line sizes; a conditional that
+// stays long really is outside the {-1, 0, +1, +2} line window. Targets
+// lie within 128 instructions of the branch, so both sides are hit.
 func TestNearEncodingRoundTrip(t *testing.T) {
-	f := func(pc, target uint32) bool {
-		const line = 8
-		pc %= 1 << 20
-		target %= 1 << 20
-		c := Encode(isa.ClassCond, pc, target, line, true)
+	f := func(pc uint32, dist int8, lineRaw uint8) bool {
+		lineSize := 1 << (int(lineRaw)%5 + 1) // 2..32
+		target := pc + uint32(int32(dist))
+		c := Encode(isa.ClassCond, pc, target, lineSize, true)
 		if !c.IsNear() {
-			return true
+			d := int64(target)/int64(lineSize) - int64(pc)/int64(lineSize)
+			return c == CodeCondLong && (d < -1 || d > 2)
 		}
-		return int64(target)/line == int64(pc)/line+int64(c.NearDelta())
+		return nearTarget(pc, c, target%uint32(lineSize), lineSize) == target
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNearBlockEncoding checks the in-range deltas {-1, 0, +1, +2}
+// round-trip through Encode and NearDelta and that out-of-range targets
+// stay long — those are the ones that must occupy a target array slot.
+func TestNearBlockEncoding(t *testing.T) {
+	const line = 8
+	cases := []struct {
+		name      string
+		pc, tgt   uint32
+		near      bool
+		wantDelta int32
+	}{
+		{"same line", 18, 22, true, 0},
+		{"previous line", 18, 9, true, -1},
+		{"next line", 18, 31, true, 1},
+		{"next line + 1", 18, 32, true, 2},
+		{"two lines back", 18, 7, false, 0},
+		{"three lines ahead", 18, 40, false, 0},
+		{"far jump", 18, 4000, false, 0},
+		{"line boundary target", 16, 24, true, 1},
+		{"pc at line start", 8, 0, true, -1},
+	}
+	for _, c := range cases {
+		code := Encode(isa.ClassCond, c.pc, c.tgt, line, true)
+		if code.IsNear() != c.near {
+			t.Errorf("%s: code %v, near=%v want %v", c.name, code, code.IsNear(), c.near)
+			continue
+		}
+		if !c.near {
+			continue
+		}
+		if d := code.NearDelta(); d != c.wantDelta {
+			t.Errorf("%s: delta=%d, want %d", c.name, d, c.wantDelta)
+		}
+		if got := nearTarget(c.pc, code, c.tgt%line, line); got != c.tgt {
+			t.Errorf("%s: round-trip %d, want %d", c.name, got, c.tgt)
+		}
 	}
 }
 

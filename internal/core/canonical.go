@@ -35,9 +35,11 @@ func (c Config) CanonicalBytes() ([]byte, error) {
 }
 
 // CanonicalHash returns the hex SHA-256 of CanonicalBytes — the
-// content address of this configuration. The simulation service builds
-// its result-cache keys and ETags from it; the hash is stable across
-// processes and restarts because it depends only on the struct value.
+// content address of this configuration, stable across processes and
+// restarts because it depends only on the struct value. Within one
+// process the Config value itself is the same identity (GroupLanes
+// keys by it); the service's result-cache keys hash CanonicalBytes
+// together with the workload.
 func (c Config) CanonicalHash() (string, error) {
 	b, err := c.CanonicalBytes()
 	if err != nil {

@@ -117,6 +117,40 @@ func NewLanes(cfgs []Config) (*LaneSet, error) {
 	return ls, nil
 }
 
+// LaneSlot names where one configuration's result comes from in a lane
+// plan: lane Lane of lane set Set.
+type LaneSlot struct{ Set, Lane int }
+
+// GroupLanes plans config-parallel lanes for cfgs: one lane set per
+// cache geometry, in first-appearance order, each set's lanes in
+// first-appearance order too. Equal configurations collapse to one
+// lane, so slot[i] names the (set, lane) whose result is cfgs[i]'s.
+// Configurations are compared as Config values; for validated
+// configurations that is exactly canonical equality (CanonicalBytes
+// serializes the struct itself). Every simulation that runs several
+// configurations plans its trace walks here; each set feeds NewLanes.
+func GroupLanes(cfgs []Config) (sets [][]Config, slot []LaneSlot) {
+	slot = make([]LaneSlot, len(cfgs))
+	setOf := make(map[icache.Geometry]int)
+	laneOf := make(map[Config]LaneSlot, len(cfgs))
+	for i, cfg := range cfgs {
+		s, ok := laneOf[cfg]
+		if !ok {
+			si, ok := setOf[cfg.Geometry]
+			if !ok {
+				si = len(sets)
+				setOf[cfg.Geometry] = si
+				sets = append(sets, nil)
+			}
+			s = LaneSlot{Set: si, Lane: len(sets[si])}
+			sets[si] = append(sets[si], cfg)
+			laneOf[cfg] = s
+		}
+		slot[i] = s
+	}
+	return sets, slot
+}
+
 // Lanes returns the per-lane engines, in configuration order. Useful
 // for installing observers (Engine.SetObserver) before Run.
 func (ls *LaneSet) Lanes() []*Engine { return ls.lanes }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -180,6 +181,80 @@ func TestNewLanesErrors(t *testing.T) {
 		t.Error("mixed-geometry lane set accepted")
 	} else if !strings.Contains(err.Error(), "geometry") {
 		t.Errorf("mixed-geometry error unclear: %v", err)
+	}
+}
+
+// TestGroupLanes pins the lane planner: one set per geometry in
+// first-appearance order, lanes in first-appearance order within a set,
+// equal configurations collapsed onto one lane, and each slot naming
+// the lane that carries its configuration. Two configurations share a
+// slot exactly when their canonical hashes agree.
+func TestGroupLanes(t *testing.T) {
+	d := DefaultConfig()
+	h12 := d
+	h12.HistoryBits = 12
+	sa := d
+	sa.Geometry = icache.ForKind(icache.SelfAligned, 8)
+	saNear := sa
+	saNear.NearBlock = true
+	ext := d
+	ext.Geometry = icache.ForKind(icache.Extended, 8)
+	tage := d
+	tage.Predictor, tage.NumPHTs = PredictorTAGE, 1
+	tageSpelled := tage // the same predictor, its defaults written out
+	tageSpelled.TAGE = DefaultTAGEParams()
+
+	cases := []struct {
+		name string
+		cfgs []Config
+		sets [][]Config
+		slot []LaneSlot
+	}{
+		{"empty", nil, nil, []LaneSlot{}},
+		{"one", []Config{d}, [][]Config{{d}}, []LaneSlot{{0, 0}}},
+		{"all equal", []Config{d, DefaultConfig(), d}, [][]Config{{d}},
+			[]LaneSlot{{0, 0}, {0, 0}, {0, 0}}},
+		{"one geometry", []Config{h12, d, tage}, [][]Config{{h12, d, tage}},
+			[]LaneSlot{{0, 0}, {0, 1}, {0, 2}}},
+		{"mixed with duplicates",
+			[]Config{d, sa, h12, d, saNear, sa, ext, h12},
+			[][]Config{{d, h12}, {sa, saNear}, {ext}},
+			[]LaneSlot{{0, 0}, {1, 0}, {0, 1}, {0, 0}, {1, 1}, {1, 0}, {2, 0}, {0, 1}}},
+		{"distinct structs stay apart", []Config{tage, tageSpelled, tage},
+			[][]Config{{tage, tageSpelled}}, []LaneSlot{{0, 0}, {0, 1}, {0, 0}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sets, slot := GroupLanes(c.cfgs)
+			if !reflect.DeepEqual(sets, c.sets) {
+				t.Errorf("sets = %v, want %v", sets, c.sets)
+			}
+			if !reflect.DeepEqual(slot, c.slot) {
+				t.Errorf("slot = %v, want %v", slot, c.slot)
+			}
+			for i, cfg := range c.cfgs {
+				s := slot[i]
+				if sets[s.Set][s.Lane] != cfg {
+					t.Errorf("config %d: slot %+v holds a different config", i, s)
+				}
+				hi, err := cfg.CanonicalHash()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range i {
+					hj, _ := c.cfgs[j].CanonicalHash()
+					if (hi == hj) != (slot[j] == s) {
+						t.Errorf("configs %d and %d: hashes equal %v, slots equal %v",
+							j, i, hi == hj, slot[j] == s)
+					}
+				}
+			}
+			for si, set := range sets {
+				if _, err := NewLanes(set); err != nil {
+					t.Errorf("set %d: %v", si, err)
+				}
+			}
+		})
 	}
 }
 

@@ -68,3 +68,26 @@ func TestNearBlockCosts(t *testing.T) {
 		t.Errorf("near-block ST = %d should exceed %d", near.ST, base.ST)
 	}
 }
+
+// TestTable4BBRBits checks the bad-branch-recovery entry size against
+// the paper's Table 4 field widths: 1+1+1 flag bits, an 8-12 bit PHT
+// index, an 8-12 bit corrected GHR, an 8-11 bit replacement selector,
+// and a 10-bit corrected cache index.
+func TestTable4BBRBits(t *testing.T) {
+	// The paper's default configuration (h=10, W=8) gives ~41 bits per
+	// entry; 8 entries land at the §5 figure of ~0.3 Kbit.
+	p := PaperParams()
+	total := p.BBRBits()
+	if per := total / p.BBREntries; per < 38 || per > 44 {
+		t.Errorf("default BBR entry = %d bits, want ~41", per)
+	}
+	if total < 300 || total > 350 {
+		t.Errorf("8 BBR entries = %d bits, want ~320 (0.3 Kbit)", total)
+	}
+
+	// Near-block selectors widen the replacement selector.
+	p.NearBlock = true
+	if near := p.BBRBits(); near <= total {
+		t.Errorf("near-block BBR = %d, should exceed %d", near, total)
+	}
+}

@@ -4,13 +4,13 @@ import (
 	"context"
 
 	"mbbp/internal/core"
-	"mbbp/internal/icache"
 	"mbbp/internal/metrics"
 )
 
 // Batch collects configuration submissions for one experiment and runs
-// them through config-parallel lanes (core.LaneSet): configurations
-// sharing a cache geometry are grouped, and each (group × program) pair
+// them through config-parallel lanes (core.LaneSet): at Flush,
+// core.GroupLanes plans one lane set per cache geometry, with equal
+// configurations sharing one lane, and each (lane set × program) pair
 // becomes ONE pool job that walks the program's trace once while
 // driving every lane in lockstep — instead of one walk per
 // configuration. Results fold through the SuitePromise machinery. A
@@ -21,7 +21,7 @@ import (
 //	b := NewBatch(s, ts)
 //	p1 := b.RunConfig(cfgA) // promises fill after Flush
 //	p2 := b.RunConfig(cfgB)
-//	b.Flush()               // submits one lane job per (group, program)
+//	b.Flush()               // submits one lane job per (lane set, program)
 //	r1, err := p1.Wait()
 //
 // Flush must be called before waiting on any returned promise; drivers
@@ -33,16 +33,17 @@ type Batch struct {
 	ts  *TraceSet
 	ctx context.Context
 
-	groups []*laneGroup // registration order
-	byGeom map[icache.Geometry]*laneGroup
+	// cfgs are the registered configurations and rows their futures,
+	// one per program, in registration order.
+	cfgs []core.Config
+	rows [][]*Future[metrics.Result]
 }
 
-// laneGroup is the pending work for one cache geometry: the lane
-// configurations in submission order and, per lane, one future per
-// program, filled by the group's lane jobs at Flush.
-type laneGroup struct {
-	cfgs []core.Config
-	rows [][]*Future[metrics.Result] // rows[lane][program index]
+// laneFill is one registration a lane set's job resolves: the lane
+// whose result it takes and its futures row.
+type laneFill struct {
+	lane int
+	row  []*Future[metrics.Result]
 }
 
 // NewBatch returns an empty batch submitting to s over ts's traces.
@@ -55,68 +56,68 @@ func NewBatch(s *Scheduler, ts *TraceSet) *Batch {
 // ctx (trace.Buffer.WithContext), so they stop at their block reader's
 // next cancellation poll.
 func NewBatchCtx(ctx context.Context, s *Scheduler, ts *TraceSet) *Batch {
-	return &Batch{s: s, ts: ts, ctx: ctx, byGeom: make(map[icache.Geometry]*laneGroup)}
+	return &Batch{s: s, ts: ts, ctx: ctx}
 }
 
 // RunConfig registers one configuration and returns its pending suite
 // result. The promise's futures fill once Flush has submitted the lane
 // jobs and they have run; an invalid configuration resolves immediately
-// to its validation error.
+// to its validation error. Registering a configuration twice runs it
+// once: both promises take the same lane's results.
 func (b *Batch) RunConfig(cfg core.Config) *SuitePromise {
 	if err := cfg.Validate(); err != nil {
 		return &SuitePromise{err: err}
 	}
-	g := b.byGeom[cfg.Geometry]
-	if g == nil {
-		g = &laneGroup{}
-		b.groups = append(b.groups, g)
-		b.byGeom[cfg.Geometry] = g
-	}
-	g.cfgs = append(g.cfgs, cfg)
 	row := make([]*Future[metrics.Result], len(b.ts.order))
 	for i := range row {
 		row[i] = &Future[metrics.Result]{done: make(chan struct{})}
 	}
-	g.rows = append(g.rows, row)
+	b.cfgs = append(b.cfgs, cfg)
+	b.rows = append(b.rows, row)
 	return &SuitePromise{ts: b.ts, futs: row}
 }
 
-// Flush submits one lane job per (geometry group, program) and clears
-// the batch for reuse. On a serial scheduler the jobs run inline here,
-// in group-registration then suite order.
+// Flush plans the registered configurations' lanes, submits one lane
+// job per (lane set, program) and clears the batch for reuse. On a
+// serial scheduler the jobs run inline here, in lane-set then suite
+// order.
 func (b *Batch) Flush() {
-	for _, g := range b.groups {
+	sets, slot := core.GroupLanes(b.cfgs)
+	fills := make([][]laneFill, len(sets))
+	for r, sl := range slot {
+		fills[sl.Set] = append(fills[sl.Set], laneFill{lane: sl.Lane, row: b.rows[r]})
+	}
+	for si, cfgs := range sets {
 		for pi, name := range b.ts.order {
-			b.s.submit(func() { b.runGroup(g, pi, name) })
+			b.s.submit(func() { b.runSet(cfgs, fills[si], pi, name) })
 		}
 	}
-	b.groups = nil
-	b.byGeom = make(map[icache.Geometry]*laneGroup)
+	b.cfgs, b.rows = nil, nil
 }
 
-// runGroup is one lane job: a fresh LaneSet over one program's trace,
-// filling the group's future for every lane at that program. An error,
-// or a panic recovered as a *PanicError, fails every lane's future.
-func (b *Batch) runGroup(g *laneGroup, pi int, name string) {
-	rs, err := b.runLanes(g, name)
-	for l, row := range g.rows {
-		f := row[pi]
+// runSet is one lane job: a fresh LaneSet over one program's trace,
+// filling every registration's future at that program. An error, or a
+// panic recovered as a *PanicError, fails every registration's future.
+func (b *Batch) runSet(cfgs []core.Config, fills []laneFill, pi int, name string) {
+	rs, err := b.runLanes(cfgs, name)
+	for _, fl := range fills {
+		f := fl.row[pi]
 		if err != nil {
 			f.err = err
 		} else {
-			f.val = rs[l]
+			f.val = rs[fl.lane]
 		}
 		close(f.done)
 	}
 }
 
-// runLanes runs the group's lanes over one program's trace.
-func (b *Batch) runLanes(g *laneGroup, name string) (rs []metrics.Result, err error) {
+// runLanes runs one lane set over one program's trace.
+func (b *Batch) runLanes(cfgs []core.Config, name string) (rs []metrics.Result, err error) {
 	defer recoverJob(&err)
 	if err := b.ctx.Err(); err != nil {
 		return nil, err
 	}
-	ls, err := core.NewLanes(g.cfgs)
+	ls, err := core.NewLanes(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +126,7 @@ func (b *Batch) runLanes(g *laneGroup, name string) (rs []metrics.Result, err er
 		ls.Run(tr) // untimed training pass, all lanes at once
 	}
 	for li, e := range ls.Lanes() {
-		b.ts.attachObserver(e, name, g.cfgs[li])
+		b.ts.attachObserver(e, name, cfgs[li])
 	}
 	rs = ls.Run(tr)
 	if err := b.ctx.Err(); err != nil {

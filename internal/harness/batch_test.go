@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -107,6 +108,54 @@ func TestBatchMatchesPerConfig(t *testing.T) {
 			if !sameSuite(res, want[i]) {
 				t.Errorf("config %d: batched result differs from independent run", i)
 			}
+		}
+	}
+}
+
+// TestBatchCollapsesDuplicates: a configuration registered twice in
+// one batch runs as one lane — the observer factory runs once per
+// (program, distinct configuration) — and both registrations fold the
+// same result as the configuration's own one-config batch.
+func TestBatchCollapsesDuplicates(t *testing.T) {
+	cfgs := batchConfigs(3, 1, 0) // default, single block, self-aligned
+	a, b := cfgs[0], cfgs[2]
+	want, err := RunConfigAsync(Serial(), testTraces, a).Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewScheduler(4)
+	defer pool.Close()
+
+	type run struct {
+		program string
+		cfg     core.Config
+	}
+	for _, s := range []*Scheduler{Serial(), pool} {
+		var mu sync.Mutex
+		calls := make(map[run]int)
+		tsv := testTraces.WithObserver(func(program string, cfg core.Config) core.Observer {
+			mu.Lock()
+			calls[run{program, cfg}]++
+			mu.Unlock()
+			return countingObserver{}
+		})
+		bt := NewBatch(s, tsv)
+		ps := []*SuitePromise{bt.RunConfig(a), bt.RunConfig(b), bt.RunConfig(a)}
+		bt.Flush()
+		res := waitAll(t, ps)
+		if !sameSuite(res[0], want) || !sameSuite(res[2], want) {
+			t.Errorf("duplicate registrations fold differently from the config's own batch")
+		}
+		for _, name := range testTraces.Programs() {
+			for _, cfg := range []core.Config{a, b} {
+				if n := calls[run{name, cfg}]; n != 1 {
+					t.Errorf("%s: observer factory ran %d times for one config, want 1", name, n)
+				}
+			}
+		}
+		if len(calls) != 2*len(testTraces.Programs()) {
+			t.Errorf("observer factory saw %d (program, config) pairs, want %d",
+				len(calls), 2*len(testTraces.Programs()))
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 // dominate a kind (the "hard to predict" observation), so the top-N
 // table is the first thing to read when a configuration regresses.
 
-// Events replays every program under an engine event tap and attributes
+// Events replays every program under an engine observer and attributes
 // each penalty kind's cycles to the block addresses that carried them.
 var Events = &Descriptor[EventsResult]{Name: "events", Run: runEvents, Text: renderEvents, CSV: csvEvents}
 
@@ -29,8 +29,8 @@ type EventsResult struct {
 	TopN int
 }
 
-// EventsRow is one program's replay under an enabled tap: its ordinary
-// result plus the per-block attribution, read through its per-kind view.
+// EventsRow is one program's observed replay: its ordinary result plus
+// the per-block attribution, read through its per-kind view.
 type EventsRow struct {
 	Program string
 	Res     metrics.Result
@@ -40,18 +40,19 @@ type EventsRow struct {
 // DefaultEventsTopN is the per-kind site count shown by default.
 const DefaultEventsTopN = 5
 
-// runEvents submits the tapped replay of the default configuration: one
-// attribution accumulator per program, installed on the measured run
-// through the trace set's observer hook, with the engine runs batched
-// like every other experiment. Rows fold in suite order — deterministic
-// like every other experiment (taps observe, they never steer).
+// runEvents submits the observed replay of the default configuration:
+// one attribution accumulator per program, installed directly as the
+// measured run's observer through the trace set's observer hook, with
+// the engine runs batched like every other experiment. Rows fold in
+// suite order — deterministic like every other experiment (observers
+// observe, they never steer).
 func runEvents(s *Scheduler, ts *TraceSet, p Params) func() (EventsResult, error) {
 	atts := make(map[string]*obs.H2P, len(ts.order))
 	for _, name := range ts.order {
 		atts[name] = obs.NewH2P()
 	}
 	tsv := ts.WithObserver(func(program string, _ core.Config) core.Observer {
-		return obs.NewTap(atts[program])
+		return atts[program]
 	})
 	b := NewBatch(s, tsv)
 	promise := b.RunConfig(core.DefaultConfig())

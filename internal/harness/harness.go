@@ -68,13 +68,14 @@ type TraceSet struct {
 // internally (the mbbpd aggregate tap, the events attribution view,
 // the H2P history sweep). f is called once per engine run with the
 // program name and the run's validated configuration: lane batches
-// attach observers per lane, and every lane of a group shares the
+// attach observers per lane, and every lane of a set shares the
 // program, so the configuration is the only handle that tells lanes
-// apart. f may return a shared concurrency-safe observer
-// (obs.Counters) or a fresh one per call; a nil return leaves that run
-// untapped. Warmup passes are not observed — the observer sees exactly
-// the measured run. Observers cannot change results, so every
-// determinism contract holds with or without one.
+// apart. Equal configurations in one batch share one lane, so f runs
+// once per (program, distinct configuration). f may return a shared
+// concurrency-safe observer (obs.Counters) or a fresh one per call; a
+// nil return leaves that run untapped. Warmup passes are not observed
+// — the observer sees exactly the measured run. Observers cannot change
+// results, so every determinism contract holds with or without one.
 func (ts *TraceSet) WithObserver(f func(program string, cfg core.Config) core.Observer) *TraceSet {
 	out := *ts
 	out.observer = f
@@ -245,14 +246,6 @@ type SuiteResult struct {
 	Per map[string]metrics.Result
 }
 
-// Of returns the aggregate for a suite.
-func (s *SuiteResult) Of(suite workload.Suite) metrics.Result {
-	if suite == workload.FP {
-		return s.FP
-	}
-	return s.Int
-}
-
 // SuitePromise is a pending SuiteResult: one submitted job per program,
 // folded in suite order at Wait. The fold order is fixed, so the result
 // is identical however the jobs were interleaved.
@@ -264,25 +257,7 @@ type SuitePromise struct {
 
 // Wait collects the per-program results and folds them, in suite order.
 func (p *SuitePromise) Wait() (*SuiteResult, error) {
-	if p.err != nil {
-		return nil, p.err
-	}
-	out := &SuiteResult{Per: make(map[string]metrics.Result)}
-	out.Int.Program = "CINT95"
-	out.FP.Program = "CFP95"
-	for i, name := range p.ts.order {
-		r, err := p.futs[i].Wait()
-		if err != nil {
-			return nil, err
-		}
-		out.Per[name] = r
-		if p.ts.suites[name] == workload.FP {
-			out.FP.Add(r)
-		} else {
-			out.Int.Add(r)
-		}
-	}
-	return out, nil
+	return p.waitEach(context.Background(), nil)
 }
 
 // WaitCtx is Wait that stops folding once ctx is done. Jobs of a batch

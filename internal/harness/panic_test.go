@@ -54,9 +54,9 @@ type panicObserver struct{}
 func (panicObserver) Observe(core.Event) { panic("observer fault") }
 
 // TestBatchLanePanicFailsGroup: a panic inside one lane job fails every
-// lane future of that (geometry group, program) job — so every
-// configuration of the group — while a configuration in another group
-// of the same batch completes with its independent result.
+// future of that (lane set, program) job — so every configuration of
+// the set — while a configuration in another set of the same batch
+// completes with its independent result.
 func TestBatchLanePanicFailsGroup(t *testing.T) {
 	faulty := core.DefaultConfig()
 	sibling := core.DefaultConfig()

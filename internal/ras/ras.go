@@ -23,10 +23,7 @@ func New(size int) *Stack {
 	return &Stack{entries: make([]uint32, size), top: -1}
 }
 
-// Size returns the capacity.
-func (s *Stack) Size() int { return len(s.entries) }
-
-// Depth returns the number of live entries (saturating at Size).
+// Depth returns the number of live entries (saturating at the capacity).
 func (s *Stack) Depth() int { return s.depth }
 
 // Push records a return address.
@@ -72,7 +69,7 @@ func (s *Stack) Second() uint32 {
 	return s.entries[s.below(s.top)]
 }
 
-// below returns the circular index under slot i (0 <= i < Size).
+// below returns the circular index under slot i (0 <= i < len(entries)).
 func (s *Stack) below(i int) int {
 	if i == 0 {
 		return len(s.entries) - 1

@@ -61,38 +61,35 @@ func sanitizeRID(v string) string {
 
 // h2pState carries one request's attribution accumulators from engine
 // attach to report assembly: one obs.H2P per (configuration, program).
-// Keyed by the config's canonical hash because the config is the only
-// identity a lane batch hands back to the observer hook. The whole map
-// is built before any engine runs; concurrent engines only read the
-// map and each write their own accumulator.
+// Keyed by the config value because the config is the only identity a
+// lane batch hands back to the observer hook; equal configs share one
+// lane and so one accumulator. The whole map is built before any
+// engine runs; concurrent engines only read the map and each write
+// their own accumulator.
 type h2pState struct {
 	topN int
-	aggs map[string]map[string]*obs.H2P // config canonical hash → program → accumulator
+	aggs map[core.Config]map[string]*obs.H2P // config → program → accumulator
 }
 
 // newH2PState prepares accumulators for the configurations a request
 // will compute. nil topN (h2p off) yields a nil state, and every
 // method on a nil state is a no-op — callers thread it unconditionally.
-func (s *Server) newH2PState(topN int, cfgs []core.Config, programs []string) (*h2pState, error) {
+func (s *Server) newH2PState(topN int, cfgs []core.Config, programs []string) *h2pState {
 	if topN <= 0 {
-		return nil, nil
+		return nil
 	}
-	st := &h2pState{topN: topN, aggs: make(map[string]map[string]*obs.H2P, len(cfgs))}
+	st := &h2pState{topN: topN, aggs: make(map[core.Config]map[string]*obs.H2P, len(cfgs))}
 	for _, cfg := range cfgs {
-		ck, err := cfg.CanonicalHash()
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := st.aggs[ck]; ok {
+		if _, ok := st.aggs[cfg]; ok {
 			continue
 		}
 		per := make(map[string]*obs.H2P, len(programs))
 		for _, name := range programs {
 			per[name] = obs.NewH2P()
 		}
-		st.aggs[ck] = per
+		st.aggs[cfg] = per
 	}
-	return st, nil
+	return st
 }
 
 // teeObserver fans one engine's events to the service tap and a
@@ -133,11 +130,7 @@ func (st *h2pState) agg(program string, cfg core.Config) *obs.H2P {
 	if st == nil {
 		return nil
 	}
-	ck, err := cfg.CanonicalHash()
-	if err != nil {
-		return nil
-	}
-	return st.aggs[ck][program]
+	return st.aggs[cfg][program]
 }
 
 // report renders one configuration's attribution section, or nil when
@@ -146,11 +139,7 @@ func (st *h2pState) report(cfg core.Config, programs []string) *H2PReport {
 	if st == nil {
 		return nil
 	}
-	ck, err := cfg.CanonicalHash()
-	if err != nil {
-		return nil
-	}
-	per := st.aggs[ck]
+	per := st.aggs[cfg]
 	if per == nil {
 		return nil
 	}

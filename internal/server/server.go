@@ -582,31 +582,21 @@ func (s *Server) computeFill(call sweepCall) fillFunc {
 // single-config request is a batch of one — and builds one response
 // per configuration, in order. Configurations sharing a cache geometry
 // run as lockstep lanes of one trace walk per program. Duplicate
-// configurations run once: with h2p on they share one accumulator,
-// which must see exactly one lane's events.
+// configurations run once (the batch collapses them into one lane):
+// with h2p on they share one accumulator, which must see exactly one
+// lane's events.
 func (s *Server) computeSweeps(ctx context.Context, sp *obs.Spans, cfgs []core.Config,
 	opts harness.Options, h2pN int) ([]SweepResponse, error) {
-	h2p, err := s.newH2PState(h2pN, cfgs, opts.Programs)
-	if err != nil {
-		return nil, err
-	}
+	h2p := s.newH2PState(h2pN, cfgs, opts.Programs)
 	ts, err := harness.LoadTracesCached(ctx, s.sched, opts, s.cache)
 	if err != nil {
 		return nil, err
 	}
 	sp.Mark("capture")
 	b := harness.NewBatchCtx(ctx, s.sched, s.tappedH2P(ts, h2p))
-	seen := make(map[string]*harness.SuitePromise, len(cfgs))
 	promises := make([]*harness.SuitePromise, len(cfgs))
 	for i, cfg := range cfgs {
-		ck, err := cfg.CanonicalHash()
-		if err != nil {
-			return nil, err
-		}
-		if seen[ck] == nil {
-			seen[ck] = b.RunConfig(cfg)
-		}
-		promises[i] = seen[ck]
+		promises[i] = b.RunConfig(cfg)
 	}
 	b.Flush()
 	resps := make([]SweepResponse, len(cfgs))

@@ -178,24 +178,6 @@ func TestBTBMatchesReference(t *testing.T) {
 	}
 }
 
-// TestNearEncodeRoundTrip checks every accepted near encoding decodes
-// back to the original target, over random addresses and line sizes.
-func TestNearEncodeRoundTrip(t *testing.T) {
-	f := func(pc, tgt uint32, lineRaw uint8) bool {
-		lineSize := 1 << (int(lineRaw)%5 + 1) // 2..32
-		delta, off, ok := EncodeNear(pc, tgt, lineSize)
-		if !ok {
-			// Out of range: the delta really is outside [-1, +2].
-			d := int64(tgt)/int64(lineSize) - int64(pc)/int64(lineSize)
-			return d < NearMinDelta || d > NearMaxDelta
-		}
-		return DecodeNear(pc, delta, off, lineSize) == tgt
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 // decodeOps turns a fuzzed byte stream into an op stream: 8 bytes per
 // op (op kind+call, addr×2, pos, target number, target×3).
 func decodeOps(data []byte) []refOp {

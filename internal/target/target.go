@@ -29,8 +29,9 @@
 // conditional branches whose targets land within {-1, 0, +1, +2} lines
 // of their own line are kept out of the array entirely — their targets
 // come from the BIT code plus a small adder — which removes ~70% of
-// conditional targets (Table 5). EncodeNear and DecodeNear implement
-// that encoding; the engine consults them via the BIT codes.
+// conditional targets (Table 5). The BIT codes carry that encoding
+// (bitable.Encode, Code.NearDelta), and the engine reads them to
+// decide which exits consult a target array.
 package target
 
 // Array is a target array: a predictor of the address a block's taken
@@ -52,34 +53,4 @@ type Array interface {
 	// uses 10 for its 32 KByte cache). Tag and LRU bookkeeping is
 	// excluded, matching the paper's e * W * n accounting.
 	StateBits(lineIndexBits int) int
-}
-
-// NearMinDelta and NearMaxDelta bound the line deltas representable by
-// the near-block encoding: previous line, same line, next line, and
-// the line after next.
-const (
-	NearMinDelta = -1
-	NearMaxDelta = 2
-)
-
-// EncodeNear reports whether a branch at pc with the given target can
-// use the near-block encoding: the target's line must lie within
-// [NearMinDelta, NearMaxDelta] lines of the branch's own line. On
-// success it returns the line delta and the target's offset within its
-// line — the two fields the 3-bit BIT code and the select table carry
-// instead of a full target-array entry.
-func EncodeNear(pc, target uint32, lineSize int) (delta int32, off uint8, ok bool) {
-	d := int64(target)/int64(lineSize) - int64(pc)/int64(lineSize)
-	if d < NearMinDelta || d > NearMaxDelta {
-		return 0, 0, false
-	}
-	return int32(d), uint8(target % uint32(lineSize)), true
-}
-
-// DecodeNear reconstructs a near-encoded target from the branch
-// address, the encoded line delta, and the in-line offset: the start
-// of pc's line, plus delta lines, plus the offset.
-func DecodeNear(pc uint32, delta int32, off uint8, lineSize int) uint32 {
-	lineStart := pc - pc%uint32(lineSize)
-	return uint32(int64(lineStart) + int64(delta)*int64(lineSize) + int64(off))
 }

@@ -1,11 +1,6 @@
 package target
 
-import (
-	"testing"
-
-	"mbbp/internal/bitable"
-	"mbbp/internal/isa"
-)
+import "testing"
 
 func TestNLSGeometry(t *testing.T) {
 	n := NewNLS(256, 8, 2)
@@ -194,61 +189,5 @@ func TestBTBEvictionClearsPositions(t *testing.T) {
 	}
 	if got, call, hit := b.Lookup(9, 5, 0); !hit || got != 456 || call {
 		t.Errorf("fresh entry = (%d, %v, %v), want (456, false, true)", got, call, hit)
-	}
-}
-
-// TestNearBlockEncoding checks the in-range deltas {-1, 0, +1, +2}
-// round-trip through Encode/DecodeNear and that out-of-range targets
-// are rejected — those are the ones that must occupy a target array
-// slot.
-func TestNearBlockEncoding(t *testing.T) {
-	const line = 8
-	cases := []struct {
-		name      string
-		pc, tgt   uint32
-		ok        bool
-		wantDelta int32
-	}{
-		{"same line", 18, 22, true, 0},
-		{"previous line", 18, 9, true, -1},
-		{"next line", 18, 31, true, 1},
-		{"next line + 1", 18, 32, true, 2},
-		{"two lines back", 18, 7, false, 0},
-		{"three lines ahead", 18, 40, false, 0},
-		{"far jump", 18, 4000, false, 0},
-		{"line boundary target", 16, 24, true, 1},
-		{"pc at line start", 8, 0, true, -1},
-	}
-	for _, c := range cases {
-		delta, off, ok := EncodeNear(c.pc, c.tgt, line)
-		if ok != c.ok {
-			t.Errorf("%s: ok=%v, want %v", c.name, ok, c.ok)
-			continue
-		}
-		if !ok {
-			continue
-		}
-		if delta != c.wantDelta {
-			t.Errorf("%s: delta=%d, want %d", c.name, delta, c.wantDelta)
-		}
-		if got := DecodeNear(c.pc, delta, off, line); got != c.tgt {
-			t.Errorf("%s: round-trip %d, want %d", c.name, got, c.tgt)
-		}
-	}
-}
-
-// TestNearBlockAgreesWithBIT cross-checks the near-block classifier
-// against the BIT encoder: a conditional branch gets a near code
-// exactly when EncodeNear accepts its target.
-func TestNearBlockAgreesWithBIT(t *testing.T) {
-	const line = 8
-	for pc := uint32(0); pc < 64; pc++ {
-		for tgt := uint32(0); tgt < 96; tgt++ {
-			_, _, ok := EncodeNear(pc, tgt, line)
-			code := bitable.Encode(isa.ClassCond, pc, tgt, line, true)
-			if ok != code.IsNear() {
-				t.Fatalf("pc=%d tgt=%d: EncodeNear ok=%v but BIT code %v", pc, tgt, ok, code)
-			}
-		}
 	}
 }

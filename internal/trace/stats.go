@@ -47,11 +47,6 @@ func Collect(src *Buffer) Stats {
 	return s
 }
 
-// ControlTransfers returns the number of control-transfer instructions.
-func (s Stats) ControlTransfers() uint64 {
-	return s.Instructions - s.ByClass[isa.ClassPlain]
-}
-
 // CondBranches returns the number of conditional branches.
 func (s Stats) CondBranches() uint64 { return s.ByClass[isa.ClassCond] }
 

@@ -42,10 +42,11 @@ func Run(ctx context.Context, cfg Config, src *TraceBuffer) (Result, error) {
 // RunMany simulates every configuration over one trace, walking the
 // trace once per distinct cache geometry instead of once per
 // configuration: configurations sharing a geometry run as lockstep
-// lanes of a single pass (core.LaneSet), which is how a 20-config
-// comparison costs roughly one simulation. Results come back in cfgs
-// order, and each is byte-identical to Run(ctx, cfgs[i], src) — lane
-// grouping is a performance detail, never a semantic one.
+// lanes of a single pass (core.LaneSet, planned by core.GroupLanes),
+// which is how a 20-config comparison costs roughly one simulation, and
+// equal configurations share one lane. Results come back in cfgs order,
+// and each is byte-identical to Run(ctx, cfgs[i], src) — lane grouping
+// is a performance detail, never a semantic one.
 //
 // Any invalid configuration fails the whole call (reporting its index),
 // before any simulation runs. Like Run, RunMany walks its own cursor
@@ -63,39 +64,22 @@ func RunMany(ctx context.Context, cfgs []Config, src *TraceBuffer) ([]Result, er
 			return nil, fmt.Errorf("mbbp: RunMany: config %d: %w", i, err)
 		}
 	}
-	// Group by geometry, preserving first-appearance order and each
-	// config's position.
-	type group struct {
-		cfgs []Config
-		idx  []int
-	}
-	var order []Geometry
-	groups := make(map[Geometry]*group)
-	for i, cfg := range cfgs {
-		g := groups[cfg.Geometry]
-		if g == nil {
-			g = &group{}
-			groups[cfg.Geometry] = g
-			order = append(order, cfg.Geometry)
-		}
-		g.cfgs = append(g.cfgs, cfg)
-		g.idx = append(g.idx, i)
-	}
-	out := make([]Result, len(cfgs))
+	sets, slot := core.GroupLanes(cfgs)
+	rs := make([][]Result, len(sets))
 	cur := src.WithContext(ctx)
-	for _, geom := range order {
-		g := groups[geom]
-		ls, err := core.NewLanes(g.cfgs)
+	for si, set := range sets {
+		ls, err := core.NewLanes(set)
 		if err != nil {
 			return nil, err
 		}
-		rs := ls.Run(cur)
+		rs[si] = ls.Run(cur)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for l, i := range g.idx {
-			out[i] = rs[l]
-		}
+	}
+	out := make([]Result, len(cfgs))
+	for i, s := range slot {
+		out[i] = rs[s.Set][s.Lane]
 	}
 	return out, nil
 }

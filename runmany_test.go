@@ -43,6 +43,35 @@ func TestRunManyMatchesRun(t *testing.T) {
 	}
 }
 
+// TestRunManyDuplicates: a configuration listed twice shares one lane
+// and still comes back at both positions, each equal to its own Run.
+func TestRunManyDuplicates(t *testing.T) {
+	tr, err := WorkloadTrace("li", 40_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := DefaultConfig()
+	b := NewConfig(WithCache(CacheSelfAligned, 8))
+	cfgs := []Config{a, b, a}
+	ctx := context.Background()
+	many, err := RunMany(ctx, cfgs, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(many) != len(cfgs) {
+		t.Fatalf("got %d results for %d configs", len(many), len(cfgs))
+	}
+	for i, cfg := range cfgs {
+		solo, err := Run(ctx, cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if many[i] != solo {
+			t.Errorf("config %d diverges:\n many %+v\n solo %+v", i, many[i], solo)
+		}
+	}
+}
+
 // TestRunManyErrors: nil sources, empty sets and invalid configurations
 // are rejected before any simulation, with the config index named.
 func TestRunManyErrors(t *testing.T) {
