@@ -66,22 +66,6 @@ func (c Code) IsNear() bool { return c >= CodeCondPrev }
 // IsControlTransfer reports whether the code can redirect the PC.
 func (c Code) IsControlTransfer() bool { return c != CodePlain }
 
-// NearDelta returns the line delta (-1, 0, +1, +2) encoded by a
-// near-block code. It panics for non-near codes.
-func (c Code) NearDelta() int32 {
-	switch c {
-	case CodeCondPrev:
-		return -1
-	case CodeCondSame:
-		return 0
-	case CodeCondNext:
-		return 1
-	case CodeCondNext2:
-		return 2
-	}
-	panic("bitable: NearDelta on non-near code " + c.String())
-}
-
 // Encode computes the BIT code for an instruction. When nearBlock is
 // false, all conditional branches encode as CodeCondLong (the 2-bit
 // table). When true, a conditional branch whose target line is within

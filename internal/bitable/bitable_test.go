@@ -54,11 +54,28 @@ func TestCodePredicates(t *testing.T) {
 	}
 }
 
+// nearDelta decodes the line delta (-1, 0, +1, +2) of a near-block
+// code — the test side of Encode's near cases; the engine itself only
+// asks IsNear. It panics for non-near codes.
+func nearDelta(c Code) int32 {
+	switch c {
+	case CodeCondPrev:
+		return -1
+	case CodeCondSame:
+		return 0
+	case CodeCondNext:
+		return 1
+	case CodeCondNext2:
+		return 2
+	}
+	panic("bitable: nearDelta on non-near code " + c.String())
+}
+
 func TestNearDelta(t *testing.T) {
 	want := map[Code]int32{CodeCondPrev: -1, CodeCondSame: 0, CodeCondNext: 1, CodeCondNext2: 2}
 	for c, d := range want {
-		if got := c.NearDelta(); got != d {
-			t.Errorf("%v.NearDelta() = %d, want %d", c, got, d)
+		if got := nearDelta(c); got != d {
+			t.Errorf("nearDelta(%v) = %d, want %d", c, got, d)
 		}
 	}
 }
@@ -68,7 +85,7 @@ func TestNearDelta(t *testing.T) {
 // offset within its line (the field the select table carries).
 func nearTarget(pc uint32, c Code, off uint32, lineSize int) uint32 {
 	lineStart := pc - pc%uint32(lineSize)
-	return uint32(int64(lineStart) + int64(c.NearDelta())*int64(lineSize) + int64(off))
+	return uint32(int64(lineStart) + int64(nearDelta(c))*int64(lineSize) + int64(off))
 }
 
 // Property: a near code round-trips — encoding a conditional branch and
@@ -82,7 +99,7 @@ func TestNearEncodingRoundTrip(t *testing.T) {
 		if !c.IsNear() {
 			return true
 		}
-		return int64(target)/line == int64(pc)/line+int64(c.NearDelta())
+		return int64(target)/line == int64(pc)/line+int64(nearDelta(c))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -112,7 +129,7 @@ func TestNearEncodeRoundTrip(t *testing.T) {
 }
 
 // TestNearBlockEncoding checks the in-range deltas {-1, 0, +1, +2}
-// round-trip through Encode and NearDelta and that out-of-range targets
+// round-trip through Encode and nearDelta and that out-of-range targets
 // stay long — those are the ones that must occupy a target array slot.
 func TestNearBlockEncoding(t *testing.T) {
 	const line = 8
@@ -141,7 +158,7 @@ func TestNearBlockEncoding(t *testing.T) {
 		if !c.near {
 			continue
 		}
-		if d := code.NearDelta(); d != c.wantDelta {
+		if d := nearDelta(code); d != c.wantDelta {
 			t.Errorf("%s: delta=%d, want %d", c.name, d, c.wantDelta)
 		}
 		if got := nearTarget(c.pc, code, c.tgt%line, line); got != c.tgt {

@@ -15,8 +15,8 @@ import (
 // driving every lane in lockstep — instead of one walk per
 // configuration. Results fold through the SuitePromise machinery. A
 // batch is the only way the harness simulates a configuration:
-// RunConfigAsync is a one-configuration batch, and a lone engine's Run
-// is a one-lane LaneSet walk.
+// RunConfigOn is a one-configuration batch, and a lone engine's Run is
+// a one-lane LaneSet walk.
 //
 //	b := NewBatch(s, ts)
 //	p1 := b.RunConfig(cfgA) // promises fill after Flush

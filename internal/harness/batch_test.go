@@ -14,7 +14,7 @@ import (
 // Lane batching is pure plumbing: however configurations are grouped
 // into batches, ordered within a batch, or interleaved on the pool,
 // each configuration's folded suite result must equal its independent
-// RunConfigAsync run. These properties complement the core-level lane
+// RunConfigOn run. These properties complement the core-level lane
 // equivalence suite (internal/core/lanes_test.go) one layer up, where
 // grouping, futures and the scheduler join the picture.
 
@@ -81,7 +81,7 @@ func sameSuite(a, b *SuiteResult) bool {
 
 // TestBatchMatchesPerConfig: the ground truth — for every variant in
 // batchVariants, the lane-grouped batch result equals the config's own
-// one-config RunConfigAsync batch, on the serial scheduler and on the
+// one-config RunConfigOn batch, on the serial scheduler and on the
 // pool.
 func TestBatchMatchesPerConfig(t *testing.T) {
 	cfgs := batchConfigs(len(batchVariants), 3, 2)
@@ -90,7 +90,7 @@ func TestBatchMatchesPerConfig(t *testing.T) {
 
 	var want []*SuiteResult
 	for _, cfg := range cfgs {
-		res, err := RunConfigAsync(Serial(), testTraces, cfg).Wait()
+		res, err := RunConfigOn(Serial(), testTraces, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestBatchMatchesPerConfig(t *testing.T) {
 func TestBatchCollapsesDuplicates(t *testing.T) {
 	cfgs := batchConfigs(3, 1, 0) // default, single block, self-aligned
 	a, b := cfgs[0], cfgs[2]
-	want, err := RunConfigAsync(Serial(), testTraces, a).Wait()
+	want, err := RunConfigOn(Serial(), testTraces, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestBatchPooledNoAliasing(t *testing.T) {
 	cfgs := batchConfigs(5, 2, 3)
 	want := make([]metrics.Result, len(cfgs))
 	for i, cfg := range cfgs {
-		res, err := RunConfigAsync(Serial(), testTraces, cfg).Wait()
+		res, err := RunConfigOn(Serial(), testTraces, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

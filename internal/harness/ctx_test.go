@@ -37,6 +37,15 @@ func TestWaitCtxReturnsEarly(t *testing.T) {
 	}
 }
 
+// runConfigCtx submits cfg over ts as a one-configuration batch bound
+// to ctx, the way mbbpd's stream path does.
+func runConfigCtx(ctx context.Context, s *Scheduler, ts *TraceSet, cfg core.Config) *SuitePromise {
+	b := NewBatchCtx(ctx, s, ts)
+	p := b.RunConfig(cfg)
+	b.Flush()
+	return p
+}
+
 // An uncancelled context-aware sweep must fold to exactly the serial
 // reference — the ctx guard may not perturb results.
 func TestRunConfigCtxMatchesSerial(t *testing.T) {
@@ -53,7 +62,7 @@ func TestRunConfigCtxMatchesSerial(t *testing.T) {
 
 	s := NewScheduler(4)
 	defer s.Close()
-	got, err := RunConfigCtxAsync(context.Background(), s, ts, cfg).Wait()
+	got, err := runConfigCtx(context.Background(), s, ts, cfg).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +86,7 @@ func TestRunConfigCtxCancelled(t *testing.T) {
 	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = RunConfigCtxAsync(ctx, s, ts, core.DefaultConfig()).Wait()
+	_, err = runConfigCtx(ctx, s, ts, core.DefaultConfig()).Wait()
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled sweep error = %v, want context.Canceled", err)
 	}
@@ -87,7 +96,7 @@ func TestRunConfigCtxInvalidConfig(t *testing.T) {
 	ts := &TraceSet{}
 	cfg := core.DefaultConfig()
 	cfg.NumSTs = 3
-	_, err := RunConfigCtxAsync(context.Background(), DefaultScheduler(), ts, cfg).Wait()
+	_, err := runConfigCtx(context.Background(), DefaultScheduler(), ts, cfg).Wait()
 	if !errors.Is(err, core.ErrInvalidConfig) {
 		t.Errorf("err = %v, want ErrInvalidConfig", err)
 	}

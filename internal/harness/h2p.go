@@ -77,13 +77,11 @@ func (r H2PRow) TopBlocks(n int) []H2PBlock {
 	if n <= 0 {
 		n = DefaultH2PTopN
 	}
-	base := r.Att[r.BaseH]
-	total := base.TotalCycles()
-	var cum uint64
 	var out []H2PBlock
-	for _, s := range base.Top(n) {
+	for _, s := range r.Att[r.BaseH].Ranked(n) {
 		b := H2PBlock{
 			Addr: s.Addr, Events: s.Events, Cycles: s.Cycles, Kind: s.Kind,
+			Share: s.Share, Cum: s.Cum,
 			BestH: r.BaseH, BestCycles: s.Cycles,
 		}
 		for _, h := range r.Histories {
@@ -92,11 +90,6 @@ func (r H2PRow) TopBlocks(n int) []H2PBlock {
 			}
 		}
 		b.Delta = b.Cycles - b.BestCycles
-		cum += s.Cycles
-		if total > 0 {
-			b.Share = float64(s.Cycles) / float64(total)
-			b.Cum = float64(cum) / float64(total)
-		}
 		out = append(out, b)
 	}
 	return out

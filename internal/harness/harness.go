@@ -133,94 +133,54 @@ type TraceKey struct {
 // cache. Cached buffers are shared; consumers Clone them before
 // reading.
 //
-// Every program is claimed first and every missing capture submitted
-// as a job on s before anything waits, so a cold load captures in
-// parallel. The waiting happens here, in the caller's goroutine, so
-// the pool's leaf-job discipline holds (a pool job never blocks on
-// another). A capture this call owns is waited out and published even
-// if ctx ends; cancelling ctx abandons only the waits on other
-// callers' captures. A joined capture whose owner failed is claimed
-// again under this call's context. Every join, completed or in
-// flight, counts as a cache hit.
+// The programs go through c.Do as one key list. Its fill submits a
+// capture job on s for every program this call claimed before it
+// waits on any, so a cold load captures in parallel; the waiting
+// happens in the caller's goroutine, so the pool's leaf-job discipline
+// holds (a pool job never blocks on another). The captures this call
+// owns are waited out and published even if ctx ends; cancelling ctx
+// abandons only the waits on other callers' captures. A failed capture
+// fails the load, and none of the captures it claimed is published.
 func LoadTracesCached(ctx context.Context, s *Scheduler, o Options, c *flight.Cache[TraceKey, *trace.Buffer]) (*TraceSet, error) {
 	names := o.programs()
 	if c == nil {
 		c = flight.New[TraceKey, *trace.Buffer](len(names))
 	}
-	ts := newTraceSet(o)
 	n := o.instructions()
 	benches := make([]*workload.Benchmark, len(names))
+	keys := make([]TraceKey, len(names))
 	for i, name := range names {
 		b, err := workload.Get(name)
 		if err != nil {
 			return nil, err
 		}
-		benches[i] = b
+		benches[i], keys[i] = b, TraceKey{Program: name, N: n}
 	}
-	bufs := make([]*trace.Buffer, len(names))
-	pending := make([]int, len(names))
-	for i := range pending {
-		pending[i] = i
-	}
-	for len(pending) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	bufs, _, err := c.Do(ctx, keys, nil, func(claimed []int) ([]*trace.Buffer, error) {
+		futs := make([]*Future[*trace.Buffer], len(claimed))
+		for j, i := range claimed {
+			b, name := benches[i], names[i]
+			futs[j] = Submit(s, func() (*trace.Buffer, error) {
+				tr, err := b.Trace(n)
+				if err != nil {
+					return nil, fmt.Errorf("harness: tracing %s: %w", name, err)
+				}
+				return tr, nil
+			})
 		}
-		entries := make([]*flight.Entry[TraceKey, *trace.Buffer], len(names))
-		owned := make([]bool, len(names))
-		for _, i := range pending {
-			key := TraceKey{Program: names[i], N: n}
-			if entries[i] = c.Probe(key); entries[i] == nil {
-				entries[i], owned[i] = c.Claim(key)
-			}
-			if !owned[i] {
-				c.Hit(entries[i])
-			}
-		}
-		futs := make([]*Future[*trace.Buffer], len(names))
-		for _, i := range pending {
-			if owned[i] {
-				b, name := benches[i], names[i]
-				futs[i] = Submit(s, func() (*trace.Buffer, error) {
-					tr, err := b.Trace(n)
-					if err != nil {
-						return nil, fmt.Errorf("harness: tracing %s: %w", name, err)
-					}
-					return tr, nil
-				})
-			}
-		}
-		var ownErr error
-		for _, i := range pending {
-			if !owned[i] {
-				continue
-			}
-			buf, err := futs[i].Wait()
-			c.Resolve(entries[i], buf, err)
-			bufs[i] = buf
-			if ownErr == nil {
-				ownErr = err
-			}
-		}
-		if ownErr != nil {
-			return nil, ownErr
-		}
-		var retry []int
-		for _, i := range pending {
-			if owned[i] {
-				continue
-			}
-			buf, ok, err := entries[i].Wait(ctx)
-			switch {
-			case err != nil:
+		out := make([]*trace.Buffer, len(claimed))
+		for j, f := range futs {
+			var err error
+			if out[j], err = f.Wait(); err != nil {
 				return nil, err
-			case !ok:
-				retry = append(retry, i)
 			}
-			bufs[i] = buf
 		}
-		pending = retry
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	ts := newTraceSet(o)
 	for i, name := range names {
 		ts.order = append(ts.order, name)
 		ts.traces[name] = bufs[i]
@@ -315,36 +275,21 @@ func suitePromise(s *Scheduler, ts *TraceSet, run func(name string) (metrics.Res
 	return p
 }
 
-// RunConfigAsync submits one configuration over every program of the
-// set — a one-configuration Batch, flushed — and returns the pending
-// suite result. Each program's job gets a fresh engine (the paper
-// simulates each benchmark independently) and its own read cursor over
-// the shared trace records.
-func RunConfigAsync(s *Scheduler, ts *TraceSet, cfg core.Config) *SuitePromise {
-	return RunConfigCtxAsync(context.Background(), s, ts, cfg)
-}
-
-// RunConfigCtxAsync is RunConfigAsync with cancellation: jobs that have
-// not started when ctx is cancelled never run, and running jobs stop at
-// their block reader's next cancellation poll. An uncancelled run is
-// byte-identical to RunConfigAsync — the bound cursor reads the same
-// records.
-func RunConfigCtxAsync(ctx context.Context, s *Scheduler, ts *TraceSet, cfg core.Config) *SuitePromise {
-	b := NewBatchCtx(ctx, s, ts)
-	p := b.RunConfig(cfg)
-	b.Flush()
-	return p
-}
-
 // RunConfig runs one configuration over every trace in the set on the
 // default scheduler and folds the results in suite order.
 func RunConfig(ts *TraceSet, cfg core.Config) (*SuiteResult, error) {
 	return RunConfigOn(DefaultScheduler(), ts, cfg)
 }
 
-// RunConfigOn is RunConfig on an explicit scheduler.
+// RunConfigOn is RunConfig on an explicit scheduler: a
+// one-configuration batch, flushed. Each program's job gets a fresh
+// engine (the paper simulates each benchmark independently) and its own
+// read cursor over the shared trace records.
 func RunConfigOn(s *Scheduler, ts *TraceSet, cfg core.Config) (*SuiteResult, error) {
-	return RunConfigAsync(s, ts, cfg).Wait()
+	b := NewBatch(s, ts)
+	p := b.RunConfig(cfg)
+	b.Flush()
+	return p.Wait()
 }
 
 // RunScalarAsync submits the Figure 6 scalar baseline per program.

@@ -63,7 +63,7 @@ func TestBatchLanePanicFailsGroup(t *testing.T) {
 	sibling.HistoryBits = 8
 	other := core.DefaultConfig()
 	other.Geometry = icache.ForKind(icache.Extended, 8)
-	want, err := RunConfigAsync(Serial(), testTraces, other).Wait()
+	want, err := RunConfigOn(Serial(), testTraces, other)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,6 +168,30 @@ func rank(out []H2PSite, n int) []H2PSite {
 	return out
 }
 
+// H2PRanked is one ranked site with its share of all penalty cycles
+// and the cumulative coverage through its rank.
+type H2PRanked struct {
+	H2PSite
+	Share, Cum float64
+}
+
+// Ranked returns Top(n) with each site's penalty share and cumulative
+// coverage — the one computation behind Coverage and every ranked H2P
+// report. Both fractions are 0 when there is no penalty at all.
+func (h *H2P) Ranked(n int) []H2PRanked {
+	var out []H2PRanked
+	var cum uint64
+	for _, s := range h.Top(n) {
+		cum += s.Cycles
+		r := H2PRanked{H2PSite: s}
+		if h.total > 0 {
+			r.Share, r.Cum = float64(s.Cycles)/float64(h.total), float64(cum)/float64(h.total)
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 // Coverage returns the cumulative-coverage curve over the ranked sites:
 // element i is the fraction of all penalty cycles explained by the top
 // i+1 blocks. The curve is truncated to n points (n <= 0 means all
@@ -176,12 +200,9 @@ func (h *H2P) Coverage(n int) []float64 {
 	if h.total == 0 {
 		return nil
 	}
-	top := h.Top(n)
-	out := make([]float64, len(top))
-	var cum uint64
-	for i, s := range top {
-		cum += s.Cycles
-		out[i] = float64(cum) / float64(h.total)
+	var out []float64 // a penalty means at least one site, so never nil here
+	for _, r := range h.Ranked(n) {
+		out = append(out, r.Cum)
 	}
 	return out
 }

@@ -64,6 +64,13 @@ func TestH2PObserve(t *testing.T) {
 	if got := h.Coverage(2); len(got) != 2 {
 		t.Errorf("coverage(2) has %d points", len(got))
 	}
+	// Ranked carries the same ranking, each site's share, and the curve.
+	shares := []float64{8.0 / 16, 6.0 / 16, 2.0 / 16}
+	for i, r := range h.Ranked(0) {
+		if r.H2PSite != top[i] || math.Abs(r.Share-shares[i]) > 1e-12 || r.Cum != cov[i] {
+			t.Errorf("ranked[%d] = %+v, want site %+v, share %v, cum %v", i, r, top[i], shares[i], cov[i])
+		}
+	}
 }
 
 // TestH2PTieBreaks pins the total order: cycles desc, then events desc,

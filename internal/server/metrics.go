@@ -232,8 +232,10 @@ func (m *metricsSet) families() []family {
 		{json: "queue_depth", samples: one(inflight)},
 		{prom: "mbbpd_queue_capacity", typ: promGauge, help: "Admission queue bound.",
 			json: "queue_capacity", samples: one(cap(m.queue))},
+		// A lookup that joined an in-flight capture counts as a hit:
+		// the series counts every lookup that did not capture.
 		{prom: "mbbpd_trace_cache_hits_total", typ: promCounter, help: "Trace cache lookups served from cache.",
-			json: "trace_cache_hits", samples: one(traces.Hits)},
+			json: "trace_cache_hits", samples: one(traces.Hits + traces.Coalesced)},
 		{prom: "mbbpd_trace_cache_misses_total", typ: promCounter, help: "Trace cache lookups that captured a trace.",
 			json: "trace_cache_misses", samples: one(traces.Misses)},
 		{prom: "mbbpd_result_cache_hits_total", typ: promCounter, help: "Sweep requests served from a completed result-cache entry.",

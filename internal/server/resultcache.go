@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strings"
 
 	"mbbp/internal/core"
+	"mbbp/internal/flight"
 	"mbbp/internal/harness"
 )
 
@@ -22,8 +24,8 @@ import (
 // concurrent requests coalesce onto the in-flight entry, warm hits stay
 // off the exclusive lock, and errors are never cached: a failed
 // compute drops its entry and coalesced waiters retry under their own
-// contexts. serveCached (server.go) is the one loop that runs the
-// protocol.
+// contexts. serveCached (server.go) resolves every non-streamed sweep
+// through one flight.Cache.Do call.
 //
 // Keying and layering:
 //
@@ -65,16 +67,18 @@ const (
 // cacheStatusHeader is the response header naming the cache outcome.
 const cacheStatusHeader = "Cache-Status"
 
-// worse merges per-entry outcomes for a multi-config request: one
-// computed entry makes the whole request a miss, otherwise one awaited
-// entry makes it coalesced, otherwise everything was already resolved
-// and the request is a pure hit.
-func (s cacheStatus) worse(o cacheStatus) cacheStatus {
-	rank := map[cacheStatus]int{cacheHit: 0, cacheCoalesced: 1, cacheMiss: 2}
-	if rank[o] > rank[s] {
-		return o
+// statusOf merges per-entry outcomes for a request: one computed entry
+// makes the whole request a miss, otherwise one awaited entry makes it
+// coalesced, otherwise everything was already resolved and the request
+// is a pure hit — the maximum of the ordered flight.Outcome values.
+func statusOf(outcomes []flight.Outcome) cacheStatus {
+	switch slices.Max(outcomes) {
+	case flight.Miss:
+		return cacheMiss
+	case flight.Coalesced:
+		return cacheCoalesced
 	}
-	return s
+	return cacheHit
 }
 
 // resultCacheBuild is the build-identity dimension of every sweep key.

@@ -5,11 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"mbbp/internal/core"
+	"mbbp/internal/flight"
 	"mbbp/internal/harness"
 )
 
@@ -201,36 +202,61 @@ func FuzzResultCacheKey(f *testing.F) {
 	})
 }
 
+// bodyFill fills every claimed result-cache entry with body.
+func bodyFill(body string) func([]int) ([]sweepValue, error) {
+	return func(claimed []int) ([]sweepValue, error) {
+		out := make([]sweepValue, len(claimed))
+		for j := range out {
+			out[j] = sweepValue{body: []byte(body)}
+		}
+		return out, nil
+	}
+}
+
+// holdResult starts a Do that claims key and parks in its fill until
+// release is called, then fills it with body; it returns once the
+// flight is claimed, and done closes when the parked call returns.
+func holdResult(c *flight.Cache[string, sweepValue], key, body string) (release func(), done <-chan struct{}) {
+	started, unpark, out := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(out)
+		c.Do(context.Background(), []string{key}, nil, func(cl []int) ([]sweepValue, error) {
+			close(started)
+			<-unpark
+			return bodyFill(body)(cl)
+		})
+	}()
+	<-started
+	var once sync.Once
+	return func() { once.Do(func() { close(unpark) }) }, out
+}
+
 // TestResultCacheSingleflight pins the claim/coalesce contract on the
 // server's result-cache instance: one claimer per key, waiters see the
-// resolved body, and a failed flight drops its entry so the next claim
+// resolved body, and a failed flight drops its entry so the next call
 // recomputes.
 func TestResultCacheSingleflight(t *testing.T) {
 	c := newTestServer(t, Config{}).results
-	e, claimed := c.Claim("k")
-	if !claimed {
-		t.Fatal("first claim not owner")
-	}
-	if e2, claimed2 := c.Claim("k"); claimed2 || e2 != e {
-		t.Fatal("second claim did not coalesce onto the flight")
-	}
-	if e.Done() {
-		t.Error("in-flight entry reports completed")
-	}
-	c.Resolve(e, sweepValue{body: []byte("body")}, nil)
-	v, ok, err := e.Wait(context.Background())
-	if err != nil || !ok || string(v.body) != "body" {
-		t.Errorf("wait after resolve = %q, %v, %v", v.body, ok, err)
+	release, done := holdResult(c, "k", "body")
+	vals, outs, err := c.Do(flight.WithJoinHook(context.Background(), release), []string{"k"}, nil,
+		func([]int) ([]sweepValue, error) {
+			t.Error("second call claimed the key instead of coalescing onto the flight")
+			return nil, errors.New("second fill")
+		})
+	<-done
+	if err != nil || outs[0] != flight.Coalesced || string(vals[0].body) != "body" {
+		t.Errorf("coalesced call = %v, %v, %v; want the owner's body", vals, outs, err)
 	}
 
-	// Failure path: entry dropped, key reclaims fresh.
-	f, _ := c.Claim("fail")
-	c.Resolve(f, sweepValue{}, errors.New("boom"))
-	if _, ok, _ := f.Wait(context.Background()); ok {
-		t.Error("waiter on a failed flight told it succeeded")
+	// Failure path: entry dropped, key refills fresh.
+	boom := errors.New("boom")
+	if _, _, err := c.Do(context.Background(), []string{"fail"}, nil, func([]int) ([]sweepValue, error) {
+		return nil, boom
+	}); !errors.Is(err, boom) {
+		t.Errorf("failed fill = %v, want boom", err)
 	}
-	if g, claimed := c.Claim("fail"); !claimed || g == f {
-		t.Error("failed flight not dropped; waiter would inherit the error")
+	if _, outs, err := c.Do(context.Background(), []string{"fail"}, nil, bodyFill("b")); err != nil || outs[0] != flight.Miss {
+		t.Errorf("failed flight not dropped; next call = %v, %v, want a fresh fill", outs, err)
 	}
 	if got := c.Stats().Misses; got != 3 {
 		t.Errorf("misses = %d, want 3 (k, fail, fail-again)", got)
@@ -242,11 +268,11 @@ func TestResultCacheSingleflight(t *testing.T) {
 // flight.
 func TestResultCacheAwaitContext(t *testing.T) {
 	c := newTestServer(t, Config{}).results
-	e, _ := c.Claim("slow")
+	release, _ := holdResult(c, "slow", "b")
+	defer release()
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, ok, err := e.Wait(ctx); ok || !errors.Is(err, context.Canceled) {
-		t.Errorf("wait on dead context = %v, %v, want Canceled", ok, err)
+	if _, _, err := c.Do(flight.WithJoinHook(ctx, cancel), []string{"slow"}, nil, bodyFill("b")); !errors.Is(err, context.Canceled) {
+		t.Errorf("wait on dead context = %v, want Canceled", err)
 	}
 }
 
@@ -256,36 +282,46 @@ func TestResultCacheAwaitContext(t *testing.T) {
 // never evicts an in-flight entry.
 func TestResultCacheEviction(t *testing.T) {
 	c := newTestServer(t, Config{ResultCacheEntries: 2}).results
-	for i := 0; i < 2; i++ {
-		e, _ := c.Claim(fmt.Sprintf("k%d", i))
-		c.Resolve(e, sweepValue{body: []byte("b")}, nil)
+	ctx := context.Background()
+	noFill := func([]int) ([]sweepValue, error) {
+		t.Error("a cached entry was filled again")
+		return nil, errors.New("unexpected fill")
 	}
-	// Mark k1 hot, as a handler hit would.
-	c.Hit(c.Probe("k1"))
+	if _, _, err := c.Do(ctx, []string{"k0", "k1"}, nil, bodyFill("b")); err != nil {
+		t.Fatal(err)
+	}
+	// Mark k1 hot, as a handler hit does.
+	if _, outs, _ := c.Do(ctx, []string{"k1"}, nil, noFill); outs[0] != flight.Hit {
+		t.Fatalf("k1 outcome = %v, want a hit", outs[0])
+	}
 
-	inflight, _ := c.Claim("k2") // over capacity; k0 (cold) should go
-	if c.Probe("k0") != nil {
-		t.Error("cold entry k0 survived eviction")
-	}
-	if c.Probe("k1") == nil {
-		t.Error("hot entry k1 was evicted despite its second chance")
-	}
-	if c.Probe("k2") == nil {
-		t.Error("in-flight entry k2 missing")
-	}
+	release, done := holdResult(c, "k2", "b") // over capacity; k0 (cold) should go
+	defer release()
 	if got := c.Stats().Evictions; got != 1 {
 		t.Errorf("evictions = %d, want 1", got)
 	}
+	if _, outs, _ := c.Do(ctx, []string{"k1"}, nil, noFill); outs[0] != flight.Hit {
+		t.Error("hot entry k1 was evicted despite its second chance")
+	}
 
 	// An in-flight entry is immune even at capacity pressure.
-	e3, _ := c.Claim("k3")
-	c.Resolve(e3, sweepValue{body: []byte("b")}, nil)
-	if c.Probe("k2") != inflight {
-		t.Error("in-flight entry evicted")
+	if _, _, err := c.Do(ctx, []string{"k3"}, nil, bodyFill("b")); err != nil {
+		t.Fatal(err)
 	}
-	c.Resolve(inflight, sweepValue{body: []byte("b")}, nil)
+	release()
+	<-done
+	if _, outs, _ := c.Do(ctx, []string{"k2"}, nil, noFill); outs[0] != flight.Hit {
+		t.Error("in-flight entry k2 was evicted")
+	}
 	if c.Len() > 3 {
 		t.Errorf("len = %d after resolutions, want <= 3", c.Len())
+	}
+	var refilled bool
+	if _, _, err := c.Do(ctx, []string{"k0"}, nil, func(cl []int) ([]sweepValue, error) {
+		refilled = true
+		return bodyFill("b")(cl)
+	}); err != nil || !refilled {
+		t.Errorf("cold entry k0 survived eviction (refilled = %v, err %v)", refilled, err)
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -156,7 +155,8 @@ type Server struct {
 	// window in which identical requests coalesce.
 	hookComputing func()
 	// hookCoalescing, when set (tests only), runs when a request is
-	// about to wait on another request's in-flight entry.
+	// about to wait on another request's in-flight entry (installed
+	// with flight.WithJoinHook on the result-cache lookup only).
 	hookCoalescing func()
 }
 
@@ -408,149 +408,75 @@ type fillFunc func(ctx context.Context, sp *obs.Spans, claimed []int) ([]sweepVa
 type origin struct{ replica, backendStatus string }
 
 // serveCached answers a non-streamed sweep through the result cache —
-// the one serve loop of a standalone server and a shard front-end.
-// Each pass:
-//
-//   - refuses with 503 once the server drains (hits never pass admit);
-//   - probes every key: when all are present, completed or in flight,
-//     the request takes no queue slot, so hot traffic is immune to
-//     admission backpressure;
-//   - otherwise admits, claims every key, fills the claimed entries in
-//     one plan.fill call, resolves them and gives the slot back;
-//   - waits for every entry, and starts over if another request's
-//     flight failed (failures are never cached, and that owner's error
-//     belongs to its own request);
-//   - writes the body, counting each entry's hit or coalesced wait once
-//     the outcome is final.
+// the one serve loop of a standalone server and a shard front-end. A
+// draining server refuses with 503 (hits never pass admit); otherwise
+// the request resolves its plan's keys with one results.Do call, which
+// takes a queue slot only when some key is absent (so hot traffic is
+// immune to admission backpressure) and fills the entries it claims
+// with plan.fill. The body is written with the worst entry outcome as
+// its Cache-Status.
 func (s *Server) serveCached(ctx context.Context, w http.ResponseWriter, log *slog.Logger,
 	start time.Time, sp *obs.Spans, call sweepCall, plan sweepPlan, etag string) {
-	fail := func(err error) {
+	if s.drainingNow() {
+		s.refuse(w, log, http.StatusServiceUnavailable)
+		return
+	}
+	var refused int
+	admit := func() (func(), error) {
+		release, status := s.admit()
+		if status != 0 {
+			refused = status
+			return nil, errRefused
+		}
+		sp.Mark("queue")
+		if s.hookAdmitted != nil {
+			s.hookAdmitted(ctx)
+		}
+		return release, nil
+	}
+	var from origin
+	fill := func(claimed []int) ([]sweepValue, error) {
+		if s.hookComputing != nil {
+			s.hookComputing()
+		}
+		values, o, err := plan.fill(ctx, sp, claimed)
+		from = o
+		return values, err
+	}
+	doCtx := ctx
+	if s.hookCoalescing != nil {
+		doCtx = flight.WithJoinHook(ctx, s.hookCoalescing)
+	}
+	values, outcomes, err := s.results.Do(doCtx, plan.keys, admit, fill)
+	switch {
+	case refused != 0:
+		s.refuse(w, log, refused)
+		return
+	case err != nil:
 		elapsed := time.Since(start)
 		s.metrics.observeLatency(elapsed)
 		s.failSweep(w, log, err, elapsed)
-	}
-pass:
-	for {
-		if s.drainingNow() {
-			s.refuse(w, log, http.StatusServiceUnavailable)
-			return
-		}
-		entries := make([]*flight.Entry[string, sweepValue], len(plan.keys))
-		present := true
-		for i, k := range plan.keys {
-			if entries[i] = s.results.Probe(k); entries[i] == nil {
-				present = false
-				break
-			}
-		}
-
-		outcomes := make([]cacheStatus, len(plan.keys))
-		var claimed []int
-		release := func() {}
-		if !present {
-			var status int
-			if release, status = s.admit(); status != 0 {
-				s.refuse(w, log, status)
-				return
-			}
-			sp.Mark("queue")
-			if s.hookAdmitted != nil {
-				s.hookAdmitted(ctx)
-			}
-			for i, k := range plan.keys {
-				var owner bool
-				if entries[i], owner = s.results.Claim(k); owner {
-					outcomes[i] = cacheMiss
-					claimed = append(claimed, i)
-				}
-			}
-		}
-		markJoined(entries, outcomes)
-		from, err := s.fillClaimed(ctx, sp, plan, entries, claimed)
-		release()
-		if err != nil {
-			fail(err)
-			return
-		}
-
-		if s.hookCoalescing != nil && slices.Contains(outcomes, cacheCoalesced) {
-			s.hookCoalescing()
-		}
-		values := make([]sweepValue, len(entries))
-		for i, e := range entries {
-			v, ok, err := e.Wait(ctx)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if !ok {
-				continue pass
-			}
-			values[i] = v
-		}
-
-		body := values[0].body
-		if !plan.whole {
-			resp := MultiSweepResponse{Sweeps: make([]SweepResponse, len(values))}
-			for i, v := range values {
-				resp.Sweeps[i] = *v.resp
-			}
-			var err error
-			if body, err = MarshalMultiResponse(resp); err != nil {
-				s.metrics.requestsErrored.Add(1)
-				s.writeError(w, http.StatusInternalServerError, err)
-				return
-			}
-		}
-		overall := cacheHit
-		for i, o := range outcomes {
-			switch o {
-			case cacheHit:
-				s.results.Hit(entries[i])
-			case cacheCoalesced:
-				s.results.Coalesced()
-			}
-			overall = overall.worse(o)
-		}
-		s.writeSweepBody(w, log, start, sp, body, overall, etag, from, call.opts, len(call.cfgs))
 		return
 	}
-}
 
-// markJoined sets the outcome of every entry the request did not claim:
-// a hit when it had already resolved, coalesced when it was in flight.
-func markJoined(entries []*flight.Entry[string, sweepValue], outcomes []cacheStatus) {
-	for i, e := range entries {
-		switch {
-		case outcomes[i] != "":
-		case e.Done():
-			outcomes[i] = cacheHit
-		default:
-			outcomes[i] = cacheCoalesced
+	body := values[0].body
+	if !plan.whole {
+		resp := MultiSweepResponse{Sweeps: make([]SweepResponse, len(values))}
+		for i, v := range values {
+			resp.Sweeps[i] = *v.resp
+		}
+		if body, err = MarshalMultiResponse(resp); err != nil {
+			s.metrics.requestsErrored.Add(1)
+			s.writeError(w, http.StatusInternalServerError, err)
+			return
 		}
 	}
+	s.writeSweepBody(w, log, start, sp, body, statusOf(outcomes), etag, from, call.opts, len(call.cfgs))
 }
 
-// fillClaimed runs plan.fill over the claimed entries, if any, and
-// resolves each with its value — or, on error, drops them all.
-func (s *Server) fillClaimed(ctx context.Context, sp *obs.Spans, plan sweepPlan,
-	entries []*flight.Entry[string, sweepValue], claimed []int) (origin, error) {
-	if len(claimed) == 0 {
-		return origin{}, nil
-	}
-	if s.hookComputing != nil {
-		s.hookComputing()
-	}
-	values, from, err := plan.fill(ctx, sp, claimed)
-	for j, i := range claimed {
-		var v sweepValue
-		if err == nil {
-			v = values[j]
-		}
-		s.results.Resolve(entries[i], v, err)
-	}
-	return from, err
-}
+// errRefused is the admit error of a request the queue turned away;
+// serveCached answers it with the refusal status admit recorded.
+var errRefused = errors.New("server: admission refused")
 
 // computeFill is a standalone server's fill: the claimed
 // configurations run as one lane batch through computeSweeps, and each
@@ -673,7 +599,10 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, log *sl
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	res, err := harness.RunConfigCtxAsync(ctx, s.sched, s.tappedH2P(ts, nil), cfg).WaitEach(ctx,
+	b := harness.NewBatchCtx(ctx, s.sched, s.tappedH2P(ts, nil))
+	p := b.RunConfig(cfg)
+	b.Flush()
+	res, err := p.WaitEach(ctx,
 		func(name string, r metrics.Result) error {
 			line := struct {
 				Program string        `json:"program"`

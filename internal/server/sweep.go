@@ -215,18 +215,11 @@ func buildH2PReport(aggs map[string]*obs.H2P, programs []string, topN int) *H2PR
 	for _, name := range programs {
 		a := aggs[name]
 		p := H2PProgram{Program: name, TotalCycles: a.TotalCycles(), Sites: a.Sites()}
-		var cum uint64
-		for _, site := range a.Top(topN) {
-			cum += site.Cycles
-			b := H2PBlock{
+		for _, site := range a.Ranked(topN) {
+			p.Blocks = append(p.Blocks, H2PBlock{
 				Addr: site.Addr, Events: site.Events, Cycles: site.Cycles,
-				Kind: site.Kind.String(),
-			}
-			if p.TotalCycles > 0 {
-				b.Share = float64(site.Cycles) / float64(p.TotalCycles)
-				b.Cum = float64(cum) / float64(p.TotalCycles)
-			}
-			p.Blocks = append(p.Blocks, b)
+				Kind: site.Kind.String(), Share: site.Share, Cum: site.Cum,
+			})
 		}
 		rep.Programs = append(rep.Programs, p)
 	}

@@ -30,8 +30,8 @@
 // of their own line are kept out of the array entirely — their targets
 // come from the BIT code plus a small adder — which removes ~70% of
 // conditional targets (Table 5). The BIT codes carry that encoding
-// (bitable.Encode, Code.NearDelta), and the engine reads them to
-// decide which exits consult a target array.
+// (bitable.Encode), and the engine reads them (Code.IsNear) to decide
+// which exits consult a target array.
 package target
 
 // Array is a target array: a predictor of the address a block's taken
