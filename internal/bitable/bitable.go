@@ -147,11 +147,18 @@ func New(entries, lineSize int, nearBlock bool) *Table {
 		panic("bitable: entries must be a power of two (or zero)")
 	}
 	t.owners = make([]uint32, entries)
+	t.pk = *packed.NewCodeArray(entries*lineSize, t.bits)
+	t.Reset()
+	return t
+}
+
+// Reset empties every entry in place — no owner, every code CodePlain
+// — as if freshly built. It allocates nothing.
+func (t *Table) Reset() {
 	for i := range t.owners {
 		t.owners[i] = invalidOwner
 	}
-	t.pk = *packed.NewCodeArray(entries*lineSize, t.bits)
-	return t
+	t.pk.ClearRange(0, t.pk.Len())
 }
 
 // Perfect reports whether the table models in-cache BIT storage.
@@ -203,9 +210,7 @@ func (t *Table) Fill(lineAddr uint32, off int, codes []Code) {
 	base := i * t.lineSize
 	if t.owners[i] != lineAddr {
 		// Evict: forget the old line entirely.
-		for j := 0; j < t.lineSize; j++ {
-			t.pk.Set(base+j, uint8(CodePlain))
-		}
+		t.pk.ClearRange(base, base+t.lineSize)
 		t.owners[i] = lineAddr
 	}
 	for j, c := range codes {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 
 	"mbbp/internal/bitable"
@@ -114,6 +113,8 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.icache = m
 	}
+	// A group reads at most two lines per block.
+	e.linesA = make([]uint32, 0, 2*e.blocks)
 	e.staleBuf = make([]bitable.Code, cfg.Geometry.BlockWidth)
 	return e, nil
 }
@@ -121,13 +122,31 @@ func New(cfg Config) (*Engine, error) {
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Reset discards all predictor and fetch state, as if freshly built.
+// Reset discards all predictor and fetch state, as if freshly built,
+// and removes the observer. Every structure is cleared in place and the
+// scratch buffers are kept, so Reset allocates nothing. The engine is
+// zeroed except for its configuration and storage before the structures
+// reset, so no carried field — fetch state, result, observer — survives.
 func (e *Engine) Reset() {
-	fresh, err := New(e.cfg)
-	if err != nil {
-		panic(fmt.Sprintf("core: Reset of invalid config: %v", err))
+	*e = Engine{
+		geom: e.geom, blocks: e.blocks, cfg: e.cfg,
+		ghr: e.ghr, pred: e.pred, bit: e.bit, tgt: e.tgt, ras: e.ras, st: e.st, icache: e.icache,
+		linesA: e.linesA[:0], staleBuf: e.staleBuf,
 	}
-	*e = *fresh
+	e.ghr.Reset()
+	e.pred.Reset()
+	if e.bit != nil {
+		e.bit.Reset()
+	}
+	e.tgt.Reset()
+	e.ras.Reset()
+	if e.st != nil {
+		e.st.Reset()
+	}
+	if e.icache != nil {
+		e.icache.Reset()
+	}
+	clear(e.staleBuf)
 }
 
 // Run consumes the trace (resetting it first) and returns the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -250,26 +251,115 @@ func TestPerfectlyPredictableTraceHasNoPenalties(t *testing.T) {
 	}
 }
 
-// TestEngineResetIsFresh: running, resetting, and re-running matches a
-// brand-new engine.
+// resetFamilies covers every structure family an engine can build:
+// each entry adds one structure (or one shape of one) to the default
+// configuration.
+var resetFamilies = []struct {
+	name string
+	set  func(*Config)
+}{
+	{"default", func(*Config) {}},
+	{"single block", func(c *Config) { c.Mode = SingleBlock }},
+	{"btb", func(c *Config) { c.TargetArray, c.TargetEntries = BTB, 64 }},
+	{"finite bit", func(c *Config) { c.BITEntries = 64 }},
+	{"icache", func(c *Config) { c.ICacheLines, c.ICacheAssoc, c.ICacheMissPenalty = 64, 2, 10 }},
+	{"double selection", func(c *Config) { c.Selection = metrics.DoubleSelection }},
+	{"3 blocks", func(c *Config) { c.NumBlocks = 3 }},
+	{"near block", func(c *Config) { c.NearBlock = true }},
+	{"2 phts", func(c *Config) { c.NumPHTs = 2 }},
+	{"tage", func(c *Config) { c.Predictor, c.NumPHTs = PredictorTAGE, 1 }},
+}
+
+// TestEngineResetIsFresh: for every structure family, an engine dirtied
+// by two workload traces (with an observer installed) and then Reset
+// runs the second trace again exactly as a brand-new engine does — full
+// Result and Stats — without the observer, and Reset allocates nothing.
+// Before that rerun the reset engine must equal a never-run one field
+// for field, down to the packed words, which catches state no run
+// happens to read.
+// State the second trace trained is exactly what would make a stale
+// rerun predict better than a fresh one. Workload traces, unlike the
+// random ones, repeat their branch targets, so stale target arrays
+// would show.
 func TestEngineResetIsFresh(t *testing.T) {
-	tr := randomTrace(7, 4000)
-	cfg := DefaultConfig()
-	e, _ := New(cfg)
-	first := e.Run(tr)
-	e.Reset()
-	second := e.Run(tr)
-	second.Program = first.Program
-	if first != second {
-		t.Error("Reset did not restore cold state")
+	dirty, tr := benchTrace(t, "go", 20000), benchTrace(t, "li", 20000)
+	for _, fam := range resetFamilies {
+		t.Run(fam.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			fam.set(&cfg)
+			fresh, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, _ := New(cfg)
+			var o countObserver
+			e.SetObserver(&o)
+			e.Run(dirty)
+			e.Run(tr)
+			seen := o.n
+			e.Reset()
+			if allocs := testing.AllocsPerRun(10, e.Reset); allocs != 0 {
+				t.Errorf("Reset allocates %v times", allocs)
+			}
+			if cold, _ := New(cfg); !reflect.DeepEqual(e, cold) {
+				t.Errorf("reset engine differs from a never-run one")
+			}
+			if got, want := e.Stats(), fresh.Stats(); got != want {
+				t.Errorf("reset stats %+v, fresh %+v", got, want)
+			}
+			for pass := 0; pass < 2; pass++ {
+				if got, want := e.Run(tr), fresh.Run(tr); got != want {
+					t.Errorf("pass %d after Reset:\n got %+v\nwant %+v", pass, got, want)
+				}
+				if got, want := e.Stats(), fresh.Stats(); got != want {
+					t.Errorf("pass %d stats after Reset %+v, fresh %+v", pass, got, want)
+				}
+			}
+			if o.n != seen {
+				t.Errorf("observer saw %d events after Reset, want none", o.n-seen)
+			}
+		})
 	}
+
 	// Without Reset, a second run starts warm and differs (fewer
 	// cold-start penalties).
-	e2, _ := New(cfg)
-	e2.Run(tr)
-	warm := e2.Run(tr)
-	if warm.TotalPenaltyCycles() >= first.TotalPenaltyCycles() {
+	e, _ := New(DefaultConfig())
+	cold := e.Run(tr)
+	warm := e.Run(tr)
+	if warm.TotalPenaltyCycles() >= cold.TotalPenaltyCycles() {
 		t.Errorf("warm run penalties (%d) not below cold (%d)",
-			warm.TotalPenaltyCycles(), first.TotalPenaltyCycles())
+			warm.TotalPenaltyCycles(), cold.TotalPenaltyCycles())
+	}
+}
+
+// TestLaneSetResetIsFresh: a lane set of every structure family, reset
+// after a dirtying run, matches a fresh set lane for lane and resets
+// without allocating.
+func TestLaneSetResetIsFresh(t *testing.T) {
+	cfgs := make([]Config, len(resetFamilies))
+	for i, fam := range resetFamilies {
+		cfgs[i] = DefaultConfig()
+		fam.set(&cfgs[i])
+	}
+	ls, err := NewLanes(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := NewLanes(cfgs)
+	tr := benchTrace(t, "li", 20000)
+	ls.Run(benchTrace(t, "go", 20000))
+	ls.Run(tr)
+	ls.Reset()
+	if allocs := testing.AllocsPerRun(10, ls.Reset); allocs != 0 {
+		t.Errorf("LaneSet.Reset allocates %v times", allocs)
+	}
+	if cold, _ := NewLanes(cfgs); !reflect.DeepEqual(ls, cold) {
+		t.Errorf("reset lane set differs from a never-run one")
+	}
+	got, want := ls.Run(tr), fresh.Run(tr)
+	for i := range cfgs {
+		if got[i] != want[i] {
+			t.Errorf("lane %d (%s) after Reset:\n got %+v\nwant %+v", i, resetFamilies[i].name, got[i], want[i])
+		}
 	}
 }

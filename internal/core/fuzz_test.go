@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"mbbp/internal/metrics"
@@ -44,6 +46,46 @@ func FuzzLaneEquivalence(f *testing.F) {
 			}
 			if st := ls.Lanes()[i].Stats(); st != wantStats[i] {
 				t.Errorf("lane %d stats diverge:\n lane %+v\n solo %+v", i, st, wantStats[i])
+			}
+		}
+	})
+}
+
+// FuzzResetEqualsNew fuzzes (configuration, trace) pairs: an engine
+// dirtied by the trace and then Reset must run it again exactly as a
+// brand-new engine does — full Result and Stats, over two passes so
+// state the first pass leaves behind is compared too — Reset must
+// allocate nothing, and the reset engine must equal a never-run one
+// field for field. The configuration decodes as in FuzzConfigJSON
+// (rejected documents are skipped), the trace as in
+// FuzzBlockFormation. Seed inputs, one per structure family, live
+// under testdata/fuzz/FuzzResetEqualsNew.
+func FuzzResetEqualsNew(f *testing.F) {
+	f.Add([]byte(`{}`), []byte{1, 60, 9, 90, 0x30, 5, 0, 0, 4, 100, 2, 200, 0})
+	f.Fuzz(func(t *testing.T, doc, data []byte) {
+		cfg, err := LoadConfigJSON(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		src := fuzzRecords(data)
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New rejected a validated config: %v", err)
+		}
+		fresh, _ := New(cfg)
+		e.Run(src)
+		if allocs := testing.AllocsPerRun(1, e.Reset); allocs != 0 {
+			t.Errorf("Reset allocates %v times", allocs)
+		}
+		if !reflect.DeepEqual(e, fresh) {
+			t.Fatalf("reset engine differs from a never-run one")
+		}
+		for pass := 0; pass < 2; pass++ {
+			if got, want := e.Run(src), fresh.Run(src); got != want {
+				t.Fatalf("pass %d after Reset:\n got %+v\nwant %+v", pass, got, want)
+			}
+			if got, want := e.Stats(), fresh.Stats(); got != want {
+				t.Fatalf("pass %d stats after Reset %+v, fresh %+v", pass, got, want)
 			}
 		}
 	})

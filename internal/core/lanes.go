@@ -151,6 +151,14 @@ func GroupLanes(cfgs []Config) (sets [][]Config, slot []LaneSlot) {
 	return sets, slot
 }
 
+// Reset resets every lane (Engine.Reset): the set is as if freshly
+// built by NewLanes, observers removed, and nothing is allocated.
+func (ls *LaneSet) Reset() {
+	for _, e := range ls.lanes {
+		e.Reset()
+	}
+}
+
 // Lanes returns the per-lane engines, in configuration order. Useful
 // for installing observers (Engine.SetObserver) before Run.
 func (ls *LaneSet) Lanes() []*Engine { return ls.lanes }

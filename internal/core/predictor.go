@@ -59,7 +59,9 @@ type Predictor interface {
 	// StateBits returns the strategy's storage cost in bits, by the
 	// paper's Table 7 accounting (logical bits, not padded words).
 	StateBits() int
-	// Reset discards all predictor state, as if freshly built.
+	// Reset discards all predictor state, as if freshly built. The
+	// built-in strategies reset in place and allocate nothing, so a
+	// reused engine's Reset stays free of garbage.
 	Reset()
 	// CounterStates buckets every direction counter into the four
 	// 2-bit-counter classes (strongly-NT, weakly-NT, weakly-T,
@@ -197,15 +199,11 @@ func init() {
 type paperPredictor struct {
 	tab   *pht.Blocked
 	entry pht.Entry
-
-	// rebuild parameters for Reset.
-	cfg Config
 }
 
 func newPaperPredictor(cfg Config) *paperPredictor {
-	p := &paperPredictor{cfg: cfg}
-	p.tab = pht.NewBlockedMulti(cfg.HistoryBits, cfg.Geometry.BlockWidth,
-		cfg.numPHTs(), cfg.IndexMode)
+	p := &paperPredictor{tab: pht.NewBlockedMulti(cfg.HistoryBits, cfg.Geometry.BlockWidth,
+		cfg.numPHTs(), cfg.IndexMode)}
 	p.entry = p.tab.At(0)
 	return p
 }
@@ -223,7 +221,10 @@ func (p *paperPredictor) Shift(n int, bits uint32)   {} // reads the shared GHR 
 
 func (p *paperPredictor) StateBits() int { return p.tab.StateBits() }
 
-func (p *paperPredictor) Reset() { *p = *newPaperPredictor(p.cfg) }
+func (p *paperPredictor) Reset() {
+	p.tab.Reset()
+	p.entry = p.tab.At(0)
+}
 
 func (p *paperPredictor) CounterStates() [4]uint64 {
 	var dist [4]uint64

@@ -19,7 +19,9 @@
 //     dropped, never cached, and its key goes to a fresh pass that
 //     claims it under this call's context: the owner's error may be its
 //     own context dying, which says nothing about this call. A call
-//     returns only its own fill's, admit's or ctx's error.
+//     returns only its own fill's, admit's or ctx's error. A fill that
+//     panics fails its flights the same way and still releases before
+//     the panic reaches Do's caller, so no key stays in flight.
 //
 // Each key gets one Outcome, on the pass that obtains its value: Hit
 // for an entry that had completed, Coalesced for one another caller had
@@ -38,6 +40,7 @@ package flight
 import (
 	"container/list"
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -145,21 +148,7 @@ func (c *Cache[K, V]) Do(ctx context.Context, keys []K, admit func() (release fu
 				}
 			}
 		}
-		var err error
-		if len(claimed) > 0 {
-			var vs []V
-			vs, err = fill(claimed)
-			for j, i := range claimed {
-				var v V
-				if err == nil {
-					v = vs[j]
-				}
-				c.resolve(entries[i], v, err)
-				vals[i], outs[i] = v, Miss
-			}
-		}
-		release()
-		if err != nil {
+		if err := c.runFill(entries, claimed, release, fill, vals, outs); err != nil {
 			return nil, outs, err
 		}
 
@@ -194,6 +183,42 @@ func (c *Cache[K, V]) Do(ctx context.Context, keys []K, admit func() (release fu
 		pending = retry
 	}
 	return vals, outs, nil
+}
+
+// errFillPanicked resolves the keys of a fill that panicked, so their
+// waiters claim them afresh instead of waiting on a flight that never
+// ends.
+var errFillPanicked = errors.New("flight: fill panicked")
+
+// runFill runs one pass's fill over the claimed keys (if any), resolves
+// every claimed entry and then calls release, storing the values and
+// Miss outcomes in vals and outs. If fill panics, the deferred call
+// fails every claimed entry not yet resolved and still releases; the
+// panic then goes on up to Do's caller.
+func (c *Cache[K, V]) runFill(entries []*entry[K, V], claimed []int, release func(),
+	fill func(claimed []int) ([]V, error), vals []V, outs []Outcome) error {
+	done := 0 // claimed entries resolved so far
+	defer func() {
+		var zero V
+		for _, i := range claimed[done:] {
+			c.resolve(entries[i], zero, errFillPanicked)
+		}
+		release()
+	}()
+	if len(claimed) == 0 {
+		return nil
+	}
+	vs, err := fill(claimed)
+	for j, i := range claimed {
+		var v V
+		if err == nil {
+			v = vs[j]
+		}
+		vals[i], outs[i] = v, Miss
+		c.resolve(entries[i], v, err)
+		done++
+	}
+	return err
 }
 
 type joinHookKey struct{}

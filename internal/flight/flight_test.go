@@ -439,6 +439,39 @@ func TestDoAdmitError(t *testing.T) {
 	}
 }
 
+// TestDoFillPanicResolves: a fill that panics fails every key it
+// claimed and releases its admission before the panic reaches the
+// caller, so the keys are not left in flight: a later Do on one of them
+// claims it afresh within its deadline instead of waiting on a flight
+// that never ends.
+func TestDoFillPanicResolves(t *testing.T) {
+	c := New[string, *val](4)
+	keys := []string{"a", "b"}
+	var releases int
+	admit := func() (func(), error) { return func() { releases++ }, nil }
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v, want the fill's panic", r)
+			}
+		}()
+		c.Do(context.Background(), keys, admit, func([]int) ([]*val, error) { panic("boom") })
+	}()
+	if c.Len() != 0 {
+		t.Errorf("Len = %d after a panicking fill, want 0", c.Len())
+	}
+	if releases != 1 {
+		t.Errorf("release ran %d times, want 1", releases)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	v, out, err := do1(ctx, c, "a", fillNames(keys[:1]))
+	if err != nil || out != Miss || v.name != "a" {
+		t.Errorf("Do after the panic = %v, %v, %v; want a fresh Miss", v, out, err)
+	}
+}
+
 // TestDoConcurrentProperty drives Do from many goroutines over random
 // key subsets, with fills that fail at random and contexts that are
 // cancelled at random (before the call, mid-wait, or inside the call's

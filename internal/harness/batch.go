@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"sync"
 
 	"mbbp/internal/core"
 	"mbbp/internal/metrics"
@@ -28,6 +29,12 @@ import (
 // call it right before returning their wait function. Jobs remain
 // leaves: grouping happens at submission time in the driver goroutine,
 // and a lane job never submits or waits.
+//
+// A lane set's jobs share its engines through a free list (laneSets):
+// each job takes a set, resetting it in place, and puts it back, so a
+// batch builds each set at most once per job running at a time — at
+// most the scheduler's worker count, one on a serial scheduler — not
+// once per program.
 type Batch struct {
 	s   *Scheduler
 	ts  *TraceSet
@@ -88,18 +95,55 @@ func (b *Batch) Flush() {
 		fills[sl.Set] = append(fills[sl.Set], laneFill{lane: sl.Lane, row: b.rows[r]})
 	}
 	for si, cfgs := range sets {
+		free := &laneSets{cfgs: cfgs}
 		for pi, name := range b.ts.order {
-			b.s.submit(func() { b.runSet(cfgs, fills[si], pi, name) })
+			b.s.submit(func() { b.runSet(free, fills[si], pi, name) })
 		}
 	}
 	b.cfgs, b.rows = nil, nil
 }
 
-// runSet is one lane job: a fresh LaneSet over one program's trace,
-// filling every registration's future at that program. An error, or a
-// panic recovered as a *PanicError, fails every registration's future.
-func (b *Batch) runSet(cfgs []core.Config, fills []laneFill, pi int, name string) {
-	rs, err := b.runLanes(cfgs, name)
+// laneSets is one planned lane set's free list: the built LaneSets of
+// its configurations that no job is running. It lives as long as the
+// batch's jobs, so reuse never crosses batches.
+type laneSets struct {
+	cfgs []core.Config
+	mu   sync.Mutex
+	free []*core.LaneSet
+}
+
+// newLaneSet builds a lane set; tests replace it to count builds.
+var newLaneSet = core.NewLanes
+
+// take returns a free set, Reset to its freshly built state, or builds
+// one when none is free.
+func (p *laneSets) take() (*core.LaneSet, error) {
+	p.mu.Lock()
+	n := len(p.free)
+	if n == 0 {
+		p.mu.Unlock()
+		return newLaneSet(p.cfgs)
+	}
+	ls := p.free[n-1]
+	p.free = p.free[:n-1]
+	p.mu.Unlock()
+	ls.Reset()
+	return ls, nil
+}
+
+// put returns a set whose job finished to the free list.
+func (p *laneSets) put(ls *core.LaneSet) {
+	p.mu.Lock()
+	p.free = append(p.free, ls)
+	p.mu.Unlock()
+}
+
+// runSet is one lane job: a LaneSet from the free list over one
+// program's trace, filling every registration's future at that program.
+// An error, or a panic recovered as a *PanicError, fails every
+// registration's future.
+func (b *Batch) runSet(free *laneSets, fills []laneFill, pi int, name string) {
+	rs, err := b.runLanes(free, name)
 	for _, fl := range fills {
 		f := fl.row[pi]
 		if err != nil {
@@ -111,13 +155,15 @@ func (b *Batch) runSet(cfgs []core.Config, fills []laneFill, pi int, name string
 	}
 }
 
-// runLanes runs one lane set over one program's trace.
-func (b *Batch) runLanes(cfgs []core.Config, name string) (rs []metrics.Result, err error) {
+// runLanes runs one lane set over one program's trace. The set goes
+// back to the free list only when the walk returns: a set whose job
+// panicked may hold half-updated state and is dropped.
+func (b *Batch) runLanes(free *laneSets, name string) (rs []metrics.Result, err error) {
 	defer recoverJob(&err)
 	if err := b.ctx.Err(); err != nil {
 		return nil, err
 	}
-	ls, err := core.NewLanes(cfgs)
+	ls, err := free.take()
 	if err != nil {
 		return nil, err
 	}
@@ -126,9 +172,10 @@ func (b *Batch) runLanes(cfgs []core.Config, name string) (rs []metrics.Result, 
 		ls.Run(tr) // untimed training pass, all lanes at once
 	}
 	for li, e := range ls.Lanes() {
-		b.ts.attachObserver(e, name, cfgs[li])
+		b.ts.attachObserver(e, name, free.cfgs[li])
 	}
 	rs = ls.Run(tr)
+	free.put(ls)
 	if err := b.ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -275,6 +277,135 @@ func TestBatchPooledNoAliasing(t *testing.T) {
 		}
 	}
 }
+
+// countLaneSets makes newLaneSet count the lane sets built until the
+// test ends.
+func countLaneSets(t *testing.T) *atomic.Int64 {
+	var n atomic.Int64
+	newLaneSet = func(cfgs []core.Config) (*core.LaneSet, error) {
+		n.Add(1)
+		return core.NewLanes(cfgs)
+	}
+	t.Cleanup(func() { newLaneSet = core.NewLanes })
+	return &n
+}
+
+// TestBatchReusesLaneSets: a batch of one lane set over every program
+// builds one set on the serial scheduler and at most one per worker on
+// the pool — not one per program — and the reused sets' results equal
+// each configuration's own one-config batch.
+func TestBatchReusesLaneSets(t *testing.T) {
+	cfgs := batchConfigs(5, 3, 2)
+	cfgs = append(cfgs[:2], cfgs[3:]...) // drop the self-aligned geometry: one lane set
+	var want []*SuiteResult
+	for _, cfg := range cfgs {
+		res, err := RunConfigOn(Serial(), testTraces, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res)
+	}
+	pool := NewScheduler(2)
+	defer pool.Close()
+	built := countLaneSets(t)
+	for _, s := range []*Scheduler{Serial(), pool} {
+		built.Store(0)
+		b := NewBatch(s, testTraces)
+		var ps []*SuitePromise
+		for _, cfg := range cfgs {
+			ps = append(ps, b.RunConfig(cfg))
+		}
+		b.Flush()
+		for i, res := range waitAll(t, ps) {
+			if !sameSuite(res, want[i]) {
+				t.Errorf("workers=%d config %d: reused lane set's result differs from its own batch", s.Workers(), i)
+			}
+		}
+		if n, most := built.Load(), int64(max(1, s.Workers())); n < 1 || n > most {
+			t.Errorf("workers=%d: built %d lane sets for %d programs, want 1..%d",
+				s.Workers(), n, len(testTraces.Programs()), most)
+		}
+	}
+}
+
+// TestBatchReusedLaneDropsObserver: an observer attached for one
+// program's job never sees another program's blocks, though the serial
+// scheduler runs every program on one reused lane set. Every other
+// program gets no observer, so a carried one would count their blocks.
+func TestBatchReusedLaneDropsObserver(t *testing.T) {
+	cfg := core.DefaultConfig()
+	var mu sync.Mutex
+	seen := make(map[string]*blockCounter)
+	ts := testTraces.WithObserver(func(program string, _ core.Config) core.Observer {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(seen)%2 == 1 {
+			seen[program] = nil
+			return nil
+		}
+		o := &blockCounter{}
+		seen[program] = o
+		return o
+	})
+	built := countLaneSets(t)
+	res, err := RunConfigOn(Serial(), ts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := built.Load(); n != 1 {
+		t.Fatalf("built %d lane sets, want 1 reused across programs", n)
+	}
+	for program, o := range seen {
+		if o != nil && o.n != res.Per[program].Blocks {
+			t.Errorf("%s: observer saw %d blocks, want its own run's %d", program, o.n, res.Per[program].Blocks)
+		}
+	}
+}
+
+// TestBatchPanickedLaneSetDropped: a lane set whose job panicked is not
+// reused. On the serial scheduler the programs after the victim run on
+// a newly built set — two builds in all — and every one of them still
+// matches the configuration's own batch.
+func TestBatchPanickedLaneSetDropped(t *testing.T) {
+	cfg := core.DefaultConfig()
+	want, err := RunConfigOn(Serial(), testTraces, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	programs := testTraces.Programs()
+	victim := programs[1]
+	ts := testTraces.WithObserver(func(program string, _ core.Config) core.Observer {
+		if program == victim {
+			return panicObserver{}
+		}
+		return nil
+	})
+	built := countLaneSets(t)
+	b := NewBatch(Serial(), ts)
+	p := b.RunConfig(cfg)
+	b.Flush()
+	if n := built.Load(); n != 2 {
+		t.Errorf("built %d lane sets, want 2 (the panicked set dropped)", n)
+	}
+	for i, f := range p.futs {
+		res, err := f.Wait()
+		if programs[i] == victim {
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Errorf("%s: err %v, want a *PanicError", victim, err)
+			}
+			continue
+		}
+		if err != nil || res != want.Per[programs[i]] {
+			t.Errorf("%s: result differs from its own batch (err %v)", programs[i], err)
+		}
+	}
+}
+
+// blockCounter counts the blocks one job's run shows it.
+type blockCounter struct{ n uint64 }
+
+func (o *blockCounter) Observe(core.Event) { o.n++ }
 
 // countingObserver is a trivial observer: shared, stateless, safe.
 type countingObserver struct{}

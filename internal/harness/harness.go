@@ -83,14 +83,15 @@ func (ts *TraceSet) WithObserver(f func(program string, cfg core.Config) core.Ob
 }
 
 // attachObserver installs the set's observer on e for name's measured
-// run under cfg, if one is configured.
+// run under cfg, or none: it sets e's observer on every call, nil
+// included, so an engine reused from an earlier job never carries that
+// job's observer.
 func (ts *TraceSet) attachObserver(e *core.Engine, name string, cfg core.Config) {
-	if ts.observer == nil {
-		return
+	var o core.Observer
+	if ts.observer != nil {
+		o = ts.observer(name, cfg)
 	}
-	if o := ts.observer(name, cfg); o != nil {
-		e.SetObserver(o)
-	}
+	e.SetObserver(o)
 }
 
 // newTraceSet returns an empty trace set carrying o's run options —

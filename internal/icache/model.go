@@ -35,10 +35,18 @@ func NewModel(totalLines, assoc int) (*Model, error) {
 	m := &Model{sets: totalLines / assoc, assoc: assoc}
 	m.tags = make([]uint32, totalLines)
 	m.used = make([]uint64, totalLines)
+	m.Reset()
+	return m, nil
+}
+
+// Reset empties every frame and zeroes the LRU clock and the access and
+// miss counts in place, as if freshly built. It allocates nothing.
+func (m *Model) Reset() {
 	for i := range m.tags {
 		m.tags[i] = tagInvalid
 	}
-	return m, nil
+	clear(m.used)
+	m.clock, m.accesses, m.misses = 0, 0, 0
 }
 
 // Lines returns the capacity in line frames.

@@ -53,11 +53,15 @@ func FuzzCounter2Array(f *testing.F) {
 }
 
 // FuzzCodeArray cross-checks 2- and 3-bit code arrays against a []uint8
-// model.
+// model under Set and ClearRange. An op is two bytes: the index, then
+// the value, or — with the top bit set — a ClearRange from the index
+// whose length comes from the low seven bits, long enough to span whole
+// words.
 func FuzzCodeArray(f *testing.F) {
 	f.Add(21, true, []byte{0x00, 0x07, 0x15, 0x3f})
 	f.Add(32, false, []byte{0x01, 0x02, 0x03, 0xfe})
 	f.Add(5, true, []byte{0xff, 0x80, 0x40})
+	f.Add(100, true, []byte{0x14, 0x07, 0x15, 0x06, 0x40, 0x05, 0x13, 0xbf})
 	f.Fuzz(func(t *testing.T, n int, wide bool, ops []byte) {
 		n = clampLen(n)
 		bits := 2
@@ -69,6 +73,17 @@ func FuzzCodeArray(f *testing.F) {
 		max := uint8(1<<bits - 1)
 		for k := 0; k+1 < len(ops); k += 2 {
 			i := int(ops[k]) % n
+			if arg := ops[k+1]; arg&0x80 != 0 {
+				hi := i + int(arg&0x7f)%(n-i+1)
+				a.ClearRange(i, hi)
+				clear(model[i:hi])
+				for j := range model {
+					if a.Get(j) != model[j] {
+						t.Fatalf("op %d: ClearRange(%d, %d): code %d = %d, model %d", k/2, i, hi, j, a.Get(j), model[j])
+					}
+				}
+				continue
+			}
 			v := ops[k+1] & max
 			a.Set(i, v)
 			model[i] = v

@@ -96,16 +96,24 @@ func NewCounter2Array(n int, init uint8) *Counter2Array {
 	}
 	a := &Counter2Array{n: n, words: alignedWords((n + 31) / 32)}
 	if init != 0 {
-		var w uint64
-		for sh := uint(0); sh < 64; sh += 2 {
-			w |= uint64(init) << sh
-		}
-		for i := range a.words {
-			a.words[i] = w
-		}
-		a.clearTail()
+		a.Fill(init)
 	}
 	return a
+}
+
+// Fill sets every counter to v (0..3) with one store per backing word:
+// v times a constant with one set bit per field replicates v into all
+// 32 fields without carries. It restores a freshly built array in
+// place and allocates nothing.
+func (a *Counter2Array) Fill(v uint8) {
+	if v > 3 {
+		panic(fmt.Sprintf("packed: Counter2Array.Fill(%d): value out of range", v))
+	}
+	w := uint64(v) * ageHalveMask
+	for i := range a.words {
+		a.words[i] = w
+	}
+	a.clearTail()
 }
 
 // clearTail zeroes the padding bits past the last counter so that
@@ -196,11 +204,29 @@ func NewCounter3Array(n int, init uint8) *Counter3Array {
 	}
 	a := &Counter3Array{n: n, words: alignedWords((n + counters3PerWord - 1) / counters3PerWord)}
 	if init != 0 {
-		for i := 0; i < n; i++ {
-			a.Set(i, init)
-		}
+		a.Fill(init)
 	}
 	return a
+}
+
+// counter3Ones has the low bit of each of a word's 21 3-bit fields set
+// (the pad bit clear): multiplying it by v replicates v into every field.
+const counter3Ones = 0x1249249249249249
+
+// Fill sets every counter to v (0..7) with one store per backing word,
+// leaving the pad bits and the slots past the last counter zero. It
+// restores a freshly built array in place and allocates nothing.
+func (a *Counter3Array) Fill(v uint8) {
+	if v > 7 {
+		panic(fmt.Sprintf("packed: Counter3Array.Fill(%d): value out of range", v))
+	}
+	w := uint64(v) * counter3Ones
+	for i := range a.words {
+		a.words[i] = w
+	}
+	if tail := a.n % counters3PerWord; tail != 0 {
+		a.words[len(a.words)-1] &= 1<<(uint(tail)*3) - 1
+	}
 }
 
 // Len returns the number of counters.
@@ -303,6 +329,34 @@ func (a *CodeArray) Set(i int, v uint8) {
 	*w = *w&^(a.mask<<sh) | uint64(v)<<sh
 }
 
+// ClearRange zeroes codes lo..hi-1 word by word: the partial words at
+// either end are masked, the whole words between them stored zero.
+func (a *CodeArray) ClearRange(lo, hi int) {
+	if lo < 0 || hi > a.n || lo > hi {
+		panic(fmt.Sprintf("packed: CodeArray.ClearRange(%d, %d) outside [0,%d]", lo, hi, a.n))
+	}
+	if lo == hi {
+		return
+	}
+	qlo, rlo := a.per.DivMod(uint32(lo))
+	qhi, rhi := a.per.DivMod(uint32(hi))
+	if qlo == qhi {
+		a.words[qlo] &^= a.slots(rlo, rhi)
+		return
+	}
+	a.words[qlo] &^= a.slots(rlo, a.per.D())
+	clear(a.words[qlo+1 : qhi])
+	if rhi != 0 {
+		a.words[qhi] &^= a.slots(0, rhi)
+	}
+}
+
+// slots returns the bits of code slots r0..r1-1 of one word. A shift
+// by 64 (r1 = 32 two-bit codes) yields 0, so the mask is all ones.
+func (a *CodeArray) slots(r0, r1 uint32) uint64 {
+	return (1<<(uint(r1)*a.bits) - 1) &^ (1<<(uint(r0)*a.bits) - 1)
+}
+
 // StateBits returns the logical storage size in bits (the paper's
 // per-instruction BIT cost times the length; pad bits excluded).
 func (a *CodeArray) StateBits() int { return int(a.bits) * a.n }
@@ -365,6 +419,10 @@ func (a *FieldArray) Set(i int, v uint64) {
 	w := &a.words[q]
 	*w = *w&^(a.mask<<sh) | v<<sh
 }
+
+// Clear zeroes every field, one store per backing word: the in-place
+// reset of a freshly built array. It allocates nothing.
+func (a *FieldArray) Clear() { clear(a.words) }
 
 // StateBits returns the logical storage size in bits (width per field;
 // pad bits excluded).

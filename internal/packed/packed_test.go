@@ -1,6 +1,7 @@
 package packed
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -221,5 +222,58 @@ func TestConstructorsUseAlignedBacking(t *testing.T) {
 	k := NewCodeArray(100, 2) // 32 codes/word -> 4 words
 	if k.Words() != 4 || cap(k.words)%cacheLineWords != 0 {
 		t.Errorf("CodeArray(100,2): words = %d cap = %d, want 4 / multiple of 8", k.Words(), cap(k.words))
+	}
+}
+
+// TestInPlaceResetMatchesNew: Fill, Clear and a whole-array ClearRange
+// bring a scrambled array back to exactly the words an all-zero array
+// holds after setting every element one by one, pad and tail bits
+// included, without allocating.
+func TestInPlaceResetMatchesNew(t *testing.T) {
+	for _, n := range []int{1, 20, 21, 22, 31, 32, 33, 100} {
+		for init := uint8(0); init < 8; init++ {
+			if init < 4 {
+				a := NewCounter2Array(n, (init+1)%4)
+				for i := 0; i < n; i += 3 {
+					a.Set(i, uint8(i)%4)
+				}
+				if allocs := testing.AllocsPerRun(1, func() { a.Fill(init) }); allocs != 0 {
+					t.Errorf("Counter2Array.Fill allocates %v", allocs)
+				}
+				want := NewCounter2Array(n, 0)
+				for i := 0; i < n; i++ {
+					want.Set(i, init)
+				}
+				if !slices.Equal(a.words, want.words) {
+					t.Errorf("Counter2Array(%d).Fill(%d) = %x, want %x", n, init, a.words, want.words)
+				}
+			}
+			c := NewCounter3Array(n, (init+1)%8)
+			for i := 0; i < n; i += 2 {
+				c.Set(i, uint8(i)%8)
+			}
+			c.Fill(init)
+			want := NewCounter3Array(n, 0)
+			for i := 0; i < n; i++ {
+				want.Set(i, init)
+			}
+			if !slices.Equal(c.words, want.words) {
+				t.Errorf("Counter3Array(%d).Fill(%d) = %x, want %x", n, init, c.words, want.words)
+			}
+		}
+		f := NewFieldArray(n, 13)
+		k := NewCodeArray(n, 3)
+		for i := 0; i < n; i++ {
+			f.Set(i, uint64(i)&0x1fff)
+			k.Set(i, uint8(i)&7)
+		}
+		f.Clear()
+		k.ClearRange(0, n)
+		if want := NewFieldArray(n, 13); !slices.Equal(f.words, want.words) {
+			t.Errorf("FieldArray(%d).Clear = %x, want %x", n, f.words, want.words)
+		}
+		if want := NewCodeArray(n, 3); !slices.Equal(k.words, want.words) {
+			t.Errorf("CodeArray(%d).ClearRange(0, n) = %x, want %x", n, k.words, want.words)
+		}
 	}
 }

@@ -75,7 +75,7 @@ func NewBlockedMulti(historyBits, blockWidth, numTables int, mode IndexMode) *Bl
 		shift++
 	}
 	n := 1 << historyBits
-	return &Blocked{
+	b := &Blocked{
 		width:    blockWidth,
 		tables:   numTables,
 		tblMask:  uint32(numTables - 1),
@@ -83,9 +83,15 @@ func NewBlockedMulti(historyBits, blockWidth, numTables int, mode IndexMode) *Bl
 		hBits:    historyBits,
 		idxMask:  uint32(n - 1),
 		mode:     mode,
-		pk:       *packed.NewCounter2Array(numTables*n*blockWidth, uint8(WeaklyNotTaken)),
+		pk:       *packed.NewCounter2Array(numTables*n*blockWidth, 0),
 	}
+	b.Reset()
+	return b
 }
+
+// Reset returns every counter to weakly not-taken in place, one store
+// per backing word, as if freshly built. It allocates nothing.
+func (b *Blocked) Reset() { b.pk.Fill(uint8(WeaklyNotTaken)) }
 
 // Width returns the number of counters per entry.
 func (b *Blocked) Width() int { return b.width }

@@ -66,6 +66,9 @@ func (g *GHR) Bits() int { return g.bits }
 // Value returns the current history pattern.
 func (g *GHR) Value() uint32 { return g.val }
 
+// Reset clears the history, as if freshly built.
+func (g *GHR) Reset() { g.val = 0 }
+
 // Set overwrites the history pattern (used for recovery).
 func (g *GHR) Set(v uint32) { g.val = v & g.mask }
 

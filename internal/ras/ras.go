@@ -20,7 +20,16 @@ func New(size int) *Stack {
 	if size < 1 {
 		panic("ras: size must be positive")
 	}
-	return &Stack{entries: make([]uint32, size), top: -1}
+	s := &Stack{entries: make([]uint32, size)}
+	s.Reset()
+	return s
+}
+
+// Reset empties the stack in place, stale slots included, as if freshly
+// built. It allocates nothing.
+func (s *Stack) Reset() {
+	clear(s.entries)
+	s.top, s.depth = -1, 0
 }
 
 // Depth returns the number of live entries (saturating at the capacity).

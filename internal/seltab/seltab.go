@@ -198,8 +198,13 @@ func New(historyBits, numTables, blockWidth, lineSize int, nearBlock bool, block
 	t.ghrMask = 1<<3 | (1<<t.ntBits-1)<<ntShift
 	t.validBit = 1 << (offShift + t.offBits)
 	t.slots = *packed.NewFieldArray(n*t.roles, int(offShift+t.offBits)+1)
+	t.Reset()
 	return t
 }
+
+// Reset invalidates every entry in place, one store per backing word,
+// as if freshly built. It allocates nothing.
+func (t *Table) Reset() { t.slots.Clear() }
 
 // Tables returns the number of select tables.
 func (t *Table) Tables() int { return t.tables }

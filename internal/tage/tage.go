@@ -138,19 +138,14 @@ func New(cfg core.Config) (core.Predictor, error) {
 		w:      cfg.Geometry.BlockWidth,
 		wdiv:   packed.NewDivisor(uint32(cfg.Geometry.BlockWidth)),
 	}
-	p.build()
-	return p, nil
-}
-
-func (p *Predictor) build() {
 	t := p.params
-	p.base = *packed.NewCounter2Array(1<<t.BaseBits, 1) // weakly not-taken
+	p.base = *packed.NewCounter2Array(1<<t.BaseBits, 0)
 	lens := historyLengths(t)
 	p.tables = make([]table, t.Tables)
 	for i := range p.tables {
 		n := 1 << t.TableBits
 		p.tables[i] = table{
-			ctr:     *packed.NewCounter3Array(n, 3), // weakly not-taken
+			ctr:     *packed.NewCounter3Array(n, 0),
 			tag:     *packed.NewFieldArray(n, t.TagBits),
 			u:       *packed.NewCounter2Array(n, 0),
 			histLen: lens[i],
@@ -171,11 +166,10 @@ func (p *Predictor) build() {
 		}
 	}
 	p.hist = make([]uint8, maxLen+1)
-	p.head = 0
-	p.tick = 0
-	p.lfsr = 0xACE1
 	p.looked = make([]bool, p.w)
 	p.res = make([]posResult, p.w)
+	p.Reset()
+	return p, nil
 }
 
 // historyLengths returns the geometric series of per-table history
@@ -414,9 +408,24 @@ func (p *Predictor) Words() int {
 	return words
 }
 
-// Reset rebuilds every table, the history and the LFSR, as if freshly
-// constructed.
-func (p *Predictor) Reset() { p.build() }
+// Reset restores every table, the history, the folded registers and
+// the LFSR in place, as if freshly constructed: counters weakly
+// not-taken, tags and useful bits zero. It allocates nothing.
+func (p *Predictor) Reset() {
+	p.base.Fill(1) // weakly not-taken
+	for i := range p.tables {
+		tb := &p.tables[i]
+		tb.ctr.Fill(3) // weakly not-taken
+		tb.tag.Clear()
+		tb.u.Fill(0)
+		tb.fIdx.comp, tb.fTag0.comp, tb.fTag1.comp = 0, 0, 0
+	}
+	clear(p.hist)
+	p.head, p.tick, p.lfsr = 0, 0, 0xACE1
+	p.blockAddr, p.startPos = 0, 0
+	clear(p.looked)
+	clear(p.res)
+}
 
 // CounterStates buckets the direction counters (base and tagged) into
 // the four 2-bit classes by direction and strength; useful counters

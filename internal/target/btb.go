@@ -8,8 +8,8 @@ import (
 
 // btbEntry is one way of a BTB set: a block entry tagged by the full
 // indexing block address plus the target number, holding a target and
-// call bit per instruction position. Positions are filled lazily as
-// exits resolve; an unwritten position misses even under a tag match.
+// call bit per instruction position. Positions are filled as exits
+// resolve; an unwritten position misses even under a tag match.
 type btbEntry struct {
 	valid     bool
 	tag       uint32 // indexing block address
@@ -38,6 +38,7 @@ type BTB struct {
 	assoc int
 	width packed.Divisor // pos % width picks the slot
 	ways  [][]btbEntry   // [set][way], most recently used first
+	slots []btbSlot      // every way's slots; LRU moves ways, not slots
 }
 
 // NewBTB builds an N-way tagged LRU target buffer with the given total
@@ -60,10 +61,27 @@ func NewBTB(entries, blockWidth, assoc int) *BTB {
 		width: packed.NewDivisor(uint32(blockWidth)),
 	}
 	b.ways = make([][]btbEntry, entries/assoc)
+	b.slots = make([]btbSlot, entries*blockWidth)
 	for s := range b.ways {
 		b.ways[s] = make([]btbEntry, assoc)
+		for w := range b.ways[s] {
+			k := (s*assoc + w) * blockWidth
+			b.ways[s][w].slots = b.slots[k : k+blockWidth]
+		}
 	}
+	b.Reset()
 	return b
+}
+
+// Reset invalidates every way and clears every slot in place, as if
+// freshly built. It allocates nothing.
+func (b *BTB) Reset() {
+	for _, set := range b.ways {
+		for w := range set {
+			set[w] = btbEntry{slots: set[w].slots}
+		}
+	}
+	clear(b.slots)
 }
 
 // Entries returns the total number of block entries.
@@ -140,11 +158,7 @@ func (b *BTB) Update(blockAddr uint32, pos, targetNum int, next uint32, isCall b
 		e.valid = true
 		e.tag = blockAddr
 		e.targetNum = targetNum
-		if e.slots == nil {
-			e.slots = make([]btbSlot, b.Width())
-		} else {
-			clear(e.slots)
-		}
+		clear(e.slots)
 	}
 	e := &set[w]
 	e.slots[pos] = btbSlot{target: next, call: isCall, written: true}

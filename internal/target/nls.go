@@ -45,13 +45,22 @@ func NewNLS(entries, blockWidth, blocks int) *NLS {
 			entries, blockWidth, blocks))
 	}
 	slots := blocks * entries * blockWidth
-	return &NLS{
+	n := &NLS{
 		entries: packed.NewDivisor(uint32(entries)),
 		width:   packed.NewDivisor(uint32(blockWidth)),
 		arrays:  blocks,
 		targets: make([]uint32, slots),
 		calls:   make([]uint64, (slots+63)/64),
 	}
+	n.Reset()
+	return n
+}
+
+// Reset zeroes every slot's target and call bit in place, as if
+// freshly built. It allocates nothing.
+func (n *NLS) Reset() {
+	clear(n.targets)
+	clear(n.calls)
 }
 
 // Entries returns the number of block entries per array.

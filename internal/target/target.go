@@ -53,4 +53,7 @@ type Array interface {
 	// uses 10 for its 32 KByte cache). Tag and LRU bookkeeping is
 	// excluded, matching the paper's e * W * n accounting.
 	StateBits(lineIndexBits int) int
+	// Reset forgets every stored target in place, as if freshly
+	// built, allocating nothing.
+	Reset()
 }
