@@ -57,14 +57,8 @@ func (c Code) String() string {
 	return fmt.Sprintf("code(%d)", uint8(c))
 }
 
-// IsCond reports whether the code is any conditional-branch variant.
-func (c Code) IsCond() bool { return c >= CodeCondLong }
-
 // IsNear reports whether the code is a near-block conditional branch.
 func (c Code) IsNear() bool { return c >= CodeCondPrev }
-
-// IsControlTransfer reports whether the code can redirect the PC.
-func (c Code) IsControlTransfer() bool { return c != CodePlain }
 
 // Encode computes the BIT code for an instruction. When nearBlock is
 // false, all conditional branches encode as CodeCondLong (the 2-bit
@@ -127,7 +121,7 @@ type Table struct {
 	bits     int
 	owners   []uint32
 
-	pk packed.CodeArray // entries * lineSize codes, flat
+	pk packed.FieldArray // entries * lineSize codes, flat
 }
 
 // New creates a table with the given number of line entries and code
@@ -147,7 +141,7 @@ func New(entries, lineSize int, nearBlock bool) *Table {
 		panic("bitable: entries must be a power of two (or zero)")
 	}
 	t.owners = make([]uint32, entries)
-	t.pk = *packed.NewCodeArray(entries*lineSize, t.bits)
+	t.pk = *packed.NewFieldArray(entries*lineSize, t.bits)
 	t.Reset()
 	return t
 }
@@ -163,12 +157,6 @@ func (t *Table) Reset() {
 
 // Perfect reports whether the table models in-cache BIT storage.
 func (t *Table) Perfect() bool { return t.owners == nil }
-
-// Entries returns the number of line entries (0 for perfect).
-func (t *Table) Entries() int { return len(t.owners) }
-
-// LineSize returns codes per entry.
-func (t *Table) LineSize() int { return t.lineSize }
 
 // Lookup copies the stored codes of positions off..off+len(dst)-1 of
 // the line at lineAddr into dst and reports whether the entry belongs
@@ -214,7 +202,7 @@ func (t *Table) Fill(lineAddr uint32, off int, codes []Code) {
 		t.owners[i] = lineAddr
 	}
 	for j, c := range codes {
-		t.pk.Set(base+off+j, uint8(c))
+		t.pk.Set(base+off+j, uint64(c))
 	}
 }
 
@@ -230,10 +218,3 @@ func (t *Table) checkRun(op string, off, n int) {
 // code width (Table 7: b * W(line) * bits per instruction; owner tags
 // are bookkeeping, not modeled state).
 func (t *Table) StateBits() int { return len(t.owners) * t.lineSize * t.bits }
-
-// CostBits returns the storage cost in bits for the given near-block
-// setting (Table 7 naming; equals StateBits when nearBlock matches the
-// constructed width).
-func (t *Table) CostBits(nearBlock bool) int {
-	return len(t.owners) * t.lineSize * BitsPerInstruction(nearBlock)
-}

@@ -42,14 +42,8 @@ func TestEncodeTable1(t *testing.T) {
 
 func TestCodePredicates(t *testing.T) {
 	for c := Code(0); c < 8; c++ {
-		if got, want := c.IsCond(), c >= CodeCondLong; got != want {
-			t.Errorf("%v.IsCond() = %v, want %v", c, got, want)
-		}
 		if got, want := c.IsNear(), c >= CodeCondPrev; got != want {
 			t.Errorf("%v.IsNear() = %v, want %v", c, got, want)
-		}
-		if got, want := c.IsControlTransfer(), c != CodePlain; got != want {
-			t.Errorf("%v.IsControlTransfer() = %v, want %v", c, got, want)
 		}
 	}
 }
@@ -176,7 +170,7 @@ func TestPerfectTable(t *testing.T) {
 	if fresh := p.Lookup(40, 0, dst); !fresh || dst[0] != CodeReturn {
 		t.Error("perfect table should report fresh and leave dst alone")
 	}
-	if got := p.CostBits(false); got != 0 {
+	if got := p.StateBits(); got != 0 {
 		t.Errorf("perfect table cost = %d, want 0", got)
 	}
 }
@@ -240,11 +234,10 @@ func TestFillMergesKnownPositions(t *testing.T) {
 }
 
 func TestCostBits(t *testing.T) {
-	tb := New(1024, 8, true)
-	if got := tb.CostBits(false); got != 16*1024 {
+	if got := New(1024, 8, false).StateBits(); got != 16*1024 {
 		t.Errorf("2-bit BIT cost = %d, want 16384 (Table 7)", got)
 	}
-	if got := tb.CostBits(true); got != 24*1024 {
+	if got := New(1024, 8, true).StateBits(); got != 24*1024 {
 		t.Errorf("3-bit BIT cost = %d, want 24576", got)
 	}
 }

@@ -89,9 +89,6 @@ func TestStateBitsMatchesWidth(t *testing.T) {
 		if got := tb.StateBits(); got != c.want {
 			t.Errorf("StateBits(near=%v) = %d, want %d", c.near, got, c.want)
 		}
-		if tb.StateBits() != tb.CostBits(c.near) {
-			t.Errorf("near=%v: StateBits != CostBits", c.near)
-		}
 	}
 	if New(0, 8, true).StateBits() != 0 {
 		t.Error("perfect table should cost 0 bits")

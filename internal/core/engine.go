@@ -241,7 +241,7 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 	// pipeline; updates happen regardless.
 	condFlip := kind == metrics.CondMispredict && redirect && e.condExitWeak(blk, &sc)
 	if dual {
-		e.verifyST(blk, &sc, ghrPre, succRole, redirect, condFlip)
+		e.verifyST(blk, trueCodes, &sc, ghrPre, succRole, redirect, condFlip)
 	}
 
 	// Direction statistics and PHT training for every conditional
@@ -412,8 +412,9 @@ func (e *Engine) condExitWeak(blk *block, sc *scanResult) bool {
 // freshly computed scan, charging misselect and GHR penalties and
 // updating the table (§3.1-3.3). The comparison runs on packed
 // selectors: the scan's selector is encoded once, masked against the
-// stored field, and written back as is when it differs.
-func (e *Engine) verifyST(blk *block, sc *scanResult, ghrPre uint32, succRole int, squashed, condFlip bool) {
+// stored field, and written back as is when it differs. trueCodes are
+// the block's BIT codes, which the bad-branch-recovery rescan reads.
+func (e *Engine) verifyST(blk *block, trueCodes []bitable.Code, sc *scanResult, ghrPre uint32, succRole int, squashed, condFlip bool) {
 	var ref seltab.Ref
 	role := succRole
 	switch {
@@ -452,8 +453,11 @@ func (e *Engine) verifyST(blk *block, sc *scanResult, ghrPre uint32, succRole in
 	if condFlip {
 		// Bad branch recovery: the mispredicted branch will predict
 		// differently next time, so install the pre-computed
-		// replacement selector now.
-		ref.Set(role, e.correctedSelector(blk))
+		// replacement selector now: the scan of the block under its
+		// actual outcomes.
+		var bbr scanResult
+		e.scan(blk, trueCodes, e.outcomes(blk), &bbr)
+		ref.SetRaw(role, e.st.Encode(bbr.sel))
 	}
 }
 

@@ -125,17 +125,17 @@ func TestIndexModeAblation(t *testing.T) {
 // TestBlockedMultiIndexing unit-tests the banked PHT index math.
 func TestBlockedMultiIndexing(t *testing.T) {
 	b := pht.NewBlockedMulti(8, 8, 4, pht.IndexGShare)
-	if b.Tables() != 4 || b.Entries() != 4*256 {
-		t.Fatalf("geometry: %d tables, %d entries", b.Tables(), b.Entries())
+	if b.Entries() != 4*256 || b.StateBits() != 4*256*8*2 {
+		t.Fatalf("geometry: %d entries, %d bits", b.Entries(), b.StateBits())
 	}
 	// Addresses differing only in their low two bits use different
 	// tables, so training one must not affect the other.
-	b.Update(0x55, 0x100, 0x100, true)
-	b.Update(0x55, 0x100, 0x100, true)
-	if b.Predict(0x55, 0x101, 0x100) {
+	b.At(b.Index(0x55, 0x100)).Update(0, true)
+	b.At(b.Index(0x55, 0x100)).Update(0, true)
+	if b.At(b.Index(0x55, 0x101)).Taken(0) {
 		t.Error("different table was affected by training")
 	}
-	if !b.Predict(0x55, 0x100, 0x100) {
+	if !b.At(b.Index(0x55, 0x100)).Taken(0) {
 		t.Error("trained table does not predict taken")
 	}
 

@@ -97,10 +97,27 @@ func TestValidateAcceptsSizeCaps(t *testing.T) {
 }
 
 // FuzzConfigJSON: LoadConfigJSON never panics; every config it accepts
-// round-trips through CanonicalBytes to an equal Config, and New builds
-// an engine from it without panicking. Seed inputs, including the
-// oversized probes above, live under testdata/fuzz/FuzzConfigJSON.
+// round-trips through CanonicalBytes to an equal Config, New builds an
+// engine from it without panicking, and the engine runs a short fixed
+// trace: every instruction is counted, no more conditionals mispredict
+// than there are, and a second Run after Reset gives the same Result.
+// Fuzzing it drives the packed arrays at the selector, code and tag
+// widths the validator admits. Seed inputs, including the oversized
+// probes above, live under testdata/fuzz/FuzzConfigJSON; the seeds
+// added here are accepted configs, one per packed-storage shape:
+// a finite 3-bit BIT, 13-bit TAGE tags, double-selection and 4-block
+// select tables, and a BTB.
 func FuzzConfigJSON(f *testing.F) {
+	for _, doc := range []string{
+		`{"Mode":0,"NearBlock":true,"BITEntries":512}`,
+		`{"Predictor":1,"TAGE":{"TagBits":13}}`,
+		`{"NearBlock":true,"Selection":1,"NumSTs":8}`,
+		`{"TargetArray":1,"TargetEntries":64,"BTBAssoc":4}`,
+		`{"NumBlocks":4,"NearBlock":true,"Geometry":{"BlockWidth":16,"LineSize":16}}`,
+	} {
+		f.Add([]byte(doc))
+	}
+	tr := randomTrace(1, 2000)
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		cfg, err := LoadConfigJSON(bytes.NewReader(doc))
 		if err != nil {
@@ -117,8 +134,20 @@ func FuzzConfigJSON(f *testing.F) {
 		if back != cfg {
 			t.Fatalf("round trip changed the config:\n got %+v\nwant %+v", back, cfg)
 		}
-		if _, err := New(cfg); err != nil {
+		e, err := New(cfg)
+		if err != nil {
 			t.Fatalf("New rejected a validated config %s: %v", canon, err)
+		}
+		first := e.Run(tr)
+		if first.Instructions != tr.Len() {
+			t.Errorf("%s: %d instructions counted, trace has %d", canon, first.Instructions, tr.Len())
+		}
+		if first.CondMispredicts > first.CondBranches {
+			t.Errorf("%s: %d conditional mispredicts of %d conditionals", canon, first.CondMispredicts, first.CondBranches)
+		}
+		e.Reset()
+		if again := e.Run(tr); again != first {
+			t.Errorf("%s: Run after Reset\n got %+v\nwant %+v", canon, again, first)
 		}
 	})
 }

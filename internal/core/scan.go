@@ -2,7 +2,6 @@ package core
 
 import (
 	"mbbp/internal/bitable"
-	"mbbp/internal/isa"
 	"mbbp/internal/seltab"
 )
 
@@ -125,42 +124,26 @@ func (e *Engine) evaluate(blk *block, sc *scanResult, succRole int) (addr uint32
 	}
 }
 
-// correctedSelector builds the selector a scan would produce once the
-// predictor reflects the block's actual outcomes — the "replacement
-// selector" pre-computed into a bad branch recovery entry (Table 4) and
-// written into the select table after a misprediction without a second
-// chance.
-func (e *Engine) correctedSelector(blk *block) seltab.Selector {
-	w := e.geom.BlockWidth
-	lineMask := uint32(e.geom.LineSize - 1)
-	var nt uint8
-	for j, rec := range blk.insts {
-		class, taken := rec.Class(), rec.Taken()
-		if class == isa.ClassCond && !taken {
-			nt++
-			continue
-		}
-		if !taken {
-			continue
-		}
-		addr := blk.start + uint32(j)
-		sel := seltab.Selector{Pos: uint8(blk.posOf(j, w)), NTCount: nt}
-		switch class {
-		case isa.ClassReturn:
-			sel.Source = seltab.SrcRAS
-		case isa.ClassCond:
-			sel.TakenBit = true
-			code := bitable.Encode(class, addr, rec.Target(), e.geom.LineSize, e.cfg.NearBlock)
-			if code.IsNear() {
-				sel.Source = nearSource(code)
-				sel.StartOff = uint8(rec.Target() & lineMask)
-			} else {
-				sel.Source = seltab.SrcTarget
-			}
-		default:
-			sel.Source = seltab.SrcTarget
-		}
-		return sel
+// exitTaken is the direction source of the block's actual outcomes:
+// it reports taken only at the position of the block's taken
+// conditional exit, or nowhere (noExit). Scanning the block's true
+// codes with it yields the "replacement selector" pre-computed into a
+// bad branch recovery entry (Table 4) and written into the select
+// table after a misprediction without a second chance. Every earlier
+// conditional of a block is not taken and every unconditional transfer
+// is taken, so the scan stops exactly where the block left. A one-byte
+// value converts to the directionReader interface without allocating.
+type exitTaken uint8
+
+// noExit is above every position (W <= 64): no conditional is taken.
+const noExit exitTaken = 0xff
+
+func (x exitTaken) Taken(pos int) bool { return pos == int(x) }
+
+// outcomes returns the actual-direction source of blk.
+func (e *Engine) outcomes(blk *block) exitTaken {
+	if blk.condBits == 0 {
+		return noExit
 	}
-	return seltab.Selector{Source: seltab.SrcFallThrough, NTCount: nt}
+	return exitTaken(blk.posOf(blk.n()-1, e.geom.BlockWidth))
 }

@@ -68,7 +68,7 @@ func table2Line() []cpu.Retired {
 // entryOf returns entry 0 of a fresh blocked PHT, trained so that its
 // counters equal counters (one per position).
 func entryOf(counters []pht.Counter) pht.Entry {
-	e := pht.NewBlocked(1, len(counters)).At(0)
+	e := pht.NewBlockedMulti(1, len(counters), 1, pht.IndexGShare).At(0)
 	for pos, c := range counters {
 		for e.Counter(pos) < c {
 			e.Update(pos, true)
@@ -129,7 +129,8 @@ func TestTable2Example(t *testing.T) {
 	// the block: the jump at position 3, i.e. the target array slot for
 	// position 3 ("target on misprediction: NLS(3)"). The replacement
 	// selector is the same, because PHT 10 has no second chance.
-	alt := e.correctedSelector(blockFrom(t, e, line, 0, 3, 100))
+	b03 := blockFrom(t, e, line, 0, 3, 100)
+	alt := e.scanOf(b03, e.outcomes(b03)).sel
 	if alt.Source != seltab.SrcTarget || alt.Pos != 3 {
 		t.Errorf("start 0 replacement = %+v, want target@3", alt)
 	}
@@ -156,7 +157,8 @@ func TestTable2Example(t *testing.T) {
 	if sc.exit != 1 || sc.sel.Source != seltab.SrcTarget || sc.sel.Pos != 5 {
 		t.Errorf("start 4: sel %+v, want target@5", sc.sel)
 	}
-	alt = e.correctedSelector(blockFrom(t, e, line, 4, 7, 77))
+	b47 := blockFrom(t, e, line, 4, 7, 77)
+	alt = e.scanOf(b47, e.outcomes(b47)).sel
 	if alt.Source != seltab.SrcRAS {
 		t.Errorf("start 4 misprediction target = %v, want RAS", alt.Source)
 	}

@@ -100,7 +100,12 @@ func TestScalarBackedEquivalence(t *testing.T) {
 		if counters[i].Taken() != r.Taken {
 			want.CondMispredicts++
 		}
-		counters[i] = counters[i].Update(r.Taken)
+		switch {
+		case r.Taken && counters[i] < 3:
+			counters[i]++
+		case !r.Taken && counters[i] > 0:
+			counters[i]--
+		}
 		ghr <<= 1
 		if r.Taken {
 			ghr |= 1

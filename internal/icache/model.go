@@ -15,9 +15,6 @@ type Model struct {
 	tags  []uint32 // sets*assoc; tagInvalid = empty
 	used  []uint64
 	clock uint64
-
-	accesses uint64
-	misses   uint64
 }
 
 const tagInvalid = ^uint32(0)
@@ -39,25 +36,21 @@ func NewModel(totalLines, assoc int) (*Model, error) {
 	return m, nil
 }
 
-// Reset empties every frame and zeroes the LRU clock and the access and
-// miss counts in place, as if freshly built. It allocates nothing.
+// Reset empties every frame and zeroes the LRU clock in place, as if
+// freshly built. It allocates nothing.
 func (m *Model) Reset() {
 	for i := range m.tags {
 		m.tags[i] = tagInvalid
 	}
 	clear(m.used)
-	m.clock, m.accesses, m.misses = 0, 0, 0
+	m.clock = 0
 }
-
-// Lines returns the capacity in line frames.
-func (m *Model) Lines() int { return len(m.tags) }
 
 // Access probes the cache for a line index, filling on miss (LRU
 // victim), and reports whether it hit.
 func (m *Model) Access(line uint32) bool {
 	set := int(line) % m.sets
 	base := set * m.assoc
-	m.accesses++
 	m.clock++
 	for i := 0; i < m.assoc; i++ {
 		if m.tags[base+i] == line {
@@ -65,7 +58,6 @@ func (m *Model) Access(line uint32) bool {
 			return true
 		}
 	}
-	m.misses++
 	victim := base
 	for i := 1; i < m.assoc; i++ {
 		if m.tags[base+i] == tagInvalid {
@@ -79,15 +71,4 @@ func (m *Model) Access(line uint32) bool {
 	m.tags[victim] = line
 	m.used[victim] = m.clock
 	return false
-}
-
-// Stats returns the access and miss counts.
-func (m *Model) Stats() (accesses, misses uint64) { return m.accesses, m.misses }
-
-// MissRate returns misses/accesses.
-func (m *Model) MissRate() float64 {
-	if m.accesses == 0 {
-		return 0
-	}
-	return float64(m.misses) / float64(m.accesses)
 }

@@ -28,12 +28,9 @@ func TestColdMissThenHit(t *testing.T) {
 	if !m.Access(5) {
 		t.Error("second access should hit")
 	}
-	acc, miss := m.Stats()
-	if acc != 2 || miss != 1 {
-		t.Errorf("stats = %d/%d, want 2/1", acc, miss)
-	}
-	if m.MissRate() != 0.5 {
-		t.Errorf("miss rate %v", m.MissRate())
+	m.Reset()
+	if m.Access(5) {
+		t.Error("access after Reset should miss")
 	}
 }
 

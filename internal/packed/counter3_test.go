@@ -2,8 +2,20 @@ package packed
 
 import "testing"
 
+// The tests named Counter3Array cover FieldArray at width 3 used as the
+// tagged-geometric predictor's 3-bit saturating counters (0 strongly
+// not-taken .. 7 strongly taken, taken = value >= 4), 21 per word with
+// one pad bit.
+
+// newCounters3 returns n 3-bit counters all set to init.
+func newCounters3(n int, init uint64) *FieldArray {
+	a := NewFieldArray(n, 3)
+	a.Fill(init)
+	return a
+}
+
 func TestCounter3ArrayBasics(t *testing.T) {
-	a := NewCounter3Array(45, 4)
+	a := newCounters3(45, 4)
 	if a.Len() != 45 {
 		t.Fatalf("Len = %d, want 45", a.Len())
 	}
@@ -18,9 +30,6 @@ func TestCounter3ArrayBasics(t *testing.T) {
 		if a.Get(i) != 4 {
 			t.Fatalf("counter %d init = %d, want 4", i, a.Get(i))
 		}
-		if !a.Taken(i) {
-			t.Fatalf("counter %d at 4 should predict taken", i)
-		}
 	}
 	a.Set(20, 7) // last slot of word 0
 	a.Set(21, 0) // first slot of word 1
@@ -28,10 +37,13 @@ func TestCounter3ArrayBasics(t *testing.T) {
 		t.Fatalf("neighbor counters disturbed: %d %d %d %d",
 			a.Get(19), a.Get(20), a.Get(21), a.Get(22))
 	}
+	if a.words[0]>>63 != 0 || a.words[1]>>63 != 0 {
+		t.Fatalf("pad bits set: %x", a.words)
+	}
 }
 
 func TestCounter3ArraySaturation(t *testing.T) {
-	a := NewCounter3Array(3, 3)
+	a := newCounters3(3, 3)
 	for i := 0; i < 20; i++ {
 		a.Update(0, true)
 		a.Update(1, false)
@@ -45,15 +57,11 @@ func TestCounter3ArraySaturation(t *testing.T) {
 	if a.Get(2) != 3 {
 		t.Fatalf("untouched counter moved: %d, want 3", a.Get(2))
 	}
-	if a.Taken(1) || a.Taken(2) || !a.Taken(0) {
-		t.Fatalf("direction thresholds wrong: %v %v %v", a.Taken(0), a.Taken(1), a.Taken(2))
-	}
 }
 
 func TestCounter3ArrayPanics(t *testing.T) {
-	mustPanic(t, "negative length", func() { NewCounter3Array(-1, 0) })
-	mustPanic(t, "bad init", func() { NewCounter3Array(4, 8) })
-	a := NewCounter3Array(4, 0)
+	a := NewFieldArray(4, 3)
+	mustPanic(t, "bad Fill value", func() { a.Fill(8) })
 	mustPanic(t, "bad Set value", func() { a.Set(0, 8) })
 }
 
@@ -80,15 +88,18 @@ func TestCounter2ArrayAgeHalve(t *testing.T) {
 	}
 }
 
-// FuzzCounter3Array cross-checks the 3-bit counter array against a
-// []uint8 model, same scheme as FuzzCounter2Array.
+// FuzzCounter3Array cross-checks FieldArray at width 3, driven as
+// saturating counters (Update, Set, Fill), against a []uint8 model,
+// same scheme as FuzzCounter2Array. An op is two bytes, the index then
+// the argument: its low two bits pick Update taken, Update not taken,
+// Set, or — with the top bit also set — a Fill of the whole array.
 func FuzzCounter3Array(f *testing.F) {
 	f.Add(21, []byte{0x00, 0x41, 0x82, 0xc3, 0xff})
 	f.Add(1, []byte{0x01, 0x02, 0x03})
 	f.Add(50, []byte{0xaa, 0x55, 0x0f, 0xf0, 0x99, 0x66})
 	f.Fuzz(func(t *testing.T, n int, ops []byte) {
 		n = clampLen(n)
-		a := NewCounter3Array(n, 3)
+		a := newCounters3(n, 3)
 		model := make([]uint8, n)
 		for i := range model {
 			model[i] = 3
@@ -96,31 +107,34 @@ func FuzzCounter3Array(f *testing.F) {
 		for k := 0; k+1 < len(ops); k += 2 {
 			i := int(ops[k]) % n
 			arg := ops[k+1]
-			switch arg & 3 {
-			case 0:
+			switch {
+			case arg&3 == 0:
 				a.Update(i, true)
 				if model[i] < 7 {
 					model[i]++
 				}
-			case 1:
+			case arg&3 == 1:
 				a.Update(i, false)
 				if model[i] > 0 {
 					model[i]--
 				}
+			case arg&0x83 == 0x83:
+				v := arg >> 2 & 7
+				a.Fill(uint64(v))
+				for j := range model {
+					model[j] = v
+				}
 			default:
 				v := arg >> 2 & 7
-				a.Set(i, v)
+				a.Set(i, uint64(v))
 				model[i] = v
 			}
-			if got := a.Get(i); got != model[i] {
+			if got := a.Get(i); got != uint64(model[i]) {
 				t.Fatalf("op %d: counter %d = %d, model %d", k/2, i, got, model[i])
-			}
-			if a.Taken(i) != (model[i] >= 4) {
-				t.Fatalf("op %d: counter %d direction mismatch", k/2, i)
 			}
 		}
 		for i := range model {
-			if a.Get(i) != model[i] {
+			if a.Get(i) != uint64(model[i]) {
 				t.Fatalf("final state: counter %d = %d, model %d", i, a.Get(i), model[i])
 			}
 		}

@@ -52,11 +52,11 @@ func FuzzCounter2Array(f *testing.F) {
 	})
 }
 
-// FuzzCodeArray cross-checks 2- and 3-bit code arrays against a []uint8
-// model under Set and ClearRange. An op is two bytes: the index, then
-// the value, or — with the top bit set — a ClearRange from the index
-// whose length comes from the low seven bits, long enough to span whole
-// words.
+// FuzzCodeArray cross-checks FieldArray at the BIT code widths, 2 and
+// 3 bits, against a []uint8 model under Set and ClearRange. An op is
+// two bytes: the index, then the value, or — with the top bit set — a
+// ClearRange from the index whose length comes from the low seven
+// bits, long enough to span whole words.
 func FuzzCodeArray(f *testing.F) {
 	f.Add(21, true, []byte{0x00, 0x07, 0x15, 0x3f})
 	f.Add(32, false, []byte{0x01, 0x02, 0x03, 0xfe})
@@ -68,7 +68,7 @@ func FuzzCodeArray(f *testing.F) {
 		if wide {
 			bits = 3
 		}
-		a := NewCodeArray(n, bits)
+		a := NewFieldArray(n, bits)
 		model := make([]uint8, n)
 		max := uint8(1<<bits - 1)
 		for k := 0; k+1 < len(ops); k += 2 {
@@ -78,21 +78,21 @@ func FuzzCodeArray(f *testing.F) {
 				a.ClearRange(i, hi)
 				clear(model[i:hi])
 				for j := range model {
-					if a.Get(j) != model[j] {
+					if a.Get(j) != uint64(model[j]) {
 						t.Fatalf("op %d: ClearRange(%d, %d): code %d = %d, model %d", k/2, i, hi, j, a.Get(j), model[j])
 					}
 				}
 				continue
 			}
 			v := ops[k+1] & max
-			a.Set(i, v)
+			a.Set(i, uint64(v))
 			model[i] = v
-			if got := a.Get(i); got != v {
+			if got := a.Get(i); got != uint64(v) {
 				t.Fatalf("op %d: code %d = %d, want %d", k/2, i, got, v)
 			}
 		}
 		for i := range model {
-			if a.Get(i) != model[i] {
+			if a.Get(i) != uint64(model[i]) {
 				t.Fatalf("final state: code %d = %d, model %d", i, a.Get(i), model[i])
 			}
 		}

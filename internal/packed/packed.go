@@ -2,25 +2,27 @@
 // simulator's predictor state. The paper sizes every structure in bits
 // — W 2-bit PHT counters per entry, 2/3-bit BIT codes per line
 // position, log2-sized select-table fields (Tables 2-3, 7) — and these
-// arrays store them at exactly that density, backed by []uint64 words:
+// arrays store them at exactly that density, backed by []uint64 words.
+// Two array types cover every structure:
 //
-//   - Counter2Array: 2-bit saturating counters, 32 per word. A blocked
-//     PHT entry of width W <= 32 occupies 2W consecutive bits of one
-//     word, so predicting a whole fetch block touches one word (two for
-//     W = 64) instead of W byte slots.
-//   - Counter3Array: 3-bit saturating counters (the tagged-geometric
-//     predictor's per-entry counters), 21 per word.
-//   - CodeArray: 2- or 3-bit BIT type codes, 32 or 21 per word.
-//   - FieldArray: fixed-width fields of 1..32 bits (select-table
-//     selectors with their entry's valid bit, TAGE tags), 64/width
-//     per word, with no field straddling a word boundary.
+//   - Counter2Array: 2-bit saturating counters, 32 per word, indexed by
+//     shifts. A blocked PHT entry of width W <= 32 occupies 2W
+//     consecutive bits of one word, so predicting a whole fetch block
+//     touches one word (two for W = 64) instead of W byte slots, and
+//     AgeHalve decays a whole table of TAGE useful counters word by
+//     word.
+//   - FieldArray: fixed-width fields of 1..32 bits, floor(64/width)
+//     per word with no field straddling a word boundary: 2- or 3-bit
+//     BIT type codes (32 or 21 per word), select-table selectors with
+//     their entry's valid bit, and TAGE tags and 3-bit counters.
 //
 // Updates are single-load read-modify-writes: one word load, a shift
-// and mask, one store. CodeArray and FieldArray locate element i at
-// word i/perWord, slot i%perWord; perWord (21 for 3-bit codes, 64/width
-// for fields) is rarely a power of two, so both come from a Divisor's
+// and mask, one store. FieldArray locates element i at word
+// i/perWord, slot i%perWord; perWord (21 for 3-bit fields, 64/width in
+// general) is rarely a power of two, so both come from a Divisor's
 // multiply-by-reciprocal rather than a hardware divide. The layout is
-// the plain quotient/remainder one either way. Every array also reports its logical size via
+// the plain quotient/remainder one either way. Both arrays reset in
+// place with word-level Fill, and report their logical size via
 // StateBits (the paper's cost-model bits, excluding word-padding), so
 // the hardware-cost tables can be printed from the live structures.
 //
@@ -180,195 +182,18 @@ func (a *Counter2Array) AgeHalve() {
 	}
 }
 
-// Counter3Array is a dense array of 3-bit saturating counters
-// (0 strongly not-taken .. 7 strongly taken, taken = value >= 4), 21
-// per 64-bit word with one pad bit, so no counter straddles a word.
-// The tagged-geometric predictor stores its per-entry prediction
-// counters here at the paper-style bit density the Table 7 cost
-// accounting assumes.
-type Counter3Array struct {
-	n     int
-	words []uint64
-}
-
-// counters3PerWord is the 3-bit packing density (one pad bit per word).
-const counters3PerWord = 21
-
-// NewCounter3Array returns n counters all initialized to init (0..7).
-func NewCounter3Array(n int, init uint8) *Counter3Array {
-	if n < 0 {
-		panic(fmt.Sprintf("packed: NewCounter3Array(%d): negative length", n))
-	}
-	if init > 7 {
-		panic(fmt.Sprintf("packed: NewCounter3Array init %d out of range", init))
-	}
-	a := &Counter3Array{n: n, words: alignedWords((n + counters3PerWord - 1) / counters3PerWord)}
-	if init != 0 {
-		a.Fill(init)
-	}
-	return a
-}
-
-// counter3Ones has the low bit of each of a word's 21 3-bit fields set
-// (the pad bit clear): multiplying it by v replicates v into every field.
-const counter3Ones = 0x1249249249249249
-
-// Fill sets every counter to v (0..7) with one store per backing word,
-// leaving the pad bits and the slots past the last counter zero. It
-// restores a freshly built array in place and allocates nothing.
-func (a *Counter3Array) Fill(v uint8) {
-	if v > 7 {
-		panic(fmt.Sprintf("packed: Counter3Array.Fill(%d): value out of range", v))
-	}
-	w := uint64(v) * counter3Ones
-	for i := range a.words {
-		a.words[i] = w
-	}
-	if tail := a.n % counters3PerWord; tail != 0 {
-		a.words[len(a.words)-1] &= 1<<(uint(tail)*3) - 1
-	}
-}
-
-// Len returns the number of counters.
-func (a *Counter3Array) Len() int { return a.n }
-
-// Get returns counter i (0..7).
-func (a *Counter3Array) Get(i int) uint8 {
-	return uint8(a.words[i/counters3PerWord] >> (uint(i%counters3PerWord) * 3) & 7)
-}
-
-// Set stores v (0..7) into counter i.
-func (a *Counter3Array) Set(i int, v uint8) {
-	if v > 7 {
-		panic(fmt.Sprintf("packed: Counter3Array.Set(%d, %d): value out of range", i, v))
-	}
-	sh := uint(i%counters3PerWord) * 3
-	w := &a.words[i/counters3PerWord]
-	*w = *w&^(7<<sh) | uint64(v)<<sh
-}
-
-// Update moves counter i one step toward the outcome, saturating at 0
-// and 7 — a single-load read-modify-write like Counter2Array.Update.
-func (a *Counter3Array) Update(i int, taken bool) {
-	sh := uint(i%counters3PerWord) * 3
-	w := &a.words[i/counters3PerWord]
-	c := *w >> sh & 7
-	if taken {
-		if c < 7 {
-			c++
-		}
-	} else if c > 0 {
-		c--
-	}
-	*w = *w&^(7<<sh) | c<<sh
-}
-
-// Taken reports the predicted direction of counter i (value >= 4).
-func (a *Counter3Array) Taken(i int) bool { return a.Get(i) >= 4 }
-
-// StateBits returns the logical storage size in bits (3 per counter;
-// pad bits excluded).
-func (a *Counter3Array) StateBits() int { return 3 * a.n }
-
-// Words returns the number of backing 64-bit words actually allocated.
-func (a *Counter3Array) Words() int { return len(a.words) }
-
-// CodeArray is a dense array of BIT type codes of 2 or 3 bits each
-// (paper Table 1: 2 bits without near-block encoding, 3 with). Codes
-// pack floor(64/bits) per word — 32 two-bit or 21 three-bit codes, the
-// 3-bit layout wasting one pad bit per word — so no code straddles a
-// word boundary.
-type CodeArray struct {
-	n     int
-	bits  uint
-	per   Divisor // codes per word: i/per is the word, i%per the slot
-	mask  uint64
-	words []uint64
-}
-
-// NewCodeArray returns n codes of the given width (2 or 3 bits), all
-// zero.
-func NewCodeArray(n, bits int) *CodeArray {
-	if n < 0 {
-		panic(fmt.Sprintf("packed: NewCodeArray(%d, %d): negative length", n, bits))
-	}
-	if bits != 2 && bits != 3 {
-		panic(fmt.Sprintf("packed: NewCodeArray: %d bits per code, want 2 or 3", bits))
-	}
-	checkIndexable("NewCodeArray", n)
-	perWord := 64 / bits
-	return &CodeArray{
-		n:     n,
-		bits:  uint(bits),
-		per:   NewDivisor(uint32(perWord)),
-		mask:  1<<uint(bits) - 1,
-		words: alignedWords((n + perWord - 1) / perWord),
-	}
-}
-
-// Len returns the number of codes.
-func (a *CodeArray) Len() int { return a.n }
-
-// Bits returns the width of one code.
-func (a *CodeArray) Bits() int { return int(a.bits) }
-
-// Get returns code i.
-func (a *CodeArray) Get(i int) uint8 {
-	q, r := a.per.DivMod(uint32(i))
-	return uint8(a.words[q] >> (uint(r) * a.bits) & a.mask)
-}
-
-// Set stores v into code i. v must fit the code width.
-func (a *CodeArray) Set(i int, v uint8) {
-	if uint64(v) > a.mask {
-		panic(fmt.Sprintf("packed: CodeArray.Set(%d, %d): value exceeds %d bits", i, v, a.bits))
-	}
-	q, r := a.per.DivMod(uint32(i))
-	sh := uint(r) * a.bits
-	w := &a.words[q]
-	*w = *w&^(a.mask<<sh) | uint64(v)<<sh
-}
-
-// ClearRange zeroes codes lo..hi-1 word by word: the partial words at
-// either end are masked, the whole words between them stored zero.
-func (a *CodeArray) ClearRange(lo, hi int) {
-	if lo < 0 || hi > a.n || lo > hi {
-		panic(fmt.Sprintf("packed: CodeArray.ClearRange(%d, %d) outside [0,%d]", lo, hi, a.n))
-	}
-	if lo == hi {
-		return
-	}
-	qlo, rlo := a.per.DivMod(uint32(lo))
-	qhi, rhi := a.per.DivMod(uint32(hi))
-	if qlo == qhi {
-		a.words[qlo] &^= a.slots(rlo, rhi)
-		return
-	}
-	a.words[qlo] &^= a.slots(rlo, a.per.D())
-	clear(a.words[qlo+1 : qhi])
-	if rhi != 0 {
-		a.words[qhi] &^= a.slots(0, rhi)
-	}
-}
-
-// slots returns the bits of code slots r0..r1-1 of one word. A shift
-// by 64 (r1 = 32 two-bit codes) yields 0, so the mask is all ones.
-func (a *CodeArray) slots(r0, r1 uint32) uint64 {
-	return (1<<(uint(r1)*a.bits) - 1) &^ (1<<(uint(r0)*a.bits) - 1)
-}
-
-// StateBits returns the logical storage size in bits (the paper's
-// per-instruction BIT cost times the length; pad bits excluded).
-func (a *CodeArray) StateBits() int { return int(a.bits) * a.n }
-
-// Words returns the number of backing 64-bit words actually allocated.
-func (a *CodeArray) Words() int { return len(a.words) }
-
 // FieldArray is a dense array of fixed-width fields of 1..32 bits,
-// floor(64/width) per word with no field straddling a word boundary.
-// The select table packs each memoized selector into one field sized by
-// the paper's Table 2 formula (log2-sized position, count and offset
-// subfields), with the entry's valid bit on top.
+// floor(64/width) per word with no field straddling a word boundary:
+// 32 two-bit or 21 three-bit fields (one pad bit) per word, 64/width
+// in general. It stores every packed structure but the blocked PHT:
+//
+//   - BIT type codes, 2 or 3 bits each (paper Table 1: 2 bits without
+//     near-block encoding, 3 with);
+//   - select-table selectors, each one field sized by the paper's
+//     Table 2 formula (log2-sized position, count and offset
+//     subfields) with the entry's valid bit on top;
+//   - the tagged-geometric predictor's partial tags and its 3-bit
+//     saturating direction counters (Update).
 type FieldArray struct {
 	n     int
 	width uint
@@ -400,9 +225,6 @@ func NewFieldArray(n, width int) *FieldArray {
 // Len returns the number of fields.
 func (a *FieldArray) Len() int { return a.n }
 
-// Width returns the width of one field in bits.
-func (a *FieldArray) Width() int { return int(a.width) }
-
 // Get returns field i.
 func (a *FieldArray) Get(i int) uint64 {
 	q, r := a.per.DivMod(uint32(i))
@@ -420,9 +242,71 @@ func (a *FieldArray) Set(i int, v uint64) {
 	*w = *w&^(a.mask<<sh) | v<<sh
 }
 
-// Clear zeroes every field, one store per backing word: the in-place
-// reset of a freshly built array. It allocates nothing.
-func (a *FieldArray) Clear() { clear(a.words) }
+// Update moves field i one step toward the outcome as a saturating
+// counter: up to 2^width-1 when taken, down to 0 otherwise. It is a
+// single-load read-modify-write like Counter2Array.Update.
+func (a *FieldArray) Update(i int, taken bool) {
+	q, r := a.per.DivMod(uint32(i))
+	sh := uint(r) * a.width
+	w := &a.words[q]
+	c := *w >> sh & a.mask
+	if taken {
+		if c < a.mask {
+			c++
+		}
+	} else if c > 0 {
+		c--
+	}
+	*w = *w&^(a.mask<<sh) | c<<sh
+}
+
+// Fill sets every field to v with one store per backing word: v times
+// a constant with the low bit of every slot set replicates v into all
+// of a word's fields without carries. Pad bits and the slots past the
+// last field stay zero, so a filled array is word for word the one
+// built by setting each field. It restores a freshly built array in
+// place and allocates nothing.
+func (a *FieldArray) Fill(v uint64) {
+	if v > a.mask {
+		panic(fmt.Sprintf("packed: FieldArray.Fill(%#x): value exceeds %d bits", v, a.width))
+	}
+	w := v * (a.slots(0, a.per.D()) / a.mask)
+	for i := range a.words {
+		a.words[i] = w
+	}
+	if tail := uint32(a.n) % a.per.D(); tail != 0 {
+		a.words[len(a.words)-1] &= a.slots(0, tail)
+	}
+}
+
+// ClearRange zeroes fields lo..hi-1 word by word: the partial words at
+// either end are masked, the whole words between them stored zero.
+func (a *FieldArray) ClearRange(lo, hi int) {
+	if lo < 0 || hi > a.n || lo > hi {
+		panic(fmt.Sprintf("packed: FieldArray.ClearRange(%d, %d) outside [0,%d]", lo, hi, a.n))
+	}
+	if lo == hi {
+		return
+	}
+	qlo, rlo := a.per.DivMod(uint32(lo))
+	qhi, rhi := a.per.DivMod(uint32(hi))
+	if qlo == qhi {
+		a.words[qlo] &^= a.slots(rlo, rhi)
+		return
+	}
+	a.words[qlo] &^= a.slots(rlo, a.per.D())
+	clear(a.words[qlo+1 : qhi])
+	if rhi != 0 {
+		a.words[qhi] &^= a.slots(0, rhi)
+	}
+}
+
+// slots returns the bits of field slots r0..r1-1 of one word. A shift
+// by 64 (a word holding 64/width fields of a width dividing 64) yields
+// 0, so the mask is all ones.
+func (a *FieldArray) slots(r0, r1 uint32) uint64 {
+	return (1<<(uint(r1)*a.width) - 1) &^ (1<<(uint(r0)*a.width) - 1)
+}
 
 // StateBits returns the logical storage size in bits (width per field;
 // pad bits excluded).

@@ -3,13 +3,14 @@ package pht
 import "testing"
 
 func BenchmarkBlockedPredictUpdate(b *testing.B) {
-	t := NewBlocked(10, 8)
+	t := NewBlockedMulti(10, 8, 1, IndexGShare)
 	g := NewGHR(10)
 	for i := 0; i < b.N; i++ {
 		addr := uint32(i * 7)
 		taken := i&3 != 0
-		t.Update(g.Value(), addr, addr+5, taken)
-		_ = t.Predict(g.Value(), addr, addr+5)
+		e := t.At(t.Index(g.Value(), addr))
+		e.Update(int(addr+5)%8, taken)
+		_ = e.Taken(int(addr+5) % 8)
 		g.Shift(taken)
 	}
 }

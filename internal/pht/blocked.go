@@ -50,16 +50,11 @@ type Blocked struct {
 	pk packed.Counter2Array // tables * entries * width counters, flat
 }
 
-// NewBlocked creates a single gshare-indexed blocked PHT with
+// NewBlockedMulti creates numTables blocked PHTs (a power of two) of
 // 2^historyBits entries of blockWidth counters each, all initialized
-// weakly not-taken — the paper's default ("one global blocked pattern
-// history table").
-func NewBlocked(historyBits, blockWidth int) *Blocked {
-	return NewBlockedMulti(historyBits, blockWidth, 1, IndexGShare)
-}
-
-// NewBlockedMulti creates numTables blocked PHTs (a power of two) with
-// the given index mode.
+// weakly not-taken, under the given index mode. The paper's default is
+// one gshare-indexed table ("one global blocked pattern history
+// table").
 func NewBlockedMulti(historyBits, blockWidth, numTables int, mode IndexMode) *Blocked {
 	if historyBits < 1 || historyBits > 26 {
 		panic("pht: history bits out of range")
@@ -95,9 +90,6 @@ func (b *Blocked) Reset() { b.pk.Fill(uint8(WeaklyNotTaken)) }
 
 // Width returns the number of counters per entry.
 func (b *Blocked) Width() int { return b.width }
-
-// Tables returns the number of PHTs.
-func (b *Blocked) Tables() int { return b.tables }
 
 // Entries returns the number of PHT entries across all tables.
 func (b *Blocked) Entries() int { return b.tables << b.hBits }
@@ -144,30 +136,11 @@ func (e Entry) SecondChance(pos int) bool { return e.Counter(pos).SecondChance()
 // read-modify-write).
 func (e Entry) Update(pos int, taken bool) { e.pk.Update(e.base+pos, taken) }
 
-// CounterPos maps an instruction address to its counter position within
-// an entry.
-func (b *Blocked) CounterPos(instAddr uint32) int { return int(instAddr) % b.width }
-
 // CounterAt returns one counter of one entry (analysis and statistics
 // use; the hot path holds an Entry instead).
 func (b *Blocked) CounterAt(index uint32, pos int) Counter { return b.At(index).Counter(pos) }
-
-// Predict returns the predicted direction for the branch at instAddr
-// under the given history/block index.
-func (b *Blocked) Predict(history, blockAddr, instAddr uint32) bool {
-	return b.At(b.Index(history, blockAddr)).Taken(b.CounterPos(instAddr))
-}
-
-// Update trains the counter for the branch at instAddr.
-func (b *Blocked) Update(history, blockAddr, instAddr uint32, taken bool) {
-	b.At(b.Index(history, blockAddr)).Update(b.CounterPos(instAddr), taken)
-}
 
 // StateBits returns the storage cost in bits — the paper's Table 7
 // closed form p * 2^k * 2W (the packed counters store exactly this
 // many bits, modulo word padding).
 func (b *Blocked) StateBits() int { return b.Entries() * b.width * 2 }
-
-// CostBits returns the storage cost in bits (Table 7 naming; identical
-// to StateBits).
-func (b *Blocked) CostBits() int { return b.StateBits() }

@@ -27,27 +27,12 @@ func (c Counter) Taken() bool { return c >= 2 }
 // Table 2 discussion).
 func (c Counter) SecondChance() bool { return c == 0 || c == 3 }
 
-// Update moves the counter toward the observed outcome, saturating.
-func (c Counter) Update(taken bool) Counter {
-	if taken {
-		if c < 3 {
-			return c + 1
-		}
-		return 3
-	}
-	if c > 0 {
-		return c - 1
-	}
-	return 0
-}
-
 // GHR is a global (branch) history register of fixed length. Outcomes
 // are shifted in least-significant-bit first, oldest outcome in the
 // highest bit, exactly as the paper describes: after predicting
 // not-taken, not-taken, taken in one block, the register is shifted
 // left three and "001" inserted.
 type GHR struct {
-	bits int
 	mask uint32
 	val  uint32
 }
@@ -57,11 +42,8 @@ func NewGHR(bits int) *GHR {
 	if bits < 1 || bits > 30 {
 		panic("pht: GHR length out of range")
 	}
-	return &GHR{bits: bits, mask: 1<<bits - 1}
+	return &GHR{mask: 1<<bits - 1}
 }
-
-// Bits returns the register length.
-func (g *GHR) Bits() int { return g.bits }
 
 // Value returns the current history pattern.
 func (g *GHR) Value() uint32 { return g.val }
@@ -69,22 +51,11 @@ func (g *GHR) Value() uint32 { return g.val }
 // Reset clears the history, as if freshly built.
 func (g *GHR) Reset() { g.val = 0 }
 
-// Set overwrites the history pattern (used for recovery).
-func (g *GHR) Set(v uint32) { g.val = v & g.mask }
-
 // Shift records one conditional-branch outcome.
 func (g *GHR) Shift(taken bool) {
 	g.val = g.val << 1 & g.mask
 	if taken {
 		g.val |= 1
-	}
-}
-
-// ShiftBlock records all conditional-branch outcomes of one block,
-// oldest first.
-func (g *GHR) ShiftBlock(outcomes []bool) {
-	for _, t := range outcomes {
-		g.Shift(t)
 	}
 }
 

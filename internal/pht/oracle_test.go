@@ -46,7 +46,7 @@ func (r *refBlocked) Predict(history, blockAddr, instAddr uint32) bool {
 func (r *refBlocked) Update(history, blockAddr, instAddr uint32, taken bool) {
 	e := r.entry(history, blockAddr)
 	pos := int(instAddr) % r.width
-	e[pos] = e[pos].Update(taken)
+	e[pos] = step(e[pos], taken)
 }
 
 // counterAt mirrors Blocked.CounterAt.
@@ -86,5 +86,20 @@ func (r *refScalar) Predict(history, branchAddr uint32) bool {
 
 func (r *refScalar) Update(history, branchAddr uint32, taken bool) {
 	i := r.slot(history, branchAddr)
-	r.counters[i] = r.counters[i].Update(taken)
+	r.counters[i] = step(r.counters[i], taken)
+}
+
+// step moves a wide counter one step toward the outcome, saturating at
+// 0 and 3.
+func step(c Counter, taken bool) Counter {
+	if taken {
+		if c < 3 {
+			return c + 1
+		}
+		return 3
+	}
+	if c > 0 {
+		return c - 1
+	}
+	return 0
 }

@@ -5,6 +5,21 @@ import (
 	"testing/quick"
 )
 
+// counterAt returns a one-entry, one-position blocked PHT whose
+// counter was trained from its weakly-not-taken reset state to c.
+func counterAt(c Counter) Entry {
+	e := NewBlockedMulti(1, 1, 1, IndexGShare).At(0)
+	for s := WeaklyNotTaken; s < c; s++ {
+		e.Update(0, true)
+	}
+	if c < WeaklyNotTaken {
+		e.Update(0, false)
+	}
+	return e
+}
+
+// TestCounterTransitions drives the packed counter the engine trains
+// (Entry.Update) through every 2-bit transition.
 func TestCounterTransitions(t *testing.T) {
 	cases := []struct {
 		c     Counter
@@ -21,8 +36,13 @@ func TestCounterTransitions(t *testing.T) {
 		{3, true, 3}, // saturate high
 	}
 	for _, c := range cases {
-		if got := c.c.Update(c.taken); got != c.want {
-			t.Errorf("Counter(%d).Update(%v) = %d, want %d", c.c, c.taken, got, c.want)
+		e := counterAt(c.c)
+		if e.Counter(0) != c.c {
+			t.Fatalf("counter trained to %d reads %d", c.c, e.Counter(0))
+		}
+		e.Update(0, c.taken)
+		if got := e.Counter(0); got != c.want {
+			t.Errorf("Counter(%d) updated %v = %d, want %d", c.c, c.taken, got, c.want)
 		}
 	}
 }
@@ -43,13 +63,14 @@ func TestCounterPredictionAndSecondChance(t *testing.T) {
 // outcome.
 func TestCounterProperties(t *testing.T) {
 	f := func(start uint8, outcomes []bool) bool {
-		c := Counter(start % 4)
+		e := counterAt(Counter(start % 4))
 		for _, o := range outcomes {
-			c = c.Update(o)
-			if c > 3 {
+			e.Update(0, o)
+			if e.Counter(0) > 3 {
 				return false
 			}
 		}
+		c := e.Counter(0)
 		if len(outcomes) >= 2 {
 			last := outcomes[len(outcomes)-1]
 			prev := outcomes[len(outcomes)-2]
@@ -68,11 +89,11 @@ func TestGHRShiftSemantics(t *testing.T) {
 	// The paper's example: predicting not-taken, not-taken, taken
 	// shifts the register left three bits and inserts "001".
 	g := NewGHR(10)
-	g.ShiftBlock([]bool{false, false, true})
+	g.ShiftPacked(3, 0b001) // oldest outcome in bit 2
 	if got := g.Value(); got != 0b001 {
 		t.Errorf("GHR after NT,NT,T = %03b, want 001", got)
 	}
-	g.ShiftBlock([]bool{true, true})
+	g.ShiftPacked(2, 0b11)
 	if got := g.Value(); got != 0b00111 {
 		t.Errorf("GHR after two more taken = %05b, want 00111", got)
 	}
@@ -86,9 +107,13 @@ func TestGHRMasking(t *testing.T) {
 	if got := g.Value(); got != 0xF {
 		t.Errorf("4-bit GHR of all-taken = %x, want f", got)
 	}
-	g.Set(0xFFFF)
+	g.ShiftPacked(12, 0xFFF)
 	if got := g.Value(); got != 0xF {
-		t.Errorf("Set should mask: got %x, want f", got)
+		t.Errorf("ShiftPacked should mask: got %x, want f", got)
+	}
+	g.Reset()
+	if got := g.Value(); got != 0 {
+		t.Errorf("Reset GHR = %x, want 0", got)
 	}
 }
 
@@ -112,7 +137,7 @@ func TestGHRShiftPackedEquivalence(t *testing.T) {
 }
 
 func TestBlockedLayout(t *testing.T) {
-	b := NewBlocked(10, 8)
+	b := NewBlockedMulti(10, 8, 1, IndexGShare)
 	if b.Entries() != 1024 {
 		t.Errorf("entries = %d, want 1024", b.Entries())
 	}
@@ -120,13 +145,13 @@ func TestBlockedLayout(t *testing.T) {
 		t.Errorf("width = %d, want 8", b.Width())
 	}
 	// Table 7: PHT cost = 2^10 * 2 * 8 = 16 Kbit.
-	if got := b.CostBits(); got != 16*1024 {
+	if got := b.StateBits(); got != 16*1024 {
 		t.Errorf("cost = %d bits, want 16384", got)
 	}
 }
 
 func TestBlockedIndexing(t *testing.T) {
-	b := NewBlocked(10, 8)
+	b := NewBlockedMulti(10, 8, 1, IndexGShare)
 	// gshare: index is history XOR block address, masked.
 	if got := b.Index(0x3FF, 0x3FF); got != 0 {
 		t.Errorf("Index(3FF,3FF) = %d, want 0", got)
@@ -134,26 +159,22 @@ func TestBlockedIndexing(t *testing.T) {
 	if got := b.Index(0, 0x1234); got != 0x234 {
 		t.Errorf("Index(0,1234) = %x, want 234", got)
 	}
-	// Counter position wraps at the block width.
-	if got := b.CounterPos(17); got != 1 {
-		t.Errorf("CounterPos(17) = %d, want 1", got)
-	}
 }
 
 // Property: updating one (history, block, position) slot never disturbs
 // a slot with a different index or position.
 func TestBlockedIsolation(t *testing.T) {
 	f := func(h1, a1, h2, a2 uint32, p1, p2 uint8) bool {
-		b := NewBlocked(8, 8)
+		b := NewBlockedMulti(8, 8, 1, IndexGShare)
 		i1, i2 := b.Index(h1, a1), b.Index(h2, a2)
 		q1, q2 := int(p1%8), int(p2%8)
 		if i1 == i2 && q1 == q2 {
 			return true // same slot, nothing to check
 		}
 		before := b.CounterAt(i2, q2)
-		b.Update(h1, a1, a1-a1%8+uint32(q1), true)
-		// The update above used counter position q1 of entry i1; any
-		// distinct slot must be untouched.
+		b.At(i1).Update(q1, true)
+		// The update above trained counter position q1 of entry i1;
+		// any distinct slot must be untouched.
 		return b.CounterAt(i2, q2) == before
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -162,27 +183,27 @@ func TestBlockedIsolation(t *testing.T) {
 }
 
 func TestBlockedTrainsToPattern(t *testing.T) {
-	b := NewBlocked(6, 8)
-	// A branch at address 5 in block 0 under constant history 0x15:
+	b := NewBlockedMulti(6, 8, 1, IndexGShare)
+	// A branch at position 5 of block 0 under constant history 0x15:
 	// train taken, expect taken.
 	for i := 0; i < 4; i++ {
-		b.Update(0x15, 0, 5, true)
+		b.At(b.Index(0x15, 0)).Update(5, true)
 	}
-	if !b.Predict(0x15, 0, 5) {
+	if !b.At(b.Index(0x15, 0)).Taken(5) {
 		t.Error("counter should predict taken after training")
 	}
 	// A different position in the same entry must still be cold.
-	if b.Predict(0x15, 0, 6) {
+	if b.At(b.Index(0x15, 0)).Taken(6) {
 		t.Error("untrained position should predict not-taken")
 	}
 }
 
 func TestScalarEqualCost(t *testing.T) {
-	blocked := NewBlocked(10, 8)
+	blocked := NewBlockedMulti(10, 8, 1, IndexGShare)
 	scalar := NewScalar(10, 8)
-	if blocked.CostBits() != scalar.CostBits() {
+	if blocked.StateBits() != scalar.StateBits() {
 		t.Errorf("Figure 6 requires equal cost: blocked %d, scalar %d bits",
-			blocked.CostBits(), scalar.CostBits())
+			blocked.StateBits(), scalar.StateBits())
 	}
 }
 

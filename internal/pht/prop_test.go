@@ -13,8 +13,8 @@ import (
 func TestPackedUpdateOrderPositionIndependent(t *testing.T) {
 	f := func(h, addr uint32, outcomes uint8, perm []uint8) bool {
 		const w = 8
-		fwd := NewBlocked(6, w)
-		rev := NewBlocked(6, w)
+		fwd := NewBlockedMulti(6, w, 1, IndexGShare)
+		rev := NewBlockedMulti(6, w, 1, IndexGShare)
 		idx := fwd.Index(h, addr)
 		// One outcome per position, applied in index order on fwd and
 		// in reverse on rev.
@@ -25,7 +25,7 @@ func TestPackedUpdateOrderPositionIndependent(t *testing.T) {
 			rev.At(idx).Update(p, outcomes>>uint(p)&1 == 1)
 		}
 		// And in an arbitrary permutation (each position once).
-		prm := NewBlocked(6, w)
+		prm := NewBlockedMulti(6, w, 1, IndexGShare)
 		seen := [w]bool{}
 		order := make([]int, 0, w)
 		for _, v := range perm {
@@ -56,19 +56,23 @@ func TestPackedUpdateOrderPositionIndependent(t *testing.T) {
 	}
 }
 
-// Property: the packed table and the wide-slice oracle (refBlocked) are
-// observationally identical under any Predict/Update stream.
+// Property: the packed table, read and trained through the engine's
+// path (Index, At, Entry), and the wide-slice oracle (refBlocked) are
+// observationally identical under any predict/update stream. A branch
+// at instruction address a uses counter position a mod W.
 func TestBlockedPackedMatchesReference(t *testing.T) {
 	f := func(ops []uint32) bool {
 		pk := NewBlockedMulti(7, 8, 2, IndexGShare)
 		ref := newRefBlocked(7, 8, 2, IndexGShare)
 		for _, op := range ops {
 			h, addr, taken := op>>16, op&0xFFFF, op&1 == 1
-			if pk.Predict(h, addr, addr+3) != ref.Predict(h, addr, addr+3) {
+			e := pk.At(pk.Index(h, addr))
+			if e.Taken(int(addr+3)%8) != ref.Predict(h, addr, addr+3) {
 				return false
 			}
-			pk.Update(h, addr, addr+uint32(op>>8&7), taken)
-			ref.Update(h, addr, addr+uint32(op>>8&7), taken)
+			inst := addr + uint32(op>>8&7)
+			e.Update(int(inst)%8, taken)
+			ref.Update(h, addr, inst, taken)
 		}
 		for i := 0; i < pk.Entries(); i++ {
 			for p := 0; p < pk.Width(); p++ {
@@ -113,9 +117,6 @@ func TestBlockedStateBitsClosedForm(t *testing.T) {
 				want := p * (1 << uint(k)) * 2 * w
 				if got := b.StateBits(); got != want {
 					t.Errorf("StateBits(k=%d,W=%d,p=%d) = %d, want %d", k, w, p, got, want)
-				}
-				if b.CostBits() != want {
-					t.Errorf("CostBits(k=%d,W=%d,p=%d) != StateBits", k, w, p)
 				}
 			}
 		}

@@ -63,6 +63,3 @@ func (s *Scalar) Update(history, branchAddr uint32, taken bool) {
 
 // StateBits returns the storage cost in bits (2 per counter).
 func (s *Scalar) StateBits() int { return s.tables << s.tableBits * 2 }
-
-// CostBits returns the storage cost in bits (identical to StateBits).
-func (s *Scalar) CostBits() int { return s.StateBits() }

@@ -20,7 +20,7 @@ func selFor(op uint64, blockWidth, lineSize int, nearBlock bool) Selector {
 }
 
 // Property: the packed table and the wide-struct oracle (refTable) are
-// observationally identical under any Get/Set stream, across
+// observationally identical under any get/set stream, across
 // geometries. The table stores every role (double selection, MaxBlocks
 // blocks); TestCompactRolesMatchReference covers the narrower shapes.
 func TestPackedMatchesReference(t *testing.T) {
@@ -37,18 +37,19 @@ func TestPackedMatchesReference(t *testing.T) {
 				h, addr := uint32(op>>40), uint32(op>>52)
 				role := int(op >> 4 % MaxBlocks)
 				rp, rr := pk.At(h, addr), ref.Lookup(h, addr)
-				if rp.Valid() != rr.Valid {
+				got, ok := get(rp, role)
+				if ok != rr.Valid || valid(rp) != rr.Valid {
 					return false
 				}
-				if rr.Valid && rp.Get(role) != *rr.Slot(role) {
+				if rr.Valid && got != *rr.Slot(role) {
 					return false
 				}
 				if op&2 == 0 {
 					s := selFor(op, g.w, g.line, g.near)
-					rp.Set(role, s)
+					set(rp, role, s)
 					*rr.Slot(role) = s
 					rr.Valid = true
-					if rp.Get(role) != s || !rp.Valid() {
+					if got, ok := get(rp, role); got != s || !ok {
 						return false
 					}
 				}
@@ -76,7 +77,7 @@ func TestPackedSelectorRoundTrip(t *testing.T) {
 						Source: src, Pos: uint8(pos), NTCount: uint8(nt),
 						TakenBit: nt&1 == 0, StartOff: uint8(off),
 					}
-					if got := tb.Decode(tb.Encode(s)); got != s {
+					if got := tb.decode(tb.Encode(s)); got != s {
 						t.Fatalf("round trip: %+v -> %+v", s, got)
 					}
 				}
@@ -111,16 +112,20 @@ func TestStateBitsClosedForm(t *testing.T) {
 	if got := New(10, 1, 8, 8, false, 2, true).StateBits(); got != 16*1024 {
 		t.Errorf("StateBits(double) = %d, want 16384", got)
 	}
-	// Closed form matches CostBits for every geometry and selection,
-	// and the N-block extension's extra slots add no modeled cost.
+	// The closed form s * 2^k * SelectorBits (doubled under double
+	// selection) holds for every geometry and selection, and the
+	// N-block extension's extra slots add no modeled cost.
 	for _, w := range []int{4, 8, 16} {
 		for _, near := range []bool{false, true} {
 			for _, double := range []bool{false, true} {
+				want := 2 << 8 * SelectorBits(w, 8, near)
+				if double {
+					want *= 2
+				}
 				for blocks := 2; blocks <= MaxBlocks; blocks++ {
-					s := New(8, 2, w, 8, near, blocks, double)
-					if s.StateBits() != s.CostBits(w, 8, near, double) {
-						t.Errorf("W=%d near=%v double=%v blocks=%d: StateBits != CostBits",
-							w, near, double, blocks)
+					if got := New(8, 2, w, 8, near, blocks, double).StateBits(); got != want {
+						t.Errorf("W=%d near=%v double=%v blocks=%d: StateBits = %d, want %d",
+							w, near, double, blocks, got, want)
 					}
 				}
 			}

@@ -34,8 +34,8 @@ func allSelectors(tb *Table) []Selector {
 
 // TestRawCompareMatchesDecoded checks the engine's packed-domain
 // comparison: for every pair of in-range selectors, masking the two
-// Raw encodings gives exactly the decoded Selector.SameMux and
-// Selector.SameGHR answers, at W = 4, 8 and 16 (line = W), with and
+// Raw encodings gives exactly the struct oracles' sameMux and sameGHR
+// answers on the decoded selectors, at W = 4, 8 and 16 (line = W), with and
 // without near-block offsets.
 //
 // The pairs are enumerated literally except at W = 16 with near-block
@@ -55,7 +55,7 @@ func TestRawCompareMatchesDecoded(t *testing.T) {
 				raws := make([]Raw, len(sels))
 				for i, s := range sels {
 					raws[i] = tb.Encode(s)
-					if tb.Decode(raws[i]) != s {
+					if tb.decode(raws[i]) != s {
 						t.Fatalf("%+v does not round-trip", s)
 					}
 				}
@@ -74,9 +74,9 @@ func checkRawPairs(t *testing.T, tb *Table, as []Selector, ra []Raw, bs []Select
 	t.Helper()
 	for i, a := range as {
 		for j, b := range bs {
-			if tb.SameMux(ra[i], rb[j]) != a.SameMux(b) || tb.SameGHR(ra[i], rb[j]) != a.SameGHR(b) {
+			if tb.SameMux(ra[i], rb[j]) != sameMux(a, b) || tb.SameGHR(ra[i], rb[j]) != sameGHR(a, b) {
 				t.Fatalf("%+v vs %+v: raw (mux %v, ghr %v), decoded (mux %v, ghr %v)",
-					a, b, tb.SameMux(ra[i], rb[j]), tb.SameGHR(ra[i], rb[j]), a.SameMux(b), a.SameGHR(b))
+					a, b, tb.SameMux(ra[i], rb[j]), tb.SameGHR(ra[i], rb[j]), sameMux(a, b), sameGHR(a, b))
 			}
 		}
 	}
@@ -145,15 +145,16 @@ func TestCompactRolesMatchReference(t *testing.T) {
 				h, addr := uint32(op>>40), uint32(op>>52)
 				role := sh.first + int(op>>4%uint64(sh.blocks-sh.first))
 				rp, rr := pk.At(h, addr), ref.Lookup(h, addr)
-				if rp.Valid() != rr.Valid {
+				got, ok := get(rp, role)
+				if ok != rr.Valid || valid(rp) != rr.Valid {
 					return false
 				}
-				if rr.Valid && rp.Get(role) != *rr.Slot(role) {
+				if rr.Valid && got != *rr.Slot(role) {
 					return false
 				}
 				if op&2 == 0 {
 					s := selFor(op, 8, 8, true)
-					rp.Set(role, s)
+					set(rp, role, s)
 					*rr.Slot(role) = s
 					rr.Valid = true
 				}
@@ -184,8 +185,6 @@ func TestRoleOutOfRangePanics(t *testing.T) {
 		ref := tb.At(3, 5)
 		for _, role := range c.bad {
 			for name, f := range map[string]func(){
-				"Get":    func() { ref.Get(role) },
-				"Set":    func() { ref.Set(role, Selector{}) },
 				"Load":   func() { ref.Load(role) },
 				"SetRaw": func() { ref.SetRaw(role, 0) },
 			} {
@@ -199,7 +198,7 @@ func TestRoleOutOfRangePanics(t *testing.T) {
 				}()
 			}
 		}
-		if ref.Valid() {
+		if valid(ref) {
 			t.Errorf("blocks=%d double=%v: a rejected write marked the entry valid", c.blocks, c.double)
 		}
 	}

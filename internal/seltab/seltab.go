@@ -73,27 +73,10 @@ type Selector struct {
 	StartOff uint8
 }
 
-// Equal reports whether two selectors would drive the multiplexer (and
-// GHR update) identically. A mismatch is a misselect (or GHR
-// misprediction, which the engine distinguishes).
-func (s Selector) Equal(o Selector) bool { return s == o }
-
-// SameMux reports whether two selectors pick the same multiplexer input
-// (ignoring the GHR-update fields). The engine uses this to separate
-// misselect penalties from GHR penalties.
-func (s Selector) SameMux(o Selector) bool {
-	return s.Source == o.Source && s.Pos == o.Pos && s.StartOff == o.StartOff
-}
-
-// SameGHR reports whether two selectors predict the same GHR update.
-func (s Selector) SameGHR(o Selector) bool {
-	return s.NTCount == o.NTCount && s.TakenBit == o.TakenBit
-}
-
 // Raw is a selector in its table's packed field encoding (see Encode).
 // Raw values of one table compare field by field with masks: the
 // engine encodes the scanned selector once per block and checks it
-// against the stored field with SameMux/SameGHR without decoding
+// against the stored field with Table.SameMux/SameGHR without decoding
 // either side.
 type Raw uint64
 
@@ -204,7 +187,7 @@ func New(historyBits, numTables, blockWidth, lineSize int, nearBlock bool, block
 
 // Reset invalidates every entry in place, one store per backing word,
 // as if freshly built. It allocates nothing.
-func (t *Table) Reset() { t.slots.Clear() }
+func (t *Table) Reset() { t.slots.Fill(0) }
 
 // Tables returns the number of select tables.
 func (t *Table) Tables() int { return t.tables }
@@ -227,25 +210,6 @@ type Ref struct {
 // At returns the entry handle for (history, block address).
 func (t *Table) At(history, blockAddr uint32) Ref {
 	return Ref{t: t, i: t.index(history, blockAddr)}
-}
-
-// Valid reports whether the entry has ever been written.
-func (r Ref) Valid() bool {
-	return Raw(r.t.slots.Get(r.i*r.t.roles))&r.t.validBit != 0
-}
-
-// Get returns the selector for the given role (0 = first block of a
-// group, 1 = second, ...). Meaningful only when Valid.
-func (r Ref) Get(role int) Selector {
-	v, _ := r.Load(role)
-	return r.t.Decode(v)
-}
-
-// Set stores the selector for the role and marks the entry valid (the
-// table's valid bit covers the whole entry, as in verifyST's original
-// write-through semantics).
-func (r Ref) Set(role int, s Selector) {
-	r.SetRaw(role, r.t.Encode(s))
 }
 
 // Load returns the role's stored selector in packed form and whether
@@ -308,23 +272,14 @@ func (t *Table) Encode(s Selector) Raw {
 	return v
 }
 
-// Decode unpacks a field produced by Encode.
-func (t *Table) Decode(v Raw) Selector {
-	return Selector{
-		Source:   Source(v & 7),
-		TakenBit: v>>3&1 == 1,
-		Pos:      uint8(v >> 4 & (1<<t.posBits - 1)),
-		NTCount:  uint8(v >> (4 + t.posBits) & (1<<t.ntBits - 1)),
-		StartOff: uint8(v >> (4 + t.posBits + t.ntBits) & (1<<t.offBits - 1)),
-	}
-}
-
-// SameMux is Selector.SameMux on packed selectors of this table: the
-// source, position and start-offset fields agree.
+// SameMux reports whether two packed selectors of this table pick the
+// same multiplexer input: the source, position and start-offset fields
+// agree (the GHR-update fields are ignored). The engine uses this to
+// separate misselect penalties from GHR penalties.
 func (t *Table) SameMux(a, b Raw) bool { return (a^b)&t.muxMask == 0 }
 
-// SameGHR is Selector.SameGHR on packed selectors of this table: the
-// taken bit and not-taken count agree.
+// SameGHR reports whether two packed selectors of this table predict
+// the same GHR update: the taken bit and not-taken count agree.
 func (t *Table) SameGHR(a, b Raw) bool { return (a^b)&t.ghrMask == 0 }
 
 // ValidCount returns the number of entries ever written.
@@ -350,16 +305,6 @@ func SelectorBits(blockWidth, lineSize int, nearBlock bool) int {
 	return bits
 }
 
-// CostBits returns the total storage cost in bits. Double selection
-// stores two selectors per entry.
-func (t *Table) CostBits(blockWidth, lineSize int, nearBlock, double bool) int {
-	per := SelectorBits(blockWidth, lineSize, nearBlock)
-	if double {
-		per *= 2
-	}
-	return t.tables << t.hBits * per
-}
-
 // StateBits returns the paper's storage cost in bits at the table's
 // construction geometry and selection (Table 7's s * 2^k *
 // SelectorBits closed form; double selection stores two selectors per
@@ -367,7 +312,11 @@ func (t *Table) CostBits(blockWidth, lineSize int, nearBlock, double bool) int {
 // so the N-block extension's extra roles are physical slots the
 // modeled hardware cost does not count: the cost stays the paper's.
 func (t *Table) StateBits() int {
-	return t.CostBits(t.blockWidth, t.lineSize, t.nearBlock, t.double)
+	per := SelectorBits(t.blockWidth, t.lineSize, t.nearBlock)
+	if t.double {
+		per *= 2
+	}
+	return t.tables << t.hBits * per
 }
 
 func log2(n int) int {

@@ -5,30 +5,36 @@ import (
 	"testing/quick"
 )
 
+// TestSelectorComparisons checks the packed compare the engine uses
+// on hand-picked selectors: GHR fields never affect SameMux, and
+// multiplexer fields never affect SameGHR.
 func TestSelectorComparisons(t *testing.T) {
+	tb := New(4, 1, 8, 8, true, 2, false)
+	mux := func(a, b Selector) bool { return tb.SameMux(tb.Encode(a), tb.Encode(b)) }
+	ghr := func(a, b Selector) bool { return tb.SameGHR(tb.Encode(a), tb.Encode(b)) }
 	a := Selector{Source: SrcTarget, Pos: 5, NTCount: 2, TakenBit: true}
 	b := a
-	if !a.Equal(b) || !a.SameMux(b) || !a.SameGHR(b) {
-		t.Error("identical selectors should compare equal on all axes")
+	if !mux(a, b) || !ghr(a, b) {
+		t.Error("identical selectors should compare equal on both axes")
 	}
 	b.NTCount = 3
-	if a.SameGHR(b) {
+	if ghr(a, b) {
 		t.Error("different NTCount should differ on GHR")
 	}
-	if !a.SameMux(b) {
+	if !mux(a, b) {
 		t.Error("GHR fields must not affect mux comparison")
 	}
 	c := a
 	c.Pos = 6
-	if a.SameMux(c) {
+	if mux(a, c) {
 		t.Error("different position should differ on mux")
 	}
-	if !a.SameGHR(c) {
+	if !ghr(a, c) {
 		t.Error("mux fields must not affect GHR comparison")
 	}
 	d := a
 	d.StartOff = 3
-	if a.SameMux(d) {
+	if mux(a, d) {
 		t.Error("different start offset should differ on mux")
 	}
 }
@@ -63,9 +69,9 @@ func TestMultipleTablesSplitByOffset(t *testing.T) {
 
 func TestEntryWriteThrough(t *testing.T) {
 	tb := New(8, 1, 8, 8, true, 2, false)
-	tb.At(5, 9).Set(1, Selector{Source: SrcRAS, Pos: 7})
-	again := tb.At(5, 9)
-	if !again.Valid() || again.Get(1).Source != SrcRAS || again.Get(1).Pos != 7 {
+	set(tb.At(5, 9), 1, Selector{Source: SrcRAS, Pos: 7})
+	got, ok := get(tb.At(5, 9), 1)
+	if !ok || got.Source != SrcRAS || got.Pos != 7 {
 		t.Error("entry mutations must persist")
 	}
 }
@@ -79,11 +85,10 @@ func TestSelectorBits(t *testing.T) {
 	if got := SelectorBits(8, 8, false); got != 4+3+1 {
 		t.Errorf("W=8 selector bits = %d, want 8", got)
 	}
-	tb := New(10, 1, 8, 8, true, 2, false)
-	if got := tb.CostBits(8, 8, false, false); got != 8*1024 {
+	if got := New(10, 1, 8, 8, false, 2, false).StateBits(); got != 8*1024 {
 		t.Errorf("ST cost = %d bits, want 8192 (Table 7)", got)
 	}
-	if got := tb.CostBits(8, 8, false, true); got != 16*1024 {
+	if got := New(10, 1, 8, 8, false, 2, true).StateBits(); got != 16*1024 {
 		t.Errorf("dual ST cost = %d bits, want 16384", got)
 	}
 }

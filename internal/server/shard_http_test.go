@@ -5,11 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mbbp/internal/core"
 )
@@ -555,5 +559,212 @@ func TestShardWaiterSurvivesOwnerFailure(t *testing.T) {
 	}
 	if !bytes.Equal(ww.Body.Bytes(), want.Body.Bytes()) {
 		t.Error("waiter body differs from the cold reference")
+	}
+}
+
+// TestShardSoakHostileReplicas extends the shard soak to replicas that
+// misbehave without dying: one stays alive but answers only after the
+// front-end's RequestTimeout, one promises a whole body and cuts it
+// short. Two front-ends route concurrent clients to them and to one
+// healthy replica; every 200 body must be byte-identical to a local
+// run, no request may fall back to local execution, and once the
+// servers shut down no goroutine may be left behind.
+//
+// The first front-end has no cooldown and no slow replica, so every
+// request whose key the truncated replica owns walks past it. The
+// second runs the production cooldown over all three. The front-end
+// gives a replica the whole request budget (it cannot tell a hung
+// replica from a long sweep), so the probe request that first reaches
+// the slow replica times out; the replica is then marked failed and
+// the concurrent clients that follow never wait on it.
+func TestShardSoakHostileReplicas(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak test")
+	}
+	const (
+		clients    = 16
+		iterations = 4
+		probes     = 8
+		timeout    = 5 * time.Second
+	)
+	ref := newTestServer(t, Config{QueueDepth: 4})
+	// Soak keys are each asked twice; probe keys are distinct from them,
+	// so the soak's sweeps are not already in the front-end's cache.
+	requests := make([]SweepRequest, clients*iterations/2+probes)
+	want := make([][]byte, len(requests))
+	for i := range requests {
+		requests[i] = SweepRequest{Programs: []string{"li"}, Instructions: uint64(2_000 + i)}
+		w := postSweep(t, ref.Handler(), requests[i], "")
+		if w.Code != 200 {
+			t.Fatalf("reference %d = %d", i, w.Code)
+		}
+		want[i] = w.Body.Bytes()
+	}
+	soakKeys := len(requests) - probes
+
+	baseline := runtime.NumGoroutine()
+	newServer := func(cfg Config) *Server {
+		cfg.Logger = quietLogger()
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	healthy := newServer(Config{QueueDepth: 2 * clients})
+	healthyURL := httptest.NewServer(healthy.Handler())
+	// slow is alive and correct, but only after the front-end gave up.
+	// It reads the request body first: the server notices a client that
+	// hung up only once the body is consumed.
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		select {
+		case <-r.Context().Done():
+			return
+		case <-time.After(2 * timeout):
+		}
+		healthy.Handler().ServeHTTP(w, r)
+	}))
+	// truncated promises the whole body and sends half of it.
+	truncated := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		healthy.Handler().ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(rec.Code)
+		w.Write(body[:len(body)/2])
+	}))
+	healthyAt := func(front *Server, url string) bool {
+		for _, r := range front.pool.snapshot().Replicas {
+			if r.Addr == url {
+				return r.Healthy
+			}
+		}
+		t.Fatalf("replica %s not in the pool", url)
+		return false
+	}
+	soak := func(name string, front *Server) {
+		var wg sync.WaitGroup
+		errs := make(chan string, clients*iterations)
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := 0; i < iterations; i++ {
+					idx := (c*iterations + i) % soakKeys
+					w := postSweepQuiet(front.Handler(), requests[idx])
+					if w.Code != 200 {
+						errs <- fmt.Sprintf("%s: client %d iter %d: status %d: %s", name, c, i, w.Code, w.Body.Bytes())
+					} else if !bytes.Equal(w.Body.Bytes(), want[idx]) {
+						errs <- fmt.Sprintf("%s: client %d iter %d: body differs from reference %d", name, c, i, idx)
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
+		snap := front.pool.snapshot()
+		if snap.Reroutes == 0 || snap.Fallbacks != 0 {
+			t.Errorf("%s: reroutes = %d, fallbacks = %d; want reroutes past the hostile replicas and no local fallback",
+				name, snap.Reroutes, snap.Fallbacks)
+		}
+		if !healthyAt(front, healthyURL.URL) {
+			t.Errorf("%s: the healthy replica was marked failed", name)
+		}
+	}
+
+	walker := newServer(Config{
+		QueueDepth:     2 * clients,
+		RequestTimeout: timeout,
+		ShardOf:        []string{healthyURL.URL, truncated.URL},
+	})
+	walker.pool.cooldown = 0
+	soak("no cooldown", walker)
+
+	front := newServer(Config{
+		QueueDepth:     2 * clients,
+		RequestTimeout: timeout,
+		ShardOf:        []string{healthyURL.URL, slow.URL, truncated.URL},
+	})
+	timeouts := 0
+	for i := soakKeys; i < len(requests); i++ {
+		w := postSweep(t, front.Handler(), requests[i], "")
+		switch {
+		case w.Code == http.StatusGatewayTimeout:
+			timeouts++
+		case w.Code != 200:
+			t.Errorf("probe %d: status %d: %s", i, w.Code, w.Body.Bytes())
+		case !bytes.Equal(w.Body.Bytes(), want[i]):
+			t.Errorf("probe %d: body differs from reference", i)
+		}
+	}
+	if timeouts > 1 || healthyAt(front, slow.URL) {
+		t.Fatalf("probes: %d timeouts, slow replica healthy = %v; want at most one timeout and the slow replica cooling down",
+			timeouts, healthyAt(front, slow.URL))
+	}
+	soak("cooldown", front)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, s := range []*Server{walker, front, healthy} {
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, hs := range []*httptest.Server{healthyURL, slow, truncated} {
+		hs.Close()
+	}
+	walker.pool.client.CloseIdleConnections()
+	front.pool.client.CloseIdleConnections()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after shutdown, %d before the pool started:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestShardSlowHealthyReplicaAnswers pins the budget a replica gets: a
+// healthy replica whose sweep takes most of the front-end's
+// RequestTimeout still answers through the front-end and is not marked
+// failed. Cutting the attempt short to leave time for the failover
+// walk would throw the replica's work away.
+func TestShardSlowHealthyReplicaAnswers(t *testing.T) {
+	const timeout = 3 * time.Second
+	req := SweepRequest{Programs: []string{"li"}, Instructions: 2_000}
+	want := postSweep(t, newTestServer(t, Config{QueueDepth: 4}).Handler(), req, "")
+	replica := newTestServer(t, Config{QueueDepth: 4})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+			return
+		case <-time.After(timeout * 7 / 10):
+		}
+		replica.Handler().ServeHTTP(w, r)
+	}))
+	defer slow.Close()
+	front := newTestServer(t, Config{QueueDepth: 4, RequestTimeout: timeout, ShardOf: []string{slow.URL}})
+
+	w := postSweep(t, front.Handler(), req, "")
+	if w.Code != 200 || !bytes.Equal(w.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatalf("status %d, body equal to a local run = %v", w.Code, bytes.Equal(w.Body.Bytes(), want.Body.Bytes()))
+	}
+	if got := w.Header().Get(shardReplicaHeader); got != slow.URL {
+		t.Errorf("answered by %q, want the slow replica %s", got, slow.URL)
+	}
+	snap := front.pool.snapshot()
+	if !snap.Replicas[0].Healthy || snap.Fallbacks != 0 {
+		t.Errorf("slow replica healthy = %v, fallbacks = %d; want healthy and no fallback",
+			snap.Replicas[0].Healthy, snap.Fallbacks)
 	}
 }

@@ -14,9 +14,11 @@
 // evictable. History folding uses the circular-shift-register
 // construction, so a lookup costs O(tables), not O(history length).
 //
-// All storage is backed by internal/packed arrays, so StateBits()
-// reports the honest Table-7-style hardware cost: counters, tags,
-// useful bits and the history register itself.
+// All storage is backed by internal/packed arrays: the bimodal base and
+// the useful counters in Counter2Arrays, the 3-bit counters and the
+// partial tags in FieldArrays. StateBits() therefore reports the
+// honest Table-7-style hardware cost: counters, tags, useful bits and
+// the history register itself.
 //
 // Importing this package registers the strategy under
 // core.PredictorTAGE; binaries opt in with a blank import.
@@ -77,7 +79,7 @@ func (f *folded) push(newBit, outBit uint32) {
 // tags and 2-bit useful counters, all 2^bits entries, plus the folded
 // views of its history slice.
 type table struct {
-	ctr     packed.Counter3Array
+	ctr     packed.FieldArray // 3-bit saturating counters
 	tag     packed.FieldArray
 	u       packed.Counter2Array
 	histLen int
@@ -145,7 +147,7 @@ func New(cfg core.Config) (core.Predictor, error) {
 	for i := range p.tables {
 		n := 1 << t.TableBits
 		p.tables[i] = table{
-			ctr:     *packed.NewCounter3Array(n, 0),
+			ctr:     *packed.NewFieldArray(n, 3),
 			tag:     *packed.NewFieldArray(n, t.TagBits),
 			u:       *packed.NewCounter2Array(n, 0),
 			histLen: lens[i],
@@ -270,7 +272,7 @@ func (p *Predictor) predict(r *posResult, pc uint32) {
 	r.pred = c >= 4
 	r.strong = c <= 2 || c >= 5
 	if r.alt >= 0 {
-		r.altPred = p.tables[r.alt].ctr.Taken(int(r.idx[r.alt]))
+		r.altPred = p.tables[r.alt].ctr.Get(int(r.idx[r.alt])) >= 4
 	} else {
 		r.altPred = baseTaken
 	}
@@ -416,7 +418,7 @@ func (p *Predictor) Reset() {
 	for i := range p.tables {
 		tb := &p.tables[i]
 		tb.ctr.Fill(3) // weakly not-taken
-		tb.tag.Clear()
+		tb.tag.Fill(0)
 		tb.u.Fill(0)
 		tb.fIdx.comp, tb.fTag0.comp, tb.fTag1.comp = 0, 0, 0
 	}

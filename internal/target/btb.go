@@ -90,9 +90,6 @@ func (b *BTB) Entries() int { return b.Sets() * b.assoc }
 // Sets returns the number of sets.
 func (b *BTB) Sets() int { return int(b.sets.D()) }
 
-// Assoc returns the number of ways per set.
-func (b *BTB) Assoc() int { return b.assoc }
-
 // Width returns the number of position slots per entry.
 func (b *BTB) Width() int { return int(b.width.D()) }
 

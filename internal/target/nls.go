@@ -69,9 +69,6 @@ func (n *NLS) Entries() int { return int(n.entries.D()) }
 // Width returns the number of position slots per entry.
 func (n *NLS) Width() int { return int(n.width.D()) }
 
-// Arrays returns the number of per-target-number arrays.
-func (n *NLS) Arrays() int { return n.arrays }
-
 // slot returns the flat index of (indexing address, position) in array
 // targetNum.
 func (n *NLS) slot(addr uint32, pos, targetNum int) int {

@@ -4,9 +4,9 @@ import "testing"
 
 func TestNLSGeometry(t *testing.T) {
 	n := NewNLS(256, 8, 2)
-	if n.Entries() != 256 || n.Width() != 8 || n.Arrays() != 2 {
-		t.Fatalf("geometry = %d entries, %d wide, %d arrays; want 256/8/2",
-			n.Entries(), n.Width(), n.Arrays())
+	if n.Entries() != 256 || n.Width() != 8 || n.StateBits(10) != 2*256*8*10 {
+		t.Fatalf("geometry = %d entries, %d wide, %d bits; want 256/8/%d",
+			n.Entries(), n.Width(), n.StateBits(10), 2*256*8*10)
 	}
 }
 
@@ -97,9 +97,9 @@ func TestCallBitRoundTrip(t *testing.T) {
 
 func TestBTBGeometry(t *testing.T) {
 	b := NewBTB(32, 8, 4)
-	if b.Entries() != 32 || b.Sets() != 8 || b.Assoc() != 4 || b.Width() != 8 {
-		t.Fatalf("geometry = %d entries, %d sets, %d ways, %d wide; want 32/8/4/8",
-			b.Entries(), b.Sets(), b.Assoc(), b.Width())
+	if b.Entries() != 32 || b.Sets() != 8 || b.Width() != 8 {
+		t.Fatalf("geometry = %d entries, %d sets, %d wide; want 32/8/8",
+			b.Entries(), b.Sets(), b.Width())
 	}
 }
 
