@@ -187,21 +187,21 @@ func (e *Engine) alloc(addr uint32) *entry {
 // block width.
 type basicBlock struct {
 	start uint32
-	insts []trace.Packed // a window on the trace's records, read in place
+	n     int
 	next  uint32
+	// last is the terminating control transfer's record when the block
+	// ends at one (branch), read in place from the trace.
+	last   trace.Packed
+	branch bool
 }
-
-func (b *basicBlock) n() int { return len(b.insts) }
 
 // exit returns the terminating control transfer, if any.
-func (b *basicBlock) exit() (trace.Packed, bool) {
-	last := b.insts[len(b.insts)-1]
-	return last, last.Class().IsControlTransfer()
-}
+func (b *basicBlock) exit() (trace.Packed, bool) { return b.last, b.branch }
 
-// bbReader segments a trace into basic blocks by scanning the cursor's
-// unread records in place (trace.Buffer.Rest) and advancing past each
-// block (Skip).
+// bbReader segments a trace into basic blocks by walking the cursor's
+// unread run-length records in place (trace.Buffer.Rest), stepping
+// over a run of plain instructions at once, and moving the cursor past
+// each block (Skip).
 type bbReader struct {
 	src      *trace.Buffer
 	width    int
@@ -209,39 +209,53 @@ type bbReader struct {
 }
 
 func (r *bbReader) next() (basicBlock, bool) {
-	rest := r.src.Rest()
-	if len(rest) == 0 {
+	recs, off := r.src.Rest()
+	if len(recs) == 0 {
 		return basicBlock{}, false
 	}
-	start := rest[0].PC()
+	rec := recs[0]
+	start := rec.PC() + uint32(off)
 	// Like the paper's normal cache, a block cannot cross a line.
-	limit := min(r.lineSize-int(start)%r.lineSize, r.width, len(rest))
+	limit := min(r.lineSize-int(start)%r.lineSize, r.width)
 	b := basicBlock{start: start}
-	n := 0
+	i := 0
 	for {
-		rec := rest[n]
-		n++
-		if rec.Class().IsControlTransfer() {
-			// A basic block ends at any branch, taken or not.
-			if rec.Taken() {
-				b.next = rec.Target()
-			} else {
-				b.next = rec.PC() + 1
+		if off == 0 {
+			b.n, off = b.n+1, 1
+			if rec.Class().IsControlTransfer() {
+				// A basic block ends at any branch, taken or not.
+				b.last, b.branch = rec, true
+				if rec.Taken() {
+					b.next = rec.Target()
+				} else {
+					b.next = rec.PC() + 1
+				}
+				break
 			}
+		}
+		// The plain instructions folded after the record, up to the
+		// line or the width.
+		take := min(rec.Run()+1-off, limit-b.n)
+		b.n, off = b.n+take, off+take
+		if b.n == limit {
+			b.next = start + uint32(b.n)
 			break
 		}
-		if n == limit {
-			// The line, the width or the end of the stream.
-			b.next = start + uint32(n)
+		if i++; i == len(recs) {
+			// The end of the stream.
+			b.next, off = start+uint32(b.n), 0
 			break
 		}
-		if pc := rest[n].PC(); pc != start+uint32(n) {
+		rec, off = recs[i], 0
+		if pc := rec.PC(); pc != start+uint32(b.n) {
 			b.next = pc
 			break
 		}
 	}
-	b.insts = rest[:n:n]
-	r.src.Skip(n)
+	if i < len(recs) && off > recs[i].Run() {
+		i, off = i+1, 0
+	}
+	r.src.Skip(i, off)
 	return b, true
 }
 
@@ -266,7 +280,7 @@ func (e *Engine) Run(src *trace.Buffer) metrics.Result {
 			e.res.FetchCycles++
 		}
 		e.res.Blocks++
-		e.res.Instructions += uint64(blk.n())
+		e.res.Instructions += uint64(blk.n)
 
 		redirect := e.consume(&blk, role)
 
@@ -311,11 +325,11 @@ func (e *Engine) fillInfoFromBlock(si *secondInfo, blk *basicBlock) {
 	if !hasExit {
 		si.exitPos = noBranch
 		si.class = isa.ClassPlain
-		si.fallThrough = blk.start + uint32(blk.n())
+		si.fallThrough = blk.start + uint32(blk.n)
 		si.target = si.fallThrough
 		return
 	}
-	si.exitPos = uint8(blk.n() - 1)
+	si.exitPos = uint8(blk.n - 1)
 	si.class = rec.Class()
 	si.fallThrough = rec.PC() + 1
 	si.target = rec.Target()
@@ -390,7 +404,7 @@ func (e *Engine) consume(blk *basicBlock, role int) bool {
 	}
 	ne := e.alloc(blk.start)
 	if hasExit {
-		ne.exitPos = uint8(blk.n() - 1)
+		ne.exitPos = uint8(blk.n - 1)
 		ne.class = rec.Class()
 		ne.fallThrough = rec.PC() + 1
 		if rec.Taken() {
@@ -399,7 +413,7 @@ func (e *Engine) consume(blk *basicBlock, role int) bool {
 	} else {
 		ne.exitPos = noBranch
 		ne.class = isa.ClassPlain
-		ne.fallThrough = blk.start + uint32(blk.n())
+		ne.fallThrough = blk.start + uint32(blk.n)
 	}
 	return redirect
 }
@@ -410,7 +424,7 @@ func (e *Engine) consume(blk *basicBlock, role int) bool {
 func (e *Engine) stale(ent *entry, blk *basicBlock) bool {
 	rec, hasExit := blk.exit()
 	if !hasExit {
-		return ent.exitPos != noBranch && int(ent.exitPos) < blk.n()
+		return ent.exitPos != noBranch && int(ent.exitPos) < blk.n
 	}
-	return ent.exitPos != uint8(blk.n()-1) || ent.class != rec.Class()
+	return ent.exitPos != uint8(blk.n-1) || ent.class != rec.Class()
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func mkTrace(recs [][4]uint32) *trace.Buffer {
-	b := trace.NewBuffer("synthetic", len(recs))
+	b := trace.NewBuffer("synthetic")
 	for _, r := range recs {
 		b.Append(cpu.Retired{PC: r[0], Class: isa.Class(r[1]), Taken: r[2] == 1, Target: r[3]})
 	}

@@ -18,7 +18,7 @@ type rec struct {
 }
 
 func mkTrace(recs []rec) *trace.Buffer {
-	b := trace.NewBuffer("synthetic", len(recs))
+	b := trace.NewBuffer("synthetic")
 	for _, r := range recs {
 		b.Append(cpu.Retired{PC: r.pc, Class: r.class, Taken: r.taken, Target: r.target})
 	}
@@ -26,8 +26,8 @@ func mkTrace(recs []rec) *trace.Buffer {
 }
 
 // readBlocks segments src through the production reader. The blocks'
-// instruction windows alias src's records, which never change, so a
-// shallow copy of each block outlives the reader's reuse of its block.
+// record windows alias src's records, which never change, so a shallow
+// copy of each block outlives the reader's reuse of its block.
 func readBlocks(tb testing.TB, src *trace.Buffer, geom icache.Geometry) []block {
 	tb.Helper()
 	src.Reset()
@@ -48,7 +48,7 @@ func readBlocks(tb testing.TB, src *trace.Buffer, geom icache.Geometry) []block 
 // conditional outcomes, first position) just as the engine sees it.
 func formBlock(tb testing.TB, geom icache.Geometry, recs ...cpu.Retired) *block {
 	tb.Helper()
-	src := trace.NewBuffer("fixture", len(recs))
+	src := trace.NewBuffer("fixture")
 	for _, r := range recs {
 		src.Append(r)
 	}
@@ -144,7 +144,8 @@ func (b *refBlock) exitIdx() int {
 }
 
 // checkFormation compares every field of every block the production
-// reader forms from src against the reference segmentation.
+// reader forms from src, and the record it gives for every position,
+// against the reference segmentation.
 func checkFormation(t *testing.T, src *trace.Buffer, geom icache.Geometry) {
 	t.Helper()
 	want := refSegment(src, geom)
@@ -154,17 +155,17 @@ func checkFormation(t *testing.T, src *trace.Buffer, geom icache.Geometry) {
 	}
 	for i := range want {
 		g, w := &got[i], &want[i]
-		if g.start != w.start || g.n() != len(w.insts) || g.next != w.next ||
-			g.pos0 != w.pos0 || g.exitIdx() != w.exitIdx() ||
+		if g.start != w.start || g.n != len(w.insts) || g.next != w.next ||
+			g.pos0 != w.pos0 || g.exit != w.exitIdx() ||
 			g.branch != w.branch || g.cond != w.cond ||
 			g.condN != w.condN || g.condBits != w.condBits {
 			t.Fatalf("%+v block %d:\n reader    start %d n %d next %d pos0 %d exit %d branch %b cond %b condN %d condBits %b\n reference start %d n %d next %d pos0 %d exit %d branch %b cond %b condN %d condBits %b",
 				geom, i,
-				g.start, g.n(), g.next, g.pos0, g.exitIdx(), g.branch, g.cond, g.condN, g.condBits,
+				g.start, g.n, g.next, g.pos0, g.exit, g.branch, g.cond, g.condN, g.condBits,
 				w.start, len(w.insts), w.next, w.pos0, w.exitIdx(), w.branch, w.cond, w.condN, w.condBits)
 		}
 		for j, r := range w.insts {
-			if u := trace.Unpack(g.insts[j]); u != r {
+			if u := trace.Unpack(g.rec(j)); u != r {
 				t.Fatalf("%+v block %d record %d = %+v, reference %+v", geom, i, j, u, r)
 			}
 		}
@@ -190,7 +191,7 @@ func formationGeometries() []icache.Geometry {
 // of the record. The stream ends wherever the bytes do, often
 // mid-block.
 func fuzzRecords(data []byte) *trace.Buffer {
-	src := trace.NewBuffer("fuzz", len(data)/2)
+	src := trace.NewBuffer("fuzz")
 	pc := uint32(64)
 	for i := 0; i+1 < len(data); i += 2 {
 		op, arg := data[i], data[i+1]
@@ -215,11 +216,12 @@ func fuzzRecords(data []byte) *trace.Buffer {
 	return src
 }
 
-// FuzzBlockFormation checks the one-pass packed-window reader against
-// the reference segmentation on arbitrary record streams — PC
-// discontinuities and a mid-block end of stream included — under every
-// cache kind at W = 4, 8 and 16. Seed inputs live under
-// testdata/fuzz/FuzzBlockFormation.
+// FuzzBlockFormation checks the one-pass run-walking reader against
+// the reference segmentation on arbitrary record streams, appended
+// one instruction at a time so plain runs fold — PC discontinuities,
+// long plain runs with block limits inside them and a mid-block end of
+// stream included — under every cache kind at W = 4, 8 and 16. Seed
+// inputs live under testdata/fuzz/FuzzBlockFormation.
 func FuzzBlockFormation(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 70, 0, 0})
 	f.Add([]byte{1, 60, 9, 90, 0x30, 5, 0, 0, 4, 100, 2, 200, 0})
@@ -256,8 +258,8 @@ func TestBlockEndsAtTakenTransfer(t *testing.T) {
 		t.Fatalf("got %d blocks, want 2", len(blocks))
 	}
 	b := blocks[0]
-	if b.start != 0 || b.n() != 3 || b.exitIdx() != 2 || b.next != 20 {
-		t.Errorf("block 0 = start%d n%d exit%d next%d", b.start, b.n(), b.exitIdx(), b.next)
+	if b.start != 0 || b.n != 3 || b.exit != 2 || b.next != 20 {
+		t.Errorf("block 0 = start%d n%d exit%d next%d", b.start, b.n, b.exit, b.next)
 	}
 	if blocks[1].start != 20 {
 		t.Errorf("block 1 starts at %d", blocks[1].start)
@@ -276,8 +278,8 @@ func TestNotTakenCondDoesNotEndBlock(t *testing.T) {
 		t.Fatalf("got %d blocks, want 1", len(blocks))
 	}
 	b := blocks[0]
-	if b.n() != 3 || b.exitIdx() != 2 || b.next != 50 {
-		t.Errorf("block = n%d exit%d next%d", b.n(), b.exitIdx(), b.next)
+	if b.n != 3 || b.exit != 2 || b.next != 50 {
+		t.Errorf("block = n%d exit%d next%d", b.n, b.exit, b.next)
 	}
 	if b.condN != 3 || b.condBits != 0b001 {
 		t.Errorf("cond outcomes = %d, %03b; want 3, 001", b.condN, b.condBits)
@@ -297,12 +299,12 @@ func TestBlockTruncatedByLineBoundary(t *testing.T) {
 	if len(blocks) != 2 {
 		t.Fatalf("got %d blocks, want 2", len(blocks))
 	}
-	if blocks[0].n() != 3 || blocks[0].next != 8 || blocks[0].exitIdx() != -1 {
+	if blocks[0].n != 3 || blocks[0].next != 8 || blocks[0].exit != -1 {
 		t.Errorf("block 0 = n%d next%d exit%d; want 3, 8, -1",
-			blocks[0].n(), blocks[0].next, blocks[0].exitIdx())
+			blocks[0].n, blocks[0].next, blocks[0].exit)
 	}
-	if blocks[1].start != 8 || blocks[1].n() != 5 {
-		t.Errorf("block 1 = start%d n%d", blocks[1].start, blocks[1].n())
+	if blocks[1].start != 8 || blocks[1].n != 5 {
+		t.Errorf("block 1 = start%d n%d", blocks[1].start, blocks[1].n)
 	}
 }
 
@@ -313,8 +315,8 @@ func TestSelfAlignedIgnoresLineBoundary(t *testing.T) {
 		rs = append(rs, rec{pc, isa.ClassPlain, false, 0})
 	}
 	blocks := readBlocks(t, mkTrace(rs), geom)
-	if blocks[0].n() != 8 {
-		t.Errorf("self-aligned block = %d instructions, want 8", blocks[0].n())
+	if blocks[0].n != 8 {
+		t.Errorf("self-aligned block = %d instructions, want 8", blocks[0].n)
 	}
 }
 
@@ -326,12 +328,12 @@ func TestExtendedLineTruncatesLess(t *testing.T) {
 	}
 	blocks := readBlocks(t, mkTrace(rs), geom)
 	// Start 5 in a 16-wide line: full 8 fit (5..12).
-	if blocks[0].n() != 8 {
-		t.Errorf("extended block 0 = %d instructions, want 8", blocks[0].n())
+	if blocks[0].n != 8 {
+		t.Errorf("extended block 0 = %d instructions, want 8", blocks[0].n)
 	}
 	// Next starts at 13: only 3 until the line ends at 16.
-	if blocks[1].start != 13 || blocks[1].n() != 3 {
-		t.Errorf("extended block 1 = start%d n%d, want 13, 3", blocks[1].start, blocks[1].n())
+	if blocks[1].start != 13 || blocks[1].n != 3 {
+		t.Errorf("extended block 1 = start%d n%d, want 13, 3", blocks[1].start, blocks[1].n)
 	}
 }
 
@@ -342,7 +344,7 @@ func TestBlockWidthCap(t *testing.T) {
 		rs = append(rs, rec{pc, isa.ClassPlain, false, 0})
 	}
 	blocks := readBlocks(t, mkTrace(rs), geom)
-	if len(blocks) != 2 || blocks[0].n() != 4 || blocks[1].n() != 4 {
+	if len(blocks) != 2 || blocks[0].n != 4 || blocks[1].n != 4 {
 		t.Errorf("W=4 segmentation wrong: %d blocks", len(blocks))
 	}
 }
@@ -354,7 +356,7 @@ func TestStreamEndMidBlock(t *testing.T) {
 		{1, isa.ClassPlain, false, 0},
 	})
 	blocks := readBlocks(t, tr, geom)
-	if len(blocks) != 1 || blocks[0].n() != 2 {
+	if len(blocks) != 1 || blocks[0].n != 2 {
 		t.Fatalf("partial final block mishandled: %+v", blocks)
 	}
 }

@@ -30,9 +30,9 @@ func (c *cancelAtBlock) Observe(ev Event) {
 }
 
 // TestCancelMidWalk: cancelling a bound cursor's context while the walk
-// is running stops it within trace.PollStride records plus one block of
-// the cancelling block — for a lone engine and for an 8-lane set, whose
-// lanes all stop at the same block.
+// is running stops it within trace.PollStride instructions plus one
+// block of the cancelling block — for a lone engine and for an 8-lane
+// set, whose lanes all stop at the same block.
 func TestCancelMidWalk(t *testing.T) {
 	tr := randomTrace(7, 400_000)
 	const k = 10_000

@@ -174,7 +174,7 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 	e.blkPenalty, e.blkKind = 0, 0
 
 	e.res.Blocks++
-	e.res.Instructions += uint64(blk.n())
+	e.res.Instructions += uint64(blk.n)
 	if role == 0 {
 		e.res.FetchCycles++
 		e.linesA = append(e.linesA[:0], sh.lines...)
@@ -248,13 +248,14 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 	// branch in the block (each predicted by its position counter in
 	// the entry looked up for this block). The branch counts are the
 	// popcounts of the block's masks; training visits only the set bits
-	// of cond, in ascending position order.
+	// of cond, in ascending position order. A taken conditional ends
+	// its block, so only the exit can be one.
 	w := e.geom.BlockWidth
 	e.res.Branches += uint64(bits.OnesCount64(blk.branch))
 	e.res.CondBranches += uint64(bits.OnesCount64(blk.cond))
 	for m := blk.cond; m != 0; m &= m - 1 {
 		j := bits.TrailingZeros64(m)
-		pos, taken := blk.posOf(j, w), blk.insts[j].Taken()
+		pos, taken := blk.posOf(j, w), j == blk.exit
 		if e.pred.Taken(pos) != taken {
 			e.res.CondMispredicts++
 		}
@@ -265,8 +266,8 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 	// target array stores its target under every target number — array
 	// t indexed by the block t positions back (§3.1's inherent
 	// duplication, extended to N blocks).
-	if x := blk.exitIdx(); x >= 0 {
-		class := blk.insts[x].Class()
+	if x := blk.exit; x >= 0 {
+		class := blk.rec(x).Class()
 		exitAddr := blk.start + uint32(x)
 		if usesTargetArray(class, trueCodes[x]) {
 			pos := blk.posOf(x, w)
@@ -309,7 +310,7 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 	if e.runObs != nil {
 		ev := Event{
 			Cycle: e.res.FetchCycles, Block: e.res.Blocks, Role: role,
-			Start: blk.start, Len: blk.n(),
+			Start: blk.start, Len: blk.n,
 			GHR:           ghrPre,
 			Selector:      sc.sel,
 			PredictedNext: predNext,
@@ -318,8 +319,8 @@ func (e *Engine) consume(blk *block, sh *sharedBlock) {
 			Kind:          e.blkKind,
 			Redirect:      redirect,
 		}
-		if x := blk.exitIdx(); x >= 0 {
-			ev.ExitClass = blk.insts[x].Class()
+		if x := blk.exit; x >= 0 {
+			ev.ExitClass = blk.rec(x).Class()
 		}
 		e.runObs.Observe(ev)
 	}
@@ -355,7 +356,7 @@ func (e *Engine) accessICache(lines []uint32) {
 // kind, whether it redirects the fetch stream, and any extra penalty
 // cycles (the re-fetch adder).
 func (e *Engine) classify(blk *block, sc *scanResult, predNext uint32, predOK bool, role int) (metrics.Kind, bool, int) {
-	actualExit := blk.exitIdx()
+	actualExit := blk.exit
 	switch {
 	case sc.exit < 0 && actualExit < 0:
 		return 0, false, 0 // both fall through; addresses agree by construction
@@ -370,7 +371,7 @@ func (e *Engine) classify(blk *block, sc *scanResult, predNext uint32, predOK bo
 		// the block must be re-fetched (Table 3 footnote, first block
 		// only; the second block's +1 is already in its base penalty).
 		extra := 0
-		if role == 0 && sc.exit < blk.n()-1 {
+		if role == 0 && sc.exit < blk.n-1 {
 			extra = metrics.RefetchAdder
 		}
 		return metrics.CondMispredict, true, extra
@@ -379,7 +380,7 @@ func (e *Engine) classify(blk *block, sc *scanResult, predNext uint32, predOK bo
 		if predOK && predNext == blk.next {
 			return 0, false, 0
 		}
-		switch blk.insts[sc.exit].Class() {
+		switch blk.rec(sc.exit).Class() {
 		case isa.ClassReturn:
 			return metrics.ReturnMispredict, true, 0
 		case isa.ClassIndirect, isa.ClassIndirectCall:
@@ -399,7 +400,7 @@ func (e *Engine) classify(blk *block, sc *scanResult, predNext uint32, predOK bo
 func (e *Engine) condExitWeak(blk *block, sc *scanResult) bool {
 	idx := sc.exit
 	if idx < 0 {
-		idx = blk.exitIdx()
+		idx = blk.exit
 	}
 	if idx < 0 || blk.cond&(1<<idx) == 0 {
 		return false
@@ -481,7 +482,7 @@ func usesTargetArray(class isa.Class, code bitable.Code) bool {
 // the next call) and reports whether any covering entry is stale or
 // missing.
 func (e *Engine) staleCodes(blk *block) ([]bitable.Code, bool) {
-	out := e.staleBuf[:blk.n()]
+	out := e.staleBuf[:blk.n]
 	anyStale := false
 	for j := 0; j < len(out); {
 		line, off, n := e.lineRun(blk, j)
@@ -498,7 +499,7 @@ func (e *Engine) fillBIT(blk *block, trueCodes []bitable.Code) {
 	if e.bit == nil || e.bit.Perfect() {
 		return
 	}
-	for j := 0; j < blk.n(); {
+	for j := 0; j < blk.n; {
 		line, off, n := e.lineRun(blk, j)
 		e.bit.Fill(line, off, trueCodes[j:j+n])
 		j += n
@@ -512,5 +513,5 @@ func (e *Engine) fillBIT(blk *block, trueCodes []bitable.Code) {
 func (e *Engine) lineRun(blk *block, j int) (line uint32, off, n int) {
 	addr := blk.start + uint32(j)
 	off = int(addr & uint32(e.geom.LineSize-1))
-	return e.geom.LineStart(addr), off, min(blk.n()-j, e.geom.LineSize-off)
+	return e.geom.LineStart(addr), off, min(blk.n-j, e.geom.LineSize-off)
 }

@@ -18,7 +18,7 @@ import (
 // otherwise, over a 4096-instruction address space.
 func randomTrace(seed int64, n int) *trace.Buffer {
 	rng := rand.New(rand.NewSource(seed))
-	b := trace.NewBuffer("random", n)
+	b := trace.NewBuffer("random")
 	pc := uint32(0)
 	const space = 1 << 12
 	depth := 0
@@ -208,7 +208,7 @@ func TestEngineDeterminism(t *testing.T) {
 // (no control transfers) must fetch at the geometry's full width with
 // zero penalties.
 func TestPerfectlyPredictableTraceHasNoPenalties(t *testing.T) {
-	b := trace.NewBuffer("straight", 4096)
+	b := trace.NewBuffer("straight")
 	for pc := uint32(0); pc < 4096; pc++ {
 		b.Append(cpu.Retired{PC: pc, Class: isa.ClassPlain})
 	}

@@ -55,7 +55,7 @@ func newSharedBlock(geom icache.Geometry) *sharedBlock {
 // lines it touches.
 func (sh *sharedBlock) set(blk *block) {
 	sh.blk = blk
-	sh.lines = sh.geom.LinesTouched(sh.lines[:0], blk.start, blk.n())
+	sh.lines = sh.geom.LinesTouched(sh.lines[:0], blk.start, blk.n)
 	sh.codesOK[0], sh.codesOK[1] = false, false
 }
 
@@ -70,12 +70,12 @@ func (sh *sharedBlock) trueCodes(near bool) []bitable.Code {
 		i = 1
 	}
 	blk := sh.blk
-	codes := sh.codes[i][:blk.n()]
+	codes := sh.codes[i][:blk.n]
 	if !sh.codesOK[i] {
 		clear(codes)
 		for m := blk.branch; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros64(m)
-			rec := blk.insts[j]
+			rec := blk.rec(j)
 			codes[j] = bitable.Encode(rec.Class(), blk.start+uint32(j), rec.Target(),
 				sh.geom.LineSize, near)
 		}

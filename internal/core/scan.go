@@ -36,7 +36,7 @@ func (e *Engine) scan(blk *block, codes []bitable.Code, dir directionReader, out
 	w := e.geom.BlockWidth
 	lineMask := uint32(e.geom.LineSize - 1)
 	var nt uint8
-	for j, pos := 0, blk.pos0; j < len(blk.insts); j, pos = j+1, pos+1 {
+	for j, pos := 0, blk.pos0; j < blk.n; j, pos = j+1, pos+1 {
 		if pos == w {
 			pos = 0
 		}
@@ -61,7 +61,7 @@ func (e *Engine) scan(blk *block, codes []bitable.Code, dir directionReader, out
 				// The starting offset within the target line comes
 				// from the branch's encoded offset; the true-code scan
 				// knows it from the instruction itself.
-				sel.StartOff = uint8(blk.insts[j].Target() & lineMask)
+				sel.StartOff = uint8(blk.rec(j).Target() & lineMask)
 			} else {
 				sel.Source = seltab.SrcTarget
 			}
@@ -94,7 +94,7 @@ func nearSource(code bitable.Code) seltab.Source {
 func (e *Engine) evaluate(blk *block, sc *scanResult, succRole int) (addr uint32, ok bool) {
 	switch sc.sel.Source {
 	case seltab.SrcFallThrough:
-		return blk.start + uint32(blk.n()), true
+		return blk.start + uint32(blk.n), true
 	case seltab.SrcRAS:
 		return e.ras.Top(), true
 	case seltab.SrcTarget:
@@ -145,5 +145,5 @@ func (e *Engine) outcomes(blk *block) exitTaken {
 	if blk.condBits == 0 {
 		return noExit
 	}
-	return exitTaken(blk.posOf(blk.n()-1, e.geom.BlockWidth))
+	return exitTaken(blk.posOf(blk.n-1, e.geom.BlockWidth))
 }

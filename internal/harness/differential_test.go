@@ -195,9 +195,15 @@ func TestDifferentialLoadTraces(t *testing.T) {
 		if ta.Len() != tb.Len() {
 			t.Fatalf("%s: trace length %d vs %d", name, ta.Len(), tb.Len())
 		}
-		for j := 0; j < int(ta.Len()); j++ {
-			if ta.At(j) != tb.At(j) {
+		ca, cb := ta.Clone(), tb.Clone()
+		for j := 0; ; j++ {
+			ra, oka := ca.Next()
+			rb, okb := cb.Next()
+			if ra != rb || oka != okb {
 				t.Fatalf("%s: record %d differs", name, j)
+			}
+			if !oka {
+				break
 			}
 		}
 	}

@@ -59,9 +59,9 @@ func (g *GHR) Shift(taken bool) {
 	}
 }
 
-// ShiftPacked records n outcomes packed into bits (bit n-1 = oldest).
+// ShiftPacked records n outcomes packed into bits (bit n-1 = oldest),
+// as n calls of Shift would, in one shift and mask. bits must be below
+// 2^n; a shift of 32 or more clears the register before bits go in.
 func (g *GHR) ShiftPacked(n int, bits uint32) {
-	for i := n - 1; i >= 0; i-- {
-		g.Shift(bits>>uint(i)&1 == 1)
-	}
+	g.val = (g.val<<uint(n) | bits) & g.mask
 }

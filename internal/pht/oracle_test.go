@@ -103,3 +103,11 @@ func step(c Counter, taken bool) Counter {
 	}
 	return 0
 }
+
+// refShiftPacked is the per-bit GHR.ShiftPacked the one-shift form
+// replaced: n calls of Shift, oldest outcome (bit n-1) first.
+func refShiftPacked(g *GHR, n int, bits uint32) {
+	for i := n - 1; i >= 0; i-- {
+		g.Shift(bits>>uint(i)&1 == 1)
+	}
+}

@@ -1,6 +1,7 @@
 package pht
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -118,18 +119,28 @@ func TestGHRMasking(t *testing.T) {
 }
 
 // Property: ShiftPacked(n, bits) equals n individual Shifts of the bits
-// oldest-first.
+// oldest-first (refShiftPacked), for every n in 0..64 with bits below
+// 2^min(n, 32), from random histories of every length.
 func TestGHRShiftPackedEquivalence(t *testing.T) {
-	f := func(seed uint32, n uint8) bool {
-		k := int(n%8) + 1
-		bits := seed & (1<<k - 1)
-		a := NewGHR(12)
-		b := NewGHR(12)
-		a.ShiftPacked(k, bits)
-		for i := k - 1; i >= 0; i-- {
-			b.Shift(bits>>uint(i)&1 == 1)
+	f := func(seed uint64, length uint8, prior uint32) bool {
+		rng := rand.New(rand.NewPCG(seed, 1))
+		hist := int(length%30) + 1
+		a, b := NewGHR(hist), NewGHR(hist)
+		a.ShiftPacked(32, prior)
+		refShiftPacked(b, 32, prior)
+		for n := 0; n <= 64; n++ {
+			bits := rng.Uint32()
+			if n < 32 {
+				bits &= 1<<n - 1
+			}
+			a.ShiftPacked(n, bits)
+			refShiftPacked(b, n, bits)
+			if a.Value() != b.Value() {
+				t.Logf("length %d, n %d, bits %#x: ShiftPacked %#x, per-bit %#x", hist, n, bits, a.Value(), b.Value())
+				return false
+			}
 		}
-		return a.Value() == b.Value()
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -20,7 +20,7 @@ func BenchmarkPackUnpack(b *testing.B) {
 }
 
 func BenchmarkBufferIteration(b *testing.B) {
-	buf := NewBuffer("bench", 4096)
+	buf := NewBuffer("bench")
 	for i := 0; i < 4096; i++ {
 		buf.Append(cpu.Retired{PC: uint32(i), Class: isa.ClassPlain})
 	}

@@ -10,7 +10,7 @@ import (
 
 // testBuffer returns a buffer of n records whose PCs count up from 0.
 func testBuffer(name string, n int) *Buffer {
-	b := NewBuffer(name, n)
+	b := NewBuffer(name)
 	for i := 0; i < n; i++ {
 		b.Append(cpu.Retired{PC: uint32(i)})
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 )
 
 // File format: magic, version, name length + name, record count, then
@@ -18,10 +17,6 @@ const (
 	// rejects a longer header claim and Save refuses a longer name.
 	maxNameLen = 1 << 16
 
-	// maxPreallocRecords caps the buffer Load reserves from a header
-	// record count (8 MiB of records).
-	maxPreallocRecords = 1 << 20
-
 	// chunkBytes is the unit of trace-file I/O: Load reads and Save
 	// writes the record body this many bytes at a time.
 	chunkBytes   = 64 << 10
@@ -31,11 +26,11 @@ const (
 // appendHeader appends the file header and name for a trace of count
 // records. It fails when Load would reject the name or the uint32
 // record count would truncate count.
-func appendHeader(dst []byte, name string, count int) ([]byte, error) {
+func appendHeader(dst []byte, name string, count uint64) ([]byte, error) {
 	if len(name) > maxNameLen {
 		return nil, fmt.Errorf("trace: name length %d exceeds %d", len(name), maxNameLen)
 	}
-	if uint64(count) > math.MaxUint32 {
+	if count > math.MaxUint32 {
 		return nil, fmt.Errorf("trace: %d records exceed the format's %d", count, uint32(math.MaxUint32))
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, fileMagic)
@@ -45,42 +40,59 @@ func appendHeader(dst []byte, name string, count int) ([]byte, error) {
 	return append(dst, name...), nil
 }
 
-// Save writes the buffer in the binary trace format. Records are
-// encoded into a chunkBytes buffer and each full chunk is handed to w
-// in one Write, so w needs no buffering of its own. A name longer than
-// 64 KiB or more than 2^32-1 records cannot be represented; Save
-// reports either before writing anything.
+// Save writes the buffer in the binary trace format, one record per
+// instruction: each record's run is expanded into the plain records it
+// folded. Records are encoded into a chunkBytes buffer and each full
+// chunk is handed to w in one Write, so w needs no buffering of its
+// own. A name longer than 64 KiB or more than 2^32-1 instructions
+// cannot be represented; Save reports either before writing anything.
 func (b *Buffer) Save(w io.Writer) error {
-	buf, err := appendHeader(make([]byte, 0, chunkBytes), b.Name, len(b.records))
+	buf, err := appendHeader(make([]byte, 0, chunkBytes), b.Name, b.n)
 	if err != nil {
 		return err
 	}
-	recs := b.records
-	for {
-		n := min(len(recs), (cap(buf)-len(buf))/8)
-		for _, p := range recs[:n] {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(p))
+	for _, p := range b.records {
+		// The record, then the plain records of its run (each its PC),
+		// as many at a time as the chunk holds.
+		rec, pc, end := uint64(p&^(maxRun<<runShift)), uint64(p.PC()), uint64(p.PC())+uint64(p.Run())
+		for pc <= end {
+			if len(buf)+8 > cap(buf) {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, rec)
+			for stop := min(end, pc+uint64(cap(buf)-len(buf))/8); pc < stop; {
+				pc++
+				buf = binary.LittleEndian.AppendUint64(buf, pc)
+			}
+			pc++
+			rec = pc
 		}
-		recs = recs[n:]
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		if len(recs) == 0 {
-			return nil
-		}
-		buf = buf[:0]
 	}
+	_, err = w.Write(buf)
+	return err
 }
 
-// Load reads a trace previously written by Save. The record body is
-// read chunkBytes at a time and decoded in place into the buffer. The
-// header's record count is untrusted: Load preallocates at most
-// maxPreallocRecords and grows past that only as records arrive, so a
-// hostile count costs at most 8 MiB beyond the records actually
-// present. A truncated body fails naming the first missing record,
+// Load reads a trace previously written by Save, folding the plain
+// runs as Append does. The record body is read chunkBytes at a time
+// and decoded from the chunk. The header's record count is untrusted:
+// Load reserves no records from it and grows them only as records
+// arrive (in the scratch slice Capture uses too), so a hostile count
+// costs one chunk beyond the records actually present. A record with
+// any of bits 56-63 set — which Save never writes — fails naming the
+// record. A truncated body fails naming the first missing record,
 // wrapping io.EOF when the file ends on a record boundary and
 // io.ErrUnexpectedEOF when it ends inside a record.
 func Load(r io.Reader) (*Buffer, error) {
+	s := scratch.Get().(*[]Packed)
+	defer scratch.Put(s)
+	return load(r, s)
+}
+
+// load is Load folding into the scratch slice s.
+func load(r io.Reader, s *[]Packed) (*Buffer, error) {
 	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading header: %w", err)
@@ -92,7 +104,7 @@ func Load(r io.Reader) (*Buffer, error) {
 		return nil, fmt.Errorf("trace: unsupported version %d", v)
 	}
 	nameLen := binary.LittleEndian.Uint32(hdr[8:])
-	count := int64(binary.LittleEndian.Uint32(hdr[12:])) // int64: exceeds int on 32-bit hosts
+	count := uint64(binary.LittleEndian.Uint32(hdr[12:]))
 	if nameLen > maxNameLen {
 		return nil, fmt.Errorf("trace: implausible name length %d", nameLen)
 	}
@@ -100,22 +112,25 @@ func Load(r io.Reader) (*Buffer, error) {
 	if _, err := io.ReadFull(r, name); err != nil {
 		return nil, fmt.Errorf("trace: reading name: %w", err)
 	}
-	recs := make([]Packed, 0, int(min(count, maxPreallocRecords)))
 	chunk := make([]byte, 8*int(min(count, chunkRecords)))
-	for int64(len(recs)) < count {
-		n := int(min(count-int64(len(recs)), chunkRecords))
-		got, err := io.ReadFull(r, chunk[:8*n])
-		if err != nil {
-			if err == io.ErrUnexpectedEOF && got%8 == 0 {
-				err = io.EOF // the first missing record has no bytes at all
+	return build(string(name), s, func(b *Buffer) error {
+		for b.n < count {
+			n := int(min(count-b.n, chunkRecords))
+			got, err := io.ReadFull(r, chunk[:8*n])
+			for i := 0; i+8 <= got; i += 8 {
+				p := Packed(binary.LittleEndian.Uint64(chunk[i:]))
+				if p>>runShift != 0 {
+					return fmt.Errorf("trace: record %d: reserved bits 56-63 set (%#016x)", b.n, uint64(p))
+				}
+				b.add(p)
 			}
-			return nil, fmt.Errorf("trace: reading record %d: %w", len(recs)+got/8, err)
+			if err != nil {
+				if err == io.ErrUnexpectedEOF && got%8 == 0 {
+					err = io.EOF // the first missing record has no bytes at all
+				}
+				return fmt.Errorf("trace: reading record %d: %w", b.n, err)
+			}
 		}
-		base := len(recs)
-		recs = slices.Grow(recs, n)[:base+n]
-		for i := range recs[base:] {
-			recs[base+i] = Packed(binary.LittleEndian.Uint64(chunk[8*i:]))
-		}
-	}
-	return &Buffer{Name: string(name), records: recs}, nil
+		return nil
+	})
 }

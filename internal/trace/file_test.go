@@ -10,11 +10,14 @@ import (
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"mbbp/internal/cpu"
 )
 
 // hostileHeader is a 17-byte file whose header claims 0xffffffff
@@ -45,7 +48,8 @@ func TestLoadHostileCount(t *testing.T) {
 }
 
 // bufferFrom builds a buffer from fuzz bytes: the first byte sizes the
-// name, the rest are raw packed records (a trailing partial record is
+// name, the rest are raw packed records with bits 56-63 cleared,
+// appended one instruction each (a trailing partial record is
 // dropped).
 func bufferFrom(data []byte) *Buffer {
 	var name string
@@ -53,14 +57,15 @@ func bufferFrom(data []byte) *Buffer {
 		n := min(int(data[0]), len(data)-1)
 		name, data = string(data[1:1+n]), data[1+n:]
 	}
-	b := NewBuffer(name, len(data)/8)
+	b := NewBuffer(name)
 	for ; len(data) >= 8; data = data[8:] {
-		b.records = append(b.records, Packed(binary.LittleEndian.Uint64(data)))
+		b.Append(Unpack(Packed(binary.LittleEndian.Uint64(data))))
 	}
 	return b
 }
 
-// roundTrip checks Load(Save(b)) reproduces b's name and records.
+// roundTrip checks Load(Save(b)) reproduces b's name, instruction
+// count and records.
 func roundTrip(t *testing.T, b *Buffer) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -74,8 +79,9 @@ func roundTrip(t *testing.T, b *Buffer) {
 	if err != nil {
 		t.Fatalf("reloading a saved buffer: %v", err)
 	}
-	if got.Name != b.Name || len(got.records) != len(b.records) {
-		t.Fatalf("round trip: name %q len %d, want %q len %d", got.Name, len(got.records), b.Name, len(b.records))
+	if got.Name != b.Name || got.n != b.n || len(got.records) != len(b.records) {
+		t.Fatalf("round trip: name %q len %d (%d records), want %q len %d (%d records)",
+			got.Name, got.n, len(got.records), b.Name, b.n, len(b.records))
 	}
 	for i := range b.records {
 		if got.records[i] != b.records[i] {
@@ -86,14 +92,23 @@ func roundTrip(t *testing.T, b *Buffer) {
 
 // FuzzTraceLoad: Load never panics on any input, agrees with the
 // per-record oracle (records or exact error text), whatever it loads
-// survives a save/load round trip, and any buffer round-trips through
-// the file format with the naive encoder's bytes. The committed corpus under testdata/fuzz holds a
-// valid trace, truncations, bad magic and version, an implausible name
-// length and the hostile record count.
+// saves back to the very bytes it was loaded from and survives a
+// save/load round trip, and any buffer round-trips through the file
+// format with the naive encoder's bytes. The committed corpus under
+// testdata/fuzz holds a valid trace, truncations, bad magic and
+// version, an implausible name length, the hostile record count and a
+// record with reserved bits 56-63 set.
 func FuzzTraceLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkAgainstOracle(t, "fuzz input", data)
 		if b, err := Load(bytes.NewReader(data)); err == nil {
+			var out bytes.Buffer
+			if err := b.Save(&out); err != nil {
+				t.Fatal(err)
+			}
+			if size := 16 + len(b.Name) + 8*int(b.n); !bytes.Equal(out.Bytes(), data[:size]) {
+				t.Fatal("Save(Load(f)) differs from the bytes of f it loaded")
+			}
 			roundTrip(t, b)
 		}
 		roundTrip(t, bufferFrom(data))
@@ -101,7 +116,9 @@ func FuzzTraceLoad(f *testing.F) {
 }
 
 // loadPerRecord is the record-at-a-time Load the chunked one replaced,
-// kept as the oracle for its results and its exact error text.
+// kept as the oracle for its results and its exact error text. Like
+// Load it rejects a record with any of bits 56-63 set, which a buffer
+// uses for its runs, and appends the rest one instruction each.
 func loadPerRecord(r io.Reader) (*Buffer, error) {
 	br := bufio.NewReader(r)
 	var hdr [16]byte
@@ -123,27 +140,33 @@ func loadPerRecord(r io.Reader) (*Buffer, error) {
 	if _, err := io.ReadFull(br, name); err != nil {
 		return nil, fmt.Errorf("trace: reading name: %w", err)
 	}
-	b := NewBuffer(string(name), int(min(count, maxPreallocRecords)))
+	b := NewBuffer(string(name))
 	var rec [8]byte
 	for i := uint32(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("trace: reading record %d: %w", i, err)
 		}
-		b.records = append(b.records, Packed(binary.LittleEndian.Uint64(rec[:])))
+		v := binary.LittleEndian.Uint64(rec[:])
+		if v>>56 != 0 {
+			return nil, fmt.Errorf("trace: record %d: reserved bits 56-63 set (%#016x)", i, v)
+		}
+		b.Append(Unpack(Packed(v)))
 	}
 	return b, nil
 }
 
 // savePerRecord is a naive encoder of the file format, one field and
-// one record at a time, kept as the oracle for Save's bytes.
+// one instruction at a time over a Next walk, kept as the oracle for
+// Save's bytes.
 func savePerRecord(b *Buffer) []byte {
 	var out []byte
-	for _, v := range []uint32{fileMagic, fileVersion, uint32(len(b.Name)), uint32(len(b.records))} {
+	for _, v := range []uint32{fileMagic, fileVersion, uint32(len(b.Name)), uint32(b.Len())} {
 		out = binary.LittleEndian.AppendUint32(out, v)
 	}
 	out = append(out, b.Name...)
-	for _, p := range b.records {
-		out = binary.LittleEndian.AppendUint64(out, uint64(p))
+	c := b.Clone()
+	for r, ok := c.Next(); ok; r, ok = c.Next() {
+		out = binary.LittleEndian.AppendUint64(out, uint64(Pack(r)))
 	}
 	return out
 }
@@ -177,19 +200,27 @@ func checkAgainstOracle(t *testing.T, label string, data []byte) {
 			}
 			continue
 		}
-		if got.Name != want.Name || !slices.Equal(got.records, want.records) {
+		if got.Name != want.Name || got.n != want.n || !slices.Equal(got.records, want.records) {
 			t.Fatalf("%s (%s reader): Load gave %q with %d records, oracle %q with %d", label, name,
 				got.Name, len(got.records), want.Name, len(want.records))
 		}
 	}
 }
 
-// randomBuffer is a named buffer of n pseudo-random packed records.
+// randomBuffer is a named buffer of n pseudo-random instructions: half
+// of them random packed records, half the plain instruction after the
+// one before, so runs of every short length fold between them.
 func randomBuffer(name string, n int, seed uint64) *Buffer {
 	rng := rand.New(rand.NewPCG(seed, 0))
-	b := NewBuffer(name, n)
+	b := NewBuffer(name)
+	var pc uint32
 	for range n {
-		b.records = append(b.records, Packed(rng.Uint64()))
+		r := Unpack(Packed(rng.Uint64()))
+		if rng.IntN(2) == 0 {
+			r = cpu.Retired{PC: pc + 1}
+		}
+		b.Append(r)
+		pc = r.PC
 	}
 	return b
 }
@@ -245,7 +276,7 @@ func (w *recordingWriter) Write(p []byte) (int, error) {
 // implausible and a record count the uint32 header field would
 // truncate. The longest legal name still round-trips.
 func TestSaveRejectsUnloadable(t *testing.T) {
-	long := NewBuffer(strings.Repeat("n", maxNameLen+1), 0)
+	long := NewBuffer(strings.Repeat("n", maxNameLen+1))
 	var w recordingWriter
 	if err := long.Save(&w); err == nil || !strings.Contains(err.Error(), "name length 65537") {
 		t.Fatalf("Save of a %d-byte name: err %v, want a name-length error", len(long.Name), err)
@@ -258,7 +289,7 @@ func TestSaveRejectsUnloadable(t *testing.T) {
 	if strconv.IntSize < 64 {
 		t.Skip("a record count above 2^32-1 needs a 64-bit int")
 	}
-	over := int(uint64(math.MaxUint32) + 1)
+	over := uint64(math.MaxUint32) + 1
 	if _, err := appendHeader(nil, "big", over); err == nil || !strings.Contains(err.Error(), "4294967296 records") {
 		t.Fatalf("header for %d records: err %v, want a record-count error", over, err)
 	}
@@ -268,34 +299,41 @@ func TestSaveRejectsUnloadable(t *testing.T) {
 }
 
 // TestFileAllocsFixed: Load and Save allocate a fixed number of times
-// whatever the record count, up to maxPreallocRecords — the chunked
-// I/O makes no per-record or per-chunk allocation.
+// whatever the record count — the chunked I/O makes no per-record or
+// per-chunk allocation, and Load grows its records in a reused scratch
+// slice, then copies them out in one allocation. Load's body runs with
+// a scratch slice of the test's own: the pool Load takes it from keeps
+// nothing for certain (under the race detector it drops slices at
+// random by design). The collector is off: now and then a collection
+// cycle adds allocations of its own to the count.
 func TestFileAllocsFixed(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var s []Packed
 	var loadAllocs, saveAllocs float64
-	for i, n := range []int{1, chunkRecords + 1, 3*chunkRecords + 5, maxPreallocRecords} {
+	for i, n := range []int{1, chunkRecords + 1, 3*chunkRecords + 5, 1 << 20} {
 		b := randomBuffer("allocs", n, 7)
 		var out bytes.Buffer
 		if err := b.Save(&out); err != nil {
 			t.Fatal(err)
 		}
 		data := out.Bytes()
-		load := testing.AllocsPerRun(3, func() {
-			if _, err := Load(bytes.NewReader(data)); err != nil {
+		loads := testing.AllocsPerRun(3, func() {
+			if _, err := load(bytes.NewReader(data), &s); err != nil {
 				t.Fatal(err)
 			}
 		})
-		save := testing.AllocsPerRun(3, func() {
+		saves := testing.AllocsPerRun(3, func() {
 			if err := b.Save(io.Discard); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if i == 0 {
-			loadAllocs, saveAllocs = load, save
+			loadAllocs, saveAllocs = loads, saves
 			continue
 		}
-		if load != loadAllocs || save != saveAllocs {
+		if loads != loadAllocs || saves != saveAllocs {
 			t.Errorf("n=%d: Load %v / Save %v allocations, want %v / %v as for one record",
-				n, load, save, loadAllocs, saveAllocs)
+				n, loads, saves, loadAllocs, saveAllocs)
 		}
 	}
 }

@@ -4,25 +4,40 @@
 // every simulator walks (optionally bound to a context for
 // cancellation), stream statistics, and a binary file format.
 //
+// A record packs one instruction into bits 0-55 of a uint64: pc(26) |
+// target(26) | class(3) | taken(1), LSB first (Pack). A Buffer stores
+// its trace run-length encoded: a plain instruction — class plain, not
+// taken, target 0 — at the previous instruction's PC + 1 is not stored
+// but counted in bits 56-63 of the last stored record (its run, at most
+// 255), so the records left are the control transfers, the
+// discontinuities and whatever breaks a run. Next re-creates every
+// folded instruction exactly; Len, At, Reset, Clone and WithContext
+// count instructions, not records. Rest and Skip expose the cursor as
+// what it is, a record index plus an offset into that record's run, so
+// block formation steps over a whole run at once.
+//
 // Trace files are read and written in fixed 64 KiB chunks (Load, Save)
-// with a fixed number of allocations per call. A file's header record
-// count is untrusted: Load reserves at most 1<<20 records up front and
-// grows only as records arrive. Save refuses a buffer the format cannot
-// carry — a name over 64 KiB or more than 2^32-1 records — before
-// writing anything.
+// in the v1 format, one 8-byte record per instruction: Save expands
+// the runs and Load folds them again, rejecting a record with any of
+// bits 56-63 set. A file's header record count is untrusted: Load
+// reserves nothing from it and grows the records only as they arrive.
+// Save refuses a buffer the format cannot carry — a name over 64 KiB
+// or more than 2^32-1 instructions — before writing anything.
 package trace
 
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"mbbp/internal/cpu"
 	"mbbp/internal/isa"
 )
 
-// Record packing: pc(26) | target(26) | class(3) | taken(1), LSB first.
-// 26 bits of instruction address is far beyond anything the workload
-// programs need (they are tens of kilobytes of code).
+// Record packing: pc(26) | target(26) | class(3) | taken(1), LSB first,
+// then a buffer's run count in bits 56-63. 26 bits of instruction
+// address is far beyond anything the workload programs need (they are
+// tens of kilobytes of code).
 const (
 	pcBits     = 26
 	targetBits = 26
@@ -35,18 +50,23 @@ const (
 	targetShift = pcBits
 	classShift  = pcBits + targetBits
 	takenShift  = classShift + classBits
+	runShift    = takenShift + 1
+
+	// maxRun is the most plain instructions one record folds.
+	maxRun = 1<<(64-runShift) - 1
 )
 
 // MaxAddress is the largest instruction address a packed record can hold.
 const MaxAddress = pcMask
 
-// Packed is one retired instruction in packed form.
+// Packed is one retired instruction in packed form. In a Buffer, bits
+// 56-63 also count the plain instructions folded after it (Run).
 type Packed uint64
 
-// Pack converts a retired record to packed form. Addresses above
-// MaxAddress are truncated, which never happens for the built-in
-// workloads (their code is tiny); Unpack is the exact inverse within
-// range.
+// Pack converts a retired record to packed form, filling bits 0-55
+// only (its run is 0). Addresses above MaxAddress are truncated, which
+// never happens for the built-in workloads (their code is tiny); Unpack
+// is the exact inverse within range.
 func Pack(r cpu.Retired) Packed {
 	v := uint64(r.PC&pcMask) |
 		uint64(r.Target&targetMask)<<targetShift |
@@ -57,14 +77,15 @@ func Pack(r cpu.Retired) Packed {
 	return Packed(v)
 }
 
-// Unpack converts a packed record back to a retired record.
+// Unpack converts a packed record back to a retired record; the run is
+// not part of it.
 func Unpack(p Packed) cpu.Retired {
 	return cpu.Retired{PC: p.PC(), Target: p.Target(), Class: p.Class(), Taken: p.Taken()}
 }
 
 // The field accessors read one field of a packed record without
 // unpacking the others, so a reader walking the records in place
-// (Buffer.Rest) pays one load per record.
+// (Buffer.Rest) pays one load per record. None of them reads the run.
 
 // PC returns the record's instruction address.
 func (p Packed) PC() uint32 { return uint32(p & pcMask) }
@@ -78,67 +99,127 @@ func (p Packed) Class() isa.Class { return isa.Class(p >> classShift & classMask
 // Taken reports whether the record redirected the stream.
 func (p Packed) Taken() bool { return p>>takenShift&1 == 1 }
 
-// PollStride is how many records a reader of a context-bound Buffer
-// consumes between cancellation polls (Err). A power of two keeps the
-// check a single mask; 4096 records is a few microseconds of
-// simulation, so cancellation latency stays well under a millisecond
-// without touching the per-record path.
+// Run returns how many plain instructions, at PC()+1, PC()+2 and so on,
+// a buffer folded after the record.
+func (p Packed) Run() int { return int(p >> runShift) }
+
+// PlainAt returns the record of the plain instruction at pc: what every
+// folded instruction of a run expands to.
+func PlainAt(pc uint32) Packed { return Packed(pc) }
+
+// PollStride is how many instructions a reader of a context-bound
+// Buffer consumes between cancellation polls (Err). A power of two
+// keeps the check a single mask; 4096 instructions is a few
+// microseconds of simulation, so cancellation latency stays well under
+// a millisecond without touching the per-record path.
 const PollStride = 4096
 
 // Buffer is an in-memory trace and its read cursor: Next walks the
-// records one at a time, Rest and Skip let a reader scan the unread
-// records in place and then advance past them, Reset rewinds. Clone and
-// WithContext give further cursors over the same records.
+// instructions one at a time, Rest and Skip let a reader scan the
+// unread records in place and then advance past them, Reset rewinds.
+// Clone and WithContext give further cursors over the same records.
+//
+// The records are run-length encoded (see the package comment); the
+// cursor is a record index and an offset into that record's run: off 0
+// is the record's own instruction, off k its k-th folded plain one.
 type Buffer struct {
 	Name    string
 	records []Packed
-	pos     int
+	n       uint64          // instructions, folded ones included
+	pos     int             // record holding the next instruction
+	off     int             // offset of the next instruction in records[pos]'s run, 0..Run
 	ctx     context.Context // bound by WithContext; nil when unbound
 }
 
-// NewBuffer returns an empty buffer with capacity for n records.
-func NewBuffer(name string, n int) *Buffer {
-	return &Buffer{Name: name, records: make([]Packed, 0, n)}
+// NewBuffer returns an empty buffer. Its records grow as instructions
+// are appended: a trace keeps about one record in four, so a capacity
+// reserved for every instruction would mostly stay unused (Capture and
+// Load grow theirs in a reused scratch slice instead).
+func NewBuffer(name string) *Buffer { return &Buffer{Name: name} }
+
+// Append adds an instruction to the buffer, folding it into the last
+// record's run when it is plain at the previous instruction's PC + 1.
+func (b *Buffer) Append(r cpu.Retired) { b.add(Pack(r)) }
+
+// add appends p, whose bits 56-63 are clear, or counts it in the last
+// record's run instead when p is the plain record at the last
+// instruction's PC + 1 and that run has room. PCs do not wrap: a run
+// never passes MaxAddress. A fold stores only the last record, not the
+// slice: a pointer store pays the collector's write barrier, and
+// captures run while the collector is busy.
+func (b *Buffer) add(p Packed) {
+	b.n++
+	if k := len(b.records) - 1; k >= 0 {
+		last := b.records[k]
+		if run := last.Run(); run < maxRun && p < 1<<pcBits && p == PlainAt(last.PC()+uint32(run)+1) {
+			b.records[k] = last + 1<<runShift
+			return
+		}
+	}
+	b.records = append(b.records, p)
 }
 
-// Append adds a record to the buffer.
-func (b *Buffer) Append(r cpu.Retired) { b.records = append(b.records, Pack(r)) }
-
-// Next returns the next record, or ok=false at end of stream. It
-// never consults the bound context — readers poll Err every PollStride
-// records — so it stays small enough to inline into their loops.
+// Next returns the next instruction, or ok=false at end of stream,
+// expanding a folded one into its plain record. It never consults the
+// bound context: readers poll Err every PollStride instructions.
 func (b *Buffer) Next() (cpu.Retired, bool) {
 	if b.pos >= len(b.records) {
 		return cpu.Retired{}, false
 	}
-	r := Unpack(b.records[b.pos])
-	b.pos++
-	return r, true
+	p, off := b.records[b.pos], b.off
+	if off == p.Run() {
+		b.pos, b.off = b.pos+1, 0
+	} else {
+		b.off++
+	}
+	if off == 0 {
+		return Unpack(p), true
+	}
+	return cpu.Retired{PC: p.PC() + uint32(off)}, true
 }
 
-// Rest returns the unread records, in order, without advancing the
-// cursor. The slice aliases the buffer's records, which are immutable
-// once captured: read it, do not write it.
-func (b *Buffer) Rest() []Packed { return b.records[b.pos:] }
+// Rest returns the unread records in place, without advancing the
+// cursor, and the offset of the next instruction in the first one's
+// run: 0 when that record's own instruction is next, k > 0 when its
+// k-th folded plain instruction is (at recs[0].PC()+k). The slice
+// aliases the buffer's records, which are immutable once captured:
+// read it, do not write it.
+func (b *Buffer) Rest() (recs []Packed, off int) { return b.records[b.pos:], b.off }
 
-// Skip advances the cursor past n records; n must not exceed
-// len(Rest()).
-func (b *Buffer) Skip(n int) { b.pos += n }
+// Skip moves the cursor to offset off in the run of record i of Rest():
+// Skip(i, 0) makes that record's own instruction the next one, and
+// Skip(len(recs), 0) reaches the end. off must not exceed the record's
+// Run.
+func (b *Buffer) Skip(i, off int) { b.pos, b.off = b.pos+i, off }
 
-// Reset rewinds the cursor to the first record.
-func (b *Buffer) Reset() { b.pos = 0 }
+// Reset rewinds the cursor to the first instruction.
+func (b *Buffer) Reset() { b.pos, b.off = 0, 0 }
 
-// Len returns the number of records in the trace.
-func (b *Buffer) Len() uint64 { return uint64(len(b.records)) }
+// Len returns the number of instructions in the trace.
+func (b *Buffer) Len() uint64 { return b.n }
 
-// At returns record i (for tests).
-func (b *Buffer) At(i int) cpu.Retired { return Unpack(b.records[i]) }
+// At returns instruction i (for tests). It walks the records before i,
+// so a loop over a whole trace pairs Next walks instead.
+func (b *Buffer) At(i int) cpu.Retired {
+	k := i
+	for _, p := range b.records {
+		if k <= p.Run() {
+			if k > 0 {
+				p = PlainAt(p.PC() + uint32(k))
+			}
+			return Unpack(p)
+		}
+		k -= p.Run() + 1
+	}
+	panic(fmt.Sprintf("trace: At(%d) past the end of %d instructions", i, b.n))
+}
 
-// Clone returns a new, unbound Buffer sharing the (immutable once
-// captured) records with an independent read cursor, so several
-// simulations can consume the same trace concurrently.
+// Clone returns a new, unbound Buffer at the first instruction, sharing
+// the (immutable once captured) records with an independent read
+// cursor, so several simulations can consume the same trace
+// concurrently.
 func (b *Buffer) Clone() *Buffer {
-	return &Buffer{Name: b.Name, records: b.records}
+	return &Buffer{Name: b.Name, records: b.records, n: b.n}
 }
 
 // WithContext returns a clone bound to ctx: readers stop at their next
@@ -166,10 +247,15 @@ func (b *Buffer) Err() error {
 // trace.
 func Capture(p *isa.Program, cfg cpu.Config, n uint64) (*Buffer, error) {
 	c := cpu.New(p, cfg)
-	b := NewBuffer(p.Name, int(n))
-	executed, err := c.Run(n, func(r cpu.Retired) bool {
-		b.Append(r)
-		return true
+	s := scratch.Get().(*[]Packed)
+	defer scratch.Put(s)
+	var executed uint64
+	b, err := build(p.Name, s, func(b *Buffer) (err error) {
+		executed, err = c.Run(n, func(r cpu.Retired) bool {
+			b.add(Pack(r)) // Append, which is too large to inline
+			return true
+		})
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -181,5 +267,27 @@ func Capture(p *isa.Program, cfg cpu.Config, n uint64) (*Buffer, error) {
 	if executed < n {
 		return nil, fmt.Errorf("trace: %s: got %d of %d instructions", p.Name, executed, n)
 	}
+	return b, nil
+}
+
+// scratch holds the record slices Capture and Load fold into. A trace
+// keeps about one record in four and nothing tells in advance which, so
+// its records grow as they arrive; growing in a reused scratch slice
+// and copying the result out at its exact size keeps a trace free of
+// spare capacity and leaves no outgrown arrays behind once the scratch
+// has reached the largest trace.
+var scratch = sync.Pool{New: func() any { return new([]Packed) }}
+
+// build returns a buffer named name holding what fill appends to it:
+// fill appends into the scratch slice s, which keeps what it grew to,
+// and the buffer keeps an exact-size copy.
+func build(name string, s *[]Packed, fill func(*Buffer) error) (*Buffer, error) {
+	b := &Buffer{Name: name, records: (*s)[:0]}
+	err := fill(b)
+	*s = b.records[:0]
+	if err != nil {
+		return nil, err
+	}
+	b.records = append([]Packed(nil), b.records...)
 	return b, nil
 }

@@ -27,7 +27,7 @@ func TestPackRoundTrip(t *testing.T) {
 }
 
 func TestBufferSourceSemantics(t *testing.T) {
-	b := NewBuffer("x", 4)
+	b := NewBuffer("x")
 	for i := uint32(0); i < 4; i++ {
 		b.Append(cpu.Retired{PC: i})
 	}
@@ -47,17 +47,24 @@ func TestBufferSourceSemantics(t *testing.T) {
 	if r, ok := b.Next(); !ok || r.PC != 0 {
 		t.Error("Reset should rewind")
 	}
-	// Rest is the unread records in place; Skip advances past some of
-	// them and Next carries on after.
-	if rest := b.Rest(); len(rest) != 3 || rest[0].PC() != 1 {
-		t.Fatalf("Rest after one Next = %v, want records 1..3", rest)
+	// The four plain instructions fold into one record with a run of
+	// three. Rest is the unread records in place and the offset of the
+	// next instruction in the first one's run; Skip moves the cursor
+	// within and past runs and Next carries on after.
+	if rest, off := b.Rest(); len(rest) != 1 || rest[0].PC() != 0 || rest[0].Run() != 3 || off != 1 {
+		t.Fatalf("Rest after one Next = %v, %d; want the one record, run 3, at offset 1", rest, off)
 	}
-	b.Skip(2)
+	b.Skip(0, 3)
 	if r, ok := b.Next(); !ok || r.PC != 3 {
-		t.Errorf("Next after Skip(2) = %+v, %v; want record 3", r, ok)
+		t.Errorf("Next after Skip(0, 3) = %+v, %v; want instruction 3", r, ok)
 	}
-	if rest := b.Rest(); len(rest) != 0 {
-		t.Errorf("Rest at end = %v, want empty", rest)
+	if rest, off := b.Rest(); len(rest) != 0 || off != 0 {
+		t.Errorf("Rest at end = %v, %d; want empty at 0", rest, off)
+	}
+	b.Reset()
+	b.Skip(1, 0)
+	if _, ok := b.Next(); ok {
+		t.Error("Next after Skip past the last record should report false")
 	}
 }
 
@@ -104,7 +111,7 @@ func TestCaptureAndStats(t *testing.T) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	b := NewBuffer("roundtrip", 3)
+	b := NewBuffer("roundtrip")
 	b.Append(cpu.Retired{PC: 1, Target: 2, Class: isa.ClassCond, Taken: true})
 	b.Append(cpu.Retired{PC: 2, Class: isa.ClassPlain})
 	b.Append(cpu.Retired{PC: 3, Target: 0, Class: isa.ClassReturn, Taken: true})
@@ -132,7 +139,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Error("garbage should not load")
 	}
 	var buf bytes.Buffer
-	b := NewBuffer("x", 1)
+	b := NewBuffer("x")
 	b.Append(cpu.Retired{PC: 1})
 	if err := b.Save(&buf); err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // Run walks a private cursor over src's records (src.WithContext(ctx)),
 // so concurrent calls may share one buffer and the caller's own cursor
 // is left where it was. The block reader polls that cursor for
-// cancellation between fetch blocks, every 4096 records or so,
+// cancellation between fetch blocks, every 4096 instructions or so,
 // so a cancelled Run returns promptly with ctx's error and no Result;
 // an uncancelled Run is byte-for-byte identical to Engine.Run(src).
 func Run(ctx context.Context, cfg Config, src *TraceBuffer) (Result, error) {
