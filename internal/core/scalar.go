@@ -39,20 +39,20 @@ func RunScalar(src *trace.Buffer, historyBits, numTables int) ScalarResult {
 	res := ScalarResult{Program: src.Name}
 	p := pht.NewScalar(historyBits, numTables)
 	g := pht.NewGHR(historyBits)
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		if r.Class != isa.ClassCond {
+	// Only conditional branches matter, and a run folds none: walk the
+	// stored records.
+	recs, _ := src.Rest()
+	for _, r := range recs {
+		if r.Class() != isa.ClassCond {
 			continue
 		}
 		res.CondBranches++
-		if p.Predict(g.Value(), r.PC) != r.Taken {
+		if p.Predict(g.Value(), r.PC()) != r.Taken() {
 			res.CondMispredicts++
 		}
-		p.Update(g.Value(), r.PC, r.Taken)
-		g.Shift(r.Taken)
+		p.Update(g.Value(), r.PC(), r.Taken())
+		g.Shift(r.Taken())
 	}
+	src.Skip(len(recs), 0)
 	return res
 }

@@ -149,17 +149,117 @@ func (c *CPU) Run(fuel uint64, sink Sink) (uint64, error) {
 	return n, nil
 }
 
+// RunPlain executes consecutive plain instructions — neither control
+// transfers nor HALT — up to limit of them, and returns how many it ran.
+// Each one retires as the not-taken plain record at its PC, so none is
+// built: a caller knows them all from PC before the call and the count.
+// It stops before the first instruction that is not plain or whose PC
+// lies outside the code (Run retires or reports that one), does nothing
+// once the program has halted, and stops at a machine fault, which it
+// reports as Run does.
+func (c *CPU) RunPlain(limit uint64) (uint64, error) {
+	if c.halted {
+		return 0, nil
+	}
+	code := c.prog.Code
+	n := uint64(0)
+	var err error
+	for ; n < limit && int(c.pc) < len(code); n++ {
+		in := code[c.pc]
+		if in.Op.Class() != isa.ClassPlain || in.Op == isa.HALT {
+			break
+		}
+		if err = c.exec(in); err != nil {
+			break
+		}
+		c.pc++
+	}
+	c.executed += n
+	return n, err
+}
+
+// PC returns the address of the next instruction to execute.
+func (c *CPU) PC() uint32 { return c.pc }
+
 // step executes one instruction, returning its retired record.
 func (c *CPU) step(in isa.Inst) (Retired, error) {
 	pc := c.pc
 	next := pc + 1
 	rec := Retired{PC: pc, Class: in.Class()}
+	rs1 := c.regs[in.Rs1]
+	rs2 := c.regs[in.Rs2]
 
-	rd := func(v int64) {
-		if in.Rd != 0 {
-			c.regs[in.Rd] = v
+	switch in.Op {
+	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTZ, isa.BGEZ:
+		taken := false
+		switch in.Op {
+		case isa.BEQ:
+			taken = rs1 == rs2
+		case isa.BNE:
+			taken = rs1 != rs2
+		case isa.BLT:
+			taken = rs1 < rs2
+		case isa.BGE:
+			taken = rs1 >= rs2
+		case isa.BLTZ:
+			taken = rs1 < 0
+		case isa.BGEZ:
+			taken = rs1 >= 0
+		}
+		rec.Taken = taken
+		rec.Target = uint32(in.Imm)
+		if taken {
+			next = uint32(in.Imm)
+		}
+	case isa.JMP:
+		rec.Taken = true
+		rec.Target = uint32(in.Imm)
+		next = uint32(in.Imm)
+	case isa.JAL:
+		c.setReg(in.Rd, int64(pc)+1)
+		rec.Taken = true
+		rec.Target = uint32(in.Imm)
+		next = uint32(in.Imm)
+	case isa.JR, isa.JALR, isa.RET:
+		t := uint32(rs1)
+		if rs1 < 0 || int(t) >= len(c.prog.Code) {
+			return rec, c.faultf(pc, "%s target %d outside code [0,%d)", in.Op, rs1, len(c.prog.Code))
+		}
+		if in.Op == isa.JALR {
+			c.setReg(in.Rd, int64(pc)+1)
+		}
+		rec.Taken = true
+		rec.Target = t
+		next = t
+	case isa.HALT:
+		// Treated by Run as a redirect to the entry point (restart)
+		// or the end of execution. The retired record reports it as an
+		// unconditional jump so the fetch simulator sees a well-formed
+		// stream (a plain instruction never redirects).
+		rec.Class = isa.ClassJump
+		rec.Taken = true
+		rec.Target = c.prog.Entry
+	default:
+		// A plain instruction: its record is the PC alone.
+		if err := c.exec(in); err != nil {
+			return rec, err
 		}
 	}
+	c.pc = next
+	return rec, nil
+}
+
+// setReg writes integer register rd; writes to r0 are discarded.
+func (c *CPU) setReg(rd uint8, v int64) {
+	if rd != 0 {
+		c.regs[rd] = v
+	}
+}
+
+// exec carries out the effect of the plain (non-control-transfer)
+// instruction at the PC, without moving the PC.
+func (c *CPU) exec(in isa.Inst) error {
+	rd := func(v int64) { c.setReg(in.Rd, v) }
 	rs1 := c.regs[in.Rs1]
 	rs2 := c.regs[in.Rs2]
 
@@ -220,13 +320,13 @@ func (c *CPU) step(in isa.Inst) (Retired, error) {
 	case isa.LW:
 		addr := rs1 + int64(in.Imm)
 		if addr < 0 || addr >= int64(len(c.mem)) {
-			return rec, c.faultf(pc, "lw address %d outside memory [0,%d)", addr, len(c.mem))
+			return c.faultf(c.pc, "lw address %d outside memory [0,%d)", addr, len(c.mem))
 		}
 		rd(c.mem[addr])
 	case isa.SW:
 		addr := rs1 + int64(in.Imm)
 		if addr < 0 || addr >= int64(len(c.mem)) {
-			return rec, c.faultf(pc, "sw address %d outside memory [0,%d)", addr, len(c.mem))
+			return c.faultf(c.pc, "sw address %d outside memory [0,%d)", addr, len(c.mem))
 		}
 		c.mem[addr] = rs2
 	case isa.FADD:
@@ -250,13 +350,13 @@ func (c *CPU) step(in isa.Inst) (Retired, error) {
 	case isa.FLW:
 		addr := rs1 + int64(in.Imm)
 		if addr < 0 || addr >= int64(len(c.fmem)) {
-			return rec, c.faultf(pc, "flw address %d outside fp memory [0,%d)", addr, len(c.fmem))
+			return c.faultf(c.pc, "flw address %d outside fp memory [0,%d)", addr, len(c.fmem))
 		}
 		c.fpr[in.Rd] = c.fmem[addr]
 	case isa.FSW:
 		addr := rs1 + int64(in.Imm)
 		if addr < 0 || addr >= int64(len(c.fmem)) {
-			return rec, c.faultf(pc, "fsw address %d outside fp memory [0,%d)", addr, len(c.fmem))
+			return c.faultf(c.pc, "fsw address %d outside fp memory [0,%d)", addr, len(c.fmem))
 		}
 		c.fmem[addr] = c.fpr[in.Rs2]
 	case isa.FCVT:
@@ -271,64 +371,10 @@ func (c *CPU) step(in isa.Inst) (Retired, error) {
 		default:
 			rd(0)
 		}
-	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTZ, isa.BGEZ:
-		taken := false
-		switch in.Op {
-		case isa.BEQ:
-			taken = rs1 == rs2
-		case isa.BNE:
-			taken = rs1 != rs2
-		case isa.BLT:
-			taken = rs1 < rs2
-		case isa.BGE:
-			taken = rs1 >= rs2
-		case isa.BLTZ:
-			taken = rs1 < 0
-		case isa.BGEZ:
-			taken = rs1 >= 0
-		}
-		rec.Taken = taken
-		rec.Target = uint32(in.Imm)
-		if taken {
-			next = uint32(in.Imm)
-		}
-	case isa.JMP:
-		rec.Taken = true
-		rec.Target = uint32(in.Imm)
-		next = uint32(in.Imm)
-	case isa.JAL:
-		rd(int64(pc) + 1)
-		rec.Taken = true
-		rec.Target = uint32(in.Imm)
-		next = uint32(in.Imm)
-	case isa.JR, isa.JALR, isa.RET:
-		t := uint32(rs1)
-		if rs1 < 0 || int(t) >= len(c.prog.Code) {
-			return rec, c.faultf(pc, "%s target %d outside code [0,%d)", in.Op, rs1, len(c.prog.Code))
-		}
-		if in.Op == isa.JALR {
-			rd(int64(pc) + 1)
-		}
-		rec.Taken = true
-		rec.Target = t
-		next = t
-	case isa.HALT:
-		// Treated by Run as a redirect to the entry point (restart)
-		// or the end of execution. The retired record reports it as an
-		// unconditional jump so the fetch simulator sees a well-formed
-		// stream (a plain instruction never redirects).
-		rec.Class = isa.ClassJump
-		rec.Taken = true
-		rec.Target = c.prog.Entry
 	default:
-		return rec, c.faultf(pc, "unimplemented opcode %v", in.Op)
+		return c.faultf(c.pc, "unimplemented opcode %v", in.Op)
 	}
-
-	if rec.Class == isa.ClassPlain && in.Op != isa.HALT {
-		rec.Target = 0
-	}
-	c.pc = next
-	return rec, nil
+	return nil
 }
 
 func (c *CPU) faultf(pc uint32, format string, args ...any) error {

@@ -301,3 +301,82 @@ func TestStackPointerInitialized(t *testing.T) {
 		t.Fatalf("stack ops faulted: %d records", len(recs))
 	}
 }
+
+// TestRunPlain: RunPlain executes plain instructions only, up to its
+// bound, and stops before a control transfer, a HALT or a PC outside the
+// code, leaving the machine where Run would have it after the same
+// instructions. A fault inside the stretch is Run's fault.
+func TestRunPlain(t *testing.T) {
+	const src = `
+main:
+    li r1, 3
+    addi r2, r1, 4
+    mul r3, r2, r1
+    beq r0, r0, next
+next:
+    addi r4, r3, 1
+    halt
+`
+	p, err := asm.Assemble("t", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(p, Config{HeapWords: 64})
+	steps := []struct {
+		max, want uint64
+		pc        uint32
+	}{
+		{2, 2, 2},  // bounded by max
+		{10, 1, 3}, // stops before the branch
+		{10, 0, 3}, // still at the branch
+	}
+	for i, s := range steps {
+		if n, err := c.RunPlain(s.max); err != nil || n != s.want || c.PC() != s.pc {
+			t.Fatalf("step %d: RunPlain(%d) = %d, %v at PC %d; want %d at PC %d", i, s.max, n, err, c.PC(), s.want, s.pc)
+		}
+	}
+	if n, err := c.Run(1, nil); n != 1 || err != nil {
+		t.Fatalf("Run(1) over the branch = %d, %v", n, err)
+	}
+	if n, err := c.RunPlain(10); n != 1 || err != nil || c.PC() != 5 {
+		t.Fatalf("RunPlain after the branch = %d, %v at PC %d; want 1 at PC 5, before the halt", n, err, c.PC())
+	}
+	ref := New(p, Config{HeapWords: 64})
+	if _, err := ref.Run(5, nil); err != nil {
+		t.Fatal(err)
+	}
+	if c.regs != ref.regs || c.Executed() != 5 {
+		t.Fatalf("after RunPlain: regs %v, executed %d; Run gives %v, 5", c.regs[:5], c.Executed(), ref.regs[:5])
+	}
+	if n, _ := c.Run(1, nil); n != 1 || !c.Halted() {
+		t.Fatal("the halt did not stop the machine")
+	}
+	if n, err := c.RunPlain(10); n != 0 || err != nil {
+		t.Fatalf("RunPlain on a halted machine = %d, %v", n, err)
+	}
+
+	// A fault inside the stretch reports what Run reports.
+	p, err = asm.Assemble("f", "main:\n    li r2, -5\n    lw r3, 0(r2)\n    halt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ref = New(p, Config{HeapWords: 64}), New(p, Config{HeapWords: 64})
+	n, err := c.RunPlain(10)
+	_, want := ref.Run(10, nil)
+	if n != 1 || err == nil || want == nil || err.Error() != want.Error() || c.Executed() != 1 {
+		t.Fatalf("faulting RunPlain = %d, %v (executed %d); want 1, %v", n, err, c.Executed(), want)
+	}
+
+	// Running off the end of the code is left to Run to report.
+	p, err = asm.Assemble("e", "main:\n    addi r1, r1, 1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c = New(p, Config{HeapWords: 64})
+	if n, err := c.RunPlain(10); n != 1 || err != nil {
+		t.Fatalf("RunPlain to the end of the code = %d, %v; want 1, nil", n, err)
+	}
+	if _, err := c.Run(1, nil); err == nil {
+		t.Fatal("Run past the end of the code did not fault")
+	}
+}

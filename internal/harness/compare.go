@@ -70,18 +70,15 @@ func runCompare(s *Scheduler, ts *TraceSet, _ Params) func() (*Comparison, error
 	// Near-block share over the whole suite: a pure trace scan, one job
 	// per program.
 	nearP := suitePromise(s, ts, func(name string) (metrics.Result, error) {
-		tr := ts.traces[name].Clone()
+		// Runs fold no conditional branch: scan the stored records.
+		recs, _ := ts.traces[name].Clone().Rest()
 		var cond, near uint64
-		for {
-			r, ok := tr.Next()
-			if !ok {
-				break
-			}
-			if r.Class != isa.ClassCond {
+		for _, r := range recs {
+			if r.Class() != isa.ClassCond {
 				continue
 			}
 			cond++
-			if bitable.Encode(r.Class, r.PC, r.Target, 8, true).IsNear() {
+			if bitable.Encode(r.Class(), r.PC(), r.Target(), 8, true).IsNear() {
 				near++
 			}
 		}

@@ -36,8 +36,9 @@ func BenchmarkBufferIteration(b *testing.B) {
 	b.SetBytes(4096 * 8)
 }
 
-// benchFileRecords sizes the file benchmarks: one million records, the
-// scale of a saved workload trace.
+// benchFileRecords sizes the file benchmarks: one million instructions
+// (about 525k records after folding), the scale of a saved workload
+// trace. Throughput counts 8 bytes per instruction, what a v1 file took.
 const benchFileRecords = 1 << 20
 
 func BenchmarkSave(b *testing.B) {

@@ -59,7 +59,8 @@ func runsFrom(data []byte) []cpu.Retired {
 }
 
 // FuzzTraceRuns: a buffer built by Append reproduces its input exactly
-// through every per-instruction view — Len, a full Next walk, At, and
+// through every per-instruction view — Len, a full Next walk, At,
+// Collect's statistics, and
 // the cursors of Clone, WithContext and Reset taken while the original
 // stands inside a run — folds every run it can, and round-trips through
 // the file format. Seed inputs live under testdata/fuzz/FuzzTraceRuns.
@@ -76,6 +77,9 @@ func FuzzTraceRuns(f *testing.F) {
 			t.Fatalf("Len %d, appended %d", b.Len(), len(want))
 		}
 		checkFolded(t, b)
+		if got, want := Collect(b.Clone()), collectPerInstruction(want); got != want {
+			t.Fatalf("Collect = %+v, per instruction %+v", got, want)
+		}
 		checkWalk(t, "Next", b, want)
 		for i := 0; i < len(want); i += 1 + len(want)/512 {
 			if got := b.At(i); got != want[i] {
@@ -109,8 +113,8 @@ func FuzzTraceRuns(f *testing.F) {
 		if err := b.Save(&file); err != nil {
 			t.Fatal(err)
 		}
-		if file.Len() != 16+len(b.Name)+8*len(want) {
-			t.Fatalf("saved %d bytes for %d instructions", file.Len(), len(want))
+		if file.Len() != v2HeaderBytes+len(b.Name)+8*len(b.records)+4 {
+			t.Fatalf("saved %d bytes for %d instructions in %d records", file.Len(), len(want), len(b.records))
 		}
 		got, err := Load(&file)
 		if err != nil {
@@ -142,6 +146,51 @@ func checkFolded(t *testing.T, b *Buffer) {
 		prev, p := b.records[i-1], b.records[i]
 		if prev.Run() < 255 && Unpack(p) == (cpu.Retired{PC: prev.PC() + uint32(prev.Run()) + 1}) {
 			t.Fatalf("record %d (%#x) could have folded into record %d (%#x)", i, uint64(p), i-1, uint64(prev))
+		}
+	}
+}
+
+// collectPerInstruction is Collect one instruction at a time, the
+// oracle for its walk over the stored records.
+func collectPerInstruction(instrs []cpu.Retired) Stats {
+	var s Stats
+	for _, r := range instrs {
+		s.Instructions++
+		s.ByClass[r.Class]++
+		if r.Class == isa.ClassCond && r.Taken {
+			s.CondTaken++
+		}
+		if r.Taken {
+			s.Redirects++
+		}
+		if r.Class.IsControlTransfer() {
+			s.BasicBlocks++
+		}
+	}
+	return s
+}
+
+// TestFoldRoom pins the fold rule: a run takes the plain instructions
+// right after it, up to 255 in all and never past MaxAddress, which
+// only a capture of code that long could reach.
+func TestFoldRoom(t *testing.T) {
+	cond := Pack(cpu.Retired{PC: 100, Target: 7, Class: isa.ClassCond})
+	for _, c := range []struct {
+		p    Packed
+		pc   uint32
+		want int
+	}{
+		{cond, 101, 255},
+		{cond, 102, 0}, // not the next PC
+		{cond, 100, 0},
+		{cond + 200<<runShift, 301, 55},
+		{cond + 255<<runShift, 356, 0}, // full
+		{PlainAt(MaxAddress - 3), MaxAddress - 2, 3},
+		{PlainAt(MaxAddress-3) + 2<<runShift, MaxAddress, 1},
+		{PlainAt(MaxAddress-3) + 3<<runShift, MaxAddress + 1, 0},
+	} {
+		if got := c.p.room(c.pc); got != c.want {
+			t.Errorf("record pc %d run %d: room(%d) = %d, want %d", c.p.PC(), c.p.Run(), c.pc, got, c.want)
 		}
 	}
 }

@@ -23,27 +23,28 @@ type Stats struct {
 }
 
 // Collect computes statistics over a trace (which it resets first and
-// leaves drained).
+// leaves drained). It walks the stored records: every instruction a run
+// folds is plain and not taken, so a run only adds to the counts.
 func Collect(src *Buffer) Stats {
 	src.Reset()
+	recs, _ := src.Rest()
 	var s Stats
-	for {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		s.Instructions++
-		s.ByClass[r.Class]++
-		if r.Class == isa.ClassCond && r.Taken {
+	for _, p := range recs {
+		run := uint64(p.Run())
+		s.Instructions += 1 + run
+		s.ByClass[isa.ClassPlain] += run
+		s.ByClass[p.Class()]++
+		if p.Class() == isa.ClassCond && p.Taken() {
 			s.CondTaken++
 		}
-		if r.Taken {
+		if p.Taken() {
 			s.Redirects++
 		}
-		if r.Class.IsControlTransfer() {
+		if p.Class().IsControlTransfer() {
 			s.BasicBlocks++
 		}
 	}
+	src.Skip(len(recs), 0)
 	return s
 }
 

@@ -16,13 +16,24 @@
 // what it is, a record index plus an offset into that record's run, so
 // block formation steps over a whole run at once.
 //
-// Trace files are read and written in fixed 64 KiB chunks (Load, Save)
-// in the v1 format, one 8-byte record per instruction: Save expands
-// the runs and Load folds them again, rejecting a record with any of
-// bits 56-63 set. A file's header record count is untrusted: Load
+// Capture builds a trace at the same granularity: the CPU executes each
+// stretch of plain instructions that continues the last record's run in
+// one call (cpu.RunPlain) and the run grows by its count, so only the
+// instructions that become records are retired one at a time. One fold
+// rule (Packed.room) decides every fold, in Append, Capture and Load.
+//
+// Trace files (Save, Load) hold the records as they are: a v2 file is a
+// header (magic, version, name length, instruction count, record count),
+// the name, the 8-byte records and a CRC-32C of the record bytes, read
+// and written in fixed 64 KiB chunks. Load takes a v2 file's records in
+// place once they pass the checks that make each trace's encoding
+// unique — no run past MaxAddress, no record the run before it would
+// have folded, runs summing to the instruction count, the checksum —
+// and still reads v1 files, one record per instruction, folding them
+// as Append does. A file's header record count is untrusted: Load
 // reserves nothing from it and grows the records only as they arrive.
 // Save refuses a buffer the format cannot carry — a name over 64 KiB
-// or more than 2^32-1 instructions — before writing anything.
+// or more than 2^32-1 records — before writing anything.
 package trace
 
 import (
@@ -142,21 +153,30 @@ func NewBuffer(name string) *Buffer { return &Buffer{Name: name} }
 func (b *Buffer) Append(r cpu.Retired) { b.add(Pack(r)) }
 
 // add appends p, whose bits 56-63 are clear, or counts it in the last
-// record's run instead when p is the plain record at the last
-// instruction's PC + 1 and that run has room. PCs do not wrap: a run
-// never passes MaxAddress. A fold stores only the last record, not the
-// slice: a pointer store pays the collector's write barrier, and
-// captures run while the collector is busy.
+// record's run instead when p is a plain record the run has room for. A
+// fold stores only the last record, not the slice: a pointer store pays
+// the collector's write barrier, and captures run while the collector
+// is busy.
 func (b *Buffer) add(p Packed) {
 	b.n++
-	if k := len(b.records) - 1; k >= 0 {
-		last := b.records[k]
-		if run := last.Run(); run < maxRun && p < 1<<pcBits && p == PlainAt(last.PC()+uint32(run)+1) {
-			b.records[k] = last + 1<<runShift
-			return
-		}
+	if k := len(b.records) - 1; k >= 0 && p < 1<<pcBits && b.records[k].room(p.PC()) > 0 {
+		b.records[k] += 1 << runShift
+		return
 	}
 	b.records = append(b.records, p)
+}
+
+// room is the fold rule: how many plain instructions, the first at pc,
+// the run of record p can still take. None unless pc directly follows
+// the run; at most as many as keep the run within maxRun and its PCs
+// within MaxAddress (PCs do not wrap). add, Capture and Load's
+// canonical-form check all fold by it.
+func (p Packed) room(pc uint32) int {
+	end := p.PC() + uint32(p.Run())
+	if pc != end+1 {
+		return 0
+	}
+	return min(maxRun-p.Run(), MaxAddress-int(end))
 }
 
 // Next returns the next instruction, or ok=false at end of stream,
@@ -244,28 +264,44 @@ func (b *Buffer) Err() error {
 }
 
 // Capture runs the program for n instructions and returns the buffered
-// trace.
+// trace, shorter when the program halts without cfg.RestartOnHalt.
+// Only the instructions a run cannot take become records: each
+// stretch of plain instructions that continues the last record's run
+// executes in one cpu.RunPlain call and is added to the run by its
+// count, so a folded instruction costs no record and no Pack.
 func Capture(p *isa.Program, cfg cpu.Config, n uint64) (*Buffer, error) {
 	c := cpu.New(p, cfg)
 	s := scratch.Get().(*[]Packed)
 	defer scratch.Put(s)
-	var executed uint64
-	b, err := build(p.Name, s, func(b *Buffer) (err error) {
-		executed, err = c.Run(n, func(r cpu.Retired) bool {
+	b, err := build(p.Name, s, func(b *Buffer) error {
+		add := func(r cpu.Retired) bool {
 			b.add(Pack(r)) // Append, which is too large to inline
 			return true
-		})
-		return err
+		}
+		for b.n < n {
+			if k := len(b.records) - 1; k >= 0 {
+				if room := b.records[k].room(c.PC()); room > 0 {
+					ran, err := c.RunPlain(min(n-b.n, uint64(room)))
+					b.records[k] += Packed(ran) << runShift
+					b.n += ran
+					if err != nil || b.n == n {
+						return err
+					}
+				}
+			}
+			// The next instruction is a control transfer or HALT, does
+			// not follow the run, or finds the run full. Run retires
+			// nothing once a program without RestartOnHalt has halted:
+			// its trace is short, which is fine, as the caller asked
+			// for at most n.
+			if ran, err := c.Run(1, add); err != nil || ran == 0 {
+				return err
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if executed < n && !cfg.RestartOnHalt {
-		// Short traces are fine; the caller asked for at most n.
-		return b, nil
-	}
-	if executed < n {
-		return nil, fmt.Errorf("trace: %s: got %d of %d instructions", p.Name, executed, n)
 	}
 	return b, nil
 }
