@@ -49,10 +49,10 @@ loop:
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-// BenchmarkRunPlain measures the run-level interpreter a trace capture
-// uses: RunPlain over each stretch of plain instructions and Run(1)
-// over each control transfer, on the mixed loop of
-// BenchmarkInterpreter (twelve plain instructions, then a branch).
+// BenchmarkRunPlain measures the interpreter as a trace capture drives
+// it: RunPlain over each stretch of plain instructions and Step over
+// each control transfer, on the mixed loop of BenchmarkInterpreter
+// (twelve plain instructions, then a branch).
 func BenchmarkRunPlain(b *testing.B) {
 	p, err := asm.Assemble("bench", `
 .data
@@ -90,7 +90,7 @@ loop:
 			b.Fatal(err)
 		}
 		if n += ran; n < uint64(b.N) {
-			if _, err := c.Run(1, nil); err != nil {
+			if _, err := c.Step(); err != nil {
 				b.Fatal(err)
 			}
 			n++

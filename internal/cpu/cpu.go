@@ -2,6 +2,29 @@
 // simulator for the mini RISC ISA. It plays the role Shade played in the
 // paper: it executes a program and streams the retired-instruction
 // records that drive the trace-based fetch simulation.
+//
+// The interpreter is two primitives, and each opcode's semantics is
+// written once, in one of them. RunPlain is the dispatch loop for plain
+// instructions: it keeps the PC, the memory slices and the register
+// files' addresses in locals, tells a plain instruction by opcode range
+// alone (every opcode below isa.BEQ; the control transfers and HALT are
+// the contiguous tail, which isa's TestOpcodeLayout pins), executes each
+// in one switch, writes r0 without a branch (store, then re-zero) and
+// checks each memory access with one unsigned compare. Step executes
+// any one instruction — in practice a control transfer or HALT, as a
+// plain one goes through RunPlain — and returns its record without a
+// sink. Run, which streams every retired record to a sink, is built on
+// the two; trace.Capture calls them directly, folding each RunPlain
+// stretch into a run-length record, and reuses CPUs across captures
+// (Load keeps the memory arrays when they are large enough).
+//
+// Register numbers index the register files directly: a program must
+// pass isa.Program.Validate, which bounds every integer field and every
+// FP operand field, before it runs.
+//
+// The instruction-at-a-time interpreter this package used to be lives
+// on as the reference in reference_test.go; FuzzInterpreter and the
+// capture tests compare against it.
 package cpu
 
 import (
@@ -63,9 +86,17 @@ type CPU struct {
 // New creates a CPU for the program. The program must have been
 // validated (the assembler does this).
 func New(p *isa.Program, cfg Config) *CPU {
-	c := &CPU{prog: p, cfg: cfg}
-	c.Reset()
+	c := new(CPU)
+	c.Load(p, cfg)
 	return c
+}
+
+// Load makes c a CPU for program p under cfg, as New would create it,
+// executed count zero, but keeping c's memory arrays when their capacity
+// suffices: a CPU reused across runs allocates once for the largest.
+func (c *CPU) Load(p *isa.Program, cfg Config) {
+	c.prog, c.cfg, c.executed = p, cfg, 0
+	c.Reset()
 }
 
 // Reset restores the initial architectural state: registers zero, sp at
@@ -74,74 +105,57 @@ func (c *CPU) Reset() {
 	c.pc = c.prog.Entry
 	c.regs = [isa.NumIntRegs]int64{}
 	c.fpr = [isa.NumFPRegs]float64{}
-	memWords := len(c.prog.IntData) + c.cfg.HeapWords
-	if memWords < 1024 {
-		memWords = 1024
-	}
-	if c.mem == nil || len(c.mem) != memWords {
-		c.mem = make([]int64, memWords)
-	} else {
-		clear(c.mem)
-	}
+	memWords := max(len(c.prog.IntData)+c.cfg.HeapWords, 1024)
+	c.mem = zeroed(c.mem, memWords)
 	copy(c.mem, c.prog.IntData)
-	fmemWords := len(c.prog.FPData) + c.cfg.FPHeapWords
-	if fmemWords < 1024 {
-		fmemWords = 1024
-	}
-	if c.fmem == nil || len(c.fmem) != fmemWords {
-		c.fmem = make([]float64, fmemWords)
-	} else {
-		for i := range c.fmem {
-			c.fmem[i] = 0
-		}
-	}
+	c.fmem = zeroed(c.fmem, max(len(c.prog.FPData)+c.cfg.FPHeapWords, 1024))
 	copy(c.fmem, c.prog.FPData)
 	c.regs[30] = int64(memWords) // sp: stack grows down from the top
 	c.halted = false
 }
 
-// Executed returns the number of instructions retired since creation.
+// zeroed returns n zero words, in s's array when its capacity suffices.
+func zeroed[T int64 | float64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Executed returns the number of instructions retired since creation
+// (or the last Load).
 func (c *CPU) Executed() uint64 { return c.executed }
 
 // Halted reports whether the program has executed HALT (and
 // RestartOnHalt is false).
 func (c *CPU) Halted() bool { return c.halted }
 
+// PC returns the address of the next instruction to execute.
+func (c *CPU) PC() uint32 { return c.pc }
+
 // Run executes up to fuel instructions, streaming each retired
 // instruction to sink. It returns the number executed in this call.
 // Execution stops early when the sink returns false, when the program
 // halts (unless RestartOnHalt), or on a machine fault (bad PC, bad
 // memory address), which is reported as an error since the workload
-// programs are supposed to be correct.
+// programs are supposed to be correct. Without a sink, plain stretches
+// run in RunPlain; with one, every instruction is a Step.
 func (c *CPU) Run(fuel uint64, sink Sink) (uint64, error) {
-	if c.halted {
-		return 0, nil
-	}
-	code := c.prog.Code
 	n := uint64(0)
-	for n < fuel {
-		if int(c.pc) >= len(code) {
-			return n, fmt.Errorf("cpu: %s: pc %d outside code [0,%d)", c.prog.Name, c.pc, len(code))
+	for n < fuel && !c.halted {
+		if sink == nil {
+			ran, err := c.RunPlain(fuel - n)
+			if n += ran; err != nil || n == fuel {
+				return n, err
+			}
 		}
-		in := code[c.pc]
-		r, err := c.step(in)
+		r, err := c.Step()
 		if err != nil {
 			return n, err
 		}
 		n++
-		c.executed++
-		if in.Op == isa.HALT {
-			if !c.cfg.RestartOnHalt {
-				c.halted = true
-				if sink != nil && !sink(r) {
-					return n, nil
-				}
-				return n, nil
-			}
-			c.Reset()
-			// A restart behaves like an unconditional jump back to
-			// the entry point, which is what the record already says.
-		}
 		if sink != nil && !sink(r) {
 			return n, nil
 		}
@@ -154,227 +168,220 @@ func (c *CPU) Run(fuel uint64, sink Sink) (uint64, error) {
 // Each one retires as the not-taken plain record at its PC, so none is
 // built: a caller knows them all from PC before the call and the count.
 // It stops before the first instruction that is not plain or whose PC
-// lies outside the code (Run retires or reports that one), does nothing
-// once the program has halted, and stops at a machine fault, which it
-// reports as Run does.
+// lies outside the code (Step retires or reports that one), does
+// nothing once the program has halted, and stops at a machine fault,
+// which it returns, the faulting instruction not counted.
+//
+// This loop is the only definition of the plain opcodes' semantics.
 func (c *CPU) RunPlain(limit uint64) (uint64, error) {
 	if c.halted {
 		return 0, nil
 	}
-	code := c.prog.Code
+	code, mem, fmem := c.prog.Code, c.mem, c.fmem
+	r, f := &c.regs, &c.fpr
+	pc := c.pc
 	n := uint64(0)
 	var err error
-	for ; n < limit && int(c.pc) < len(code); n++ {
-		in := code[c.pc]
-		if in.Op.Class() != isa.ClassPlain || in.Op == isa.HALT {
+loop:
+	for ; n < limit && int(pc) < len(code); n++ {
+		in := code[pc]
+		if in.Op >= isa.BEQ {
 			break
 		}
-		if err = c.exec(in); err != nil {
-			break
+		switch in.Op {
+		case isa.NOP:
+		case isa.ADD:
+			r[in.Rd] = r[in.Rs1] + r[in.Rs2]
+		case isa.SUB:
+			r[in.Rd] = r[in.Rs1] - r[in.Rs2]
+		case isa.AND:
+			r[in.Rd] = r[in.Rs1] & r[in.Rs2]
+		case isa.OR:
+			r[in.Rd] = r[in.Rs1] | r[in.Rs2]
+		case isa.XOR:
+			r[in.Rd] = r[in.Rs1] ^ r[in.Rs2]
+		case isa.SLL:
+			r[in.Rd] = r[in.Rs1] << (uint64(r[in.Rs2]) & 63)
+		case isa.SRL:
+			r[in.Rd] = int64(uint64(r[in.Rs1]) >> (uint64(r[in.Rs2]) & 63))
+		case isa.SRA:
+			r[in.Rd] = r[in.Rs1] >> (uint64(r[in.Rs2]) & 63)
+		case isa.SLT:
+			r[in.Rd] = boolToInt(r[in.Rs1] < r[in.Rs2])
+		case isa.SLTU:
+			r[in.Rd] = boolToInt(uint64(r[in.Rs1]) < uint64(r[in.Rs2]))
+		case isa.MUL:
+			r[in.Rd] = r[in.Rs1] * r[in.Rs2]
+		case isa.DIV:
+			if d := r[in.Rs2]; d == 0 {
+				r[in.Rd] = -1 // RISC-V-style no-trap semantics
+			} else {
+				r[in.Rd] = r[in.Rs1] / d
+			}
+		case isa.REM:
+			if d := r[in.Rs2]; d != 0 {
+				r[in.Rd] = r[in.Rs1] % d
+			} else {
+				r[in.Rd] = r[in.Rs1]
+			}
+		case isa.ADDI:
+			r[in.Rd] = r[in.Rs1] + int64(in.Imm)
+		case isa.ANDI:
+			r[in.Rd] = r[in.Rs1] & int64(in.Imm)
+		case isa.ORI:
+			r[in.Rd] = r[in.Rs1] | int64(in.Imm)
+		case isa.XORI:
+			r[in.Rd] = r[in.Rs1] ^ int64(in.Imm)
+		case isa.SLLI:
+			r[in.Rd] = r[in.Rs1] << (uint64(in.Imm) & 63)
+		case isa.SRLI:
+			r[in.Rd] = int64(uint64(r[in.Rs1]) >> (uint64(in.Imm) & 63))
+		case isa.SRAI:
+			r[in.Rd] = r[in.Rs1] >> (uint64(in.Imm) & 63)
+		case isa.SLTI:
+			r[in.Rd] = boolToInt(r[in.Rs1] < int64(in.Imm))
+		case isa.LUI:
+			r[in.Rd] = int64(in.Imm) << 16
+		case isa.LW:
+			a := r[in.Rs1] + int64(in.Imm)
+			if uint64(a) >= uint64(len(mem)) {
+				err = c.faultf(pc, "lw address %d outside memory [0,%d)", a, len(mem))
+				break loop
+			}
+			r[in.Rd] = mem[a]
+		case isa.SW:
+			a := r[in.Rs1] + int64(in.Imm)
+			if uint64(a) >= uint64(len(mem)) {
+				err = c.faultf(pc, "sw address %d outside memory [0,%d)", a, len(mem))
+				break loop
+			}
+			mem[a] = r[in.Rs2]
+		case isa.FADD:
+			f[in.Rd] = f[in.Rs1] + f[in.Rs2]
+		case isa.FSUB:
+			f[in.Rd] = f[in.Rs1] - f[in.Rs2]
+		case isa.FMUL:
+			f[in.Rd] = f[in.Rs1] * f[in.Rs2]
+		case isa.FDIV:
+			f[in.Rd] = f[in.Rs1] / f[in.Rs2]
+		case isa.FABS:
+			v := f[in.Rs1]
+			if v < 0 {
+				v = -v
+			}
+			f[in.Rd] = v
+		case isa.FNEG:
+			f[in.Rd] = -f[in.Rs1]
+		case isa.FMOV:
+			f[in.Rd] = f[in.Rs1]
+		case isa.FLW:
+			a := r[in.Rs1] + int64(in.Imm)
+			if uint64(a) >= uint64(len(fmem)) {
+				err = c.faultf(pc, "flw address %d outside fp memory [0,%d)", a, len(fmem))
+				break loop
+			}
+			f[in.Rd] = fmem[a]
+		case isa.FSW:
+			a := r[in.Rs1] + int64(in.Imm)
+			if uint64(a) >= uint64(len(fmem)) {
+				err = c.faultf(pc, "fsw address %d outside fp memory [0,%d)", a, len(fmem))
+				break loop
+			}
+			fmem[a] = f[in.Rs2]
+		case isa.FCVT:
+			f[in.Rd] = float64(r[in.Rs1])
+		case isa.FCMP:
+			a, b := f[in.Rs1], f[in.Rs2]
+			v := int64(0)
+			if a < b {
+				v = -1
+			} else if a > b {
+				v = 1
+			}
+			r[in.Rd] = v
 		}
-		c.pc++
+		r[0] = 0 // r0 is hard-wired: whatever an instruction wrote there is discarded
+		pc++
 	}
+	c.pc = pc
 	c.executed += n
 	return n, err
 }
 
-// PC returns the address of the next instruction to execute.
-func (c *CPU) PC() uint32 { return c.pc }
-
-// step executes one instruction, returning its retired record.
-func (c *CPU) step(in isa.Inst) (Retired, error) {
-	pc := c.pc
-	next := pc + 1
-	rec := Retired{PC: pc, Class: in.Class()}
-	rs1 := c.regs[in.Rs1]
-	rs2 := c.regs[in.Rs2]
-
+// Step executes the instruction at the PC, whatever its kind, and
+// returns its retired record. A conditional branch's record carries its
+// encoded target taken or not; HALT's is a taken jump to the entry
+// point, after which the CPU restarts (RestartOnHalt) or halts. A plain
+// instruction runs through RunPlain. Step reports a PC outside the code,
+// an indirect target outside it, a machine fault or a halted CPU as an
+// error, retiring nothing.
+//
+// This is the only definition of the control transfers' and HALT's
+// semantics.
+func (c *CPU) Step() (Retired, error) {
+	if c.halted {
+		return Retired{}, fmt.Errorf("cpu: %s: halted", c.prog.Name)
+	}
+	pc, code := c.pc, c.prog.Code
+	if int(pc) >= len(code) {
+		return Retired{}, fmt.Errorf("cpu: %s: pc %d outside code [0,%d)", c.prog.Name, pc, len(code))
+	}
+	in := code[pc]
+	if in.Op < isa.BEQ {
+		_, err := c.RunPlain(1)
+		return Retired{PC: pc}, err
+	}
+	r := &c.regs
+	rec := Retired{PC: pc, Target: uint32(in.Imm), Class: in.Op.Class(), Taken: true}
 	switch in.Op {
-	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTZ, isa.BGEZ:
-		taken := false
-		switch in.Op {
-		case isa.BEQ:
-			taken = rs1 == rs2
-		case isa.BNE:
-			taken = rs1 != rs2
-		case isa.BLT:
-			taken = rs1 < rs2
-		case isa.BGE:
-			taken = rs1 >= rs2
-		case isa.BLTZ:
-			taken = rs1 < 0
-		case isa.BGEZ:
-			taken = rs1 >= 0
-		}
-		rec.Taken = taken
-		rec.Target = uint32(in.Imm)
-		if taken {
-			next = uint32(in.Imm)
-		}
+	case isa.BEQ:
+		rec.Taken = r[in.Rs1] == r[in.Rs2]
+	case isa.BNE:
+		rec.Taken = r[in.Rs1] != r[in.Rs2]
+	case isa.BLT:
+		rec.Taken = r[in.Rs1] < r[in.Rs2]
+	case isa.BGE:
+		rec.Taken = r[in.Rs1] >= r[in.Rs2]
+	case isa.BLTZ:
+		rec.Taken = r[in.Rs1] < 0
+	case isa.BGEZ:
+		rec.Taken = r[in.Rs1] >= 0
 	case isa.JMP:
-		rec.Taken = true
-		rec.Target = uint32(in.Imm)
-		next = uint32(in.Imm)
 	case isa.JAL:
-		c.setReg(in.Rd, int64(pc)+1)
-		rec.Taken = true
-		rec.Target = uint32(in.Imm)
-		next = uint32(in.Imm)
+		r[in.Rd] = int64(pc) + 1
+		r[0] = 0
 	case isa.JR, isa.JALR, isa.RET:
-		t := uint32(rs1)
-		if rs1 < 0 || int(t) >= len(c.prog.Code) {
-			return rec, c.faultf(pc, "%s target %d outside code [0,%d)", in.Op, rs1, len(c.prog.Code))
+		// The target is the register's low 32 bits; a negative value
+		// faults.
+		t := r[in.Rs1]
+		if t < 0 || int(uint32(t)) >= len(code) {
+			return Retired{}, c.faultf(pc, "%s target %d outside code [0,%d)", in.Op, t, len(code))
 		}
 		if in.Op == isa.JALR {
-			c.setReg(in.Rd, int64(pc)+1)
+			r[in.Rd] = int64(pc) + 1
+			r[0] = 0
 		}
-		rec.Taken = true
-		rec.Target = t
-		next = t
+		rec.Target = uint32(t)
 	case isa.HALT:
-		// Treated by Run as a redirect to the entry point (restart)
-		// or the end of execution. The retired record reports it as an
-		// unconditional jump so the fetch simulator sees a well-formed
-		// stream (a plain instruction never redirects).
-		rec.Class = isa.ClassJump
-		rec.Taken = true
-		rec.Target = c.prog.Entry
-	default:
-		// A plain instruction: its record is the PC alone.
-		if err := c.exec(in); err != nil {
-			return rec, err
+		// The record is an unconditional jump to the entry point, so the
+		// fetch simulator sees a well-formed stream (a plain instruction
+		// never redirects) whether the program restarts there or stops.
+		c.executed++
+		if c.cfg.RestartOnHalt {
+			c.Reset()
+		} else {
+			c.pc, c.halted = pc+1, true
 		}
+		return Retired{PC: pc, Target: c.prog.Entry, Class: isa.ClassJump, Taken: true}, nil
+	default:
+		return Retired{}, c.faultf(pc, "unimplemented opcode %v", in.Op)
 	}
-	c.pc = next
+	c.executed++
+	c.pc = pc + 1
+	if rec.Taken {
+		c.pc = rec.Target
+	}
 	return rec, nil
-}
-
-// setReg writes integer register rd; writes to r0 are discarded.
-func (c *CPU) setReg(rd uint8, v int64) {
-	if rd != 0 {
-		c.regs[rd] = v
-	}
-}
-
-// exec carries out the effect of the plain (non-control-transfer)
-// instruction at the PC, without moving the PC.
-func (c *CPU) exec(in isa.Inst) error {
-	rd := func(v int64) { c.setReg(in.Rd, v) }
-	rs1 := c.regs[in.Rs1]
-	rs2 := c.regs[in.Rs2]
-
-	switch in.Op {
-	case isa.NOP:
-	case isa.ADD:
-		rd(rs1 + rs2)
-	case isa.SUB:
-		rd(rs1 - rs2)
-	case isa.AND:
-		rd(rs1 & rs2)
-	case isa.OR:
-		rd(rs1 | rs2)
-	case isa.XOR:
-		rd(rs1 ^ rs2)
-	case isa.SLL:
-		rd(rs1 << (uint64(rs2) & 63))
-	case isa.SRL:
-		rd(int64(uint64(rs1) >> (uint64(rs2) & 63)))
-	case isa.SRA:
-		rd(rs1 >> (uint64(rs2) & 63))
-	case isa.SLT:
-		rd(boolToInt(rs1 < rs2))
-	case isa.SLTU:
-		rd(boolToInt(uint64(rs1) < uint64(rs2)))
-	case isa.MUL:
-		rd(rs1 * rs2)
-	case isa.DIV:
-		if rs2 == 0 {
-			rd(-1) // RISC-V-style no-trap semantics
-		} else {
-			rd(rs1 / rs2)
-		}
-	case isa.REM:
-		if rs2 == 0 {
-			rd(rs1)
-		} else {
-			rd(rs1 % rs2)
-		}
-	case isa.ADDI:
-		rd(rs1 + int64(in.Imm))
-	case isa.ANDI:
-		rd(rs1 & int64(in.Imm))
-	case isa.ORI:
-		rd(rs1 | int64(in.Imm))
-	case isa.XORI:
-		rd(rs1 ^ int64(in.Imm))
-	case isa.SLLI:
-		rd(rs1 << (uint64(in.Imm) & 63))
-	case isa.SRLI:
-		rd(int64(uint64(rs1) >> (uint64(in.Imm) & 63)))
-	case isa.SRAI:
-		rd(rs1 >> (uint64(in.Imm) & 63))
-	case isa.SLTI:
-		rd(boolToInt(rs1 < int64(in.Imm)))
-	case isa.LUI:
-		rd(int64(in.Imm) << 16)
-	case isa.LW:
-		addr := rs1 + int64(in.Imm)
-		if addr < 0 || addr >= int64(len(c.mem)) {
-			return c.faultf(c.pc, "lw address %d outside memory [0,%d)", addr, len(c.mem))
-		}
-		rd(c.mem[addr])
-	case isa.SW:
-		addr := rs1 + int64(in.Imm)
-		if addr < 0 || addr >= int64(len(c.mem)) {
-			return c.faultf(c.pc, "sw address %d outside memory [0,%d)", addr, len(c.mem))
-		}
-		c.mem[addr] = rs2
-	case isa.FADD:
-		c.fpr[in.Rd] = c.fpr[in.Rs1] + c.fpr[in.Rs2]
-	case isa.FSUB:
-		c.fpr[in.Rd] = c.fpr[in.Rs1] - c.fpr[in.Rs2]
-	case isa.FMUL:
-		c.fpr[in.Rd] = c.fpr[in.Rs1] * c.fpr[in.Rs2]
-	case isa.FDIV:
-		c.fpr[in.Rd] = c.fpr[in.Rs1] / c.fpr[in.Rs2]
-	case isa.FABS:
-		v := c.fpr[in.Rs1]
-		if v < 0 {
-			v = -v
-		}
-		c.fpr[in.Rd] = v
-	case isa.FNEG:
-		c.fpr[in.Rd] = -c.fpr[in.Rs1]
-	case isa.FMOV:
-		c.fpr[in.Rd] = c.fpr[in.Rs1]
-	case isa.FLW:
-		addr := rs1 + int64(in.Imm)
-		if addr < 0 || addr >= int64(len(c.fmem)) {
-			return c.faultf(c.pc, "flw address %d outside fp memory [0,%d)", addr, len(c.fmem))
-		}
-		c.fpr[in.Rd] = c.fmem[addr]
-	case isa.FSW:
-		addr := rs1 + int64(in.Imm)
-		if addr < 0 || addr >= int64(len(c.fmem)) {
-			return c.faultf(c.pc, "fsw address %d outside fp memory [0,%d)", addr, len(c.fmem))
-		}
-		c.fmem[addr] = c.fpr[in.Rs2]
-	case isa.FCVT:
-		c.fpr[in.Rd] = float64(rs1)
-	case isa.FCMP:
-		a, b := c.fpr[in.Rs1], c.fpr[in.Rs2]
-		switch {
-		case a < b:
-			rd(-1)
-		case a > b:
-			rd(1)
-		default:
-			rd(0)
-		}
-	default:
-		return c.faultf(c.pc, "unimplemented opcode %v", in.Op)
-	}
-	return nil
 }
 
 func (c *CPU) faultf(pc uint32, format string, args ...any) error {

@@ -133,14 +133,16 @@ dest:
 }
 
 func TestR0IsHardwiredZero(t *testing.T) {
+	// beqz compares with r0 itself, so the value goes through r1.
 	recs, _ := runProgram(t, `
     li r0, 99
-    beqz r0, good
+    add r1, r0, r0
+    beqz r1, good
     halt
 good:
     halt
 `, 10)
-	if !recs[1].Taken {
+	if !recs[2].Taken {
 		t.Error("write to r0 must be discarded")
 	}
 }
@@ -353,6 +355,9 @@ next:
 	}
 	if n, err := c.RunPlain(10); n != 0 || err != nil {
 		t.Fatalf("RunPlain on a halted machine = %d, %v", n, err)
+	}
+	if r, err := c.Step(); err == nil || c.Executed() != 6 {
+		t.Fatalf("Step on a halted machine = %+v, %v (executed %d); want an error, 6", r, err, c.Executed())
 	}
 
 	// A fault inside the stretch reports what Run reports.

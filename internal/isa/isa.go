@@ -15,9 +15,11 @@ import "fmt"
 // Opcode identifies an operation.
 type Opcode uint8
 
-// Opcodes. The groups matter: everything from BEQ onward is a control
-// transfer, and the Class method below is the single source of truth for
-// how the fetch hardware categorizes an instruction.
+// Opcodes. The groups matter: every opcode below BEQ is plain, BEQ..RET
+// are the control transfers and HALT is last, so the interpreter tells a
+// plain instruction by one compare (TestOpcodeLayout pins this), and the
+// Class method below is the single source of truth for how the fetch
+// hardware categorizes an instruction.
 const (
 	NOP Opcode = iota
 
@@ -64,8 +66,8 @@ const (
 	FCVT // fd = float64(rs1)
 	FCMP // rd = compare(fs1, fs2): -1, 0, 1
 
-	// Control transfers. Keep these contiguous; IsControlTransfer
-	// relies on it.
+	// Control transfers. Keep these contiguous, after every plain
+	// opcode and before HALT; the interpreter relies on it.
 	BEQ  // branch if rs1 == rs2
 	BNE  // branch if rs1 != rs2
 	BLT  // branch if rs1 < rs2 (signed)
@@ -274,7 +276,10 @@ type Program struct {
 }
 
 // Validate checks structural invariants: entry in range, branch and jump
-// targets inside the code, register numbers in range.
+// targets inside the code, register numbers in range (every field below
+// NumIntRegs, and the fields an FP opcode reads or writes as FP registers
+// below NumFPRegs). A program that passes cannot make the functional
+// simulator index outside its register files.
 func (p *Program) Validate() error {
 	n := uint32(len(p.Code))
 	if n == 0 {
@@ -295,10 +300,30 @@ func (p *Program) Validate() error {
 			}
 		}
 		if in.Rd >= NumIntRegs || in.Rs1 >= NumIntRegs || in.Rs2 >= NumIntRegs {
-			// FP register fields are smaller; the assembler enforces
-			// the tighter bound, this is the superset check.
 			return fmt.Errorf("isa: %q@%d: register out of range in %s", p.Name, pc, in)
+		}
+		if fd, fs1, fs2 := in.Op.fpOperands(); fd && in.Rd >= NumFPRegs ||
+			fs1 && in.Rs1 >= NumFPRegs || fs2 && in.Rs2 >= NumFPRegs {
+			return fmt.Errorf("isa: %q@%d: FP register out of range in %s", p.Name, pc, in)
 		}
 	}
 	return nil
+}
+
+// fpOperands reports which operand fields of op name FP registers
+// (f0..f15) rather than integer ones.
+func (op Opcode) fpOperands() (rd, rs1, rs2 bool) {
+	switch op {
+	case FADD, FSUB, FMUL, FDIV:
+		return true, true, true
+	case FABS, FNEG, FMOV:
+		return true, true, false
+	case FLW, FCVT:
+		return true, false, false
+	case FSW:
+		return false, false, true
+	case FCMP:
+		return false, true, true
+	}
+	return false, false, false
 }

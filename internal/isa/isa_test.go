@@ -109,10 +109,52 @@ func TestProgramValidate(t *testing.T) {
 		{Name: "target", Code: []Inst{{Op: JMP, Imm: 99}}},
 		{Name: "negtarget", Code: []Inst{{Op: BEQ, Imm: -1}}},
 		{Name: "reg", Code: []Inst{{Op: ADD, Rd: 40}}},
+		{Name: "fp-rd", Code: []Inst{{Op: FADD, Rd: 20, Rs1: 1, Rs2: 2}, {Op: HALT}}},
+		{Name: "fp-rs1", Code: []Inst{{Op: FMOV, Rd: 1, Rs1: 16}}},
+		{Name: "fp-rs2", Code: []Inst{{Op: FSW, Rs1: 1, Rs2: 31}}},
+		{Name: "fcmp", Code: []Inst{{Op: FCMP, Rd: 1, Rs1: 2, Rs2: 16}}},
+		{Name: "flw", Code: []Inst{{Op: FLW, Rd: 16, Rs1: 2}}},
+		{Name: "fcvt", Code: []Inst{{Op: FCVT, Rd: 16, Rs1: 2}}},
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("program %q should fail validation", p.Name)
 		}
+	}
+
+	// Integer fields of FP opcodes take the whole integer file.
+	intFields := &Program{Name: "int-fields", Code: []Inst{
+		{Op: FLW, Rd: 15, Rs1: 31},
+		{Op: FSW, Rs1: 31, Rs2: 15},
+		{Op: FCVT, Rd: 15, Rs1: 31},
+		{Op: FCMP, Rd: 31, Rs1: 15, Rs2: 15},
+		{Op: HALT},
+	}}
+	if err := intFields.Validate(); err != nil {
+		t.Errorf("integer fields of FP opcodes rejected: %v", err)
+	}
+}
+
+// TestOpcodeLayout pins the opcode order the interpreter's dispatch
+// relies on: every opcode below BEQ is plain, BEQ through RET are the
+// control transfers, and HALT is the last opcode.
+func TestOpcodeLayout(t *testing.T) {
+	for op := Opcode(0); op < numOpcodes; op++ {
+		transfer := op.Class().IsControlTransfer()
+		switch {
+		case op < BEQ && transfer:
+			t.Errorf("%v is below BEQ but a control transfer", op)
+		case op >= BEQ && op <= RET && !transfer:
+			t.Errorf("%v lies in BEQ..RET but is not a control transfer", op)
+		}
+	}
+	if last := numOpcodes - 1; last != HALT {
+		t.Errorf("last opcode is %v, want halt", last)
+	}
+	if next := RET + 1; next != HALT {
+		t.Errorf("the opcode after ret is %v, want halt", next)
+	}
+	if HALT.Class() != ClassPlain {
+		t.Errorf("HALT class = %v, want plain (the CPU reports it as a jump)", HALT.Class())
 	}
 }

@@ -17,10 +17,11 @@
 // block formation steps over a whole run at once.
 //
 // Capture builds a trace at the same granularity: the CPU executes each
-// stretch of plain instructions that continues the last record's run in
-// one call (cpu.RunPlain) and the run grows by its count, so only the
-// instructions that become records are retired one at a time. One fold
-// rule (Packed.room) decides every fold, in Append, Capture and Load.
+// stretch of plain instructions in one call (cpu.RunPlain) and a run
+// grows by its count — the last record's when the stretch continues it,
+// a new plain record's otherwise — and each control transfer or HALT is
+// one cpu.Step whose record is appended. One fold rule (Packed.room)
+// decides every fold, in Append, Capture and Load.
 //
 // Trace files (Save, Load) hold the records as they are: a v2 file is a
 // header (magic, version, name length, instruction count, record count),
@@ -264,46 +265,80 @@ func (b *Buffer) Err() error {
 }
 
 // Capture runs the program for n instructions and returns the buffered
-// trace, shorter when the program halts without cfg.RestartOnHalt.
-// Only the instructions a run cannot take become records: each
-// stretch of plain instructions that continues the last record's run
-// executes in one cpu.RunPlain call and is added to the run by its
-// count, so a folded instruction costs no record and no Pack.
+// trace, shorter when the program halts without cfg.RestartOnHalt. It
+// validates the program first (isa.Program.Validate, and code no longer
+// than a record can address), so no program can make it panic.
+//
+// Only the instructions a run cannot take become records: each stretch
+// of plain instructions executes in one cpu.RunPlain call and is added
+// to a run by its count — the last record's run when the stretch
+// continues it, else a new plain record's — so a folded instruction
+// costs no record and no Pack. Each control transfer or HALT is one
+// cpu.Step. CPUs are reused across captures (cpu.Load), so a capture
+// allocates its trace and nothing else once the pools are warm.
 func Capture(p *isa.Program, cfg cpu.Config, n uint64) (*Buffer, error) {
-	c := cpu.New(p, cfg)
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if len(p.Code) > MaxAddress+1 {
+		return nil, fmt.Errorf("trace: program %q has %d instructions, more than a record addresses (%d)", p.Name, len(p.Code), MaxAddress+1)
+	}
+	c := cpus.Get().(*cpu.CPU)
+	defer cpus.Put(c)
+	c.Load(p, cfg)
+	return capture(c, p.Name, n)
+}
+
+// cpus holds the CPUs Capture reuses: about 790 KB of memory each at
+// cpu.DefaultConfig, which would otherwise die with every capture.
+var cpus = sync.Pool{New: func() any { return new(cpu.CPU) }}
+
+// capture runs the CPU c, loaded with a validated program, for n
+// instructions into a trace named name.
+func capture(c *cpu.CPU, name string, n uint64) (*Buffer, error) {
 	s := scratch.Get().(*[]Packed)
 	defer scratch.Put(s)
-	b, err := build(p.Name, s, func(b *Buffer) error {
-		add := func(r cpu.Retired) bool {
-			b.add(Pack(r)) // Append, which is too large to inline
-			return true
-		}
-		for b.n < n {
+	return build(name, s, func(b *Buffer) error {
+		for b.n < n && !c.Halted() {
+			// The stretch at the PC continues the last record's run, or
+			// starts a new plain record with a run of its own.
+			pc := c.PC()
+			room, fresh := 0, true
 			if k := len(b.records) - 1; k >= 0 {
-				if room := b.records[k].room(c.PC()); room > 0 {
-					ran, err := c.RunPlain(min(n-b.n, uint64(room)))
-					b.records[k] += Packed(ran) << runShift
-					b.n += ran
-					if err != nil || b.n == n {
-						return err
-					}
-				}
+				room = b.records[k].room(pc)
+				fresh = room == 0
 			}
-			// The next instruction is a control transfer or HALT, does
-			// not follow the run, or finds the run full. Run retires
-			// nothing once a program without RestartOnHalt has halted:
-			// its trace is short, which is fine, as the caller asked
-			// for at most n.
-			if ran, err := c.Run(1, add); err != nil || ran == 0 {
+			if fresh {
+				room = 1 + PlainAt(pc).room(pc+1)
+			}
+			limit := min(n-b.n, uint64(room))
+			ran, err := c.RunPlain(limit)
+			switch {
+			case ran == 0:
+			case fresh:
+				b.records = append(b.records, PlainAt(pc)+Packed(ran-1)<<runShift)
+			default:
+				b.records[len(b.records)-1] += Packed(ran) << runShift
+			}
+			b.n += ran
+			if err != nil {
 				return err
 			}
+			if ran == limit {
+				continue // the run is full or the trace complete
+			}
+			// The next instruction is a control transfer or HALT, or
+			// the PC left the code, which Step reports. Its record is
+			// never plain, so it is appended without the fold test.
+			r, err := c.Step()
+			if err != nil {
+				return err
+			}
+			b.records = append(b.records, Pack(r))
+			b.n++
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // scratch holds the record slices Capture and Load fold into. A trace

@@ -3,6 +3,8 @@ package mbbp
 import (
 	"strings"
 	"testing"
+
+	"mbbp/internal/isa"
 )
 
 // TestPublicAPIRoundTrip exercises the documented quick-start flow
@@ -115,5 +117,36 @@ func TestInvalidConfigRejected(t *testing.T) {
 	cfg.Selection = DoubleSelection
 	if _, err := NewEngineFromConfig(cfg); err == nil {
 		t.Error("single block + double selection should be rejected")
+	}
+}
+
+// TestCaptureTraceRejectsBadPrograms: hand-built programs that would
+// index outside the register files or the code are errors from
+// CaptureTrace, not panics.
+func TestCaptureTraceRejectsBadPrograms(t *testing.T) {
+	halt := isa.Inst{Op: isa.HALT}
+	cases := []struct {
+		name string
+		code []isa.Inst
+		want string
+	}{
+		{"fp-rd", []isa.Inst{{Op: isa.FADD, Rd: 20, Rs1: 1, Rs2: 2}, halt}, "FP register out of range"},
+		{"fp-rs2", []isa.Inst{{Op: isa.FSW, Rs1: 1, Rs2: 16}, halt}, "FP register out of range"},
+		{"fcmp-rs1", []isa.Inst{{Op: isa.FCMP, Rd: 1, Rs1: 31}, halt}, "FP register out of range"},
+		{"int-rd", []isa.Inst{{Op: isa.ADD, Rd: 32, Rs1: 1, Rs2: 2}, halt}, "register out of range"},
+		{"int-rs1", []isa.Inst{{Op: isa.JR, Rs1: 200}, halt}, "register out of range"},
+		{"target", []isa.Inst{{Op: isa.JMP, Imm: 5}, halt}, "target 5 outside code"},
+		{"opcode", []isa.Inst{{Op: 200}, halt}, "invalid opcode 200"},
+		{"empty", nil, "has no code"},
+	}
+	for _, c := range cases {
+		tr, err := CaptureTrace(&Program{Name: c.name, Code: c.code}, 100)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: CaptureTrace = %v, %v; want an error naming %q", c.name, tr, err, c.want)
+		}
+	}
+	tr, err := CaptureTrace(&Program{Name: "entry", Code: []isa.Inst{halt}, Entry: 3}, 100)
+	if err == nil || !strings.Contains(err.Error(), "entry 3 outside code") {
+		t.Errorf("entry: CaptureTrace = %v, %v; want an error naming the entry", tr, err)
 	}
 }
