@@ -30,18 +30,21 @@ func BenchmarkConsume(b *testing.B) {
 func BenchmarkBlockReader(b *testing.B) {
 	tr := randomTrace(2, 10_000)
 	geom := icache.ForKind(icache.Normal, 8)
+	tile := newTile(geom, tileSize)
 	b.ResetTimer()
 	blocks, branches := 0, 0
 	for i := 0; i < b.N; i++ {
 		tr.Reset()
 		rd := newBlockReader(tr, geom)
 		for {
-			blk, ok := rd.next()
-			if !ok {
+			filled := rd.fill(tile)
+			if len(filled) == 0 {
 				break
 			}
-			blocks++
-			branches += bits.OnesCount64(blk.branch) + blk.condN
+			for j := range filled {
+				blocks++
+				branches += bits.OnesCount64(filled[j].blk.branch) + filled[j].blk.condN
+			}
 		}
 	}
 	if blocks == 0 || branches == 0 {
@@ -60,13 +63,12 @@ func BenchmarkScanOnly(b *testing.B) {
 	}
 	blocks := readBlocks(b, randomTrace(3, 4096), e.geom)
 	e.pred.Lookup(0, 0)
-	sh := newSharedBlock(e.geom)
+	sh := &newTile(e.geom, 1)[0]
 	var sc scanResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		blk := &blocks[i%len(blocks)]
-		sh.set(blk)
-		e.scan(blk, sh.trueCodes(e.cfg.NearBlock), e.pred, &sc)
+		sh.blk, sh.codesOK = blocks[i%len(blocks)], [2]bool{}
+		e.scan(&sh.blk, sh.trueCodes(e.cfg.NearBlock, e.geom.LineSize), e.pred, &sc)
 	}
 }
 

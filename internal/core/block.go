@@ -74,15 +74,15 @@ func (b *block) posOf(j, w int) int {
 // walks the cursor's unread run-length records in place
 // (trace.Buffer.Rest), loading one record per stored instruction and
 // stepping over a run of plain ones at once, and moves the cursor past
-// the block (Skip). Cancellation is polled between blocks: once the
-// instructions consumed cross a multiple of trace.PollStride, the next
-// block starts only if the trace's Err is nil.
+// the block (Skip). Cancellation is polled between tiles: a tile ends
+// at the first block whose instructions cross a multiple of
+// trace.PollStride, and the next tile starts only if the trace's Err is
+// nil.
 type blockReader struct {
 	src   *trace.Buffer
 	geom  icache.Geometry
 	width packed.Divisor // geom.BlockWidth, for block.pos0
-	blk   block          // the block next returns; reused for every block
-	read  uint64         // instructions in the blocks returned so far
+	read  uint64         // instructions in the blocks formed so far
 	poll  uint64         // read count at which Err is next polled
 }
 
@@ -94,83 +94,96 @@ func newBlockReader(src *trace.Buffer, geom icache.Geometry) *blockReader {
 	}
 }
 
-// next returns the next block, or ok=false at end of stream. The
-// returned block is owned by the reader and only valid until the
-// following call, so the block loop allocates nothing per block.
-func (r *blockReader) next() (*block, bool) {
-	r.read += uint64(r.blk.n)
+// fill forms the next blocks of the stream into the tile's slots, in
+// order, with each slot's lines, and returns the filled prefix: empty
+// at the end of the stream or once the trace's Err is non-nil. The tile
+// ends early at the first block that reaches a poll point, so a
+// cancelled walk stops within PollStride instructions plus one block of
+// the block that cancelled it, whichever lane that was. The slots are
+// filled in place, so the block loop allocates nothing per block, and
+// a one-slot tile costs one call per block, as a block-at-a-time
+// reader would.
+func (r *blockReader) fill(tile []sharedBlock) []sharedBlock {
 	if r.read >= r.poll {
 		r.poll = r.read&^(trace.PollStride-1) + trace.PollStride
 		if r.src.Err() != nil {
-			return nil, false
+			return nil
 		}
 	}
-	recs, off := r.src.Rest()
-	if len(recs) == 0 {
-		return nil, false
-	}
-	rec := recs[0]
-	start := rec.PC() + uint32(off)
-	limit := r.geom.BlockLimit(start)
-	// Record i is the current one and off the offset of the next
-	// instruction in its run; lo..hi are the records stored for the
-	// block's instructions (a block starting inside a run does not hold
-	// the record that run belongs to).
-	lo := min(off, 1)
-	i, hi := 0, lo
-	var branch, cond, kept uint64
-	var next uint32
-	exit, n := -1, 0
-	for {
-		if off == 0 {
-			// Branch-free: a record's class is data, so testing it
-			// would mispredict on every block.
-			c := rec.Class()
-			kept |= 1 << (n & 63)
-			branch |= b2u(c != isa.ClassPlain) << (n & 63)
-			cond |= b2u(c == isa.ClassCond) << (n & 63)
-			n, off, hi = n+1, 1, i+1
-			if rec.Taken() {
-				next, exit = rec.Target(), n-1
+	for s := range tile {
+		recs, off := r.src.Rest()
+		if len(recs) == 0 {
+			return tile[:s]
+		}
+		rec := recs[0]
+		start := rec.PC() + uint32(off)
+		limit := r.geom.BlockLimit(start)
+		// Record i is the current one and off the offset of the next
+		// instruction in its run; lo..hi are the records stored for the
+		// block's instructions (a block starting inside a run does not
+		// hold the record that run belongs to).
+		lo := min(off, 1)
+		i, hi := 0, lo
+		var branch, cond, kept uint64
+		var next uint32
+		exit, n := -1, 0
+		for {
+			if off == 0 {
+				// Branch-free: a record's class is data, so testing it
+				// would mispredict on every block.
+				c := rec.Class()
+				kept |= 1 << (n & 63)
+				branch |= b2u(c != isa.ClassPlain) << (n & 63)
+				cond |= b2u(c == isa.ClassCond) << (n & 63)
+				n, off, hi = n+1, 1, i+1
+				if rec.Taken() {
+					next, exit = rec.Target(), n-1
+					break
+				}
+			}
+			// The plain instructions folded after the record, up to
+			// the limit.
+			take := min(rec.Run()+1-off, limit-n)
+			n, off = n+take, off+take
+			if n == limit {
+				next = start + uint32(n)
+				break
+			}
+			if i++; i == len(recs) {
+				// The end of the stream.
+				next, off = start+uint32(n), 0
+				break
+			}
+			rec, off = recs[i], 0
+			if pc := rec.PC(); pc != start+uint32(n) {
+				// Discontinuity without a redirecting record — should
+				// not happen with a well-formed trace, but tolerate it
+				// by ending the block here.
+				next = pc
 				break
 			}
 		}
-		// The plain instructions folded after the record, up to the
-		// limit.
-		take := min(rec.Run()+1-off, limit-n)
-		n, off = n+take, off+take
-		if n == limit {
-			next = start + uint32(n)
-			break
+		if i < len(recs) && off > recs[i].Run() {
+			i, off = i+1, 0
 		}
-		if i++; i == len(recs) {
-			// The end of the stream.
-			next, off = start+uint32(n), 0
-			break
-		}
-		rec, off = recs[i], 0
-		if pc := rec.PC(); pc != start+uint32(n) {
-			// Discontinuity without a redirecting record — should not
-			// happen with a well-formed trace, but tolerate it by
-			// ending the block here.
-			next = pc
-			break
+		// Field by field: a composite-literal store of the whole block
+		// is built on the stack and block-copied.
+		sh := &tile[s]
+		b := &sh.blk
+		b.start, b.n, b.next, b.exit, b.pos0 = start, n, next, exit, int(r.width.Mod(start))
+		b.recs, b.kept = recs[lo:hi:hi], kept
+		// A taken conditional redirects, so it can only be the block's
+		// last instruction: every earlier conditional shifts in a 0.
+		b.branch, b.cond, b.condN = branch, cond, bits.OnesCount64(cond)
+		b.condBits = uint32(cond >> (n - 1) & b2u(exit >= 0))
+		sh.lines = r.geom.LinesTouched(sh.lines[:0], start, n)
+		sh.codesOK = [2]bool{}
+		r.src.Skip(i, off)
+		if r.read += uint64(n); r.read >= r.poll {
+			return tile[:s+1]
 		}
 	}
-	if i < len(recs) && off > recs[i].Run() {
-		i, off = i+1, 0
-	}
-	// Field by field: a composite-literal store of the whole block
-	// is built on the stack and block-copied.
-	b := &r.blk
-	b.start, b.n, b.next, b.exit, b.pos0 = start, n, next, exit, int(r.width.Mod(start))
-	b.recs, b.kept = recs[lo:hi:hi], kept
-	// A taken conditional redirects, so it can only be the block's last
-	// instruction: every earlier conditional shifts in a 0.
-	b.branch, b.cond, b.condN = branch, cond, bits.OnesCount64(cond)
-	b.condBits = uint32(cond >> (n - 1) & b2u(exit >= 0))
-	r.src.Skip(i, off)
-	return b, true
+	return tile
 }
 
 // b2u is 1 for true and 0 for false; the compiler emits it as a flag

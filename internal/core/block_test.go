@@ -27,18 +27,21 @@ func mkTrace(recs []rec) *trace.Buffer {
 
 // readBlocks segments src through the production reader. The blocks'
 // record windows alias src's records, which never change, so a shallow
-// copy of each block outlives the reader's reuse of its block.
+// copy of each block outlives the reader's reuse of its slot.
 func readBlocks(tb testing.TB, src *trace.Buffer, geom icache.Geometry) []block {
 	tb.Helper()
 	src.Reset()
 	rd := newBlockReader(src, geom)
+	tile := newTile(geom, tileSize)
 	var out []block
 	for {
-		b, ok := rd.next()
-		if !ok {
+		filled := rd.fill(tile)
+		if len(filled) == 0 {
 			return out
 		}
-		out = append(out, *b)
+		for i := range filled {
+			out = append(out, filled[i].blk)
+		}
 	}
 }
 
@@ -358,5 +361,40 @@ func TestStreamEndMidBlock(t *testing.T) {
 	blocks := readBlocks(t, tr, geom)
 	if len(blocks) != 1 || blocks[0].n != 2 {
 		t.Fatalf("partial final block mishandled: %+v", blocks)
+	}
+}
+
+// TestTilesEndAtPollPoints: the reader ends a tile at the first block
+// that reaches a cancellation poll point, so no tile spans one and
+// every lane of a set consumes the tile before the next poll. Tiles
+// never end early otherwise: only the stream's end or a poll point
+// cuts one short.
+func TestTilesEndAtPollPoints(t *testing.T) {
+	tr := randomTrace(3, 60_000)
+	geom := DefaultConfig().Geometry
+	rd := newBlockReader(tr, geom)
+	tile := newTile(geom, tileSize)
+	var read uint64
+	polls := 0
+	for {
+		filled := rd.fill(tile)
+		if len(filled) == 0 {
+			break
+		}
+		next := read&^(trace.PollStride-1) + trace.PollStride
+		for i := range filled {
+			read += uint64(filled[i].blk.n)
+			if read >= next && i < len(filled)-1 {
+				t.Fatalf("tile of %d blocks crosses the poll point %d at block %d", len(filled), next, i)
+			}
+		}
+		if read >= next {
+			polls++
+		} else if len(filled) < tileSize && read != uint64(tr.Len()) {
+			t.Fatalf("tile of %d blocks ended short of a poll point at %d instructions", len(filled), read)
+		}
+	}
+	if read != uint64(tr.Len()) || polls < 10 {
+		t.Fatalf("walked %d of %d instructions past %d poll points", read, tr.Len(), polls)
 	}
 }

@@ -21,10 +21,11 @@ import (
 type Engine struct {
 	// The fields consume reads or writes on every block come first, so
 	// that a lane's per-block state spans as few cache lines as
-	// possible: a lane set visits every lane once per block, and with
-	// dozens of lanes each engine's header is evicted between visits.
-	// The GHR and return stack are held by value for the same reason:
-	// reading them costs no pointer hop to a line of their own.
+	// possible: with dozens of lanes, each engine's header is evicted
+	// while the other lanes consume their tiles, and every line of it
+	// is one more miss when the lane's turn comes again. The GHR and
+	// return stack are held by value for the same reason: reading them
+	// costs no pointer hop to a line of their own.
 
 	geom   icache.Geometry
 	blocks int // blocks fetched per cycle (1, 2, or the §5 extension's 3-4)
@@ -32,6 +33,7 @@ type Engine struct {
 
 	ghr    pht.GHR
 	pred   Predictor
+	dir    directionReader // pred as scan's direction source, converted once, not per block
 	bit    *bitable.Table
 	tgt    target.Array
 	ras    ras.Stack
@@ -86,7 +88,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.pred = pred
+	e.pred, e.dir = pred, pred
 	if cfg.Selection == metrics.SingleSelection {
 		e.bit = bitable.New(cfg.BITEntries, cfg.Geometry.LineSize, cfg.NearBlock)
 	}
@@ -130,7 +132,7 @@ func (e *Engine) Config() Config { return e.cfg }
 func (e *Engine) Reset() {
 	*e = Engine{
 		geom: e.geom, blocks: e.blocks, cfg: e.cfg,
-		ghr: e.ghr, pred: e.pred, bit: e.bit, tgt: e.tgt, ras: e.ras, st: e.st, icache: e.icache,
+		ghr: e.ghr, pred: e.pred, dir: e.dir, bit: e.bit, tgt: e.tgt, ras: e.ras, st: e.st, icache: e.icache,
 		linesA: e.linesA[:0], staleBuf: e.staleBuf,
 	}
 	e.ghr.Reset()
@@ -154,175 +156,193 @@ func (e *Engine) Reset() {
 // Run is a one-lane LaneSet walk: the lane batch is the only block
 // loop.
 func (e *Engine) Run(src *trace.Buffer) metrics.Result {
-	ls := LaneSet{lanes: []*Engine{e}, geom: e.geom}
+	ls := LaneSet{lanes: []*Engine{e}, geom: e.geom, tile: newTile(e.geom, 1)}
 	return ls.Run(src)[0]
 }
 
-// consume processes one actual block: accounts the fetch request,
-// predicts the block's successor from its BIT/PHT state, verifies any
-// select-table involvement, classifies mispredictions, charges Table 3
-// penalties and trains every structure. sh carries the block's
-// config-independent derived values (lines touched, BIT codes, packed
-// conditional outcomes), computed once per block and shared by every
-// lane consuming the same stream.
-func (e *Engine) consume(blk *block, sh *sharedBlock) {
-	dual := e.blocks > 1
-	role := e.role
-	if !dual {
-		role = 0
-	}
-	e.blkPenalty, e.blkKind = 0, 0
+// consume processes a tile of actual blocks, in order. For each block
+// it accounts the fetch request, predicts the block's successor from
+// its BIT/PHT state, verifies any select-table involvement, classifies
+// mispredictions, charges Table 3 penalties and trains every structure.
+// A tile slot holds the block and its config-independent derived values
+// (lines touched, BIT codes), computed once per block and shared by
+// every lane consuming the same stream. The loop over the tile is here,
+// not in the caller, so a one-slot tile costs one call per block.
+func (e *Engine) consume(tile []sharedBlock) {
+	for i := range tile {
+		sh := &tile[i]
+		blk := &sh.blk
+		dual := e.blocks > 1
+		role := e.role
+		if !dual {
+			role = 0
+		}
+		e.blkPenalty, e.blkKind = 0, 0
 
-	e.res.Blocks++
-	e.res.Instructions += uint64(blk.n)
-	if role == 0 {
-		e.res.FetchCycles++
-		e.linesA = append(e.linesA[:0], sh.lines...)
-		e.accessICache(e.linesA)
-		// Snapshot the select-table index of this group: its
-		// non-first blocks were predicted from the slot indexed when
-		// the group's predecessor was current.
-		if e.ringLen > 0 {
-			e.cycGHR, e.cycAddr = e.prevGHR, e.addrRing[0]
-			e.cycValid = true
+		e.res.Blocks++
+		e.res.Instructions += uint64(blk.n)
+		if role == 0 {
+			e.res.FetchCycles++
+			// Element by element: a slice append is a memmove call,
+			// and a block has at most two lines.
+			e.linesA = e.linesA[:0]
+			for _, l := range sh.lines {
+				e.linesA = append(e.linesA, l)
+			}
+			if e.icache != nil {
+				e.accessICache(e.linesA)
+			}
+			// Snapshot the select-table index of this group: its
+			// non-first blocks were predicted from the slot indexed when
+			// the group's predecessor was current.
+			if e.ringLen > 0 {
+				e.cycGHR, e.cycAddr = e.prevGHR, e.addrRing[0]
+				e.cycValid = true
+			} else {
+				e.cycValid = false
+			}
 		} else {
-			e.cycValid = false
-		}
-	} else {
-		// Later block of the group: bank-conflict check against the
-		// lines fetched so far this cycle (§3.3, §4.5).
-		e.accessICache(sh.lines)
-		if e.geom.Conflict(e.linesA, sh.lines) {
-			e.charge(metrics.BankConflict,
-				metrics.Penalty(metrics.BankConflict, role, e.cfg.Selection))
-		}
-		e.linesA = append(e.linesA, sh.lines...)
-	}
-
-	ghrPre := e.ghr.Value()
-	e.pred.Lookup(ghrPre, blk.start)
-	trueCodes := sh.trueCodes(e.cfg.NearBlock)
-
-	var sc scanResult
-	e.scan(blk, trueCodes, e.pred, &sc)
-
-	// Finite-BIT penalty: predict with the (possibly stale or missing)
-	// table contents; if that changes the prediction, the fetch logic
-	// discovers it one cycle later when the line is decoded (§4.2).
-	if e.bit != nil && !e.bit.Perfect() {
-		staleCodes, anyStale := e.staleCodes(blk)
-		if anyStale {
-			var ssc scanResult
-			e.scan(blk, staleCodes, e.pred, &ssc)
-			if ssc.exit != sc.exit || ssc.sel.Source != sc.sel.Source {
-				e.charge(metrics.BITMispredict,
-					metrics.Penalty(metrics.BITMispredict, role, e.cfg.Selection))
+			// Later block of the group: bank-conflict check against the
+			// lines fetched so far this cycle (§3.3, §4.5).
+			if e.icache != nil {
+				e.accessICache(sh.lines)
+			}
+			if e.geom.Conflict(e.linesA, sh.lines) {
+				e.charge(metrics.BankConflict,
+					metrics.Penalty(metrics.BankConflict, role, e.cfg.Selection))
+			}
+			for _, l := range sh.lines {
+				e.linesA = append(e.linesA, l)
 			}
 		}
-	}
 
-	// Tentative role of the successor block if this block's prediction
-	// holds: roles cycle through the group; any redirecting penalty
-	// restarts the pipeline with a first-role fetch.
-	succRole := 0
-	if dual && role+1 < e.blocks {
-		succRole = role + 1
-	}
+		ghrPre := e.ghr.Value()
+		e.pred.Lookup(ghrPre, blk.start)
+		trueCodes := sh.trueCodes(e.cfg.NearBlock, e.geom.LineSize)
 
-	predNext, predOK := e.evaluate(blk, &sc, succRole)
-	kind, redirect, extra := e.classify(blk, &sc, predNext, predOK, role)
+		var sc scanResult
+		e.scan(blk, trueCodes, e.dir, &sc)
 
-	if redirect {
-		e.charge(kind, metrics.Penalty(kind, role, e.cfg.Selection)+extra)
-	}
-
-	// Select-table verification for the successor fetch (§3.1-3.2).
-	// Charged only when no redirecting penalty already squashes the
-	// pipeline; updates happen regardless.
-	condFlip := kind == metrics.CondMispredict && redirect && e.condExitWeak(blk, &sc)
-	if dual {
-		e.verifyST(blk, trueCodes, &sc, ghrPre, succRole, redirect, condFlip)
-	}
-
-	// Direction statistics and PHT training for every conditional
-	// branch in the block (each predicted by its position counter in
-	// the entry looked up for this block). The branch counts are the
-	// popcounts of the block's masks; training visits only the set bits
-	// of cond, in ascending position order. A taken conditional ends
-	// its block, so only the exit can be one.
-	w := e.geom.BlockWidth
-	e.res.Branches += uint64(bits.OnesCount64(blk.branch))
-	e.res.CondBranches += uint64(bits.OnesCount64(blk.cond))
-	for m := blk.cond; m != 0; m &= m - 1 {
-		j := bits.TrailingZeros64(m)
-		pos, taken := blk.posOf(j, w), j == blk.exit
-		if e.pred.Taken(pos) != taken {
-			e.res.CondMispredicts++
-		}
-		e.pred.Update(pos, taken)
-	}
-
-	// Target array training: a redirecting exit whose source is the
-	// target array stores its target under every target number — array
-	// t indexed by the block t positions back (§3.1's inherent
-	// duplication, extended to N blocks).
-	if x := blk.exit; x >= 0 {
-		class := blk.rec(x).Class()
-		exitAddr := blk.start + uint32(x)
-		if usesTargetArray(class, trueCodes[x]) {
-			pos := blk.posOf(x, w)
-			e.tgt.Update(blk.start, pos, 0, blk.next, class.IsCall())
-			for t := 1; t < e.blocks && t <= e.ringLen; t++ {
-				e.tgt.Update(e.addrRing[t-1], pos, t, blk.next, class.IsCall())
+		// Finite-BIT penalty: predict with the (possibly stale or missing)
+		// table contents; if that changes the prediction, the fetch logic
+		// discovers it one cycle later when the line is decoded (§4.2).
+		if e.bit != nil && !e.bit.Perfect() {
+			staleCodes, anyStale := e.staleCodes(blk)
+			if anyStale {
+				var ssc scanResult
+				e.scan(blk, staleCodes, e.dir, &ssc)
+				if ssc.exit != sc.exit || ssc.sel.Source != sc.sel.Source {
+					e.charge(metrics.BITMispredict,
+						metrics.Penalty(metrics.BITMispredict, role, e.cfg.Selection))
+				}
 			}
 		}
-		switch {
-		case class.IsCall():
-			e.ras.Push(exitAddr + 1)
-		case class == isa.ClassReturn:
-			e.ras.Pop()
+
+		// Tentative role of the successor block if this block's prediction
+		// holds: roles cycle through the group; any redirecting penalty
+		// restarts the pipeline with a first-role fetch.
+		succRole := 0
+		if dual && role+1 < e.blocks {
+			succRole = role + 1
 		}
-	}
 
-	// BIT fill: the fetched line(s) now carry decoded type information.
-	e.fillBIT(blk, trueCodes)
+		predNext, predOK := e.evaluate(blk, &sc, succRole)
+		kind, redirect, extra := e.classify(blk, &sc, predNext, predOK, role)
 
-	// GHR: shifted once per block with the block's conditional
-	// outcomes (§2). The predictor observes the same outcomes, so a
-	// strategy whose private history outlives the shared GHR stays in
-	// sync with it.
-	e.ghr.ShiftPacked(blk.condN, blk.condBits)
-	e.pred.Shift(blk.condN, blk.condBits)
-
-	// Carry state for the next block.
-	copy(e.addrRing[1:], e.addrRing[:len(e.addrRing)-1])
-	e.addrRing[0] = blk.start
-	if e.ringLen < len(e.addrRing) {
-		e.ringLen++
-	}
-	e.prevGHR = ghrPre
-	if redirect {
-		e.role = 0
-	} else {
-		e.role = succRole
-	}
-
-	if e.runObs != nil {
-		ev := Event{
-			Cycle: e.res.FetchCycles, Block: e.res.Blocks, Role: role,
-			Start: blk.start, Len: blk.n,
-			GHR:           ghrPre,
-			Selector:      sc.sel,
-			PredictedNext: predNext,
-			ActualNext:    blk.next,
-			Penalty:       e.blkPenalty,
-			Kind:          e.blkKind,
-			Redirect:      redirect,
+		if redirect {
+			e.charge(kind, metrics.Penalty(kind, role, e.cfg.Selection)+extra)
 		}
+
+		// Select-table verification for the successor fetch (§3.1-3.2).
+		// Charged only when no redirecting penalty already squashes the
+		// pipeline; updates happen regardless.
+		condFlip := kind == metrics.CondMispredict && redirect && e.condExitWeak(blk, &sc)
+		if dual {
+			e.verifyST(blk, trueCodes, &sc, ghrPre, succRole, redirect, condFlip)
+		}
+
+		// Direction statistics and PHT training for every conditional
+		// branch in the block (each predicted by its position counter in
+		// the entry looked up for this block). The branch counts are the
+		// popcounts of the block's masks; training visits only the set bits
+		// of cond, in ascending position order. A taken conditional ends
+		// its block, so only the exit can be one.
+		w := e.geom.BlockWidth
+		e.res.Branches += uint64(bits.OnesCount64(blk.branch))
+		e.res.CondBranches += uint64(bits.OnesCount64(blk.cond))
+		for m := blk.cond; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			pos, taken := blk.posOf(j, w), j == blk.exit
+			if e.pred.Taken(pos) != taken {
+				e.res.CondMispredicts++
+			}
+			e.pred.Update(pos, taken)
+		}
+
+		// Target array training: a redirecting exit whose source is the
+		// target array stores its target under every target number — array
+		// t indexed by the block t positions back (§3.1's inherent
+		// duplication, extended to N blocks).
 		if x := blk.exit; x >= 0 {
-			ev.ExitClass = blk.rec(x).Class()
+			class := blk.rec(x).Class()
+			exitAddr := blk.start + uint32(x)
+			if usesTargetArray(class, trueCodes[x]) {
+				pos := blk.posOf(x, w)
+				e.tgt.Update(blk.start, pos, 0, blk.next, class.IsCall())
+				for t := 1; t < e.blocks && t <= e.ringLen; t++ {
+					e.tgt.Update(e.addrRing[t-1], pos, t, blk.next, class.IsCall())
+				}
+			}
+			switch {
+			case class.IsCall():
+				e.ras.Push(exitAddr + 1)
+			case class == isa.ClassReturn:
+				e.ras.Pop()
+			}
 		}
-		e.runObs.Observe(ev)
+
+		// BIT fill: the fetched line(s) now carry decoded type information.
+		if e.bit != nil && !e.bit.Perfect() {
+			e.fillBIT(blk, trueCodes)
+		}
+
+		// GHR: shifted once per block with the block's conditional
+		// outcomes (§2). The predictor observes the same outcomes, so a
+		// strategy whose private history outlives the shared GHR stays in
+		// sync with it.
+		e.ghr.ShiftPacked(blk.condN, blk.condBits)
+		e.pred.Shift(blk.condN, blk.condBits)
+
+		// Carry state for the next block.
+		copy(e.addrRing[1:], e.addrRing[:len(e.addrRing)-1])
+		e.addrRing[0] = blk.start
+		if e.ringLen < len(e.addrRing) {
+			e.ringLen++
+		}
+		e.prevGHR = ghrPre
+		if redirect {
+			e.role = 0
+		} else {
+			e.role = succRole
+		}
+
+		if e.runObs != nil {
+			ev := Event{
+				Cycle: e.res.FetchCycles, Block: e.res.Blocks, Role: role,
+				Start: blk.start, Len: blk.n,
+				GHR:           ghrPre,
+				Selector:      sc.sel,
+				PredictedNext: predNext,
+				ActualNext:    blk.next,
+				Penalty:       e.blkPenalty,
+				Kind:          e.blkKind,
+				Redirect:      redirect,
+			}
+			if x := blk.exit; x >= 0 {
+				ev.ExitClass = blk.rec(x).Class()
+			}
+			e.runObs.Observe(ev)
+		}
 	}
 }
 
@@ -337,12 +357,11 @@ func (e *Engine) charge(k metrics.Kind, cycles int) {
 	}
 }
 
-// accessICache probes the optional instruction-cache content model for
-// the lines a block reads, charging the configured miss penalty.
+// accessICache probes the instruction-cache content model for the
+// lines a block reads, charging the configured miss penalty. The model
+// is optional; consume calls this only when there is one, so an engine
+// without it pays no call per block.
 func (e *Engine) accessICache(lines []uint32) {
-	if e.icache == nil {
-		return
-	}
 	for _, l := range lines {
 		if !e.icache.Access(l) {
 			e.res.ICacheMisses++
@@ -494,11 +513,9 @@ func (e *Engine) staleCodes(blk *block) ([]bitable.Code, bool) {
 	return out, anyStale
 }
 
-// fillBIT installs the block's decoded type codes into the BIT table.
+// fillBIT installs the block's decoded type codes into a finite BIT
+// table; consume calls it only when there is one.
 func (e *Engine) fillBIT(blk *block, trueCodes []bitable.Code) {
-	if e.bit == nil || e.bit.Perfect() {
-		return
-	}
 	for j := 0; j < blk.n; {
 		line, off, n := e.lineRun(blk, j)
 		e.bit.Fill(line, off, trueCodes[j:j+n])

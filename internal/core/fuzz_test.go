@@ -13,15 +13,19 @@ import (
 // snapshot — from one independent engine run per configuration. This
 // is the engine-level analogue of the packed-array fuzz oracles: the
 // per-config path is the model, the lane path is the implementation
-// under test. Seed inputs live under
+// under test. The trace is 1500 instructions plus 128 per unit of the
+// seed's top byte, up to about 34k, so fuzzed traces span from under
+// two tiles of blocks to dozens; a seed below 2^56, as every committed
+// one is, keeps 1500. Seed inputs live under
 // testdata/fuzz/FuzzLaneEquivalence.
 func FuzzLaneEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(1), []byte{1, 2, 3})
 	f.Add(int64(7), uint8(1), uint8(0), []byte{9, 4, 1, 0, 0, 0})
 	f.Add(int64(42), uint8(2), uint8(2), []byte{5, 5, 5, 1, 2, 3, 200, 100, 50})
 	f.Add(int64(99), uint8(0), uint8(0), []byte{0xff, 0xfe, 0xfd, 0x01, 0x02, 0x03, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60})
+	f.Add(int64(40)<<56|5, uint8(1), uint8(1), []byte{3, 1, 4, 1, 5, 9, 2, 6, 5})
 	f.Fuzz(func(t *testing.T, seed int64, a, b uint8, knobs []byte) {
-		tr := randomTrace(seed%4096, 1500)
+		tr := randomTrace(seed%4096, 1500+128*int(uint64(seed)>>56))
 		cfgs := laneConfigs(a, b, knobs)
 
 		want := make([]metrics.Result, len(cfgs))

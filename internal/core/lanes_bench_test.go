@@ -6,6 +6,8 @@ import (
 	"mbbp/internal/core"
 	"mbbp/internal/metrics"
 	_ "mbbp/internal/tage"
+	"mbbp/internal/trace"
+	"mbbp/internal/workload"
 )
 
 // mixedLanes is a 32-lane, W = 8 grid shaped like a research sweep:
@@ -64,4 +66,57 @@ func BenchmarkLaneSetMixed(b *testing.B) {
 		laneInstrs += rs[0].Instructions * uint64(len(rs))
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(laneInstrs), "ns/instr/lane")
+}
+
+// suiteBenchPrograms are the workload programs BenchmarkLaneSetSuite
+// walks: three integer and three floating-point programs, from the
+// small-footprint loop nests to gcc's large text, at a length where
+// each lane's tables fill as they do in the suite sweeps.
+var suiteBenchPrograms = []string{"compress", "gcc", "go", "applu", "fpppp", "swim"}
+
+const suiteBenchInstrs = 300_000
+
+// BenchmarkLaneSetSuite runs lane sets over workload traces, the shape
+// the research sweeps run: the 32-lane mixedLanes grid, and one lane of
+// DefaultConfig, the path every single-configuration run takes. The
+// random-trace lane benchmarks cannot show how the walk order keeps a
+// lane's state warm: their short random traces leave every table small
+// and cold-miss bound alike. Reports host ns per instruction per lane.
+func BenchmarkLaneSetSuite(b *testing.B) {
+	traces := make([]*trace.Buffer, len(suiteBenchPrograms))
+	for i, name := range suiteBenchPrograms {
+		w, err := workload.Get(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if traces[i], err = w.Trace(suiteBenchInstrs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		cfgs []core.Config
+	}{
+		{"lanes=32", mixedLanes()},
+		{"lanes=1", []core.Config{core.DefaultConfig()}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ls, err := core.NewLanes(c.cfgs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			var laneInstrs uint64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ls.Reset()
+				b.StartTimer()
+				for _, tr := range traces {
+					rs := ls.Run(tr)
+					laneInstrs += rs[0].Instructions * uint64(len(rs))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(laneInstrs), "ns/instr/lane")
+		})
+	}
 }

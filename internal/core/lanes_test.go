@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -346,6 +347,101 @@ func TestLaneRunsAreRestartable(t *testing.T) {
 	for i := range cfgs {
 		if warm[i] != solo[i] {
 			t.Errorf("warm lane %d diverges:\n lane %+v\n solo %+v", i, warm[i], solo[i])
+		}
+	}
+}
+
+// eventLog records every event it observes.
+type eventLog struct{ evs []Event }
+
+func (l *eventLog) Observe(ev Event) { l.evs = append(l.evs, ev) }
+
+// cutTrace returns a copy of tr's first instructions that forms exactly
+// the first blocks blocks of tr under geom: a block ends where it ends
+// in the whole trace (at its exit or its limit), so cutting after one
+// keeps every block before it intact.
+func cutTrace(t *testing.T, tr *trace.Buffer, geom icache.Geometry, blocks int) *trace.Buffer {
+	t.Helper()
+	all := readBlocks(t, tr, geom)
+	if len(all) < blocks {
+		t.Fatalf("trace forms %d blocks, want at least %d", len(all), blocks)
+	}
+	n := 0
+	for _, b := range all[:blocks] {
+		n += b.n
+	}
+	out := trace.NewBuffer(tr.Name)
+	tr.Reset()
+	for range n {
+		r, _ := tr.Next()
+		out.Append(r)
+	}
+	if got := len(readBlocks(t, out, geom)); got != blocks {
+		t.Fatalf("cut trace forms %d blocks, want %d", got, blocks)
+	}
+	return out
+}
+
+// TestLaneTileBoundaries: lane sets of 1, 2 and 33 lanes mixing every
+// structure that keeps per-block state (TAGE, a finite BIT, three
+// blocks per cycle, BTB targets, near-block encoding) run traces cut to
+// 0, 1, T-1, T, T+1 and 2T+1 blocks, T the tile size, so the walk ends
+// empty, inside the first tile, on either side of a tile boundary and
+// one block into a third tile. Each lane's Result, Stats and whole
+// event sequence must equal a lone engine's.
+func TestLaneTileBoundaries(t *testing.T) {
+	families := []func(*Config){
+		func(*Config) {},
+		func(c *Config) { c.Predictor, c.NumPHTs = PredictorTAGE, 1 },
+		func(c *Config) { c.BITEntries = 64 },
+		func(c *Config) { c.NumBlocks = 3 },
+		func(c *Config) { c.TargetArray, c.TargetEntries = BTB, 64 },
+		func(c *Config) { c.NearBlock = true },
+	}
+	cfgs := make([]Config, 33)
+	for i := range cfgs {
+		cfgs[i] = DefaultConfig()
+		families[i%len(families)](&cfgs[i])
+		cfgs[i].HistoryBits = 6 + i%7
+	}
+	geom := cfgs[0].Geometry
+	whole := randomTrace(13, 4000)
+	for _, blocks := range []int{0, 1, tileSize - 1, tileSize, tileSize + 1, 2*tileSize + 1} {
+		tr := cutTrace(t, whole, geom, blocks)
+		for _, lanes := range []int{1, 2, 33} {
+			t.Run(fmt.Sprintf("blocks=%d/lanes=%d", blocks, lanes), func(t *testing.T) {
+				set := cfgs[:lanes]
+				ls, err := NewLanes(set)
+				if err != nil {
+					t.Fatal(err)
+				}
+				logs := make([]eventLog, lanes)
+				for i, e := range ls.Lanes() {
+					e.SetObserver(&logs[i])
+				}
+				got := ls.Run(tr)
+				for i, cfg := range set {
+					e, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var want eventLog
+					e.SetObserver(&want)
+					if res := e.Run(tr); got[i] != res {
+						t.Errorf("lane %d result:\n lane %+v\n solo %+v", i, got[i], res)
+					}
+					if st := ls.Lanes()[i].Stats(); st != e.Stats() {
+						t.Errorf("lane %d stats:\n lane %+v\n solo %+v", i, st, e.Stats())
+					}
+					if len(want.evs) != blocks {
+						t.Errorf("lone engine %d saw %d events, want %d", i, len(want.evs), blocks)
+					}
+					if !reflect.DeepEqual(logs[i].evs, want.evs) {
+						t.Errorf("lane %d events differ from a lone engine's (%d vs %d events)",
+							i, len(logs[i].evs), len(want.evs))
+					}
+				}
+			})
 		}
 	}
 }

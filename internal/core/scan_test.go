@@ -14,9 +14,9 @@ import (
 // trueCodes is a test convenience: the shared-block BIT codes for one
 // block under the engine's own near-block setting.
 func (e *Engine) trueCodes(blk *block) []bitable.Code {
-	sh := newSharedBlock(e.geom)
-	sh.set(blk)
-	return sh.trueCodes(e.cfg.NearBlock)
+	sh := &newTile(e.geom, 1)[0]
+	sh.blk = *blk
+	return sh.trueCodes(e.cfg.NearBlock, e.geom.LineSize)
 }
 
 // scanOf scans blk over its true codes with dir and returns the result.

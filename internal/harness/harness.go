@@ -73,7 +73,10 @@ type TraceSet struct {
 // apart. Equal configurations in one batch share one lane, so f runs
 // once per (program, distinct configuration). f may return a shared
 // concurrency-safe observer (obs.Counters) or a fresh one per call; a
-// nil return leaves that run untapped. Warmup passes are not observed
+// nil return leaves that run untapped. An observer shared across lanes
+// sees each lane's events in block order, but the lanes interleave by
+// tile (core.LaneSet.Run), not block by block; obs.Counters only sums,
+// so it does not depend on that order. Warmup passes are not observed
 // — the observer sees exactly the measured run. Observers cannot change
 // results, so every determinism contract holds with or without one.
 func (ts *TraceSet) WithObserver(f func(program string, cfg core.Config) core.Observer) *TraceSet {
